@@ -13,7 +13,7 @@ the same process so their ratio is host-independent:
   copy path vs vectored+batched; this ratio is the CI gate;
 - **process scaling** — the codec-dominated regime (pure-Python LZ4,
   so compression holds the GIL) at 1/2/4 compressor domains, thread
-  mode vs :class:`~repro.mp.ProcessPipeline`; on hosts with >= 4 CPUs
+  mode vs process mode (``LiveConfig.execution_mode``); on hosts with >= 4 CPUs
   the 4-domain process/thread ratio is gated, because that is the
   configuration where sidestepping the GIL must show up;
 - **codec frontier** — the ratio-vs-throughput frontier of every
@@ -364,7 +364,6 @@ def _scaling_once(chunks: int, payload: bytes, *, mode: str, workers: int) -> fl
     import multiprocessing
 
     from repro.live.runtime import LiveConfig, LivePipeline
-    from repro.mp import ProcessPipeline
 
     start_method = (
         "fork"
@@ -380,11 +379,8 @@ def _scaling_once(chunks: int, payload: bytes, *, mode: str, workers: int) -> fl
         execution_mode=mode,
         mp_start_method=start_method,
     )
-    pipeline = (
-        ProcessPipeline(cfg) if mode == "process" else LivePipeline(cfg)
-    )
     start = time.perf_counter()
-    report = pipeline.run(_chunk_source(chunks, payload))
+    report = LivePipeline(cfg).run(_chunk_source(chunks, payload))
     elapsed = time.perf_counter() - start
     if not report.ok:
         raise RuntimeError(f"scaling bench run failed: {report.summary()}")
@@ -1156,7 +1152,6 @@ def _many_streams_once(
         connections=streams,
         decompress_threads=2,
         queue_capacity=256,
-        mode="eventloop",
         shards=shards,
         timeouts=TimeoutPolicy(accept=120.0, join=120.0),
     )

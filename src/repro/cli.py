@@ -103,20 +103,12 @@ def live_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--decompress-threads", type=int, default=2)
     parser.add_argument("--connections", type=int, default=2)
     parser.add_argument(
-        "--receiver-mode",
-        choices=("eventloop", "threads"),
-        default=None,
-        help="how the receiver multiplexes connections: selector-driven "
-        "reactor shards (eventloop) or one thread per accepted socket "
-        "(threads) (default: the plan's execution policy, else eventloop)",
-    )
-    parser.add_argument(
         "--receiver-shards",
         type=int,
         default=None,
         metavar="N",
-        help="reactor shards in eventloop mode; 0 = one per core "
-        "(default: the plan's execution policy, else 0)",
+        help="reactor shards of the receiver's event-loop plane; 0 = one "
+        "per core (default: the plan's execution policy, else 0)",
     )
     parser.add_argument(
         "--mode",
@@ -310,61 +302,41 @@ def live_main(argv: list[str] | None = None) -> int:
             f"connections={args.connections} "
             f"codec={lowered.config.codec}"
         )
-    # --codec overrides the plan's codec policy node; no flag and no
-    # plan means today's zlib default.
-    codec = args.codec
-    if codec is None:
-        codec = lowered.config.codec if lowered is not None else "zlib"
     if args.listen and args.fault:
         parser.error("--fault is sender-side; use it with --connect or "
                      "the in-process loopback, not --listen")
 
-    # --batch-frames overrides the plan's knob; otherwise the plan (or
-    # the default of 1, today's frame-at-a-time behaviour) decides.
-    batch_frames = args.batch_frames
-    if batch_frames is None:
-        batch_frames = (
-            lowered.config.batch_frames if lowered is not None else 1
-        )
-    if batch_frames < 1:
-        parser.error("--batch-frames must be >= 1")
-    if args.batch_linger < 0:
-        parser.error("--batch-linger must be >= 0")
+    def setting(flag: str, field: str, default):
+        """A flag overrides the plan's lowered value; with neither,
+        ``default`` (the no-plan behaviour) applies."""
+        value = getattr(args, flag)
+        if value is not None:
+            return value
+        if lowered is not None:
+            return getattr(lowered.config, field)
+        return default
 
-    # --receiver-mode/--receiver-shards override the plan's execution
-    # policy; no flag and no plan means the event-loop default.
-    receiver_mode = args.receiver_mode
-    if receiver_mode is None:
-        receiver_mode = (
-            lowered.config.receiver_mode if lowered is not None
-            else "eventloop"
-        )
-    receiver_shards = args.receiver_shards
-    if receiver_shards is None:
-        receiver_shards = (
-            lowered.config.receiver_shards if lowered is not None else 0
-        )
-    if receiver_shards < 0:
-        parser.error("--receiver-shards must be >= 0")
-
-    # --trace-sample/--trace-cap override the plan's trace policy node;
-    # no flag and no plan node means tracing off.
-    trace_sample = args.trace_sample
-    if trace_sample is None:
-        trace_sample = (
-            lowered.config.trace_sample if lowered is not None else 0
-        )
-    if trace_sample < 0:
-        parser.error("--trace-sample must be >= 0")
-    trace_cap = args.trace_cap
-    if trace_cap is None:
-        trace_cap = (
-            lowered.config.trace_per_stream_cap if lowered is not None else 0
-        )
-    if trace_cap < 0:
-        parser.error("--trace-cap must be >= 0")
+    codec = setting("codec", "codec", "zlib")
+    mode = setting("mode", "execution_mode", "thread")
+    batch_frames = setting("batch_frames", "batch_frames", 1)
+    receiver_shards = setting("receiver_shards", "receiver_shards", 0)
+    trace_sample = setting("trace_sample", "trace_sample", 0)
+    trace_cap = setting("trace_cap", "trace_per_stream_cap", 0)
+    for flag, value, minimum in (
+        ("--batch-frames", batch_frames, 1),
+        ("--batch-linger", args.batch_linger, 0),
+        ("--receiver-shards", receiver_shards, 0),
+        ("--trace-sample", trace_sample, 0),
+        ("--trace-cap", trace_cap, 0),
+    ):
+        if value < minimum:
+            parser.error(f"{flag} must be >= {minimum}")
     if trace_cap and not trace_sample:
         parser.error("--trace-cap needs --trace-sample")
+    if args.domains is not None and mode != "process":
+        parser.error("--domains sizes the compressor processes; it needs "
+                     "--mode process (or a plan whose execution mode is "
+                     "process)")
 
     from repro.faults import FaultInjector, parse_fault
     from repro.util.errors import ValidationError
@@ -536,80 +508,24 @@ def live_main(argv: list[str] | None = None) -> int:
         )
         return DatasetChunkSource("live", dataset, limit=args.chunks).chunks()
 
-    if args.listen:
+    def make_receiver(host: str, port: int):
         from repro.live.remote import ReceiverServer
 
-        host, port = args.listen.rsplit(":", 1)
-        server = ReceiverServer(
-            host or "0.0.0.0",
-            int(port),
+        return ReceiverServer(
+            host,
+            port,
             codec=codec,
             connections=args.connections,
             decompress_threads=args.decompress_threads,
             batch_frames=batch_frames,
-            mode=receiver_mode,
             shards=receiver_shards,
             telemetry=telemetry,
         )
-        print(f"listening on {server.address[0]}:{server.address[1]} "
-              f"for {args.connections} connection(s) "
-              f"({receiver_mode} receiver)...")
-        with server:
-            report = server.serve()
-        print(report.summary())
-        finish_telemetry()
-        write_json(report)
-        return 0 if report.ok else 1
 
-    if args.connect:
+    def make_sender(host: str, port: int):
         from repro.live.remote import SenderClient
 
-        host, port = args.connect.rsplit(":", 1)
-        client = SenderClient(
-            host,
-            int(port),
-            codec=codec,
-            connections=args.connections,
-            compress_threads=args.compress_threads,
-            batch_frames=batch_frames,
-            batch_linger=args.batch_linger,
-            telemetry=telemetry,
-            injector=injector,
-            trace_sample=trace_sample,
-            trace_per_stream_cap=trace_cap,
-        )
-        report = client.run(make_source())
-        print(report.summary())
-        finish_telemetry()
-        write_json(report)
-        return 0 if report.ok else 1
-
-    if injector is not None:
-        # Faults need the resilient TCP endpoints; run both over
-        # loopback (the in-process socketpair pipeline has no recovery).
-        import threading
-
-        from repro.live.remote import ReceiverServer, SenderClient
-
-        server = ReceiverServer(
-            port=0,
-            codec=codec,
-            connections=args.connections,
-            decompress_threads=args.decompress_threads,
-            batch_frames=batch_frames,
-            mode=receiver_mode,
-            shards=receiver_shards,
-            telemetry=telemetry,
-        )
-        host, port = server.address
-        box: dict = {}
-
-        def serve() -> None:
-            box["report"] = server.serve()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        client = SenderClient(
+        return SenderClient(
             host,
             port,
             codec=codec,
@@ -622,6 +538,37 @@ def live_main(argv: list[str] | None = None) -> int:
             trace_sample=trace_sample,
             trace_per_stream_cap=trace_cap,
         )
+
+    if args.listen or args.connect:
+        host, port = (args.listen or args.connect).rsplit(":", 1)
+        if args.listen:
+            server = make_receiver(host or "0.0.0.0", int(port))
+            print(f"listening on {server.address[0]}:{server.address[1]} "
+                  f"for {args.connections} connection(s) "
+                  f"({server.shards} reactor shard(s))...")
+            with server:
+                report = server.serve()
+        else:
+            report = make_sender(host, int(port)).run(make_source())
+        print(report.summary())
+        finish_telemetry()
+        write_json(report)
+        return 0 if report.ok else 1
+
+    if injector is not None:
+        # Faults need the resilient TCP endpoints; run both over
+        # loopback (the in-process socketpair pipeline has no recovery).
+        import threading
+
+        server = make_receiver("127.0.0.1", 0)
+        box: dict = {}
+
+        def serve() -> None:
+            box["report"] = server.serve()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = make_sender(*server.address)
         sender_report = client.run(make_source())
         thread.join(client.timeouts.join)
         report = box.get("report")
@@ -648,54 +595,34 @@ def live_main(argv: list[str] | None = None) -> int:
 
     from repro.live import LiveConfig, LivePipeline
 
-    config = (
-        dataclasses.replace(
-            lowered.config,
-            batch_frames=batch_frames,
-            batch_linger=args.batch_linger,
-            trace_sample=trace_sample,
-            trace_per_stream_cap=trace_cap,
-        )
+    # Flags override what the plan lowered; LivePipeline reads the
+    # execution mode off the config.
+    config = dataclasses.replace(
+        lowered.config
         if lowered is not None
         else LiveConfig(
             codec=codec,
             compress_threads=args.compress_threads,
             decompress_threads=args.decompress_threads,
             connections=args.connections,
-            batch_frames=batch_frames,
-            batch_linger=args.batch_linger,
-            trace_sample=trace_sample,
-            trace_per_stream_cap=trace_cap,
-        )
+        ),
+        batch_frames=batch_frames,
+        batch_linger=args.batch_linger,
+        trace_sample=trace_sample,
+        trace_per_stream_cap=trace_cap,
+        execution_mode=mode,
     )
-    # --mode overrides the plan's execution node; no flag and no plan
-    # node means today's thread pipeline.
-    mode = args.mode or config.execution_mode
     if mode == "process":
-        from repro.mp import ProcessPipeline
-
-        config = dataclasses.replace(
-            config,
-            execution_mode="process",
-            process_domains=(
-                args.domains
-                if args.domains is not None
-                else config.process_domains
-            ),
-        )
+        if args.domains is not None:
+            config = dataclasses.replace(config, process_domains=args.domains)
         domains = config.process_domains or config.compress_threads
         print(f"process mode: {domains} compressor domain(s) over "
               "shared-memory rings")
-        pipeline: "LivePipeline | ProcessPipeline" = ProcessPipeline(
-            config, telemetry=telemetry, controller=obs.get("controller")
-        )
-    else:
-        pipeline = LivePipeline(
-            config, telemetry=telemetry, controller=obs.get("controller")
-        )
-    report = pipeline.run(make_source())
-    print(report.summary())
     controller = obs.get("controller")
+    report = LivePipeline(
+        config, telemetry=telemetry, controller=controller
+    ).run(make_source())
+    print(report.summary())
     if controller is not None:
         if controller.decisions:
             print("autotune decisions: " + "; ".join(controller.decisions))

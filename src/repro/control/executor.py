@@ -12,9 +12,9 @@ draining, value out of range), which the controller reports as a
 implementation: a bag of named :class:`~repro.live.stageset.StageSet`
 objects plus the shared :class:`~repro.live.stageset.Knobs`, with a
 queue-name → consumer-stage map so backpressure signals resolve to the
-stage that should absorb them.  Both :class:`~repro.live.runtime.
-LivePipeline` and :class:`~repro.mp.pipeline.ProcessPipeline` build
-one; the simulator implements the protocol directly on its DES state.
+stage that should absorb them.  :class:`~repro.live.assembly.Assembly`
+builds one for whichever pipeline it wired; the simulator implements
+the protocol directly on its DES state.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ from __future__ import annotations
 class StreamDedup:
     """Tracks which ``(stream, index)`` chunks were already accepted.
 
-    Not thread-safe on its own — callers serialize access (the
-    thread-mode receiver under its state lock, the event plane under
-    its own).
+    Not thread-safe on its own — callers serialize access (the event
+    plane and the process front's collectors each under their own
+    lock).
     """
 
     __slots__ = ("_marks", "_ooo")

@@ -1,9 +1,9 @@
 """Selector-based receiver plane: thousands of streams per core.
 
-The thread-per-connection :class:`~repro.live.remote.ReceiverServer`
-collapses long before the ROADMAP's thousands-of-tenants target — a
-Python thread per socket is ~8 MB of stack and a scheduler entry each.
-This module replaces it with a small fixed pool of **reactor shards**:
+A Python thread per socket is ~8 MB of stack and a scheduler entry
+each — it collapses long before the ROADMAP's thousands-of-tenants
+target.  :class:`~repro.live.remote.ReceiverServer` therefore receives
+on a small fixed pool of **reactor shards**:
 each shard is one thread running a non-blocking
 ``selectors.DefaultSelector`` loop that multiplexes many connections,
 parsing frames out of :meth:`FramedReceiver.feed` /
@@ -28,9 +28,9 @@ the shard, and resume once the decompress side drains below half the
 budget.  A full decompress queue likewise defers just the stalled
 connection; the shard keeps serving everyone else.
 
-Delivery semantics are identical to thread mode (the chaos suite runs
-against both): every accepted frame is ACKed, duplicates are dropped
-by the shared :class:`~repro.live.dedup.StreamDedup` watermark, and a
+Delivery semantics (the chaos suite holds the plane to them): every
+accepted frame is ACKed, duplicates are dropped by the shared
+:class:`~repro.live.dedup.StreamDedup` watermark, and a
 frame is only ACKed after it is safely enqueued — a claimed frame
 whose connection dies first is re-parented to the plane and enqueued
 from there, never lost.
@@ -481,7 +481,7 @@ class EventLoopPlane:
         with self._lock:
             self._errors.append(f"shard {name} crashed: {exc!r}")
 
-    # -- progress / finish accounting (mirrors thread mode) --------------
+    # -- progress / finish accounting -----------------------------------
 
     @property
     def finished(self) -> int:
@@ -644,10 +644,10 @@ def run_accept_loop(
     connections: int,
     accept_timeout: float,
     errors: list[str],
-) -> int:
+) -> None:
     """Accept (and re-accept) sockets until every logical connection
-    finished — the event-plane twin of the thread-mode accept loop,
-    with the same progress-based timeout and error strings."""
+    finished; gives up when nothing (no accept, no frame, no close)
+    made progress for ``accept_timeout`` seconds."""
     accepted = 0
     listener.settimeout(min(0.25, accept_timeout / 2))
     last_progress = -1
@@ -678,4 +678,3 @@ def run_accept_loop(
         plane.bump_progress()
         plane.add_connection(conn)
         accepted += 1
-    return accepted

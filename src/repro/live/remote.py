@@ -1,33 +1,22 @@
 """Two-endpoint live pipeline over real TCP, with fault recovery.
 
-The in-process :class:`~repro.live.runtime.LivePipeline` wires sender
-and receiver through socketpairs; this module splits them into network
-endpoints so the paper's Figure-10 shape (sender machine → receiver
-machine, x TCP connections) runs for real:
+:class:`~repro.live.runtime.LivePipeline` links its halves through
+socketpairs; this module splits them into network endpoints so the
+paper's Figure-10 shape (sender machine → receiver machine, x TCP
+connections) runs for real.  :class:`SenderClient` is the front half
+plus resilient connections; :class:`ReceiverServer` is the event-loop
+receive plane plus the back half (:mod:`repro.live.assembly` wires both).
 
-- :class:`ReceiverServer` — listens, accepts (and re-accepts)
-  connections, deduplicates redelivered chunks, acknowledges every
-  frame, runs receive + decompression workers, delivers to a sink;
-- :class:`SenderClient` — reads chunks from a source, compresses, and
-  ships them over resilient connections that reconnect with capped
-  exponential backoff and replay whatever the receiver never
-  acknowledged.
-
-Together they implement wire-format v2 (``docs/resilience.md``): at
--least-once transmission plus receiver-side dedup on (stream, index)
-gives exactly-once delivery at the sink, which the chaos integration
-test (``tests/integration/test_chaos.py``) holds them to while
-connections are killed and frames corrupted mid-stream.
-
-Used by ``repro-live --listen`` / ``--connect`` / ``--fault`` and by
-the integration tests (both endpoints in one process over localhost).
+Together they implement wire-format v2 (``docs/resilience.md``):
+at-least-once transmission plus receiver-side dedup on (stream, index)
+gives exactly-once delivery at the sink, which the chaos test
+(``tests/integration/test_chaos.py``) holds them to while connections
+are killed and frames corrupted mid-stream.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -35,22 +24,19 @@ from repro.compress.codec import Codec, CodecSpec, resolve_codec
 from repro.data.chunking import Chunk
 from repro.faults.policy import RetryPolicy, TimeoutPolicy
 from repro.live import workers
-from repro.live.dedup import StreamDedup
+from repro.live.assembly import Assembly, thread
 from repro.live.eventloop import (
     DEFAULT_STREAM_BUDGET,
     EventLoopPlane,
     default_shards,
     run_accept_loop,
 )
-from repro.live.queues import ClosableQueue
-from repro.live.transport import Frame, FramedReceiver, FramedSender
+from repro.live.runtime import LiveConfig
+from repro.live.stageset import StageSet
+from repro.live.transport import FramedSender
+from repro.plan.ir import REMOVED_RECEIVER_PLANE
 from repro.telemetry.facade import as_telemetry
-from repro.telemetry.spans import stage_span
-from repro.util.errors import (
-    FrameIntegrityError,
-    TransportError,
-    ValidationError,
-)
+from repro.util.errors import TransportError, ValidationError
 
 
 @dataclass
@@ -106,16 +92,10 @@ class ReceiverServer:
     (stream, index) before they reach the decompressors, and every
     accepted frame is acknowledged back to the sender (wire-format v2).
 
-    Two receive planes share those semantics (the chaos suite runs
-    against both):
-
-    - ``mode="eventloop"`` (default) — a fixed pool of selector-driven
-      reactor shards multiplexes every connection
-      (:mod:`repro.live.eventloop`), with RSS-style stream→shard
-      placement and per-stream fair-share backpressure; scales to
-      thousands of streams per core.
-    - ``mode="threads"`` — the legacy one-handler-thread-per-socket
-      fallback.
+    Connections are multiplexed by a fixed pool of selector-driven
+    reactor shards (:mod:`repro.live.eventloop`).  ``mode`` is accepted
+    for callers that still name the plane; ``"eventloop"`` is the only
+    one.
 
     The listener socket binds in ``__init__``; use :meth:`close` (or
     the context-manager form) when :meth:`serve` is never reached.
@@ -137,36 +117,30 @@ class ReceiverServer:
         timeouts: TimeoutPolicy | None = None,
         telemetry: "bool | object" = False,
     ) -> None:
-        if connections < 1:
-            raise ValidationError("connections must be >= 1")
-        if batch_frames < 1:
-            raise ValidationError("batch_frames must be >= 1")
-        if mode not in ("eventloop", "threads"):
+        if mode != "eventloop":
             raise ValidationError(
-                f"mode must be 'eventloop' or 'threads', not {mode!r}"
+                f"mode must be 'eventloop', not {mode!r}: {REMOVED_RECEIVER_PLANE}"
             )
-        if shards < 0:
-            raise ValidationError("shards must be >= 0")
         if stream_budget_bytes < 1:
             raise ValidationError("stream_budget_bytes must be >= 1")
         self.codec = resolve_codec(codec)
+        #: Sizing, validated the way the in-process pipeline's is; the
+        #: receiver has no source to verify deliveries against.
+        self.config = LiveConfig(
+            connections=connections,
+            decompress_threads=decompress_threads,
+            queue_capacity=queue_capacity,
+            batch_frames=batch_frames,
+            receiver_shards=shards,
+            timeouts=timeouts,
+            verify=False,
+        )
         self.connections = connections
         self.decompress_threads = decompress_threads
-        self.queue_capacity = queue_capacity
-        self.batch_frames = batch_frames
-        self.mode = mode
         self.shards = shards or default_shards()
         self.stream_budget_bytes = stream_budget_bytes
-        self.timeouts = timeouts or TimeoutPolicy()
+        self.timeouts = self.config.timeouts
         self.telemetry = as_telemetry(telemetry)
-        if self.telemetry is not None:
-            recv_threads = self.shards if mode == "eventloop" else connections
-            self.telemetry.thread_counts.update(
-                {"recv": recv_threads, "decompress": decompress_threads}
-            )
-        #: Open sockets of the thread-mode accept loop (pruned as
-        #: handlers close them; bounded under reconnect churn).
-        self._live_conns: list[socket.socket] = []
         self._closed = False
         self._listener = socket.create_server((host, port))
 
@@ -195,241 +169,48 @@ class ReceiverServer:
         self, sink: Callable[[str, int, bytes], None] | None = None
     ) -> EndpointReport:
         """Accept connections (and re-connections) to end-of-stream."""
-        t0 = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.emit_event(
-                "run_start",
-                "receiver serving",
-                runner="ReceiverServer",
-                connections=self.connections,
-                decompress_threads=self.decompress_threads,
-                receiver_mode=self.mode,
-                shards=self.shards if self.mode == "eventloop" else 0,
-            )
-        stats = {
-            "recv": workers.StageStats("recv"),
-            "decompress": workers.StageStats("decompress"),
-        }
-        delivered = {"chunks": 0, "bytes": 0}
-        lock = threading.Lock()
-        # serve() is the only producer: the receive plane feeds it
-        # frames, and it seals the queue once every logical connection
-        # finished.
-        wireq = ClosableQueue(
-            self.queue_capacity,
-            producers=1,
-            name="wireq",
-            telemetry=self.telemetry,
+        asm = Assembly(
+            self.config, self.codec, self.telemetry,
+            runner="ReceiverServer", reconfigurable=False,
         )
-        plane: EventLoopPlane | None = None
-        if self.mode == "eventloop":
-            plane = EventLoopPlane(
-                shards=self.shards,
-                wireq=wireq,
-                recv_stats=stats["recv"],
-                telemetry=self.telemetry,
-                stream_budget_bytes=self.stream_budget_bytes,
-            )
+        asm.begin(
+            "receiver serving", connections=self.connections,
+            decompress_threads=self.decompress_threads, shards=self.shards,
+        )
+        # serve() is the only producer: the plane feeds it frames, and
+        # pump() seals the queue once every logical connection finished.
+        asm.wireq = asm.queue("wireq", 1, "decompress")
+        plane = EventLoopPlane(
+            shards=self.shards, wireq=asm.wireq, recv_stats=asm.stats["recv"],
+            telemetry=self.telemetry,
+            stream_budget_bytes=self.stream_budget_bytes,
+        )
+        asm.widths(recv=self.shards)
+        asm.back(sink, after=plane.on_delivered)
 
-        def counting_sink(stream_id: str, index: int, data: bytes) -> None:
-            with lock:
-                delivered["chunks"] += 1
-                delivered["bytes"] += len(data)
-            if sink is not None:
-                sink(stream_id, index, data)
-            if plane is not None:
-                plane.on_delivered(stream_id, index)
-
-        dedup = StreamDedup()
-        state = {"finished": 0, "progress": 0}
-        state_lock = threading.Lock()
-
-        def bump_progress() -> None:
-            with state_lock:
-                state["progress"] += 1
-
-        def handler(conn: socket.socket) -> None:
-            """One accepted socket: frames in, ACKs out, until EOF.
-
-            A session finishes a *logical* connection only when it saw
-            end-of-stream AND a clean EOF — the sender half-closes only
-            after all its frames were acknowledged, so a session that
-            dies earlier will be resumed by a re-accepted connection.
-            """
-            rx = FramedReceiver(conn, telemetry=self.telemetry)
-            ack_tx = FramedSender(conn)
-            track = threading.current_thread().name
-            saw_eos = False
-            try:
-                while True:
-                    with stage_span(self.telemetry, "recv", track=track) as sp:
-                        frame = rx.recv()
-                        if frame is None or frame.eos or frame.ack:
-                            sp.discard = True
-                        else:
-                            sp.stream_id = frame.stream_id
-                            sp.chunk_id = frame.index
-                    if frame is None:
-                        break
-                    bump_progress()
-                    if frame.ack:
-                        continue  # senders don't ACK; tolerate and move on
-                    if frame.traced and not frame.eos:
-                        workers._note_wire(self.telemetry, frame)
-                    if frame.eos:
-                        saw_eos = True
-                        ack_tx.send(Frame.ack_for(frame))
-                        continue
-                    with state_lock:
-                        fresh = dedup.claim(frame.stream_id, frame.index)
-                    if not fresh:
-                        if self.telemetry is not None:
-                            self.telemetry.record_dedup()
-                    else:
-                        stats["recv"].record(
-                            len(frame.payload), len(frame.payload), sp.duration
-                        )
-                        if self.telemetry is not None:
-                            self.telemetry.record_chunk(
-                                "recv", frame.stream_id, len(frame.payload)
-                            )
-                        wireq.put(frame)
-                    ack_tx.send(Frame.ack_for(frame))
-            except FrameIntegrityError:
-                # The byte stream can't be trusted for framing any more:
-                # drop the connection, let the sender replay.
-                if self.telemetry is not None:
-                    self.telemetry.record_rejected()
-            except (TransportError, OSError):
-                pass  # connection lost; the sender reconnects
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                with state_lock:
-                    if saw_eos:
-                        state["finished"] += 1
-                    state["progress"] += 1
-
-        threads: list[threading.Thread] = []
-        for i in range(self.decompress_threads):
-            threads.append(
-                threading.Thread(
-                    target=workers.decompressor,
-                    args=(self.codec, wireq, stats["decompress"], counting_sink),
-                    kwargs={
-                        "telemetry": self.telemetry,
-                        "batch_frames": self.batch_frames,
-                    },
-                    name=f"decompress-{i}",
-                    daemon=True,
-                )
-            )
-        for t in threads:
-            t.start()
-
-        errors: list[str] = []
-        handler_threads: list[threading.Thread] = []
-        self._live_conns = []
-        accepted = 0
-        if plane is not None:
+        def pump() -> list[str]:
+            errors: list[str] = []
             plane.start()
             try:
-                accepted = run_accept_loop(
-                    plane,
-                    self._listener,
-                    connections=self.connections,
-                    accept_timeout=self.timeouts.accept,
-                    errors=errors,
+                run_accept_loop(
+                    plane, self._listener, connections=self.connections,
+                    accept_timeout=self.timeouts.accept, errors=errors,
                 )
             finally:
                 self.close()
             errors.extend(plane.stop(self.timeouts.join))
-        else:
-            self._listener.settimeout(min(0.25, self.timeouts.accept / 2))
-            last_progress = -1
-            last_change = time.monotonic()
-            try:
-                while True:
-                    with state_lock:
-                        finished = state["finished"]
-                        progress = state["progress"]
-                    if finished >= self.connections:
-                        break
-                    now = time.monotonic()
-                    if progress != last_progress:
-                        last_progress = progress
-                        last_change = now
-                    elif now - last_change > self.timeouts.accept:
-                        errors.append(
-                            f"timed out waiting for {self.connections} "
-                            f"connections to finish ({finished} complete, "
-                            f"{accepted} accepted)"
-                        )
-                        break
-                    # Handlers close their sockets when a session ends;
-                    # prune those here so reconnect churn can't retain
-                    # dead socket objects for the whole run.
-                    self._live_conns = [
-                        c for c in self._live_conns if c.fileno() != -1
-                    ]
-                    try:
-                        conn, _addr = self._listener.accept()
-                    except (TimeoutError, socket.timeout):
-                        continue
-                    except OSError as exc:
-                        errors.append(f"accept failed: {exc}")
-                        break
-                    bump_progress()
-                    self._live_conns.append(conn)
-                    t = threading.Thread(
-                        target=handler,
-                        args=(conn,),
-                        name=f"recv-{accepted}",
-                        daemon=True,
-                    )
-                    accepted += 1
-                    handler_threads.append(t)
-                    t.start()
-            finally:
-                self.close()
+            asm.wireq.close()
+            return errors
 
-            if errors:
-                # Gave up waiting: unblock handlers stuck in recv() so
-                # the joins below return promptly.
-                for conn in self._live_conns:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-            for t in handler_threads:
-                t.join(self.timeouts.join)
-                if t.is_alive():
-                    errors.append(f"thread {t.name} did not finish")
-        wireq.close()
-        for t in threads:
-            t.join(self.timeouts.join)
-            if t.is_alive():
-                errors.append(f"thread {t.name} did not finish")
-        for s in stats.values():
-            errors.extend(s.errors)
-        if self.telemetry is not None:
-            self.telemetry.emit_event(
-                "run_end",
-                "receiver finished",
-                severity="info" if not errors else "error",
-                runner="ReceiverServer",
-                ok=not errors,
-                chunks=delivered["chunks"],
-                elapsed_s=round(time.perf_counter() - t0, 6),
-            )
+        errors = asm.execute(body=pump)
+        delivered = asm.stats["decompress"]
+        asm.end("receiver finished", errors, chunks=delivered.chunks)
         return EndpointReport(
             role="receiver",
-            chunks=delivered["chunks"],
-            payload_bytes=delivered["bytes"],
-            wire_bytes=stats["recv"].bytes_in,
-            elapsed=time.perf_counter() - t0,
+            chunks=delivered.chunks,
+            payload_bytes=delivered.bytes_out,
+            wire_bytes=asm.stats["recv"].bytes_in,
+            elapsed=asm.elapsed,
             errors=errors,
             telemetry=self.telemetry,
         )
@@ -464,34 +245,28 @@ class SenderClient:
         trace_sample: int = 0,
         trace_per_stream_cap: int = 0,
     ) -> None:
-        if connections < 1:
-            raise ValidationError("connections must be >= 1")
-        if batch_frames < 1:
-            raise ValidationError("batch_frames must be >= 1")
-        if batch_linger < 0:
-            raise ValidationError("batch_linger must be >= 0")
-        if trace_sample < 0:
-            raise ValidationError("trace_sample must be >= 0")
-        if trace_per_stream_cap < 0:
-            raise ValidationError("trace_per_stream_cap must be >= 0")
         self.host = host
         self.port = port
         self.codec = resolve_codec(codec)
+        #: Sizing, validated the way the in-process pipeline's is; the
+        #: sender has no sink to verify deliveries at.
+        self.config = LiveConfig(
+            connections=connections,
+            compress_threads=compress_threads,
+            queue_capacity=queue_capacity,
+            batch_frames=batch_frames,
+            batch_linger=batch_linger,
+            timeouts=timeouts,
+            trace_sample=trace_sample,
+            trace_per_stream_cap=trace_per_stream_cap,
+            verify=False,
+        )
         self.connections = connections
         self.compress_threads = compress_threads
-        self.queue_capacity = queue_capacity
-        self.batch_frames = batch_frames
-        self.batch_linger = batch_linger
-        self.timeouts = timeouts or TimeoutPolicy()
+        self.timeouts = self.config.timeouts
         self.retry = retry or RetryPolicy()
         self.injector = injector
         self.telemetry = as_telemetry(telemetry)
-        self.trace_sample = trace_sample
-        self.trace_per_stream_cap = trace_per_stream_cap
-        if self.telemetry is not None:
-            self.telemetry.thread_counts.update(
-                {"feed": 1, "compress": compress_threads, "send": connections}
-            )
 
     def _dial(self, index: int) -> FramedSender:
         sock = socket.create_connection(
@@ -499,37 +274,20 @@ class SenderClient:
         )
         sock.settimeout(None)
         return FramedSender(
-            sock,
-            telemetry=self.telemetry,
-            injector=self.injector,
+            sock, telemetry=self.telemetry, injector=self.injector,
             connection=index,
         )
 
     def run(self, source: Iterable[Chunk]) -> EndpointReport:
         """Stream every chunk of ``source`` to the receiver."""
-        t0 = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.emit_event(
-                "run_start",
-                f"sender dialing {self.host}:{self.port}",
-                runner="SenderClient",
-                connections=self.connections,
-                compress_threads=self.compress_threads,
-            )
-        stats = {
-            "feed": workers.StageStats("feed"),
-            "compress": workers.StageStats("compress"),
-            "send": workers.StageStats("send"),
-        }
-        rawq = ClosableQueue(
-            self.queue_capacity, producers=1, name="rawq",
-            telemetry=self.telemetry,
+        asm = Assembly(
+            self.config, self.codec, self.telemetry,
+            runner="SenderClient", reconfigurable=False,
         )
-        sendq = ClosableQueue(
-            self.queue_capacity, producers=self.compress_threads,
-            name="sendq", telemetry=self.telemetry,
+        asm.begin(
+            f"sender dialing {self.host}:{self.port}",
+            connections=self.connections, compress_threads=self.compress_threads,
         )
-        errors: list[str] = []
         senders: list[FramedSender] = []
         try:
             for i in range(self.connections):
@@ -545,90 +303,27 @@ class SenderClient:
             raise TransportError(
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
-
-        sampler = None
-        if self.telemetry is not None and self.trace_sample > 0:
-            from repro.trace import HeadSampler
-
-            sampler = HeadSampler(self.trace_sample, self.trace_per_stream_cap)
-        threads = [
-            threading.Thread(
-                target=workers.feeder,
-                args=(source, rawq, stats["feed"]),
-                kwargs={
-                    "telemetry": self.telemetry,
-                    "batch_frames": self.batch_frames,
-                    "sampler": sampler,
-                },
-                name="feeder",
-                daemon=True,
-            )
-        ]
-        for i in range(self.compress_threads):
-            threads.append(
-                threading.Thread(
-                    target=workers.compressor,
-                    args=(self.codec, rawq, sendq, stats["compress"]),
-                    kwargs={
-                        "telemetry": self.telemetry,
-                        "batch_frames": self.batch_frames,
-                    },
-                    name=f"compress-{i}",
-                    daemon=True,
-                )
-            )
-        for i, tx in enumerate(senders):
-            threads.append(
-                threading.Thread(
-                    target=workers.resilient_sender,
-                    args=(tx, _Redial(self, i), sendq, stats["send"]),
-                    kwargs={
-                        "compressed": True,
-                        "retry": self.retry,
-                        "drain_timeout": self.timeouts.drain,
-                        "telemetry": self.telemetry,
-                        "batch_frames": self.batch_frames,
-                        "batch_linger": self.batch_linger,
-                    },
-                    name=f"send-{i}",
-                    daemon=True,
-                )
-            )
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(self.timeouts.join)
-            if t.is_alive():
-                errors.append(f"thread {t.name} did not finish")
-        for s in stats.values():
-            errors.extend(s.errors)
-        if self.telemetry is not None:
-            self.telemetry.emit_event(
-                "run_end",
-                "sender finished",
-                severity="info" if not errors else "error",
-                runner="SenderClient",
-                ok=not errors,
-                chunks=stats["send"].chunks,
-                elapsed_s=round(time.perf_counter() - t0, 6),
-            )
+        asm.front_threads(source)
+        # The link: one at-least-once sender per dialed connection.
+        sendq, stats, kw = asm.sendq, asm.stats, asm.kw
+        asm.stages["send"] = StageSet(
+            "send",
+            lambda i, stop: thread(
+                f"send-{i}", workers.resilient_sender, senders[i],
+                lambda: self._dial(i), sendq, stats["send"], compressed=True,
+                retry=self.retry, drain_timeout=self.timeouts.drain, **kw,
+            ),
+            count=self.connections,
+        )
+        asm.widths(send=self.connections)
+        errors = asm.execute()
+        asm.end("sender finished", errors, chunks=stats["send"].chunks)
         return EndpointReport(
             role="sender",
             chunks=stats["send"].chunks,
             payload_bytes=stats["feed"].bytes_in,
             wire_bytes=stats["send"].bytes_out,
-            elapsed=time.perf_counter() - t0,
+            elapsed=asm.elapsed,
             errors=errors,
             telemetry=self.telemetry,
         )
-
-
-class _Redial:
-    """Picklable-friendly reconnect callable for one connection index."""
-
-    def __init__(self, client: SenderClient, index: int) -> None:
-        self.client = client
-        self.index = index
-
-    def __call__(self) -> FramedSender:
-        return self.client._dial(self.index)

@@ -1,30 +1,25 @@
-"""Assemble and run a live (real-thread) pipeline on this host.
+"""Run a live (real-thread) pipeline on this host.
 
-:class:`LivePipeline` wires Figure 2 with actual OS threads::
+:class:`LivePipeline` runs Figure 2 with actual OS threads::
 
     feeder -> [C x compress] -> sendq -> {S_i ==socketpair==> R_i} ->
     wireq -> [D x decompress] -> sink
 
 One socketpair per send/receive pair models the paper's "x TCP
-streams"; substitute real TCP sockets by constructing the workers from
-:mod:`repro.live.transport` directly (see ``examples/live_pipeline.py``
-for the two-process variant).
+streams".  The chain itself is wired in :mod:`repro.live.assembly`;
+this module holds the config, the report and the entry point.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.compress.codec import Codec, CodecSpec, resolve_codec
 from repro.data.chunking import Chunk
-from repro.faults.policy import TimeoutPolicy
+from repro.faults.policy import RetryPolicy, TimeoutPolicy
 from repro.live import workers
-from repro.live.queues import ClosableQueue
-from repro.live.stageset import Knobs, StageSet
-from repro.live.transport import socket_pipe
+from repro.live.assembly import Assembly
 from repro.telemetry.facade import as_telemetry
 from repro.util.errors import ValidationError
 
@@ -68,12 +63,8 @@ class LiveConfig:
     #: multiprocessing start method for worker processes ("spawn" is
     #: the portable default; "fork" starts faster where it is safe).
     mp_start_method: str = "spawn"
-    #: How a ReceiverServer lowered from this config multiplexes its
-    #: connections: "eventloop" (selector-driven reactor shards) or
-    #: "threads" (legacy one thread per accepted socket).
-    receiver_mode: str = "eventloop"
-    #: Reactor shards in eventloop mode (0 = auto: one per core the
-    #: receiver's NUMA domain offers).
+    #: Reactor shards of a ReceiverServer lowered from this config
+    #: (0 = auto: one per core the receiver's NUMA domain offers).
     receiver_shards: int = 0
     #: Flow-trace head sampling: every Nth chunk per stream gets a
     #: trace context at the feeder (0 = tracing off; requires
@@ -83,36 +74,24 @@ class LiveConfig:
     trace_per_stream_cap: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("compress_threads", "decompress_threads", "connections",
-                     "batch_frames"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if self.batch_linger < 0:
-            raise ValidationError("batch_linger must be >= 0")
+        for minimum, names in (
+            (1, ("compress_threads", "decompress_threads", "connections",
+                 "batch_frames", "ring_capacity")),
+            (0, ("batch_linger", "process_domains", "receiver_shards",
+                 "trace_sample", "trace_per_stream_cap")),
+        ):
+            for name in names:
+                if getattr(self, name) < minimum:
+                    raise ValidationError(f"{name} must be >= {minimum}")
         if self.execution_mode not in ("thread", "process"):
             raise ValidationError(
                 f"execution_mode must be 'thread' or 'process', "
                 f"not {self.execution_mode!r}"
             )
-        if self.process_domains < 0:
-            raise ValidationError("process_domains must be >= 0")
-        if self.ring_capacity < 1:
-            raise ValidationError("ring_capacity must be >= 1")
         if self.mp_start_method not in ("spawn", "fork", "forkserver"):
             raise ValidationError(
                 f"unknown mp_start_method {self.mp_start_method!r}"
             )
-        if self.receiver_mode not in ("eventloop", "threads"):
-            raise ValidationError(
-                f"receiver_mode must be 'eventloop' or 'threads', "
-                f"not {self.receiver_mode!r}"
-            )
-        if self.receiver_shards < 0:
-            raise ValidationError("receiver_shards must be >= 0")
-        if self.trace_sample < 0:
-            raise ValidationError("trace_sample must be >= 0")
-        if self.trace_per_stream_cap < 0:
-            raise ValidationError("trace_per_stream_cap must be >= 0")
         self.timeouts = self.timeouts or TimeoutPolicy()
 
 
@@ -188,10 +167,18 @@ class LiveReport:
 class LivePipeline:
     """Single-host pipeline over in-process socketpairs.
 
+    ``config.execution_mode`` picks how the compress stage runs:
+    ``"thread"`` keeps it in this process, ``"process"`` moves it into
+    one compressor process per NUMA domain (:mod:`repro.mp`); everything
+    downstream is the same either way (see :mod:`repro.live.assembly`).
+
     Pass a :class:`~repro.telemetry.Telemetry` to collect wall-clock
     spans, stage counters, queue-occupancy gauges and transport totals
     for the run; it is echoed back on the :class:`LiveReport`.
     """
+
+    #: Restart policy for compressor processes (process mode only).
+    retry: RetryPolicy | None = None
 
     def __init__(
         self,
@@ -202,9 +189,7 @@ class LivePipeline:
         controller: "object | None" = None,
     ):
         self.config = config or LiveConfig()
-        self.codec = resolve_codec(
-            codec if codec is not None else self.config.codec
-        )
+        self.codec = resolve_codec(codec if codec is not None else self.config.codec)
         self.telemetry = as_telemetry(telemetry)
         #: Optional :class:`repro.control.Controller`; bound to this
         #: run's stage sets and started/stopped around :meth:`run`.
@@ -225,216 +210,38 @@ class LivePipeline:
         run, and ``None`` (default) inherits the pipeline's own.
         """
         cfg = self.config
-        delivered: dict[tuple[str, int], int] = {}
-        delivered_lock = threading.Lock()
-        expected: dict[tuple[str, int], int] = {}
-        bytes_out = [0]
-
-        def default_sink(stream_id: str, index: int, data: bytes) -> None:
-            with delivered_lock:
-                delivered[(stream_id, index)] = (
-                    delivered.get((stream_id, index), 0) + 1
-                )
-                bytes_out[0] += len(data)
-
-        user_sink = sink
-
-        def counting_sink(stream_id: str, index: int, data: bytes) -> None:
-            default_sink(stream_id, index, data)
-            if user_sink is not None:
-                user_sink(stream_id, index, data)
-
-        def tracked_source() -> Iterable[Chunk]:
-            for chunk in source:
-                if chunk.payload is None:
-                    raise ValidationError("live pipeline chunks need payloads")
-                expected[(chunk.stream_id, chunk.index)] = len(chunk.payload)
-                yield chunk
-
         tel = self.telemetry if telemetry is None else as_telemetry(telemetry)
-        if tel is not None:
-            tel.thread_counts.update(
-                {
-                    "feed": 1,
-                    "compress": cfg.compress_threads,
-                    "send": cfg.connections,
-                    "recv": cfg.connections,
-                    "decompress": cfg.decompress_threads,
-                }
-            )
-        stats = {
-            name: workers.StageStats(name)
-            for name in ("feed", "compress", "send", "recv", "decompress")
-        }
-        rawq = ClosableQueue(
-            cfg.queue_capacity, producers=1, name="rawq", telemetry=tel
+        process = cfg.execution_mode == "process"
+        asm = Assembly(
+            cfg, self.codec, tel, reconfigurable=True,
+            runner="ProcessPipeline" if process else "LivePipeline",
         )
-        sendq = ClosableQueue(
-            cfg.queue_capacity,
-            producers=cfg.compress_threads,
-            name="sendq",
-            telemetry=tel,
+        if process:
+            from repro.mp.pipeline import ProcessFront
+
+            asm.external = ProcessFront(asm, source, self.retry)
+        else:
+            asm.front_threads(source)
+        asm.link_pairs()
+        asm.back(sink)
+        asm.begin(
+            f"{cfg.execution_mode} pipeline starting", codec=self.codec.name,
+            mode=cfg.execution_mode, connections=cfg.connections,
+            compress_threads=cfg.compress_threads,
+            decompress_threads=cfg.decompress_threads,
         )
-        wireq = ClosableQueue(
-            cfg.queue_capacity,
-            producers=cfg.connections,
-            name="wireq",
-            telemetry=tel,
+        errors = asm.execute(self.controller)
+        stats = asm.stats
+        asm.end(
+            f"{cfg.execution_mode} pipeline finished", errors,
+            chunks=stats["decompress"].chunks,
         )
-
-        aff = cfg.affinity
-        knobs = Knobs(
-            batch_frames=cfg.batch_frames, batch_linger=cfg.batch_linger
-        )
-
-        def _thread(name: str, target, *args, **kwargs) -> threading.Thread:
-            return threading.Thread(
-                target=target, args=args, kwargs=kwargs, name=name,
-                daemon=True,
-            )
-
-        sampler = None
-        if tel is not None and cfg.trace_sample > 0:
-            from repro.trace import HeadSampler
-
-            sampler = HeadSampler(
-                cfg.trace_sample, cfg.trace_per_stream_cap
-            )
-
-        def feed_factory(i: int, stop: threading.Event) -> threading.Thread:
-            return _thread(
-                "feeder", workers.feeder, tracked_source(), rawq,
-                stats["feed"], aff.get("feed"), telemetry=tel, knobs=knobs,
-                sampler=sampler,
-            )
-
-        def compress_factory(
-            i: int, stop: threading.Event
-        ) -> threading.Thread:
-            return _thread(
-                f"compress-{i}", workers.compressor, self.codec, rawq,
-                sendq, stats["compress"], aff.get("compress"),
-                telemetry=tel, knobs=knobs, stop=stop,
-            )
-
-        def connection_factory(
-            i: int, stop: threading.Event
-        ) -> list[threading.Thread]:
-            tx, rx = socket_pipe(telemetry=tel)
-            return [
-                _thread(
-                    f"send-{i}", workers.sender, tx, sendq, stats["send"],
-                    compressed=True, cpus=aff.get("send"), telemetry=tel,
-                    knobs=knobs,
-                ),
-                _thread(
-                    f"recv-{i}", workers.receiver, rx, wireq, stats["recv"],
-                    aff.get("recv"), telemetry=tel, knobs=knobs,
-                ),
-            ]
-
-        def decompress_factory(
-            i: int, stop: threading.Event
-        ) -> threading.Thread:
-            return _thread(
-                f"decompress-{i}", workers.decompressor, self.codec, wireq,
-                stats["decompress"], counting_sink, aff.get("decompress"),
-                telemetry=tel, knobs=knobs, stop=stop,
-            )
-
-        stages = {
-            "feed": StageSet("feed", feed_factory, count=1),
-            "compress": StageSet(
-                "compress",
-                compress_factory,
-                count=cfg.compress_threads,
-                downstream=sendq,
-                scalable=True,
-            ),
-            "send": StageSet(
-                "send", connection_factory, count=cfg.connections
-            ),
-            "decompress": StageSet(
-                "decompress",
-                decompress_factory,
-                count=cfg.decompress_threads,
-                scalable=True,
-            ),
-        }
-
-        controller = self.controller
-        if controller is not None:
-            from repro.control.executor import StageSetExecutor
-
-            controller.bind(
-                StageSetExecutor(
-                    stages,
-                    knobs,
-                    queue_map={
-                        "rawq": "compress",
-                        "wireq": "decompress",
-                        "sendq": "send",
-                    },
-                )
-            )
-
-        if tel is not None:
-            tel.emit_event(
-                "run_start",
-                "live pipeline starting",
-                runner="LivePipeline",
-                codec=self.codec.name,
-                connections=cfg.connections,
-                compress_threads=cfg.compress_threads,
-                decompress_threads=cfg.decompress_threads,
-            )
-        t0 = time.perf_counter()
-        errors: list[str] = []
-        try:
-            for ss in stages.values():
-                ss.start()
-            if controller is not None:
-                controller.start()
-            for ss in stages.values():
-                errors.extend(ss.join(cfg.timeouts.join))
-        finally:
-            if controller is not None:
-                controller.stop()
-        # The controller may have grown a set while earlier sets were
-        # being joined; sweep again now that it is stopped so every
-        # late-spawned worker is accounted for (re-joining finished
-        # threads is free, and duplicate straggler reports dedupe).
-        for ss in stages.values():
-            errors.extend(ss.join(cfg.timeouts.join))
-        errors = list(dict.fromkeys(errors))
-        elapsed = time.perf_counter() - t0
-
-        for s in stats.values():
-            errors.extend(s.errors)
-        if cfg.verify and not errors:
-            missing = set(expected) - set(delivered)
-            dupes = {k: n for k, n in delivered.items() if n > 1}
-            if missing:
-                errors.append(f"{len(missing)} chunks never delivered: "
-                              f"{sorted(missing)[:3]}...")
-            if dupes:
-                errors.append(f"duplicated chunks: {sorted(dupes)[:3]}...")
-        if tel is not None:
-            tel.emit_event(
-                "run_end",
-                "live pipeline finished",
-                severity="info" if not errors else "error",
-                runner="LivePipeline",
-                ok=not errors,
-                elapsed_s=round(elapsed, 6),
-                chunks=stats["decompress"].chunks,
-            )
         return LiveReport(
             chunks=stats["decompress"].chunks,
             bytes_in=stats["feed"].bytes_in,
             wire_bytes=stats["send"].bytes_out,
-            bytes_out=bytes_out[0],
-            elapsed=elapsed,
+            bytes_out=stats["decompress"].bytes_out,
+            elapsed=asm.elapsed,
             stage_stats=stats,
             errors=errors,
             telemetry=tel,

@@ -98,16 +98,16 @@ def feeder(
     stats: StageStats,
     cpus: list[int] | None = None,
     *,
+    knobs: Knobs,
     telemetry=None,
-    batch_frames: int = 1,
-    knobs: Knobs | None = None,
     sampler=None,
 ) -> None:
     """Pushes source chunks into the pipeline (the data generator).
 
-    ``batch_frames > 1`` groups chunks into one ``put_many`` handoff
-    (one lock round-trip, one span); 1 keeps the historical
-    chunk-at-a-time behaviour.  ``knobs`` makes the knob hot-swappable.
+    ``knobs.batch_frames > 1`` groups chunks into one ``put_many``
+    handoff (one lock round-trip, one span); 1 keeps the historical
+    chunk-at-a-time behaviour.  The knob is re-read before every batch,
+    so the controller can hot-swap it.
 
     ``sampler`` (a :class:`repro.trace.HeadSampler`) is where flow
     tracing begins: the feeder assigns each head-sampled chunk its
@@ -119,8 +119,7 @@ def feeder(
     it = iter(source)
     try:
         while True:
-            bf = knobs.batch_frames if knobs is not None else batch_frames
-            batch = list(islice(it, bf))
+            batch = list(islice(it, knobs.batch_frames))
             if not batch:
                 break
             head = batch[0]
@@ -164,20 +163,19 @@ def compressor(
     stats: StageStats,
     cpus: list[int] | None = None,
     *,
+    knobs: Knobs,
     telemetry=None,
-    batch_frames: int = 1,
-    knobs: Knobs | None = None,
     stop: threading.Event | None = None,
 ) -> None:
     """{C}: compress chunk payloads.
 
-    ``batch_frames > 1`` drains up to that many chunks per queue lock
-    round-trip and forwards them with one :meth:`put_many`; each chunk
-    is still compressed (and accounted) individually.
+    ``knobs.batch_frames > 1`` drains up to that many chunks per queue
+    lock round-trip and forwards them with one :meth:`put_many`; each
+    chunk is still compressed (and accounted) individually.
 
-    ``knobs`` makes ``batch_frames`` hot-swappable (re-read before
-    every drain, lock-free); ``stop`` makes the worker stoppable at a
-    batch boundary — set between drains, it exits cleanly and its
+    The knob is hot-swappable (re-read before every drain, lock-free);
+    ``stop`` makes the worker stoppable at a batch boundary — set
+    between drains, it exits cleanly and its
     ``finally``-close balances the downstream producer count, which is
     how the controller scales this stage down without losing chunks.
     """
@@ -187,7 +185,7 @@ def compressor(
         while True:
             if stop is not None and stop.is_set():
                 break
-            bf = knobs.batch_frames if knobs is not None else batch_frames
+            bf = knobs.batch_frames
             try:
                 if stop is not None:
                     chunks = inq.get_many(bf, timeout=STOP_POLL_SECONDS)
@@ -274,53 +272,75 @@ def _note_wire(telemetry, frame: Frame, *, arrived: float | None = None) -> None
         )
 
 
+def _pump(
+    inq: ClosableQueue,
+    deliver: Callable[[Sequence[Frame]], None],
+    stats: StageStats,
+    knobs: Knobs,
+    *,
+    compressed: bool,
+    telemetry,
+    settle: Callable[[], None] | None = None,
+) -> set[str]:
+    """The send loop both senders share; returns the stream ids seen.
+
+    Until ``inq`` closes: drain up to ``knobs.batch_frames`` chunks in
+    one lock round-trip (lingering ``knobs.batch_linger`` seconds to
+    top the batch up; both re-read before every drain, so they are
+    hot-swappable), frame them, hand the batch to ``deliver`` under one
+    ``send`` span and book each chunk.  ``settle`` runs after every
+    batch, outside the span (the resilient sender collects ACKs there).
+    """
+    track = threading.current_thread().name
+    stream_ids: set[str] = set()
+    while True:
+        try:
+            chunks = inq.get_many(
+                knobs.batch_frames, linger=knobs.batch_linger
+            )
+        except Closed:
+            return stream_ids
+        frames = [_chunk_frame(c, compressed=compressed) for c in chunks]
+        head = _batch_head(chunks)
+        with stage_span(
+            telemetry, "send", stream_id=head.stream_id,
+            chunk_id=head.index, track=track,
+        ) as sp:
+            deliver(frames)
+        per_chunk = sp.duration / len(chunks)
+        for frame in frames:
+            stream_ids.add(frame.stream_id)
+            _finish(stats, telemetry, "send", frame.stream_id,
+                    len(frame.payload), len(frame.payload), per_chunk)
+        if settle is not None:
+            settle()
+
+
 def sender(
     transport: FramedSender,
     inq: ClosableQueue,
     stats: StageStats,
     *,
     compressed: bool,
+    knobs: Knobs,
     cpus: list[int] | None = None,
     telemetry=None,
-    batch_frames: int = 1,
-    batch_linger: float = 0.0,
-    knobs: Knobs | None = None,
 ) -> None:
     """{S}: one TCP connection's sending thread.
 
-    With ``batch_frames > 1`` the sender coalesces: it drains up to
-    that many chunks from the queue in one lock round-trip (lingering
-    ``batch_linger`` seconds to top the batch up) and transmits them
-    with one vectored :meth:`~repro.live.transport.FramedSender.send_many`.
-    The wire bytes are identical to ``batch_frames=1``; only the
-    syscall and lock counts change.  The batch flushes on size, on the
-    linger timeout, and on queue close (the final partial batch is
-    sent before the EOS frames).  ``knobs`` makes ``batch_frames`` and
-    ``batch_linger`` hot-swappable (re-read before every drain).
+    Each batch :func:`_pump` drains goes out with one vectored
+    :meth:`~repro.live.transport.FramedSender.send_many`.  The wire
+    bytes are identical at any ``knobs.batch_frames``; only the syscall
+    and lock counts change.  The batch flushes on size, on the linger
+    timeout, and on queue close (the final partial batch is sent before
+    the EOS frames).
     """
     _maybe_pin(cpus, "send", telemetry)
-    track = threading.current_thread().name
-    stream_ids: set[str] = set()
     try:
-        while True:
-            bf = knobs.batch_frames if knobs is not None else batch_frames
-            lg = knobs.batch_linger if knobs is not None else batch_linger
-            try:
-                chunks = inq.get_many(bf, linger=lg)
-            except Closed:
-                break
-            frames = [_chunk_frame(c, compressed=compressed) for c in chunks]
-            head = _batch_head(chunks)
-            with stage_span(
-                telemetry, "send", stream_id=head.stream_id,
-                chunk_id=head.index, track=track,
-            ) as sp:
-                transport.send_many(frames)
-            per_chunk = sp.duration / len(chunks)
-            for frame in frames:
-                stream_ids.add(frame.stream_id)
-                _finish(stats, telemetry, "send", frame.stream_id,
-                        len(frame.payload), len(frame.payload), per_chunk)
+        stream_ids = _pump(
+            inq, transport.send_many, stats, knobs,
+            compressed=compressed, telemetry=telemetry,
+        )
         for sid in stream_ids or {"-"}:
             transport.send(Frame.end_of_stream(sid))
     except Exception as exc:  # noqa: BLE001
@@ -337,11 +357,10 @@ def resilient_sender(
     *,
     compressed: bool,
     retry: RetryPolicy,
+    knobs: Knobs,
     drain_timeout: float = 30.0,
     cpus: list[int] | None = None,
     telemetry=None,
-    batch_frames: int = 1,
-    batch_linger: float = 0.0,
 ) -> None:
     """{S} with recovery: one TCP connection's at-least-once sender.
 
@@ -442,34 +461,19 @@ def resilient_sender(
             except (TransportError, OSError):
                 _drop_connection()
 
-    def _deliver(frame: Frame) -> None:
-        _deliver_many((frame,))
+    def _settle() -> None:
+        try:
+            _collect_acks(0.0)
+        except (TransportError, OSError):
+            _drop_connection()
 
-    stream_ids: set[str] = set()
     try:
-        while True:
-            try:
-                chunks = inq.get_many(batch_frames, linger=batch_linger)
-            except Closed:
-                break
-            frames = [_chunk_frame(c, compressed=compressed) for c in chunks]
-            head = _batch_head(chunks)
-            with stage_span(
-                telemetry, "send", stream_id=head.stream_id,
-                chunk_id=head.index, track=track,
-            ) as sp:
-                _deliver_many(frames)
-            per_chunk = sp.duration / len(chunks)
-            for frame in frames:
-                stream_ids.add(frame.stream_id)
-                _finish(stats, telemetry, "send", frame.stream_id,
-                        len(frame.payload), len(frame.payload), per_chunk)
-            try:
-                _collect_acks(0.0)
-            except (TransportError, OSError):
-                _drop_connection()
+        stream_ids = _pump(
+            inq, _deliver_many, stats, knobs,
+            compressed=compressed, telemetry=telemetry, settle=_settle,
+        )
         for sid in sorted(stream_ids) or ["-"]:
-            _deliver(Frame.end_of_stream(sid))
+            _deliver_many((Frame.end_of_stream(sid),))
         deadline = time.monotonic() + drain_timeout
         while unacked:
             if time.monotonic() > deadline:
@@ -496,24 +500,23 @@ def receiver(
     stats: StageStats,
     cpus: list[int] | None = None,
     *,
+    knobs: Knobs,
     telemetry=None,
-    batch_frames: int = 1,
-    knobs: Knobs | None = None,
 ) -> None:
     """{R}: one TCP connection's receiving thread.
 
-    With ``batch_frames > 1``, after each blocking ``recv`` any whole
-    frames already sitting in the receiver's userspace buffer join the
-    same ``put_many`` handoff — the downstream mirror of the sender's
-    vectored batch, with no extra waiting (buffered frames are free).
-    ``knobs`` makes the knob hot-swappable.
+    With ``knobs.batch_frames > 1``, after each blocking ``recv`` any
+    whole frames already sitting in the receiver's userspace buffer
+    join the same ``put_many`` handoff — the downstream mirror of the
+    sender's vectored batch, with no extra waiting (buffered frames are
+    free).  The knob is re-read before every batch.
     """
     _maybe_pin(cpus, "recv", telemetry)
     track = threading.current_thread().name
     try:
         done = False
         while not done:
-            bf = knobs.batch_frames if knobs is not None else batch_frames
+            bf = knobs.batch_frames
             batch: list[Frame] = []
             with stage_span(telemetry, "recv", track=track) as sp:
                 frame = transport.recv()
@@ -564,15 +567,14 @@ def decompressor(
     sink: Callable[[str, int, bytes], None],
     cpus: list[int] | None = None,
     *,
+    knobs: Knobs,
     telemetry=None,
-    batch_frames: int = 1,
-    knobs: Knobs | None = None,
     stop: threading.Event | None = None,
 ) -> None:
     """{D}: decompress received frames and deliver to the sink.
 
-    ``batch_frames > 1`` drains up to that many frames per queue lock
-    round-trip; each frame is still decompressed and delivered
+    ``knobs.batch_frames > 1`` drains up to that many frames per queue
+    lock round-trip; each frame is still decompressed and delivered
     individually (sink ordering is unchanged).  ``knobs`` and ``stop``
     behave as in :func:`compressor` (there is no downstream queue, so
     stopping is just a clean exit between batches).
@@ -583,7 +585,7 @@ def decompressor(
         while True:
             if stop is not None and stop.is_set():
                 break
-            bf = knobs.batch_frames if knobs is not None else batch_frames
+            bf = knobs.batch_frames
             try:
                 if stop is not None:
                     frames = inq.get_many(bf, timeout=STOP_POLL_SECONDS)

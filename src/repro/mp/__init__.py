@@ -21,11 +21,14 @@ physical:
 - :class:`~repro.mp.supervisor.DomainSupervisor` — spawn/monitor/
   restart (under :class:`~repro.faults.RetryPolicy`) with graceful
   SIGTERM drain;
-- :class:`~repro.mp.pipeline.ProcessPipeline` — the ``repro-live
-  --mode process`` runtime: one compressor process per NUMA domain,
-  each with its *own* pair of domain-local rings (buffer locality, not
-  just pinning — the dgen-rs lesson), exactly-once delivery preserved
-  across worker crashes by record replay + collector dedup.
+- :class:`~repro.mp.pipeline.ProcessFront` — the pipeline's front
+  half in process mode (``LiveConfig.execution_mode = "process"``,
+  ``repro-live --mode process``): one compressor process per NUMA
+  domain, each with its *own* pair of domain-local rings (buffer
+  locality, not just pinning — the dgen-rs lesson), exactly-once
+  delivery preserved across worker crashes by record replay +
+  collector dedup.  :class:`~repro.mp.pipeline.ProcessPipeline` is the
+  convenience name for a ``LivePipeline`` in that mode.
 """
 
 from repro.mp.pipeline import ProcessPipeline

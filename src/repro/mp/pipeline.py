@@ -1,18 +1,17 @@
-"""`repro-live --mode process`: the multi-process live pipeline.
+"""`repro-live --mode process`: the compress stage as processes.
 
-:class:`ProcessPipeline` is :class:`~repro.live.runtime.LivePipeline`
-with the compress stage moved into real processes::
-
-    feeder -> raw ring[d] -> [compress proc d] -> comp ring[d] ->
-    collector[d] -> sendq -> {S_i ==socketpair==> R_i} -> wireq ->
-    [D x decompress] -> sink
-
-One compressor process per NUMA domain, each with its own pair of
-domain-local rings (the dgen-rs lesson: locality of the *buffers*,
-not just the threads).  Everything downstream of the collectors is
-the thread pipeline verbatim — same sender/receiver/decompressor
-bodies, same socketpairs, same frames — so receiver output is
+``LiveConfig.execution_mode = "process"`` makes
+:class:`~repro.live.runtime.LivePipeline` swap its front half for
+:class:`ProcessFront`, which moves the compress stage into real
+processes: one compressor process per NUMA domain, each with its own
+pair of domain-local rings (the dgen-rs lesson: locality of the
+*buffers*, not just the threads).  Everything downstream of the collectors is
+the thread pipeline verbatim — the same :mod:`repro.live.assembly`
+halves, same socketpairs, same frames — so receiver output is
 byte-identical between modes and every report/metric reads the same.
+What lives here is only what differs: packing records into rings, the
+collector loop, supervisor start/join/shutdown and the ``StatsBlock``
+fold.
 
 Delivery is exactly-once across worker crashes: the supervisor replays
 dispatched-but-uncollected records into the restarted worker's ring
@@ -22,28 +21,23 @@ before anything reaches the wire.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
-from repro.compress.codec import (
-    Codec,
-    CodecSpec,
-    codec_spec,
-    resolve_codec,
-    wire_codec_name,
-)
+from repro.compress.codec import Codec, CodecSpec, codec_spec, wire_codec_name
 from repro.data.chunking import Chunk
 from repro.faults.policy import RetryPolicy
 from repro.live import workers
-from repro.live.queues import ClosableQueue, Closed
-from repro.live.runtime import LiveConfig, LiveReport
-from repro.live.stageset import Knobs, StageSet
-from repro.live.transport import socket_pipe
+from repro.live.assembly import Assembly, thread
+from repro.live.dedup import StreamDedup
+from repro.live.queues import Closed
+from repro.live.runtime import LiveConfig, LivePipeline
+from repro.live.stageset import StageSet
 from repro.mp.records import ChunkRecord, pack_record, unpack_record
 from repro.mp.supervisor import DomainSupervisor
 from repro.mp.topology import plan_topology
-from repro.telemetry.facade import as_telemetry
 from repro.trace import TraceContext
 from repro.util.errors import ValidationError
 
@@ -92,8 +86,207 @@ class _WireChunk:
         self.trace = trace
 
 
-class ProcessPipeline:
-    """Single-host pipeline with per-domain compressor processes."""
+class ProcessFront:
+    """The pipeline's front half with compression out of process::
+
+        mp-feeder -> raw ring[d] -> [compress proc d] -> comp ring[d]
+        -> collector-d -> sendq
+
+    Registers its ``feed`` and ``collect`` stage sets on the assembly
+    and is its ``external`` stage: the supervisor's processes start
+    before the threads, are joined after them, and their shared segments
+    are released whatever happened.  It takes the assembly's parts, not
+    the assembly, so the two never form a reference cycle.
+    """
+
+    def __init__(
+        self,
+        asm: Assembly,
+        source: Iterable[Chunk],
+        retry: RetryPolicy | None = None,
+    ) -> None:
+        cfg = asm.cfg
+        self.source = source
+        self.tel, self.codec, self.knobs = asm.tel, asm.codec, asm.knobs
+        self.sampler, self.stats = asm.sampler, asm.stats
+        self.expected, self.fields = asm.expected, asm.fields
+        topology = plan_topology(cfg)
+        self.domains = topology.domains
+        self.supervisor = DomainSupervisor(
+            topology,
+            codec_spec=str(codec_spec(asm.codec)),
+            retry=retry,
+            start_method=cfg.mp_start_method,
+            telemetry=asm.tel,
+            batch_frames=cfg.batch_frames,
+        )
+        #: Replay dedup across all collectors (guarded by the lock).
+        self.dedup = StreamDedup()
+        self._dedup_lock = threading.Lock()
+        self.sendq = asm.sendq = asm.queue("sendq", self.domains, "send")
+        asm.stages["feed"] = StageSet(
+            "feed", lambda i, stop: thread("mp-feeder", self._feed), count=1
+        )
+        # One collector per domain ring — the count is topology, not a
+        # tunable, so the set stays non-scalable.
+        asm.stages["collect"] = StageSet(
+            "collect",
+            lambda i, stop: thread(f"collector-{i}", self._collect, i),
+            count=self.domains,
+            downstream=self.sendq,
+        )
+        asm.widths(feed=1, compress=self.domains)
+        self.fields["domains"] = self.domains
+        asm.respawn_hooks["compress"] = self.respawn
+
+    # -- the assembly's external stage ------------------------------------
+
+    def start(self) -> None:
+        self.supervisor.start()
+
+    def join(self, timeout: float) -> list[str]:
+        errors = self.supervisor.join(timeout)
+        self.fields["restarts"] = self.supervisor.restarts
+        # The compress stage ran out-of-process; fold the shared stats
+        # slots into the ordinary stage accounting.
+        if self.supervisor.stats is not None:
+            comp = self.stats["compress"]
+            for s in self.supervisor.stats.snapshot():
+                comp.chunks += s.chunks
+                comp.bytes_in += s.bytes_in
+                comp.bytes_out += s.bytes_out
+                comp.busy_seconds += s.busy_us / 1e6
+        return errors
+
+    def shutdown(self) -> None:
+        self.supervisor.shutdown()
+
+    def respawn(self) -> bool:
+        """The controller's compress-respawn lever.
+
+        Compress workers are processes, not threads: the supervisor
+        SIGKILLs each and lets the crash path restart-and-replay it
+        (exactly-once holds — collectors dedup on key).  Every domain is
+        cycled; a stall signal doesn't say which domain's worker went
+        quiet.
+        """
+        results = [self.supervisor.respawn(d) for d in range(self.domains)]
+        return any(results)
+
+    # -- thread bodies ---------------------------------------------------
+
+    def _feed(self) -> None:
+        supervisor, ndomains, expected = self.supervisor, self.domains, self.expected
+        tel, sampler, stats = self.tel, self.sampler, self.stats["feed"]
+        record_span = getattr(tel, "record_span", None)
+        next_domain = 0
+        try:
+            for chunk in self.source:
+                if chunk.payload is None:
+                    raise ValidationError("live pipeline chunks need payloads")
+                if sampler is not None and chunk.trace is None:
+                    chunk.trace = sampler.sample_chunk(chunk.stream_id, chunk.index)
+                key = (chunk.stream_id, chunk.index)
+                n = len(chunk.payload)
+                expected.add(key)
+                packed = pack_record(
+                    ChunkRecord(
+                        stream_id=chunk.stream_id,
+                        index=chunk.index,
+                        payload=chunk.payload,
+                        compressed=False,
+                        orig_len=n,
+                        traced=chunk.trace is not None,
+                    )
+                )
+                t0 = time.perf_counter()
+                supervisor.dispatch(next_domain % ndomains, key, packed)
+                next_domain += 1
+                t1 = time.perf_counter()
+                stats.record(n, n, t1 - t0)
+                if tel is not None:
+                    tel.record_chunk("feed", chunk.stream_id, n)
+                    tel.heartbeat("mp-feeder")
+                    if chunk.trace is not None and record_span is not None:
+                        record_span(
+                            "feed", t0, t1, stream_id=chunk.stream_id,
+                            chunk_id=chunk.index, track="mp-feeder",
+                        )
+        except Exception as exc:  # noqa: BLE001 - thread boundary
+            stats.fail(f"feeder: {exc!r}")
+        finally:
+            supervisor.close_inputs()
+
+    def _collect(self, domain: int) -> None:
+        supervisor = self.supervisor
+        tel, knobs, sendq, codec = self.tel, self.knobs, self.sendq, self.codec
+        dedup, dedup_lock = self.dedup, self._dedup_lock
+        # Guarded like workers._record_codec: as_telemetry passes
+        # through duck-typed user objects that may predate record_span.
+        record_span = getattr(tel, "record_span", None)
+        ring = supervisor.comp_ring(domain)
+        try:
+            while True:
+                try:
+                    raws = ring.get_many(max(1, knobs.batch_frames))
+                except Closed:
+                    break
+                batch: list[_WireChunk] = []
+                for raw in raws:
+                    rec = unpack_record(raw)
+                    supervisor.ack(domain, rec.key)
+                    with dedup_lock:
+                        fresh = dedup.claim(rec.stream_id, rec.index)
+                    if not fresh:
+                        # A restart replayed work the dead worker had
+                        # already finished.
+                        if tel is not None:
+                            tel.record_dedup()
+                        continue
+                    if tel is not None:
+                        tel.record_chunk("compress", rec.stream_id, rec.orig_len)
+                        workers._record_codec(
+                            tel, "compress", rec.stream_id,
+                            wire_codec_name(rec.codec_id)
+                            if rec.codec_id
+                            else codec.name,
+                        )
+                        if rec.stage_times is not None and record_span is not None:
+                            # The worker stamped its compress interval
+                            # (perf_counter is shared across processes
+                            # on this host) — surface it on the same
+                            # per-domain track the thread pipeline
+                            # would use.
+                            record_span(
+                                "compress", rec.stage_times[0], rec.stage_times[1],
+                                stream_id=rec.stream_id, chunk_id=rec.index,
+                                track=f"mp-compress-{domain}",
+                            )
+                    trace = (
+                        TraceContext(rec.stream_id, rec.index) if rec.traced else None
+                    )
+                    batch.append(
+                        _WireChunk(
+                            rec.stream_id, rec.index, rec.orig_len, rec.payload,
+                            rec.codec_id, trace,
+                        )
+                    )
+                put = 0
+                while put < len(batch):
+                    put += sendq.put_many(batch[put:])
+        except Exception as exc:  # noqa: BLE001 - thread boundary
+            self.stats["compress"].fail(f"collector-{domain}: {exc!r}")
+        finally:
+            sendq.close()
+
+
+class ProcessPipeline(LivePipeline):
+    """:class:`~repro.live.runtime.LivePipeline` in process mode.
+
+    The convenience name for ``LivePipeline(LiveConfig(execution_mode=
+    "process"))``: forces the mode on whatever config it is handed and
+    takes the compressor processes' restart policy.
+    """
 
     def __init__(
         self,
@@ -104,368 +297,6 @@ class ProcessPipeline:
         retry: RetryPolicy | None = None,
         controller: "object | None" = None,
     ):
-        self.config = config or LiveConfig(execution_mode="process")
-        self.codec = resolve_codec(
-            codec if codec is not None else self.config.codec
-        )
-        self.telemetry = as_telemetry(telemetry)
+        config = dataclasses.replace(config or LiveConfig(), execution_mode="process")
+        super().__init__(config, codec, telemetry=telemetry, controller=controller)
         self.retry = retry
-        self.controller = controller
-
-    def run(
-        self,
-        source: Iterable[Chunk],
-        sink: Callable[[str, int, bytes], None] | None = None,
-        *,
-        telemetry: "bool | object | None" = None,
-    ) -> LiveReport:
-        """Stream every chunk of ``source`` through the full pipeline."""
-        cfg = self.config
-        delivered: dict[tuple[str, int], int] = {}
-        delivered_lock = threading.Lock()
-        expected: dict[tuple[str, int], int] = {}
-        bytes_out = [0]
-
-        def counting_sink(stream_id: str, index: int, data: bytes) -> None:
-            with delivered_lock:
-                delivered[(stream_id, index)] = (
-                    delivered.get((stream_id, index), 0) + 1
-                )
-                bytes_out[0] += len(data)
-            if sink is not None:
-                sink(stream_id, index, data)
-
-        tel = self.telemetry if telemetry is None else as_telemetry(telemetry)
-        topology = plan_topology(cfg)
-        ndomains = topology.domains
-        if tel is not None:
-            tel.thread_counts.update(
-                {
-                    "feed": 1,
-                    "compress": ndomains,
-                    "send": cfg.connections,
-                    "recv": cfg.connections,
-                    "decompress": cfg.decompress_threads,
-                }
-            )
-        stats = {
-            name: workers.StageStats(name)
-            for name in ("feed", "compress", "send", "recv", "decompress")
-        }
-        supervisor = DomainSupervisor(
-            topology,
-            codec_spec=str(codec_spec(self.codec)),
-            retry=self.retry,
-            start_method=cfg.mp_start_method,
-            telemetry=tel,
-            batch_frames=cfg.batch_frames,
-        )
-        sendq = ClosableQueue(
-            cfg.queue_capacity, producers=ndomains, name="sendq", telemetry=tel
-        )
-        wireq = ClosableQueue(
-            cfg.queue_capacity,
-            producers=cfg.connections,
-            name="wireq",
-            telemetry=tel,
-        )
-
-        #: (stream, index) already collected — replay dedup.
-        seen: set[tuple[str, int]] = set()
-        seen_lock = threading.Lock()
-
-        sampler = None
-        # Guarded like _record_codec: as_telemetry passes through
-        # duck-typed user objects that may predate record_span.
-        record_span = getattr(tel, "record_span", None)
-        if record_span is not None and cfg.trace_sample > 0:
-            from repro.trace import HeadSampler
-
-            sampler = HeadSampler(cfg.trace_sample, cfg.trace_per_stream_cap)
-
-        def feed() -> None:
-            next_domain = 0
-            try:
-                for chunk in source:
-                    if chunk.payload is None:
-                        raise ValidationError(
-                            "live pipeline chunks need payloads"
-                        )
-                    if sampler is not None and chunk.trace is None:
-                        chunk.trace = sampler.sample_chunk(
-                            chunk.stream_id, chunk.index
-                        )
-                    key = (chunk.stream_id, chunk.index)
-                    n = len(chunk.payload)
-                    expected[key] = n
-                    packed = pack_record(
-                        ChunkRecord(
-                            stream_id=chunk.stream_id,
-                            index=chunk.index,
-                            payload=chunk.payload,
-                            compressed=False,
-                            orig_len=n,
-                            traced=chunk.trace is not None,
-                        )
-                    )
-                    t0 = time.perf_counter()
-                    supervisor.dispatch(next_domain % ndomains, key, packed)
-                    next_domain += 1
-                    t1 = time.perf_counter()
-                    stats["feed"].record(n, n, t1 - t0)
-                    if tel is not None:
-                        tel.record_chunk("feed", chunk.stream_id, n)
-                        tel.heartbeat("mp-feeder")
-                        if chunk.trace is not None and record_span is not None:
-                            record_span(
-                                "feed", t0, t1,
-                                stream_id=chunk.stream_id,
-                                chunk_id=chunk.index,
-                                track="mp-feeder",
-                            )
-            except Exception as exc:  # noqa: BLE001 - thread boundary
-                stats["feed"].fail(f"feeder: {exc!r}")
-            finally:
-                supervisor.close_inputs()
-
-        knobs = Knobs(
-            batch_frames=cfg.batch_frames, batch_linger=cfg.batch_linger
-        )
-
-        def collect(domain: int) -> None:
-            ring = supervisor.comp_ring(domain)
-            try:
-                while True:
-                    try:
-                        raws = ring.get_many(max(1, knobs.batch_frames))
-                    except Closed:
-                        break
-                    batch: list[_WireChunk] = []
-                    for raw in raws:
-                        rec = unpack_record(raw)
-                        supervisor.ack(domain, rec.key)
-                        with seen_lock:
-                            if rec.key in seen:
-                                # A restart replayed work the dead
-                                # worker had already finished.
-                                if tel is not None:
-                                    tel.record_dedup()
-                                continue
-                            seen.add(rec.key)
-                        if tel is not None:
-                            tel.record_chunk(
-                                "compress", rec.stream_id, rec.orig_len
-                            )
-                            # Guarded like live/workers: as_telemetry
-                            # passes through duck-typed user objects
-                            # that may predate record_codec.
-                            workers._record_codec(
-                                tel,
-                                "compress",
-                                rec.stream_id,
-                                wire_codec_name(rec.codec_id)
-                                if rec.codec_id
-                                else self.codec.name,
-                            )
-                            if (
-                                rec.stage_times is not None
-                                and record_span is not None
-                            ):
-                                # The worker stamped its compress
-                                # interval (perf_counter is shared
-                                # across processes on this host) —
-                                # surface it on the same per-domain
-                                # track the thread pipeline would use.
-                                record_span(
-                                    "compress",
-                                    rec.stage_times[0],
-                                    rec.stage_times[1],
-                                    stream_id=rec.stream_id,
-                                    chunk_id=rec.index,
-                                    track=f"mp-compress-{domain}",
-                                )
-                        trace = (
-                            TraceContext(rec.stream_id, rec.index)
-                            if rec.traced
-                            else None
-                        )
-                        batch.append(
-                            _WireChunk(
-                                rec.stream_id,
-                                rec.index,
-                                rec.orig_len,
-                                rec.payload,
-                                rec.codec_id,
-                                trace,
-                            )
-                        )
-                    put = 0
-                    while put < len(batch):
-                        put += sendq.put_many(batch[put:])
-            except Exception as exc:  # noqa: BLE001 - thread boundary
-                stats["compress"].fail(f"collector-{domain}: {exc!r}")
-            finally:
-                sendq.close()
-
-        aff = cfg.affinity
-
-        def _thread(name: str, target: Any, *args: Any, **kw: Any) -> Any:
-            return threading.Thread(
-                target=target, args=args, kwargs=kw, name=name, daemon=True
-            )
-
-        def feed_factory(i: int, stop: threading.Event) -> threading.Thread:
-            return _thread("mp-feeder", feed)
-
-        def collect_factory(
-            i: int, stop: threading.Event
-        ) -> threading.Thread:
-            return _thread(f"collector-{i}", collect, i)
-
-        def connection_factory(
-            i: int, stop: threading.Event
-        ) -> list[threading.Thread]:
-            tx, rx = socket_pipe(telemetry=tel)
-            return [
-                _thread(
-                    f"send-{i}", workers.sender, tx, sendq, stats["send"],
-                    compressed=True, cpus=aff.get("send"), telemetry=tel,
-                    knobs=knobs,
-                ),
-                _thread(
-                    f"recv-{i}", workers.receiver, rx, wireq, stats["recv"],
-                    aff.get("recv"), telemetry=tel, knobs=knobs,
-                ),
-            ]
-
-        def decompress_factory(
-            i: int, stop: threading.Event
-        ) -> threading.Thread:
-            return _thread(
-                f"decompress-{i}", workers.decompressor, self.codec, wireq,
-                stats["decompress"], counting_sink, aff.get("decompress"),
-                telemetry=tel, knobs=knobs, stop=stop,
-            )
-
-        stages = {
-            "feed": StageSet("feed", feed_factory, count=1),
-            # One collector per domain ring — the count is topology,
-            # not a tunable, so the set stays non-scalable.
-            "collect": StageSet(
-                "collect",
-                collect_factory,
-                count=ndomains,
-                downstream=sendq,
-            ),
-            "send": StageSet(
-                "send", connection_factory, count=cfg.connections
-            ),
-            "decompress": StageSet(
-                "decompress",
-                decompress_factory,
-                count=cfg.decompress_threads,
-                scalable=True,
-            ),
-        }
-
-        controller = self.controller
-        if controller is not None:
-            from repro.control.executor import StageSetExecutor
-
-            def respawn_compress() -> bool:
-                # Compress workers are processes, not threads: route the
-                # respawn to the domain supervisor, which SIGKILLs each
-                # worker and lets the crash path restart-and-replay it
-                # (exactly-once holds — collectors dedup on key).  Every
-                # domain is cycled; a stall signal doesn't say which
-                # domain's worker went quiet.
-                results = [supervisor.respawn(d) for d in range(ndomains)]
-                return any(results)
-
-            controller.bind(
-                StageSetExecutor(
-                    stages,
-                    knobs,
-                    queue_map={"sendq": "send", "wireq": "decompress"},
-                    respawn_hooks={"compress": respawn_compress},
-                )
-            )
-
-        if tel is not None:
-            tel.emit_event(
-                "run_start",
-                "process pipeline starting",
-                runner="ProcessPipeline",
-                codec=self.codec.name,
-                mode="process",
-                domains=ndomains,
-                connections=cfg.connections,
-                decompress_threads=cfg.decompress_threads,
-            )
-        t0 = time.perf_counter()
-        errors: list[str] = []
-        try:
-            supervisor.start()
-            try:
-                for ss in stages.values():
-                    ss.start()
-                if controller is not None:
-                    controller.start()
-                for ss in stages.values():
-                    errors.extend(ss.join(cfg.timeouts.join))
-            finally:
-                if controller is not None:
-                    controller.stop()
-            # Sweep again: the controller may have grown a set while
-            # earlier sets were being joined (re-joins are free, and
-            # duplicate straggler reports dedupe below).
-            for ss in stages.values():
-                errors.extend(ss.join(cfg.timeouts.join))
-            errors = list(dict.fromkeys(errors))
-            errors.extend(supervisor.join(cfg.timeouts.join))
-            elapsed = time.perf_counter() - t0
-            # The compress stage ran out-of-process; fold the shared
-            # stats slots into the ordinary stage accounting.
-            if supervisor.stats is not None:
-                comp = stats["compress"]
-                for s in supervisor.stats.snapshot():
-                    comp.chunks += s.chunks
-                    comp.bytes_in += s.bytes_in
-                    comp.bytes_out += s.bytes_out
-                    comp.busy_seconds += s.busy_us / 1e6
-        finally:
-            supervisor.shutdown()
-
-        for s in stats.values():
-            errors.extend(s.errors)
-        if cfg.verify and not errors:
-            missing = set(expected) - set(delivered)
-            dupes = {k: n for k, n in delivered.items() if n > 1}
-            if missing:
-                errors.append(
-                    f"{len(missing)} chunks never delivered: "
-                    f"{sorted(missing)[:3]}..."
-                )
-            if dupes:
-                errors.append(f"duplicated chunks: {sorted(dupes)[:3]}...")
-        if tel is not None:
-            tel.emit_event(
-                "run_end",
-                "process pipeline finished",
-                severity="info" if not errors else "error",
-                runner="ProcessPipeline",
-                ok=not errors,
-                elapsed_s=round(elapsed, 6),
-                chunks=stats["decompress"].chunks,
-                restarts=supervisor.restarts,
-            )
-        return LiveReport(
-            chunks=stats["decompress"].chunks,
-            bytes_in=stats["feed"].bytes_in,
-            wire_bytes=stats["send"].bytes_out,
-            bytes_out=bytes_out[0],
-            elapsed=elapsed,
-            stage_stats=stats,
-            errors=errors,
-            telemetry=tel,
-        )

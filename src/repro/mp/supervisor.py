@@ -329,6 +329,12 @@ class DomainSupervisor:
             if current is not proc:
                 current.join(max(0.0, deadline - time.monotonic()))  # type: ignore[attr-defined]
                 proc = current
+            # The monitor thread polls the same Process object; when its
+            # waitpid reaps the child first, this thread's join returns
+            # early with the exit code not stored yet.  Settle before
+            # calling a finished worker a straggler.
+            while proc.is_alive() and time.monotonic() < deadline:  # type: ignore[attr-defined]
+                time.sleep(0.005)
             if proc.is_alive():  # type: ignore[attr-defined]
                 self.errors.append(
                     f"{self._specs[domain].name} did not finish "

@@ -109,12 +109,9 @@ class ExecutionNode:
     ring_capacity: int = 8
     #: Ring slot size, bytes; must fit one packed chunk record.
     ring_slot_bytes: int = 1 << 20
-    #: How the live receiver multiplexes connections: ``eventloop``
-    #: (a fixed pool of selector-driven reactor shards) or ``threads``
-    #: (the legacy one-handler-thread-per-socket fallback).
-    receiver_mode: str = "eventloop"
-    #: Reactor shards in eventloop mode; 0 = auto (one per NUMA-domain
-    #: core, mirroring the NIC's RSS hash→queue fan-out, Obs 3/4).
+    #: Reactor shards of the live receiver's event-loop plane; 0 = auto
+    #: (one per NUMA-domain core, mirroring the NIC's RSS hash→queue
+    #: fan-out, Obs 3/4).
     receiver_shards: int = 0
 
     @property
@@ -122,10 +119,7 @@ class ExecutionNode:
         return self == ExecutionNode()
 
     def describe(self) -> str:
-        recv = ""
-        if self.receiver_mode != "eventloop" or self.receiver_shards:
-            shards = self.receiver_shards or "auto"
-            recv = f" recv={self.receiver_mode} x{shards}"
+        recv = f" recv x{self.receiver_shards}" if self.receiver_shards else ""
         if self.mode == "thread":
             return f"thread{recv}" if recv else "thread"
         d = self.domains or "auto"
@@ -133,6 +127,15 @@ class ExecutionNode:
             f"process x{d} (ring {self.ring_capacity} x "
             f"{self.ring_slot_bytes}B){recv}"
         )
+
+
+#: Why any receiver-plane name but ``"eventloop"`` is refused — by
+#: ``ReceiverServer(mode=)`` and by the plan loader, for documents
+#: written while the plane was a choice.
+REMOVED_RECEIVER_PLANE = (
+    'the thread-per-connection receiver plane ("threads") was removed; '
+    "the event-loop plane is the only one"
+)
 
 
 def stream_shard(stream_id: str, shards: int) -> int:

@@ -179,7 +179,6 @@ def lower_live(
         process_domains=execution.domains,
         ring_capacity=execution.ring_capacity,
         ring_slot_bytes=execution.ring_slot_bytes,
-        receiver_mode=execution.receiver_mode,
         receiver_shards=execution.receiver_shards,
         trace_sample=plan.trace.sample,
         trace_per_stream_cap=plan.trace.per_stream_cap,

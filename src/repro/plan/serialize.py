@@ -29,7 +29,9 @@ from repro.core.serialize import (
     _placement_from_dict,
     _placement_to_dict,
 )
+from repro.plan.diagnostics import Diagnostic
 from repro.plan.ir import (
+    REMOVED_RECEIVER_PLANE,
     STAGE_ORDER,
     CodecNode,
     ControlNode,
@@ -40,7 +42,7 @@ from repro.plan.ir import (
     StageNode,
     StreamNode,
 )
-from repro.util.errors import ValidationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 #: v3 adds plan-level policy/metadata and per-stage rationale.
 PLAN_VERSION = 3
@@ -148,8 +150,6 @@ def _execution_to_dict(node: ExecutionNode) -> dict[str, Any]:
         out["ring_capacity"] = node.ring_capacity
     if node.ring_slot_bytes != default.ring_slot_bytes:
         out["ring_slot_bytes"] = node.ring_slot_bytes
-    if node.receiver_mode != default.receiver_mode:
-        out["receiver_mode"] = node.receiver_mode
     if node.receiver_shards != default.receiver_shards:
         out["receiver_shards"] = node.receiver_shards
     return out
@@ -329,13 +329,26 @@ def _trace_from_dict(d: dict[str, Any] | None) -> TraceNode:
 def _execution_from_dict(d: dict[str, Any] | None) -> ExecutionNode:
     if d is None:
         return ExecutionNode()
+    # Documents written before the thread-per-connection receiver plane
+    # was removed may still name the plane; the surviving one is
+    # accepted (and never re-emitted), anything else is refused here
+    # because the IR no longer has a field to validate later.
+    plane = d.get("receiver_mode", "eventloop")
+    if plane != "eventloop":
+        raise ConfigurationError(
+            Diagnostic(
+                "error",
+                "bad-execution",
+                f"execution receiver plane {plane!r} is not supported: "
+                f"{REMOVED_RECEIVER_PLANE} — drop the key",
+            ).render()
+        )
     default = ExecutionNode()
     return ExecutionNode(
         mode=d.get("mode", default.mode),
         domains=d.get("domains", default.domains),
         ring_capacity=d.get("ring_capacity", default.ring_capacity),
         ring_slot_bytes=d.get("ring_slot_bytes", default.ring_slot_bytes),
-        receiver_mode=d.get("receiver_mode", default.receiver_mode),
         receiver_shards=d.get("receiver_shards", default.receiver_shards),
     )
 

@@ -56,12 +56,6 @@ def _validate_execution(plan: PipelinePlan, diags: Diagnostics) -> None:
         diags.error(
             "bad-execution", "ring_slot_bytes must be >= 64 bytes"
         )
-    if ex.receiver_mode not in ("eventloop", "threads"):
-        diags.error(
-            "bad-execution",
-            "receiver_mode must be 'eventloop' or 'threads', "
-            f"not {ex.receiver_mode!r}",
-        )
     if ex.receiver_shards < 0:
         diags.error("bad-execution", "receiver_shards must be >= 0")
 

@@ -43,8 +43,7 @@ def chunks():
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("receiver_mode", ["eventloop", "threads"])
-def test_chaos_exactly_once_delivery(receiver_mode):
+def test_chaos_exactly_once_delivery():
     tel = Telemetry()
     received = []
     received_lock = threading.Lock()
@@ -59,7 +58,6 @@ def test_chaos_exactly_once_delivery(receiver_mode):
         decompress_threads=2,
         timeouts=TimeoutPolicy(accept=20, join=60),
         telemetry=tel,
-        mode=receiver_mode,
     )
     host, port = server.address
 

@@ -58,6 +58,40 @@ class TestProcessModeCli:
         with pytest.raises(SystemExit):
             live_main(["--mode", "process", "--domains", "0", "--chunks", "1"])
 
+    def test_domains_without_process_mode_is_an_error(self, capsys):
+        """--domains used to be silently ignored in thread mode."""
+        with pytest.raises(SystemExit) as info:
+            live_main(["--domains", "2", "--chunks", "1"])
+        assert info.value.code == 2
+        assert "--mode process" in capsys.readouterr().err
+
+    def test_domains_rides_a_plan_that_says_process(self, tmp_path, capsys):
+        """No --mode flag needed when the plan's execution node already
+        says process — and LivePipeline (not a hand-picked class) runs
+        it."""
+        import json
+
+        plan = tmp_path / "plan.json"
+        assert plan_main(
+            ["generate", "--stream", "det1:updraft1:lynxdtn:aps-lan",
+             "--chunks", "3", "-o", str(plan)]
+        ) == 0
+        doc = json.loads(plan.read_text())
+        doc["execution"] = {"mode": "process"}
+        plan.write_text(json.dumps(doc))
+        rc = live_main(
+            ["--plan", str(plan), "--domains", "1", "--chunks", "3",
+             "--detector", "60x64", "--codec", "zlib"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "process mode: 1 compressor domain(s)" in out
+
+    def test_receiver_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            live_main(["--receiver-mode", "eventloop", "--chunks", "1"])
+        assert info.value.code == 2
+
     def test_process_loopback_runs(self, capsys):
         rc = live_main(
             ["--mode", "process", "--chunks", "3", "--detector", "60x64",

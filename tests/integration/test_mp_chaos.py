@@ -64,6 +64,14 @@ def test_chaos_worker_crash_exactly_once(monkeypatch):
     import repro.mp.pipeline as mp_pipeline
 
     monkeypatch.setattr(mp_pipeline, "plan_topology", crashy_plan_topology)
+    fronts = []
+
+    class SpyFront(mp_pipeline.ProcessFront):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fronts.append(self)
+
+    monkeypatch.setattr(mp_pipeline, "ProcessFront", SpyFront)
 
     bus = EventBus(source="live")
     tel = Telemetry()
@@ -88,6 +96,13 @@ def test_chaos_worker_crash_exactly_once(monkeypatch):
 
     assert report.ok, report.errors
     assert report.chunks == NUM_CHUNKS
+    # The collectors' replay dedup is a watermark, not a set of every
+    # key ever seen: however much the restart replayed, the run ends
+    # with the stream fully absorbed and nothing parked above the
+    # watermark (tests/mp/test_collector_dedup.py pins the drop count).
+    (front,) = fronts
+    assert front.dedup.watermark("chaos-mp") == NUM_CHUNKS - 1
+    assert front.dedup.out_of_order("chaos-mp") == 0
     # Exactly once at the sink: every index, no duplicates.
     indices = sorted(i for _, i, _ in received)
     assert indices == list(range(NUM_CHUNKS))

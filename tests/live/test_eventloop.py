@@ -166,53 +166,56 @@ class TestBackpressure:
 
 
 class TestModeParity:
+    """The event plane's output is anchored to the input corpus (it
+    used to be compared against the since-removed thread plane)."""
+
     def test_sink_output_byte_identical_across_modes(self):
-        """The acceptance bar: same source, thread plane vs event
-        plane, byte-identical sink contents."""
-        outputs = {}
-        for mode in ("threads", "eventloop"):
-            received = {}
-            lock = threading.Lock()
+        """The acceptance bar: what reaches the sink is, key for key
+        and byte for byte, what the source produced."""
+        corpus = {
+            (c.stream_id, c.index): c.payload
+            for c in stream_chunks(3, 6, seed=11)
+        }
+        received = {}
+        lock = threading.Lock()
 
-            def sink(stream_id, index, data):
-                with lock:
-                    received[(stream_id, index)] = data
+        def sink(stream_id, index, data):
+            with lock:
+                assert (stream_id, index) not in received
+                received[(stream_id, index)] = data
 
-            server = ReceiverServer(
-                codec="zlib",
-                connections=3,
-                decompress_threads=2,
-                mode=mode,
-            )
-            tx, rx = run_pair(
-                server,
-                dict(codec="zlib", connections=3, compress_threads=2),
-                stream_chunks(3, 6, seed=11),
-                sink=sink,
-            )
-            assert tx.ok, (mode, tx.errors)
-            assert rx.ok, (mode, rx.errors)
-            outputs[mode] = received
-        assert outputs["threads"] == outputs["eventloop"]
+        server = ReceiverServer(
+            codec="zlib", connections=3, decompress_threads=2
+        )
+        tx, rx = run_pair(
+            server,
+            dict(codec="zlib", connections=3, compress_threads=2),
+            stream_chunks(3, 6, seed=11),
+            sink=sink,
+        )
+        assert tx.ok, tx.errors
+        assert rx.ok, rx.errors
+        assert received == corpus
 
     def test_reports_agree_on_chunk_counts(self):
-        counts = {}
-        for mode in ("threads", "eventloop"):
-            server = ReceiverServer(codec="zlib", connections=2, mode=mode)
-            tx, rx = run_pair(
-                server,
-                dict(codec="zlib", connections=2),
-                stream_chunks(2, 5, seed=12),
-            )
-            assert tx.ok and rx.ok
-            counts[mode] = (rx.chunks, rx.payload_bytes)
-        assert counts["threads"] == counts["eventloop"]
+        corpus = list(stream_chunks(2, 5, seed=12))
+        server = ReceiverServer(codec="zlib", connections=2)
+        tx, rx = run_pair(
+            server, dict(codec="zlib", connections=2), iter(corpus)
+        )
+        assert tx.ok and rx.ok
+        total = sum(len(c.payload) for c in corpus)
+        assert (rx.chunks, rx.payload_bytes) == (len(corpus), total)
+        assert (tx.chunks, tx.payload_bytes) == (len(corpus), total)
 
 
 class TestValidationAndLifecycle:
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValidationError, match="mode"):
-            ReceiverServer(mode="poll")
+        """Only the event plane exists; the removed thread-per-
+        connection plane is named in the rejection."""
+        for mode in ("poll", "threads"):
+            with pytest.raises(ValidationError, match="mode.*removed"):
+                ReceiverServer(mode=mode)
 
     def test_negative_shards_rejected(self):
         with pytest.raises(ValidationError, match="shards"):

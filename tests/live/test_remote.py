@@ -256,7 +256,7 @@ class TestFailureModes:
 
 import socket  # noqa: E402
 
-from repro.live.remote import EndpointReport, _Redial  # noqa: E402
+from repro.live.remote import EndpointReport  # noqa: E402
 from repro.live.transport import (  # noqa: E402
     Frame,
     FramedReceiver,
@@ -297,21 +297,39 @@ class TestSenderDialCleanup:
 
 
 class TestReceiverConnTracking:
-    def test_reconnect_storm_keeps_live_conns_bounded(self):
-        """Regression: the thread-mode accept loop retained every
-        accepted socket for the whole run; under reconnect churn the
-        list grew without bound."""
+    def test_reconnect_storm_keeps_live_conns_bounded(self, monkeypatch):
+        """Under reconnect churn the receive plane must not retain one
+        connection object per historical socket: the reactor shards
+        drop a ``_Conn`` when its socket dies, so the open set stays
+        bounded however many sessions came and went."""
+        from repro.live import eventloop
+
+        planes = []
+        real_start = eventloop.EventLoopPlane.start
+
+        def spy_start(plane):
+            planes.append(plane)
+            real_start(plane)
+
+        monkeypatch.setattr(eventloop.EventLoopPlane, "start", spy_start)
         server = ReceiverServer(
             codec="null",
             connections=1,
-            mode="threads",
+            shards=2,
             timeouts=TimeoutPolicy(accept=30, join=30),
         )
         host, port = server.address
         box = {}
+        peak = [0]
+
+        def sink(stream_id, index, data):
+            # Runs after the storm (the clean session's only chunk):
+            # whatever the shards still hold open is what was retained.
+            (plane,) = planes
+            peak[0] = sum(len(shard._conns) for shard in plane.shards)
 
         def serve():
-            box["rx"] = server.serve()
+            box["rx"] = server.serve(sink)
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
@@ -333,9 +351,11 @@ class TestReceiverConnTracking:
         assert not t.is_alive(), "receiver did not finish"
         sock.close()
         assert box["rx"].ok, box["rx"].errors
-        # Dead storm sockets were pruned as the loop went; the list
-        # never accumulates one entry per historical connection.
-        assert len(server._live_conns) <= 5
+        # Dead storm sockets were dropped as the shards saw them close;
+        # nothing accumulates one entry per historical connection.
+        assert 1 <= peak[0] <= 5
+        (plane,) = planes
+        assert sum(len(shard._conns) for shard in plane.shards) == 0
 
 
 class TestReportProtocol:
@@ -389,8 +409,7 @@ class TestRedial:
 
         t = threading.Thread(target=accept, daemon=True)
         t.start()
-        redial = _Redial(client, 3)
-        tx = redial()
+        tx = client._dial(3)
         t.join(timeout=5)
         assert isinstance(tx, FramedSender)
         assert tx.connection == 3, "redial lost its connection index"

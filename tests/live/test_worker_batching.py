@@ -24,6 +24,7 @@ from repro.live import workers
 from repro.live.queues import ClosableQueue
 from repro.live.remote import ReceiverServer
 from repro.live.runtime import LiveConfig, LivePipeline
+from repro.live.stageset import Knobs
 from repro.live.transport import Frame, FramedReceiver, FramedSender
 from repro.live.workers import StageStats, resilient_sender
 from repro.util.errors import TransportError
@@ -158,6 +159,7 @@ class TestReconnectBackoff:
             stats,
             compressed=False,
             retry=retry,
+            knobs=Knobs(),
             drain_timeout=10.0,
         )
         for t in echoes:

@@ -220,3 +220,45 @@ class TestTelemetry:
             sup.shutdown()
         assert "mp-compress-0" in tel.heartbeats()
         assert tel.affinity_cpus().get("mp-compress-0") == 0.0
+
+
+class TestJoinRace:
+    def test_join_settles_when_the_monitor_reaped_the_child_first(self):
+        """The monitor thread polls the same ``Process`` object that
+        ``join`` waits on; when its ``waitpid`` wins, ``Process.join``
+        returns early and ``is_alive()`` still reads True for an
+        instant.  A worker that did finish must not be reported as a
+        straggler (this showed up as a rare ``did not finish within``
+        on perfectly good runs)."""
+
+        class RacedProcess:
+            """join() lost the waitpid race; the exit code lands two
+            polls later."""
+
+            def __init__(self):
+                self.polls = 0
+
+            def join(self, timeout=None):
+                return None
+
+            def is_alive(self):
+                self.polls += 1
+                return self.polls <= 2
+
+        sup = make_supervisor(small_topology())
+        proc = RacedProcess()
+        sup._procs[0] = proc
+        assert sup.join(5.0) == []
+        assert proc.polls >= 3
+
+    def test_a_real_straggler_is_still_reported(self):
+        class StuckProcess:
+            def join(self, timeout=None):
+                return None
+
+            def is_alive(self):
+                return True
+
+        sup = make_supervisor(small_topology())
+        sup._procs[0] = StuckProcess()
+        assert sup.join(0.05) == ["mp-compress-0 did not finish within 0.05s"]

@@ -13,6 +13,7 @@ from repro.plan.ir import ExecutionNode
 from repro.plan.lower import lower_live
 from repro.plan.serialize import plan_from_dict, plan_from_json, plan_to_dict, plan_to_json
 from repro.plan.validate import validate_plan
+from repro.util.errors import ConfigurationError
 
 
 def with_execution(plan, **kwargs):
@@ -105,7 +106,8 @@ class TestLowering:
 
 
 class TestReceiverPlane:
-    """The receiver-plane policy fields: mode, shard count, hashing."""
+    """The receiver-plane policy: shard count and hashing.  The plane
+    itself is no longer a choice — only documents may still name it."""
 
     def test_defaults_are_omitted_from_the_document(self, generated_plan):
         plan = with_execution(generated_plan, mode="process")
@@ -113,39 +115,58 @@ class TestReceiverPlane:
         assert "receiver_shards" not in plan_to_dict(plan)["execution"]
 
     def test_round_trip(self, generated_plan):
-        plan = with_execution(
-            generated_plan, receiver_mode="threads", receiver_shards=4
-        )
+        plan = with_execution(generated_plan, receiver_shards=4)
         doc = plan_to_dict(plan)
-        assert doc["execution"]["receiver_mode"] == "threads"
-        assert doc["execution"]["receiver_shards"] == 4
+        assert doc["execution"] == {"mode": "thread", "receiver_shards": 4}
         assert plan_from_dict(doc).execution == plan.execution
 
     def test_describe_mentions_non_default_receiver(self, generated_plan):
         plan = with_execution(generated_plan, receiver_shards=4)
-        assert "recv=eventloop x4" in plan.describe()
+        assert "recv x4" in plan.describe()
 
     @pytest.mark.parametrize(
         "kwargs",
         [dict(receiver_mode="poll"), dict(receiver_shards=-1)],
     )
     def test_bad_receiver_policy_flagged(self, generated_plan, kwargs):
-        plan = with_execution(generated_plan, **kwargs)
-        diags = validate_plan(plan)
-        assert any(d.code == "bad-execution" for d in diags.errors)
+        """A document with a bad receiver policy is refused, whether
+        the loader (plane name) or the validator (shards) catches it."""
+        doc = plan_to_dict(generated_plan)
+        doc["execution"] = {"mode": "thread", **kwargs}
+        with pytest.raises(ConfigurationError):
+            validate_plan(plan_from_dict(doc)).raise_if_errors()
+
+    def test_outside_document_may_name_the_eventloop_plane(
+        self, generated_plan
+    ):
+        """Plan files written while the plane was a choice still load:
+        ``"eventloop"`` is accepted and never re-emitted."""
+        doc = plan_to_dict(with_execution(generated_plan, receiver_shards=2))
+        doc["execution"]["receiver_mode"] = "eventloop"
+        plan = plan_from_dict(doc)
+        assert plan.execution == ExecutionNode(receiver_shards=2)
+        assert "receiver_mode" not in plan_to_dict(plan)["execution"]
+        assert validate_plan(plan).ok
+
+    def test_removed_thread_plane_is_refused_by_name(self, generated_plan):
+        """Not a KeyError, not a silent fallback: a bad-execution
+        diagnostic that names the removed plane."""
+        doc = plan_to_dict(generated_plan)
+        doc["execution"] = {"mode": "thread", "receiver_mode": "threads"}
+        with pytest.raises(ConfigurationError, match="removed") as info:
+            plan_from_dict(doc)
+        assert '"threads"' in str(info.value)
+        assert "bad-execution" in str(info.value)
 
     def test_receiver_policy_reaches_live_config(self, generated_plan):
-        plan = with_execution(
-            generated_plan, receiver_mode="threads", receiver_shards=3
-        )
+        plan = with_execution(generated_plan, receiver_shards=3)
         cfg = lower_live(plan).config
-        assert cfg.receiver_mode == "threads"
         assert cfg.receiver_shards == 3
 
     def test_default_lowers_to_eventloop_auto(self, generated_plan):
         cfg = lower_live(generated_plan).config
-        assert cfg.receiver_mode == "eventloop"
         assert cfg.receiver_shards == 0
+        assert not hasattr(cfg, "receiver_mode")
 
 
 class TestStreamShard:
