@@ -1235,52 +1235,5 @@ def telemetry_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def bench_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Run the pinned hot-path benchmarks (queue handoff, "
-        "framing, loopback pipeline, sim scenario) and write "
-        "BENCH_pipeline.json with throughput and latency percentiles.",
-    )
-    parser.add_argument(
-        "-o", "--out",
-        default="BENCH_pipeline.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced iteration counts (CI trend job / smoke runs)",
-    )
-    parser.add_argument(
-        "--no-pin",
-        action="store_true",
-        help="skip best-effort CPU pinning of the benchmark thread",
-    )
-    parser.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="report the loopback speedup but never fail on it",
-    )
-    parser.add_argument(
-        "--events-out",
-        metavar="PATH",
-        help="stream suite lifecycle events to this JSONL file",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.bench import run_suite
-
-    report = run_suite(
-        quick=args.quick, pinned=not args.no_pin, gate=not args.no_gate,
-        events_out=args.events_out,
-    )
-    report.save(args.out)
-    print(report.render())
-    print(f"wrote {args.out}")
-    return 0 if report.ok else 1
-
-
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(experiment_main())

@@ -6,7 +6,7 @@ module perturbs one cost-model constant at a time and re-measures the
 Figure-14 headline (runtime-over-OS speedup), producing a tornado-style
 table.
 
-Expected outcome (asserted by ``benchmarks/bench_sensitivity.py``):
+Expected outcome (asserted by ``tests/experiments/test_paper_numbers.py``):
 
 - the 1.3–1.5× multi-stream speedup is *robust* — it survives halving
   or removing individual penalty factors, because it is primarily a

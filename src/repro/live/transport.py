@@ -39,11 +39,11 @@ syscall count, never the format.
 The hot path is zero-copy on the send side: the small header blob and
 the (possibly multi-megabyte) payload stay separate buffers handed to
 ``socket.sendmsg`` as an iovec, so the payload is never copied into a
-joined wire string (:meth:`FramedSender.send_many`).  The legacy
-join-and-``sendall`` path survives for two callers: fault injection
-(which must mangle contiguous wire bytes) and the ``repro-bench``
-baseline (``vectored=False`` reproduces the pre-optimization copy
-path).  The receive side parses out of a reusable buffer with
+joined wire string (:meth:`FramedSender.send_many`).  The
+join-and-``sendall`` path survives for fault injection, which must
+mangle contiguous wire bytes (and for sockets without ``sendmsg``);
+``tests/live/test_transport.py`` pins both paths to the same wire
+bytes.  The receive side parses out of a reusable buffer with
 ``memoryview``/``unpack_from`` — header fields are decoded in place and
 large payload tails are read straight into their destination
 ``bytearray`` via ``recv_into`` (no per-read chunk list, no join).
@@ -202,10 +202,6 @@ class FramedSender:
     ``pipeline_batch_size{site="wire.tx"}`` histogram.
     """
 
-    #: Class-wide default; ``repro-bench`` flips the per-instance
-    #: ``vectored`` flag to measure the legacy copy path.
-    DEFAULT_VECTORED = True
-
     def __init__(
         self,
         sock: socket.socket,
@@ -213,7 +209,6 @@ class FramedSender:
         telemetry=None,
         injector=None,
         connection: int = 0,
-        vectored: bool | None = None,
     ) -> None:
         self.sock = sock
         self.telemetry = telemetry
@@ -221,12 +216,9 @@ class FramedSender:
         self.injector = injector
         #: Connection index reported to the injector.
         self.connection = connection
-        #: Use ``sendmsg`` vectored I/O (header + payload as separate
-        #: buffers).  ``False`` restores the join-and-``sendall`` copy
-        #: path — kept as the benchmark baseline.
-        self.vectored = (
-            self.DEFAULT_VECTORED if vectored is None else vectored
-        ) and hasattr(sock, "sendmsg")
+        #: ``sendmsg`` vectored I/O (header + payload as separate
+        #: buffers) wherever the socket offers it.
+        self.vectored = hasattr(sock, "sendmsg")
 
     def send(self, frame: Frame) -> None:
         self.send_many((frame,))
@@ -286,11 +278,9 @@ class FramedSender:
             raise TransportError(f"send failed: {exc}") from exc
 
     def _send_copy(self, frame: Frame) -> None:
-        """Legacy path: join header + payload and ``sendall`` the copy.
-
-        Required when an injector must see (and mangle) the contiguous
-        wire bytes; also the ``repro-bench`` pre-optimization baseline.
-        """
+        """Join header + payload and ``sendall`` the copy: the path an
+        injector needs to see (and mangle) the contiguous wire bytes,
+        and the only one a socket without ``sendmsg`` offers."""
         wire = (
             encode_frame_header(frame)
             + frame.payload

@@ -9,8 +9,8 @@ JSON snapshot.
 Thread safety: every series guards its hot update with one short-held
 ``threading.Lock`` (a float add / compare under the GIL), and families
 guard child creation.  That is "lock-free enough" for pipeline threads
-that do milliseconds of compression work per update; the overhead guard
-in ``benchmarks/bench_telemetry.py`` keeps it honest.
+that do milliseconds of compression work per update; perfbench's
+``telemetry.overhead_pct`` row reports what it costs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Every paper exhibit regenerates with its qualitative claims intact.
 
-These run the quick variants (reduced sweeps); the full sweeps live in
-``benchmarks/``.
+These run the quick variants (reduced sweeps), computed once per session
+(``conftest.quick_result``); the paper's numeric pins on the same results
+are in ``test_paper_numbers.py``.
 """
 
 import pytest
@@ -25,16 +26,16 @@ class TestRegistry:
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_quick_run_claims_hold(name):
-    result = get_experiment(name)(quick=True)
+def test_quick_run_claims_hold(name, quick_result):
+    result = quick_result(name)
     assert result.experiment == name
     failed = [k for k, ok in result.claims.items() if not ok]
     assert not failed, f"{name} failed claims: {failed}\n{result.render()}"
     assert result.table.rows, f"{name} produced no table rows"
 
 
-def test_render_includes_claims():
-    result = get_experiment("fig9")(quick=True)
+def test_render_includes_claims(quick_result):
+    result = quick_result("fig9")
     text = result.render()
     assert "PASS" in text
     assert "Figure 9a" in text

@@ -158,14 +158,39 @@ class TestSimClosedLoop:
         )
 
     def test_autotuned_beats_static_on_sim_time(self):
-        """The acceptance shape of bench_autotune, in miniature: the
-        same starved scenario finishes sooner once the controller may
-        fix the misconfiguration."""
-        static_tel = Telemetry()
-        static = SimRuntime(starved_scenario(), telemetry=static_tel).run()
-        tuned, _, controller, _ = run_sim()
+        """The autotune acceptance bar, whole: the loop closes, the
+        closed-loop run beats the stale plan by >= 1.2x delivered
+        throughput, and after the last re-plan it runs within 10% of
+        the plan a planner with hindsight would have written (compress
+        already at the controller's ceiling)."""
+
+        def gbps(result):
+            return result.streams["s"].delivered_gbps
+
+        static = SimRuntime(starved_scenario()).run()
+        tuned, _, controller, bus = run_sim()
+        hindsight = starved_scenario()
+        hindsight.streams[0].compress = StageConfig(
+            CONTROL.max_workers, PlacementSpec.socket(0)
+        )
+        optimal = SimRuntime(hindsight).run()
+
         assert controller.decisions
         assert tuned.sim_time < static.sim_time
+        replans = [e for e in bus.recent(0) if e.kind == "replan_applied"]
+        assert replans, "no replan_applied fired: the loop never closed"
+        assert gbps(tuned) >= 1.2 * gbps(static)
+        # Steady state: chunks the final stage finished after the last
+        # applied re-plan, over the remaining virtual time.
+        last = replans[-1].ts
+        tail = [
+            s
+            for s in tuned.telemetry.spans.snapshot()
+            if s.stage == "decompress" and s.end > last
+        ]
+        chunk_bytes = hindsight.streams[0].chunk_bytes
+        post_gbps = len(tail) * chunk_bytes * 8 / (tuned.sim_time - last) / 1e9
+        assert post_gbps >= 0.9 * gbps(optimal)
 
 
 # ---------------------------------------------------------------------------

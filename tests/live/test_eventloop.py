@@ -1,5 +1,6 @@
 """Event-loop receiver plane: sharding, backpressure, mode parity."""
 
+import resource
 import socket
 import threading
 import time
@@ -306,6 +307,111 @@ class TestRawFrameClients:
         assert box["rx"].ok, box["rx"].errors
         # The replayed frame was ACKed but never reached the sink twice.
         assert sorted(received) == [("raw-s", 0), ("raw-s", 1)]
+
+
+def many_streams_wave(streams, chunks_per_stream, payload):
+    """``streams`` concurrent loopback connections, one stream each,
+    into an event-loop receiver: every client dials, all meet at a
+    barrier so the connections are open at once, then each sends its
+    frames and drains one ACK per frame.  Returns chunks delivered per
+    stream; any client or receiver error fails the test."""
+    # One client socket + one accepted socket per stream, plus slack.
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    want = min(hard, 2 * streams + 256)
+    if want > soft:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))
+    counts = {}
+    lock = threading.Lock()
+
+    def sink(stream_id, index, data):
+        with lock:
+            counts[stream_id] = counts.get(stream_id, 0) + 1
+
+    server = ReceiverServer(
+        codec="null",
+        connections=streams,
+        decompress_threads=2,
+        queue_capacity=256,
+        timeouts=TimeoutPolicy(accept=120.0, join=120.0),
+    )
+    host, port = server.address
+    box, server_thread = TestRawFrameClients._serve(server, sink)
+    n_workers = min(16, streams)
+    dialed = threading.Barrier(n_workers)
+    errors = []
+
+    def client(lo, hi):
+        conns = []
+        try:
+            for s in range(lo, hi):
+                sock = socket.create_connection((host, port), timeout=60)
+                sock.settimeout(60.0)
+                conns.append(
+                    (f"ms-{s:04d}", FramedSender(sock), FramedReceiver(sock))
+                )
+            dialed.wait(120.0)
+            for index in range(chunks_per_stream):
+                for sid, tx, _ in conns:
+                    tx.send(
+                        Frame(sid, index, payload, orig_len=len(payload))
+                    )
+            for sid, tx, _ in conns:
+                tx.send(Frame.end_of_stream(sid))
+            # Every frame (data + EOS) is ACKed; drain them all, then
+            # half-close so the receiver counts the stream finished.
+            for sid, tx, rx in conns:
+                for _ in range(chunks_per_stream + 1):
+                    ack = rx.recv()
+                    assert ack is not None and ack.ack, (sid, ack)
+                tx.close()
+        except Exception as exc:  # noqa: BLE001 - reported by the caller
+            dialed.abort()
+            with lock:
+                errors.append(f"client[{lo}:{hi}]: {exc!r}")
+        finally:
+            for _, tx, _ in conns:
+                tx.sock.close()
+
+    workers = [
+        threading.Thread(
+            target=client,
+            args=(streams * w // n_workers, streams * (w + 1) // n_workers),
+            daemon=True,
+        )
+        for w in range(n_workers)
+    ]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(180.0)
+    server_thread.join(180.0)
+    assert not server_thread.is_alive(), "receiver did not finish"
+    assert not any(t.is_alive() for t in workers), "client did not finish"
+    assert not errors, errors[:5]
+    assert box["rx"].ok, box["rx"].errors
+    return counts
+
+
+@pytest.mark.slow
+def test_many_streams_zero_errors_and_flat_rss():
+    """Two identical 500-stream waves.  The first sets the process's
+    RSS high-water for one full run — dial storm, shard fan-out, dedup
+    state, ACK drain, teardown; a receiver that leaks per-connection
+    state (parked sockets, an unbounded dedup set, orphaned frames)
+    grows with every wave and breaks the bound on the second."""
+    streams, chunks_per_stream = 500, 4
+    high_water_kb = []
+    for _ in range(2):
+        counts = many_streams_wave(streams, chunks_per_stream, bytes(2048))
+        assert len(counts) == streams
+        assert set(counts.values()) == {chunks_per_stream}
+        high_water_kb.append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        )
+    # 64 MiB absorbs allocator arena growth between waves; a real leak
+    # at 500 streams x (socket + frame buffers + dedup entries) does not
+    # fit in it.  (ru_maxrss is kilobytes on Linux.)
+    assert high_water_kb[1] - high_water_kb[0] <= 64 * 1024
 
 
 class TestFlowTracing:

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.faults import FaultInjector
 from repro.live.transport import (
     _BODY,
     _HEADER,
@@ -382,3 +383,44 @@ class TestTracedFrames:
         rx.feed(wire_a)
         assert rx.next_frame().payload == b"abc"
         assert zlib.crc32(b"abc") == zlib.crc32(b"abc")  # sanity
+
+
+class TestSendPathParity:
+    """``_send_copy`` stays because a fault injector must see (and be
+    able to mangle) contiguous wire bytes; everything else goes out
+    through ``sendmsg``.  Both are the same wire format."""
+
+    FRAMES = (
+        Frame("s", 0, b"", orig_len=0),
+        Frame("s", 1, bytes(range(256)) * 8, compressed=True, orig_len=4096),
+        Frame("s", 2, b"traced", orig_len=6, traced=True, sent_at=123.456),
+        Frame.end_of_stream("s"),
+    )
+
+    @staticmethod
+    def _bytes_sent(send, injector=None):
+        a, b = socket.socketpair()
+        try:
+            send(FramedSender(a, injector=injector))
+            a.close()
+            b.settimeout(10.0)
+            received = bytearray()
+            while chunk := b.recv(1 << 16):
+                received += chunk
+            return bytes(received)
+        finally:
+            a.close()
+            b.close()
+
+    def test_copy_and_vectored_paths_put_identical_bytes_on_the_wire(self):
+        def one_by_one(tx):
+            for frame in self.FRAMES:
+                tx.send(frame)
+
+        injector = FaultInjector()  # no specs: observes, never sabotages
+        copied = self._bytes_sent(one_by_one, injector)
+        assert injector.frames_seen == len(self.FRAMES)  # took _send_copy
+        vectored = self._bytes_sent(one_by_one)
+        batched = self._bytes_sent(lambda tx: tx.send_many(self.FRAMES))
+        expected = b"".join(TestTracedFrames._wire(f) for f in self.FRAMES)
+        assert copied == vectored == batched == expected
