@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Bottleneck analysis with per-chunk tracing.
+"""Bottleneck analysis with per-chunk stage spans.
 
 §4.1 of the paper narrates how "the bottlenecks within the end-to-end
 pipeline shift across different segments" as the thread configuration
 changes.  This example makes that observable: it runs three Table-3
-configurations with tracing enabled and prints, for each, the per-stage
+configurations with telemetry attached and prints, for each, the per-stage
 service times, the queue waits (where backpressure piles up), and the
 detected bottleneck stage.
 
@@ -19,13 +19,13 @@ from repro.experiments.fig12 import e2e_scenario
 def analyze(label: str) -> None:
     cfg = TABLE3[label]
     scenario = e2e_scenario(cfg, sr_threads=8, recv_domain=1, num_chunks=120)
-    rt = SimRuntime(scenario, trace=True)
+    rt = SimRuntime(scenario, telemetry=True)
     result = rt.run()
     (stream,) = result.streams.values()
     sid = scenario.streams[0].stream_id
     print(f"config {label} ({cfg.compress_threads}C/{cfg.decompress_threads}D): "
           f"{stream.delivered_gbps:.1f} Gbps end-to-end")
-    print(rt.tracer.report(sid))
+    print(rt.telemetry.pipeline_report(sid).render())
     print()
 
 

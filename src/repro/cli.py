@@ -1,52 +1,202 @@
-"""Command-line entry points.
+"""The ``repro`` command (also ``python -m repro``).
 
-``repro-experiment`` regenerates paper exhibits::
+The paper's Figure-4 workflow is ``plan generate`` -> ``run`` (the
+simulator) / ``live`` (real threads, processes, sockets); one plan
+file (format v3; v1/v2 scenarios load too) drives either substrate::
 
-    repro-experiment fig12            # one exhibit
-    repro-experiment all --quick      # whole evaluation, reduced sweeps
+    repro plan generate --stream det1:updraft1:lynxdtn:aps-lan -o plan.json
+    repro plan explain plan.json          # placements + §3 rationale
+    repro plan diff plan.json --substrates    # sim-vs-live parity check
+    repro plan diff a.json b.json             # plan-vs-plan drift
+    repro plan lower plan.json --target live  # affinity + thread counts
+    repro run plan.json
+    repro live --plan plan.json --chunks 12
 
-``repro-live`` runs the real-thread pipeline on this host::
+``run`` and ``live`` take the same observation options
+(``--trace-out --metrics-out --json-out --obs-port --events-out
+--profile --autotune``); ``top`` watches an ``--obs-port``::
 
-    repro-live --chunks 12 --codec zlib --connections 2
-    repro-live --chunks 12 --trace-out trace.json   # Chrome/Perfetto trace
-    repro-live --chunks 24 --fault drop:at=5 --fault corrupt:at=11
-    repro-live --connect host:9000 --fault drop:at=5 --json-out out.json
+    repro live --chunks 12 --trace-out trace.json   # Chrome/Perfetto trace
+    repro run plan.json --metrics-out metrics.prom
+    repro live --chunks 1500 --obs-port 0 & repro top http://127.0.0.1:PORT
 
-``repro-plan`` / ``repro-run`` are the paper's Figure-4 workflow: the
-pass-based planner writes a substrate-neutral plan file (format v3);
-either runtime executes it::
+``live`` without a plan runs a small zlib loopback, in-process by
+default or as a TCP endpoint::
 
-    repro-plan generate --stream det1:updraft1:lynxdtn:aps-lan -o plan.json
-    repro-plan explain plan.json        # placements + §3 rationale
-    repro-plan diff plan.json --substrates   # sim-vs-live parity check
-    repro-plan diff a.json b.json            # plan-vs-plan drift
-    repro-plan lower plan.json --target live # affinity + thread counts
-    repro-run plan.json                      # v1/v2/v3 all load
-    repro-run --plan plan.json --trace-out trace.json
-    repro-live --plan plan.json --chunks 12
+    repro live --chunks 24 --fault drop:at=5 --fault corrupt:at=11
+    repro live --connect host:9000 --fault drop:at=5 --json-out out.json
 
-(The original no-subcommand form ``repro-plan --stream ... -o out``
-still works and means ``generate``.)
+``experiment`` regenerates paper exhibits::
 
-``repro-telemetry`` exercises the unified observability layer on either
-substrate and dumps/exports what it collected::
-
-    repro-telemetry dump --substrate live --format prom
-    repro-telemetry export --substrate sim -o trace.json
+    repro experiment fig12            # one exhibit
+    repro experiment all --quick      # whole evaluation, reduced sweeps
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.experiments import EXPERIMENTS, get_experiment
+from repro.obs.session import Observation, observe
+from repro.obs.top import add_top_arguments, run_top
+
+def _add_observation_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace-out", metavar="PATH",
+        help="collect telemetry and write a Chrome trace_event JSON of "
+        "every stage span (open in chrome://tracing or ui.perfetto.dev)",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="PATH",
+        help="collect telemetry and write Prometheus text exposition",
+    )
+    parser.add_argument(
+        "--json-out", metavar="PATH",
+        help="write the run result as JSON (shared result envelope)",
+    )
+    parser.add_argument(
+        "--obs-port", type=int, metavar="PORT",
+        help="serve /metrics /healthz /report /events /trace on "
+        "127.0.0.1:PORT while the run is in progress (0 = ephemeral; "
+        "watch with `repro top`)",
+    )
+    parser.add_argument(
+        "--events-out", metavar="PATH",
+        help="write every structured event (lifecycle, retries, faults, "
+        "watchdog alerts) to PATH as JSON lines",
+    )
+    parser.add_argument(
+        "--profile", action="store_true",
+        help="run the stage-attributed sampling profiler and fold "
+        "per-stage self-time into the pipeline report (on `run` it "
+        "samples the simulator itself, not the modeled stages)",
+    )
+    parser.add_argument(
+        "--autotune", action="store_true",
+        help="run the closed-loop controller: watchdog signals become "
+        "plan deltas (scale workers, respawn a stage, retune "
+        "batch_frames) applied to the running pipeline without restart "
+        "— on `run`, on the virtual clock and deterministic under the "
+        "scenario seed (see docs/autotuning.md)",
+    )
 
 
-def experiment_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiment",
+def _telemetry_for(args: argparse.Namespace, autotune: bool, *also):
+    """A fresh Telemetry when an observation option (or anything in
+    ``also``) reads one; None for an unobserved run."""
+    if (
+        args.trace_out
+        or args.metrics_out
+        or args.obs_port is not None
+        or args.events_out
+        or args.profile
+        or autotune
+        or any(also)
+    ):
+        from repro.telemetry import Telemetry
+
+        return Telemetry()
+    return None
+
+
+@contextmanager
+def _observed(telemetry, substrate: str, args, autotune: bool, plan):
+    """The run's :func:`repro.obs.session.observe` session, announced.
+
+    Without telemetry nothing observes and the handles are all None.
+    """
+    if telemetry is None:
+        yield Observation()
+        return
+    with observe(
+        telemetry,
+        substrate,
+        port=args.obs_port,
+        events_out=args.events_out,
+        profile=args.profile,
+        autotune=autotune,
+        plan=plan,
+    ) as obs:
+        if obs.controller is not None:
+            node = obs.controller.config
+            pacing = f"interval={node.interval:g}s cooldown={node.cooldown:g}s"
+            if substrate == "live":
+                print("autotune: controller armed "
+                      f"({pacing} max_workers={node.max_workers})")
+            else:
+                print("autotune: controller armed on the virtual clock "
+                      f"({pacing})")
+        if obs.server is not None:
+            print(f"observability endpoints at {obs.server.url} "
+                  "(/metrics /healthz /report /events /trace)")
+        yield obs
+
+
+def _write_observations(
+    args, telemetry, obs, *, streams=(None,), trace_sample: int = 0
+) -> None:
+    """After the session closed: every artefact an option asked for,
+    the controller's decisions, and one pipeline report per ``streams``
+    entry (None = the whole run)."""
+    if obs.profiler is not None:
+        print(obs.profiler.render())
+        if args.profile_out:
+            with open(args.profile_out, "w", encoding="utf-8") as fh:
+                fh.write(obs.profiler.collapsed())
+                fh.write("\n")
+            print(f"wrote collapsed stacks to {args.profile_out}")
+    if obs.bus is not None and args.events_out:
+        print(f"wrote {obs.bus.emitted} events to {args.events_out}")
+    if telemetry is not None:
+        if args.trace_out:
+            n = telemetry.write_chrome_trace(args.trace_out)
+            print(f"wrote {n} trace events to {args.trace_out}")
+        if args.flow_out:
+            from repro.trace import write_flow_trace
+
+            n = write_flow_trace(telemetry.spans.snapshot(), args.flow_out)
+            print(f"wrote {n} flow-trace events to {args.flow_out}")
+        if trace_sample:
+            from repro.trace import assemble
+
+            traces = assemble(telemetry.spans.snapshot())
+            n = sum(1 for t in traces if "wire" in t.stage_order())
+            print(f"flow tracing: {n} traced chunk journey(s) assembled "
+                  f"(1-in-{trace_sample} head sampling)")
+        if args.metrics_out:
+            with open(args.metrics_out, "w", encoding="utf-8") as fh:
+                fh.write(telemetry.prometheus_text())
+            print(f"wrote metrics to {args.metrics_out}")
+        if obs.controller is not None:
+            if obs.controller.decisions:
+                print("autotune decisions: "
+                      + "; ".join(obs.controller.decisions))
+            else:
+                print("autotune: no re-plan needed")
+        for stream_id in streams:
+            report = telemetry.pipeline_report(stream_id)
+            if obs.profiler is not None:
+                report.profile = obs.profiler.stage_self_seconds()
+            if report.stages:
+                print(report.render())
+
+
+def _write_json(args, result) -> None:
+    if args.json_out:
+        from repro.core.results import write_result_json
+
+        write_result_json(result, args.json_out)
+        print(f"wrote result to {args.json_out}")
+
+
+def _add_experiment(sub) -> None:
+    parser = sub.add_parser(
+        "experiment",
+        help="regenerate a paper exhibit on the simulator",
         description="Regenerate the paper's figures/tables on the simulator.",
     )
     parser.add_argument(
@@ -58,8 +208,10 @@ def experiment_main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="reduced sweeps, single repetitions"
     )
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
+    parser.set_defaults(handler=_experiment)
 
+
+def _experiment(args) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     failed: list[str] = []
     results = {}
@@ -83,418 +235,226 @@ def experiment_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def live_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-live",
+# ---------------------------------------------------------------------------
+# repro live
+# ---------------------------------------------------------------------------
+
+#: The sizing flags, by the LiveConfig field each one sets (its argparse
+#: ``dest``).  Every one defaults to None: a flag that is given wins,
+#: otherwise the plan, otherwise ``_LIVE_DEFAULTS``.
+_LIVE_SIZING = (
+    "codec", "compress_threads", "decompress_threads", "connections",
+    "receiver_shards", "execution_mode", "process_domains", "batch_frames",
+    "batch_linger", "trace_sample", "trace_per_stream_cap",
+)
+#: What `repro live` runs with no plan and no flags.
+_LIVE_DEFAULTS = {"codec": "zlib", "connections": 2}
+
+
+def _add_live(sub) -> None:
+    parser = sub.add_parser(
+        "live",
+        help="run the pipeline on real threads, processes and sockets",
         description="Run the live (real threads + sockets) pipeline: "
         "in-process by default, or as a TCP endpoint with "
         "--listen / --connect (run the receiver first).",
     )
     parser.add_argument("--chunks", type=int, default=12)
     parser.add_argument(
-        "--codec",
-        default=None,
-        metavar="SPEC",
+        "--codec", metavar="SPEC",
         help="codec spec: a name, preset, or 'name:k=v,...' string "
         "(e.g. zlib:level=1, bz2, adaptive:allowed=zlib|null) "
         "(default: the plan's codec policy, else zlib)",
     )
-    parser.add_argument("--compress-threads", type=int, default=2)
-    parser.add_argument("--decompress-threads", type=int, default=2)
-    parser.add_argument("--connections", type=int, default=2)
     parser.add_argument(
-        "--receiver-shards",
-        type=int,
-        default=None,
-        metavar="N",
+        "--compress-threads", type=int, metavar="N",
+        help="compress workers (default: the plan's, else 2)",
+    )
+    parser.add_argument(
+        "--decompress-threads", type=int, metavar="N",
+        help="decompress workers (default: the plan's, else 2)",
+    )
+    parser.add_argument(
+        "--connections", type=int, metavar="N",
+        help="sender/receiver connection pairs (default: the plan's, else 2)",
+    )
+    parser.add_argument(
+        "--receiver-shards", type=int, metavar="N",
         help="reactor shards of the receiver's event-loop plane; 0 = one "
         "per core (default: the plan's execution policy, else 0)",
     )
     parser.add_argument(
-        "--mode",
-        choices=("thread", "process"),
-        default=None,
+        "--mode", dest="execution_mode", choices=("thread", "process"),
         help="execution mode for the in-process loopback: 'thread' "
-        "(default) keeps one GIL-bound process; 'process' runs one "
-        "compressor process per NUMA domain over shared-memory rings "
-        "(default: the plan's execution mode, else thread; see "
-        "docs/multiprocess.md)",
+        "keeps one GIL-bound process; 'process' runs one compressor "
+        "process per NUMA domain over shared-memory rings (default: the "
+        "plan's execution mode, else thread; see docs/multiprocess.md)",
     )
     parser.add_argument(
-        "--domains",
-        type=int,
-        default=None,
+        "--domains", dest="process_domains", type=int, metavar="N",
         help="compressor domains with --mode process "
         "(default: one per compress thread)",
     )
     parser.add_argument(
-        "--batch-frames",
-        type=int,
-        default=None,
+        "--batch-frames", type=int,
         help="frames coalesced per queue drain / vectored send "
         "(default: the plan's batch_frames, else 1)",
     )
     parser.add_argument(
-        "--batch-linger",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
+        "--batch-linger", type=float, metavar="SECONDS",
         help="extra time a sender waits to top a partial batch up "
         "before flushing (default 0)",
     )
     parser.add_argument(
-        "--detector",
-        default="240x256",
+        "--detector", default="240x256",
         help="detector shape ROWSxCOLS (small by default: pure-Python codecs)",
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
+        "--listen", metavar="HOST:PORT",
         help="run as the receiving endpoint (the upstream gateway)",
     )
     parser.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
+        "--connect", metavar="HOST:PORT",
         help="run as the sending endpoint against a --listen receiver",
     )
     parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="collect telemetry and write a Chrome trace_event JSON "
-        "(open in chrome://tracing or ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=None,
-        metavar="N",
+        "--trace-sample", type=int, metavar="N",
         help="flow tracing: head-sample every Nth chunk per stream at "
         "the feeder and follow it across threads, processes, and the "
         "wire (see docs/tracing.md; the plan's trace node can set this "
         "too)",
     )
     parser.add_argument(
-        "--trace-cap",
-        type=int,
-        default=None,
-        metavar="N",
+        "--trace-cap", dest="trace_per_stream_cap", type=int, metavar="N",
         help="with --trace-sample: stop starting new traces for a "
         "stream after N (bounds trace volume on long runs)",
     )
     parser.add_argument(
-        "--flow-out",
-        metavar="PATH",
+        "--flow-out", metavar="PATH",
         help="write a Chrome trace with flow-event arrows linking each "
         "sampled chunk's spans across threads (implies tracing "
         "telemetry; best with --trace-sample)",
     )
     parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="collect telemetry and write Prometheus text exposition",
-    )
-    parser.add_argument(
-        "--fault",
-        action="append",
-        default=[],
-        metavar="KIND[:k=v,...]",
+        "--fault", action="append", default=[], metavar="KIND[:k=v,...]",
         help="inject a sender-side transport fault (chaos testing); "
         "repeatable. Kinds: corrupt, truncate, drop, delay. Keys: "
         "at=<frame>, conn=<connection>, delay=<s>, count=<n>. "
         "Example: drop:at=5",
     )
     parser.add_argument(
-        "--obs-port",
-        type=int,
-        metavar="PORT",
-        help="serve /metrics /healthz /report /events on 127.0.0.1:PORT "
-        "while the pipeline runs (0 = ephemeral; watch with repro-top)",
-    )
-    parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="run the closed-loop controller: watchdog signals become "
-        "plan deltas (scale workers, respawn a stage, retune "
-        "batch_frames) applied to the running pipeline without restart "
-        "(see docs/autotuning.md)",
-    )
-    parser.add_argument(
-        "--events-out",
-        metavar="PATH",
-        help="write every structured event (lifecycle, retries, faults, "
-        "watchdog alerts) to PATH as JSON lines",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the stage-attributed sampling profiler and fold "
-        "per-stage self-time into the pipeline report",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
+        "--profile-out", metavar="PATH",
         help="with --profile: also write collapsed-stack flamegraph text",
     )
     parser.add_argument(
-        "--json-out",
-        metavar="PATH",
-        help="write the run result as JSON (shared result envelope)",
-    )
-    parser.add_argument(
-        "--plan",
-        metavar="PATH",
+        "--plan", metavar="PATH",
         help="take thread counts, connections, and CPU affinity from a "
-        "plan file (v1/v2/v3) via the planner's live lowering",
+        "plan file (v1/v2/v3) via the planner's live lowering; sizing "
+        "flags given alongside override it",
     )
     parser.add_argument(
-        "--stream",
-        metavar="ID",
+        "--stream", metavar="ID",
         help="stream id within --plan (required for multi-stream plans)",
     )
     parser.add_argument(
-        "--host-cpus",
-        type=int,
-        default=None,
+        "--host-cpus", type=int,
         help="host CPU count for the --plan affinity folding "
         "(default: this host's)",
     )
-    args = parser.parse_args(argv)
+    _add_observation_arguments(parser)
+    parser.set_defaults(handler=_live, parser=parser)
+
+
+def _live(args) -> int:
+    from repro.faults import FaultInjector, parse_fault
+    from repro.live import LiveConfig, LivePipeline
+    from repro.util.errors import ValidationError
+
+    parser = args.parser
+    remote = args.listen or args.connect
     if args.listen and args.connect:
         parser.error("--listen and --connect are mutually exclusive")
     if args.stream and not args.plan:
         parser.error("--stream only makes sense with --plan")
-    if args.mode == "process" and (args.listen or args.connect):
+    if args.execution_mode == "process" and remote:
         parser.error("--mode process runs the in-process loopback; "
                      "it cannot combine with --listen / --connect")
-    if args.mode == "process" and args.fault:
+    if args.execution_mode == "process" and args.fault:
         parser.error("--fault drives the resilient TCP endpoints; "
                      "process-mode fault testing lives in the chaos suite")
-    if args.domains is not None and args.domains < 1:
+    if args.process_domains is not None and args.process_domains < 1:
         parser.error("--domains must be >= 1")
-    if args.autotune and (args.listen or args.connect):
+    if args.autotune and remote:
         parser.error("--autotune drives the in-process pipelines; the "
                      "remote endpoints have no reconfiguration surface yet")
     if args.autotune and args.fault:
         parser.error("--fault runs over the remote endpoints, which "
                      "--autotune does not drive yet")
-
-    lowered = None
-    plan_obj = None
-    if args.plan:
-        from repro.plan.passes import build_live
-        from repro.plan.serialize import load_plan
-
-        plan_obj = load_plan(args.plan)
-        lowered = build_live(
-            plan_obj,
-            args.stream,
-            codec=args.codec,
-            host_cpus=args.host_cpus,
-        )
-        args.compress_threads = lowered.config.compress_threads
-        args.decompress_threads = lowered.config.decompress_threads
-        args.connections = lowered.config.connections
-        print(
-            f"plan {args.plan}: stream {lowered.stream_id!r} -> "
-            f"compress={args.compress_threads} "
-            f"decompress={args.decompress_threads} "
-            f"connections={args.connections} "
-            f"codec={lowered.config.codec}"
-        )
     if args.listen and args.fault:
         parser.error("--fault is sender-side; use it with --connect or "
                      "the in-process loopback, not --listen")
-
-    def setting(flag: str, field: str, default):
-        """A flag overrides the plan's lowered value; with neither,
-        ``default`` (the no-plan behaviour) applies."""
-        value = getattr(args, flag)
-        if value is not None:
-            return value
-        if lowered is not None:
-            return getattr(lowered.config, field)
-        return default
-
-    codec = setting("codec", "codec", "zlib")
-    mode = setting("mode", "execution_mode", "thread")
-    batch_frames = setting("batch_frames", "batch_frames", 1)
-    receiver_shards = setting("receiver_shards", "receiver_shards", 0)
-    trace_sample = setting("trace_sample", "trace_sample", 0)
-    trace_cap = setting("trace_cap", "trace_per_stream_cap", 0)
-    for flag, value, minimum in (
-        ("--batch-frames", batch_frames, 1),
-        ("--batch-linger", args.batch_linger, 0),
-        ("--receiver-shards", receiver_shards, 0),
-        ("--trace-sample", trace_sample, 0),
-        ("--trace-cap", trace_cap, 0),
-    ):
-        if value < minimum:
-            parser.error(f"{flag} must be >= {minimum}")
-    if trace_cap and not trace_sample:
-        parser.error("--trace-cap needs --trace-sample")
-    if args.domains is not None and mode != "process":
-        parser.error("--domains sizes the compressor processes; it needs "
-                     "--mode process (or a plan whose execution mode is "
-                     "process)")
-
-    from repro.faults import FaultInjector, parse_fault
-    from repro.util.errors import ValidationError
-
+    if args.profile_out and not args.profile:
+        parser.error("--profile-out needs --profile")
+    try:
+        rows, cols = (int(x) for x in args.detector.lower().split("x"))
+    except ValueError:
+        parser.error(f"bad --detector {args.detector!r}: want ROWSxCOLS")
     try:
         fault_specs = [parse_fault(text) for text in args.fault]
     except ValidationError as exc:
         parser.error(str(exc))
 
-    if args.profile_out and not args.profile:
-        parser.error("--profile-out needs --profile")
+    plan_obj = None
+    base = LiveConfig(**_LIVE_DEFAULTS)
+    if args.plan:
+        from repro.plan.passes import build_live
+        from repro.plan.serialize import load_plan
+
+        plan_obj = load_plan(args.plan)
+        lowered = build_live(plan_obj, args.stream, host_cpus=args.host_cpus)
+        base = lowered.config
+    given = {
+        field: getattr(args, field)
+        for field in _LIVE_SIZING
+        if getattr(args, field) is not None
+    }
+    try:
+        config = dataclasses.replace(base, **given)
+    except ValidationError as exc:
+        parser.error(str(exc))
+    if config.trace_per_stream_cap and not config.trace_sample:
+        parser.error("--trace-cap needs --trace-sample")
+    if args.process_domains and config.execution_mode != "process":
+        parser.error("--domains sizes the compressor processes; it needs "
+                     "--mode process (or a plan whose execution mode is "
+                     "process)")
+    if args.plan:
+        print(
+            f"plan {args.plan}: stream {lowered.stream_id!r} -> "
+            f"compress={config.compress_threads} "
+            f"decompress={config.decompress_threads} "
+            f"connections={config.connections} "
+            f"codec={config.codec}"
+        )
 
     # The plan's ControlNode can turn the loop on without the flag.
     autotune = args.autotune or (
         plan_obj is not None and plan_obj.control.enabled
     )
-    wants_obs = (
-        args.obs_port is not None
-        or args.events_out
-        or args.profile
-        or autotune
+    telemetry = _telemetry_for(
+        args, autotune, args.flow_out, fault_specs, config.trace_sample
     )
-    telemetry = None
-    if (
-        args.trace_out
-        or args.flow_out
-        or args.metrics_out
-        or fault_specs
-        or wants_obs
-        or trace_sample
-    ):
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
     injector = (
         FaultInjector(fault_specs, telemetry=telemetry)
         if fault_specs
         else None
     )
 
-    # The observability plane: event stream, watchdog, profiler, HTTP
-    # endpoints — all optional, all reading the shared Telemetry.
-    obs: dict = {}
-    if telemetry is not None and wants_obs:
-        from repro.obs import (
-            EventBus,
-            ObservabilityServer,
-            SamplingProfiler,
-            Watchdog,
-        )
-        from repro.util.log import attach_event_bus
-
-        if args.obs_port is not None or args.events_out or autotune:
-            bus = EventBus(source="live", jsonl_path=args.events_out)
-            telemetry.attach_events(bus)
-            obs["bus"] = bus
-            obs["log_handler"] = attach_event_bus(bus)
-            obs["watchdog"] = Watchdog(telemetry).start()
-        if autotune:
-            from repro.control import Controller
-            from repro.plan.ir import ControlNode
-
-            node = (
-                plan_obj.control
-                if plan_obj is not None and not plan_obj.control.is_default
-                else ControlNode(enabled=True)
-            )
-            # The pipeline starts/stops the controller around its run.
-            obs["controller"] = Controller(
-                telemetry, node, plan=plan_obj
-            )
-            print("autotune: controller armed "
-                  f"(interval={node.interval:g}s cooldown={node.cooldown:g}s "
-                  f"max_workers={node.max_workers})")
-        if args.profile:
-            obs["profiler"] = SamplingProfiler().start()
-        if args.obs_port is not None:
-            server = ObservabilityServer(
-                telemetry,
-                port=args.obs_port,
-                events=obs.get("bus"),
-                profiler=obs.get("profiler"),
-            ).start()
-            obs["server"] = server
-            print(f"observability endpoints at {server.url} "
-                  "(/metrics /healthz /report /events /trace)")
-
-    def write_json(report) -> None:
-        if args.json_out:
-            from repro.core.results import write_result_json
-
-            write_result_json(report, args.json_out)
-            print(f"wrote result to {args.json_out}")
-
-    def finish_obs() -> None:
-        watchdog = obs.get("watchdog")
-        if watchdog is not None:
-            watchdog.stop()
-        profiler = obs.get("profiler")
-        if profiler is not None:
-            profiler.stop()
-            print(profiler.render())
-            if args.profile_out:
-                with open(args.profile_out, "w", encoding="utf-8") as fh:
-                    fh.write(profiler.collapsed())
-                    fh.write("\n")
-                print(f"wrote collapsed stacks to {args.profile_out}")
-        server = obs.get("server")
-        if server is not None:
-            server.mark_finished()
-            server.stop()
-        handler = obs.get("log_handler")
-        if handler is not None:
-            from repro.util.log import detach_event_bus
-
-            detach_event_bus(handler)
-        bus = obs.get("bus")
-        if bus is not None:
-            bus.close()
-            if args.events_out:
-                print(f"wrote {bus.emitted} events to {args.events_out}")
-
-    def finish_telemetry() -> None:
-        finish_obs()
-        if telemetry is None:
-            return
-        if args.trace_out:
-            n = telemetry.write_chrome_trace(args.trace_out)
-            print(f"wrote {n} trace events to {args.trace_out}")
-        if args.flow_out:
-            from repro.trace import write_flow_trace
-
-            n = write_flow_trace(telemetry.spans.snapshot(), args.flow_out)
-            print(f"wrote {n} flow-trace events to {args.flow_out}")
-        if trace_sample:
-            from repro.trace import assemble
-
-            traces = assemble(telemetry.spans.snapshot())
-            n = sum(1 for t in traces if "wire" in t.stage_order())
-            print(f"flow tracing: {n} traced chunk journey(s) assembled "
-                  f"(1-in-{trace_sample} head sampling)")
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(telemetry.prometheus_text())
-            print(f"wrote metrics to {args.metrics_out}")
-        report = telemetry.pipeline_report()
-        profiler = obs.get("profiler")
-        if profiler is not None:
-            report.profile = profiler.stage_self_seconds()
-        if report.stages:
-            print(report.render())
-
-    from repro.data import SpheresDataset, SpheresPhantom
-    from repro.data.chunking import DatasetChunkSource
-
-    rows, cols = (int(x) for x in args.detector.lower().split("x"))
-
     def make_source():
+        from repro.data import SpheresDataset, SpheresPhantom
+        from repro.data.chunking import DatasetChunkSource
+
         dataset = SpheresDataset(
             SpheresPhantom(
                 cylinder_radius=300,
@@ -514,11 +474,11 @@ def live_main(argv: list[str] | None = None) -> int:
         return ReceiverServer(
             host,
             port,
-            codec=codec,
-            connections=args.connections,
-            decompress_threads=args.decompress_threads,
-            batch_frames=batch_frames,
-            shards=receiver_shards,
+            codec=config.codec,
+            connections=config.connections,
+            decompress_threads=config.decompress_threads,
+            batch_frames=config.batch_frames,
+            shards=config.receiver_shards,
             telemetry=telemetry,
         )
 
@@ -528,147 +488,88 @@ def live_main(argv: list[str] | None = None) -> int:
         return SenderClient(
             host,
             port,
-            codec=codec,
-            connections=args.connections,
-            compress_threads=args.compress_threads,
-            batch_frames=batch_frames,
-            batch_linger=args.batch_linger,
+            codec=config.codec,
+            connections=config.connections,
+            compress_threads=config.compress_threads,
+            batch_frames=config.batch_frames,
+            batch_linger=config.batch_linger,
             telemetry=telemetry,
             injector=injector,
-            trace_sample=trace_sample,
-            trace_per_stream_cap=trace_cap,
+            trace_sample=config.trace_sample,
+            trace_per_stream_cap=config.trace_per_stream_cap,
         )
 
-    if args.listen or args.connect:
-        host, port = (args.listen or args.connect).rsplit(":", 1)
-        if args.listen:
-            server = make_receiver(host or "0.0.0.0", int(port))
-            print(f"listening on {server.address[0]}:{server.address[1]} "
-                  f"for {args.connections} connection(s) "
-                  f"({server.shards} reactor shard(s))...")
-            with server:
-                report = server.serve()
-        else:
-            report = make_sender(host, int(port)).run(make_source())
-        print(report.summary())
-        finish_telemetry()
-        write_json(report)
-        return 0 if report.ok else 1
-
-    if injector is not None:
-        # Faults need the resilient TCP endpoints; run both over
-        # loopback (the in-process socketpair pipeline has no recovery).
-        import threading
-
-        server = make_receiver("127.0.0.1", 0)
-        box: dict = {}
-
-        def serve() -> None:
-            box["report"] = server.serve()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        client = make_sender(*server.address)
-        sender_report = client.run(make_source())
-        thread.join(client.timeouts.join)
-        report = box.get("report")
-        print(sender_report.summary())
-        if report is not None:
+    with _observed(telemetry, "live", args, autotune, plan_obj) as obs:
+        if remote:
+            host, port = remote.rsplit(":", 1)
+            if args.listen:
+                server = make_receiver(host or "0.0.0.0", int(port))
+                print(f"listening on {server.address[0]}:{server.address[1]} "
+                      f"for {config.connections} connection(s) "
+                      f"({server.shards} reactor shard(s))...")
+                with server:
+                    report = server.serve()
+            else:
+                report = make_sender(host, int(port)).run(make_source())
             print(report.summary())
-        if telemetry is not None:
+            ok = report.ok
+        elif injector is not None:
+            # Faults need the resilient TCP endpoints; run both over
+            # loopback (the in-process socketpair pipeline has no
+            # recovery).
+            import threading
+
+            server = make_receiver("127.0.0.1", 0)
+            box: dict = {}
+            thread = threading.Thread(
+                target=lambda: box.update(report=server.serve()), daemon=True
+            )
+            thread.start()
+            client = make_sender(*server.address)
+            report = client.run(make_source())
+            thread.join(client.timeouts.join)
+            received = box.get("report")
+            print(report.summary())
+            if received is not None:
+                print(received.summary())
+            counter = telemetry.counter_value
             print(
                 "resilience: retries="
-                f"{telemetry.counter_value('transport_retries_total'):.0f} "
+                f"{counter('transport_retries_total'):.0f} "
                 "redeliveries="
-                f"{telemetry.counter_value('transport_redeliveries_total'):.0f} "
+                f"{counter('transport_redeliveries_total'):.0f} "
                 "rejected="
-                f"{telemetry.counter_value('transport_frames_rejected_total'):.0f} "
+                f"{counter('transport_frames_rejected_total'):.0f} "
                 "deduped="
-                f"{telemetry.counter_value('transport_frames_deduped_total'):.0f}"
+                f"{counter('transport_frames_deduped_total'):.0f}"
             )
-        finish_telemetry()
-        write_json(sender_report)
-        ok = sender_report.ok and report is not None and report.ok
-        return 0 if ok else 1
-
-    import dataclasses
-
-    from repro.live import LiveConfig, LivePipeline
-
-    # Flags override what the plan lowered; LivePipeline reads the
-    # execution mode off the config.
-    config = dataclasses.replace(
-        lowered.config
-        if lowered is not None
-        else LiveConfig(
-            codec=codec,
-            compress_threads=args.compress_threads,
-            decompress_threads=args.decompress_threads,
-            connections=args.connections,
-        ),
-        batch_frames=batch_frames,
-        batch_linger=args.batch_linger,
-        trace_sample=trace_sample,
-        trace_per_stream_cap=trace_cap,
-        execution_mode=mode,
+            ok = report.ok and received is not None and received.ok
+        else:
+            if config.execution_mode == "process":
+                domains = config.process_domains or config.compress_threads
+                print(f"process mode: {domains} compressor domain(s) over "
+                      "shared-memory rings")
+            report = LivePipeline(
+                config, telemetry=telemetry, controller=obs.controller
+            ).run(make_source())
+            print(report.summary())
+            ok = report.ok
+    _write_observations(
+        args, telemetry, obs, trace_sample=config.trace_sample
     )
-    if mode == "process":
-        if args.domains is not None:
-            config = dataclasses.replace(config, process_domains=args.domains)
-        domains = config.process_domains or config.compress_threads
-        print(f"process mode: {domains} compressor domain(s) over "
-              "shared-memory rings")
-    controller = obs.get("controller")
-    report = LivePipeline(
-        config, telemetry=telemetry, controller=controller
-    ).run(make_source())
-    print(report.summary())
-    if controller is not None:
-        if controller.decisions:
-            print("autotune decisions: " + "; ".join(controller.decisions))
-        else:
-            print("autotune: no re-plan needed")
-    finish_telemetry()
-    write_json(report)
-    return 0 if report.ok else 1
+    _write_json(args, report)
+    return 0 if ok else 1
 
 
-def _codec_node_from_args(args, parser):
-    """Build the plan's codec policy node from --codec/--codec-adaptive."""
-    from repro.plan.ir import CodecNode
-    from repro.util.errors import ValidationError
-
-    if args.codec and args.codec_adaptive:
-        parser.error("--codec and --codec-adaptive are mutually exclusive")
-    if args.probe_interval and not args.codec_adaptive:
-        parser.error("--probe-interval needs --codec-adaptive")
-    try:
-        if args.codec:
-            node = CodecNode.from_spec(args.codec)
-        elif args.codec_adaptive:
-            node = CodecNode(
-                name="adaptive",
-                allowed=tuple(
-                    x for x in args.codec_adaptive.split(",") if x
-                ),
-                probe_interval=args.probe_interval,
-            )
-        else:
-            return None
-        node.spec().create()  # fail fast, before the plan is written
-    except ValidationError as exc:
-        parser.error(str(exc))
-    return node
-
-
-def _plan_generate(args, parser) -> int:
+def _plan_generate(args) -> int:
     from repro.core.generator import ConfigGenerator, StreamRequest, Workload
-    from repro.core.serialize import save_scenario
     from repro.experiments.base import paper_testbed
-    from repro.plan.lower import lower_sim
+    from repro.plan.ir import CodecNode
     from repro.plan.passes import run_passes
     from repro.plan.serialize import save_plan
+    from repro.util.errors import ValidationError
 
+    parser = args.parser
     requests = []
     for spec in args.stream:
         parts = spec.split(":")
@@ -686,27 +587,24 @@ def _plan_generate(args, parser) -> int:
         else generator.generate_plan(workload)
     )
     if args.batch_frames != 1:
-        from dataclasses import replace as _replace
-
-        plan = _replace(
+        plan = dataclasses.replace(
             plan,
             streams=tuple(
-                _replace(s, batch_frames=args.batch_frames)
+                dataclasses.replace(s, batch_frames=args.batch_frames)
                 for s in plan.streams
             ),
         )
-    codec_node = _codec_node_from_args(args, parser)
-    if codec_node is not None:
-        from dataclasses import replace as _replace
-
-        plan = _replace(plan, codec=codec_node)
+    if args.codec:
+        try:
+            codec_node = CodecNode.from_spec(args.codec)
+            codec_node.spec().create()  # fail fast, before the plan is written
+        except ValidationError as exc:
+            parser.error(str(exc))
+        plan = dataclasses.replace(plan, codec=codec_node)
     result = run_passes(plan)
     for warning in result.diagnostics.warnings:
         print(f"warning: {warning.message}", file=sys.stderr)
-    if args.scenario:
-        save_scenario(lower_sim(result.plan), args.output)
-    else:
-        save_plan(result.plan, args.output)
+    save_plan(result.plan, args.output)
     print(f"wrote {plan.name!r} ({len(plan.streams)} streams) "
           f"to {args.output}")
     return 0
@@ -726,10 +624,11 @@ def _plan_explain(args) -> int:
     return 0 if result.ok else 1
 
 
-def _plan_diff(args, parser) -> int:
+def _plan_diff(args) -> int:
     from repro.plan.diff import diff_plans, substrate_drift
     from repro.plan.serialize import load_plan
 
+    parser = args.parser
     plan = load_plan(args.plan)
     if args.substrates:
         if args.other is not None:
@@ -808,23 +707,22 @@ def _plan_lower(args) -> int:
     return 0
 
 
-def plan_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-plan",
-        description="The pass-based planner (Figure 4): generate a "
+def _add_plan(sub) -> None:
+    parser = sub.add_parser(
+        "plan",
+        help="generate, explain, diff or lower a pipeline plan",
+        description="The planner (Figure 4): generate a "
         "substrate-neutral pipeline plan, explain its placements, diff "
         "two plans or one plan's two lowerings, or lower it by hand.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    verbs = parser.add_subparsers(dest="verb", required=True)
 
-    generate = sub.add_parser(
+    generate = verbs.add_parser(
         "generate",
         help="plan a workload and write a plan file (format v3)",
     )
     generate.add_argument(
-        "--stream",
-        action="append",
-        required=True,
+        "--stream", action="append", required=True,
         metavar="ID:SENDER:RECEIVER:PATH",
         help="stream spec; repeatable. Machines: lynxdtn, updraft1/2, "
         "polaris1/2. Paths: aps-lan, alcf-aps.",
@@ -832,55 +730,33 @@ def plan_main(argv: list[str] | None = None) -> int:
     generate.add_argument("--chunks", type=int, default=250)
     generate.add_argument("--seed", type=int, default=7)
     generate.add_argument(
-        "--batch-frames",
-        type=int,
-        default=1,
+        "--batch-frames", type=int, default=1,
         help="frames coalesced per queue handoff / vectored send — a "
         "plan policy knob lowered to both substrates (default 1)",
     )
     generate.add_argument(
-        "--codec",
-        default=None,
-        metavar="SPEC",
-        help="static codec policy for the plan: a name, preset, or "
-        "'name:k=v,...' spec string (e.g. zlib:level=1, bz2); "
-        "omitted = the default (zlib), which keeps plan files "
-        "byte-identical to pre-codec-policy writers",
+        "--codec", metavar="SPEC",
+        help="codec policy for the plan: a name, preset, or "
+        "'name:k=v,...' spec string (e.g. zlib:level=1, bz2, "
+        "adaptive:allowed=zlib|null,probe_interval=8); omitted = the "
+        "default (zlib), which keeps plan files byte-identical to "
+        "pre-codec-policy writers",
     )
     generate.add_argument(
-        "--codec-adaptive",
-        default=None,
-        metavar="POOL",
-        help="adaptive codec policy: comma-separated candidate codecs "
-        "the per-chunk selector may choose among (e.g. zlib,null)",
-    )
-    generate.add_argument(
-        "--probe-interval",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --codec-adaptive: re-probe every N chunks per "
-        "entropy band (0 = the codec's default)",
-    )
-    generate.add_argument(
-        "--os-baseline",
-        action="store_true",
+        "--os-baseline", action="store_true",
         help="emit the OS-placement baseline instead of the NUMA-aware plan",
     )
-    generate.add_argument(
-        "--scenario",
-        action="store_true",
-        help="write the lowered v2 scenario instead of the v3 plan",
-    )
     generate.add_argument("-o", "--output", required=True)
+    generate.set_defaults(handler=_plan_generate, parser=generate)
 
-    explain = sub.add_parser(
+    explain = verbs.add_parser(
         "explain",
         help="print a plan with the §3 rationale behind every placement",
     )
     explain.add_argument("plan", help="plan or scenario file (v1/v2/v3)")
+    explain.set_defaults(handler=_plan_explain)
 
-    diff = sub.add_parser(
+    diff = verbs.add_parser(
         "diff",
         help="report drift between two plans, or between one plan's "
         "sim and live lowerings (--substrates)",
@@ -888,25 +764,21 @@ def plan_main(argv: list[str] | None = None) -> int:
     diff.add_argument("plan", help="plan or scenario file (v1/v2/v3)")
     diff.add_argument("other", nargs="?", help="second plan to compare")
     diff.add_argument(
-        "--substrates",
-        action="store_true",
+        "--substrates", action="store_true",
         help="check sim-vs-live lowering parity instead of plan-vs-plan",
     )
     diff.add_argument(
-        "--host-cpus",
-        type=int,
-        default=64,
+        "--host-cpus", type=int, default=64,
         help="host CPU count for the live affinity folding (default 64)",
     )
     diff.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
+        "--format", choices=["text", "json"], default="text",
         help="json = the structured PlanDelta document (ops + notes) "
         "the autotuning controller uses; exit 1 on a non-empty delta",
     )
+    diff.set_defaults(handler=_plan_diff, parser=diff)
 
-    lower = sub.add_parser(
+    lower = verbs.add_parser(
         "lower", help="lower a plan to one substrate's executable form"
     )
     lower.add_argument("plan", help="plan or scenario file (v1/v2/v3)")
@@ -919,197 +791,46 @@ def plan_main(argv: list[str] | None = None) -> int:
         "plans)",
     )
     lower.add_argument(
-        "--host-cpus",
-        type=int,
-        default=None,
+        "--host-cpus", type=int,
         help="host CPU count for the live affinity folding "
         "(default: this host's)",
     )
     lower.add_argument("-o", "--output")
-
-    # Compatibility: the original repro-plan took --stream/-o directly
-    # (no subcommand) and meant "generate".
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0].startswith("-"):
-        argv = ["generate", *argv]
-
-    args = parser.parse_args(argv)
-    if args.command == "generate":
-        return _plan_generate(args, parser)
-    if args.command == "explain":
-        return _plan_explain(args)
-    if args.command == "diff":
-        return _plan_diff(args, parser)
-    return _plan_lower(args)
+    lower.set_defaults(handler=_plan_lower)
 
 
-def run_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-run",
-        description="Execute a scenario configuration file on the simulator.",
+def _add_run(sub) -> None:
+    parser = sub.add_parser(
+        "run",
+        help="execute a plan on the simulator",
+        description="Execute a plan file on the simulator: the planner's "
+        "passes, the sim lowering, then the run on the virtual clock.",
     )
     parser.add_argument(
-        "scenario",
-        nargs="?",
-        help="path to a repro-plan JSON file (scenario v1/v2 or plan v3)",
+        "plan", help="plan or scenario file (v1/v2/v3) from `repro plan`"
     )
-    parser.add_argument(
-        "--plan",
-        metavar="PATH",
-        help="load the file as a pipeline plan and run it through the "
-        "planner's passes and sim lowering (accepts v1/v2/v3)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="collect telemetry on the virtual clock and write a Chrome "
-        "trace_event JSON of every simulated stage span",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="collect telemetry and write Prometheus text exposition",
-    )
-    parser.add_argument(
-        "--json-out",
-        metavar="PATH",
-        help="write the run result as JSON (shared result envelope)",
-    )
-    parser.add_argument(
-        "--obs-port",
-        type=int,
-        metavar="PORT",
-        help="serve /metrics /healthz /report /events on 127.0.0.1:PORT "
-        "while the scenario runs (0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--events-out",
-        metavar="PATH",
-        help="write structured events (lifecycle, faults, virtual-clock "
-        "watchdog alerts) to PATH as JSON lines",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample the simulator process itself (one thread: profiles "
-        "the engine, not the modeled stages)",
-    )
-    parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="run the closed-loop controller on the virtual clock: "
-        "watchdog signals become plan deltas applied to the simulated "
-        "pipeline mid-run — deterministic under the scenario seed "
-        "(see docs/autotuning.md)",
-    )
-    args = parser.parse_args(argv)
+    _add_observation_arguments(parser)
+    # The two observation artefacts only `live` can produce.
+    parser.set_defaults(handler=_run, profile_out=None, flow_out=None)
 
-    from repro.core.runtime import SimRuntime, run_scenario
-    from repro.core.serialize import load_scenario
+
+def _run(args) -> int:
+    from repro.core.runtime import SimRuntime
+    from repro.plan.passes import build_scenario
+    from repro.plan.serialize import load_plan
     from repro.util.tables import Table
 
-    if bool(args.scenario) == bool(args.plan):
-        parser.error("pass a scenario file or --plan PATH (not both)")
-    plan_obj = None
-    if args.plan:
-        from repro.plan.passes import build_scenario
-        from repro.plan.serialize import load_plan
-
-        plan_obj = load_plan(args.plan)
-        scenario = build_scenario(plan_obj)
-    else:
-        scenario = load_scenario(args.scenario)
-    autotune = args.autotune or (
-        plan_obj is not None and plan_obj.control.enabled
-    )
-    wants_obs = args.obs_port is not None or args.events_out or args.profile
-    controller = None
-    if args.trace_out or args.metrics_out or wants_obs or autotune:
-        from repro.telemetry import Telemetry
-
-        tel = Telemetry()
-        obs: dict = {}
-        watchdog_cfg = None
-        if args.obs_port is not None or args.events_out or autotune:
-            from repro.obs import EventBus, WatchdogConfig
-            from repro.util.log import attach_event_bus
-
-            bus = EventBus(source="sim", jsonl_path=args.events_out)
-            tel.attach_events(bus)
-            obs["bus"] = bus
-            obs["log_handler"] = attach_event_bus(bus)
-            # Coarser than the live defaults: these are *virtual*
-            # seconds, and every bottleneck check walks the span store.
-            watchdog_cfg = WatchdogConfig(
-                interval=1.0, stall_after=5.0, backpressure_after=2.0,
-                bottleneck_every=10,
-            )
-        if autotune:
-            from repro.control import Controller
-            from repro.plan.ir import ControlNode
-
-            node = (
-                plan_obj.control
-                if plan_obj is not None and not plan_obj.control.is_default
-                else ControlNode(enabled=True, interval=1.0, cooldown=2.0)
-            )
-            controller = Controller(tel, node, plan=plan_obj)
-            print("autotune: controller armed on the virtual clock "
-                  f"(interval={node.interval:g}s cooldown={node.cooldown:g}s)")
-        runtime = SimRuntime(
-            scenario, telemetry=tel, watchdog=watchdog_cfg,
-            controller=controller,
-        )
-        if args.obs_port is not None:
-            from repro.obs import ObservabilityServer
-
-            server = ObservabilityServer(
-                tel, port=args.obs_port, events=obs.get("bus")
-            ).start()
-            obs["server"] = server
-            print(f"observability endpoints at {server.url} "
-                  "(/metrics /healthz /report /events /trace)")
-        if args.profile:
-            from repro.obs import SamplingProfiler
-
-            obs["profiler"] = SamplingProfiler().start()
-        result = runtime.run()
-        profiler = obs.get("profiler")
-        if profiler is not None:
-            profiler.stop()
-            print(profiler.render())
-        server = obs.get("server")
-        if server is not None:
-            server.mark_finished()
-            server.stop()
-        handler = obs.get("log_handler")
-        if handler is not None:
-            from repro.util.log import detach_event_bus
-
-            detach_event_bus(handler)
-        bus = obs.get("bus")
-        if bus is not None:
-            bus.close()
-            if args.events_out:
-                print(f"wrote {bus.emitted} events to {args.events_out}")
-        if args.trace_out:
-            n = tel.write_chrome_trace(args.trace_out)
-            print(f"wrote {n} trace events to {args.trace_out}")
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(tel.prometheus_text())
-            print(f"wrote metrics to {args.metrics_out}")
-        if controller is not None:
-            if controller.decisions:
-                print("autotune decisions: "
-                      + "; ".join(controller.decisions))
-            else:
-                print("autotune: no re-plan needed")
-        for sid in sorted(result.streams):
-            print(tel.pipeline_report(sid).render())
-    else:
-        result = run_scenario(scenario)
+    plan_obj = load_plan(args.plan)
+    scenario = build_scenario(plan_obj)
+    autotune = args.autotune or plan_obj.control.enabled
+    telemetry = _telemetry_for(args, autotune)
+    with _observed(telemetry, "sim", args, autotune, plan_obj) as obs:
+        result = SimRuntime(
+            scenario,
+            telemetry=telemetry,
+            watchdog=obs.watchdog_config,
+            controller=obs.controller,
+        ).run()
     table = Table(
         headers=["stream", "chunks", "network Gbps", "end-to-end Gbps"],
         title=f"scenario {result.name!r} ({result.sim_time:.2f}s simulated)",
@@ -1120,120 +841,34 @@ def run_main(argv: list[str] | None = None) -> int:
                   round(s.delivered_gbps, 2))
     table.add("TOTAL", "-", round(result.total_wire_gbps, 2),
               round(result.total_delivered_gbps, 2))
+    _write_observations(args, telemetry, obs, streams=sorted(result.streams))
     print(table.render())
-    if args.json_out:
-        from repro.core.results import write_result_json
-
-        write_result_json(result, args.json_out)
-        print(f"wrote result to {args.json_out}")
+    _write_json(args, result)
     return 0
 
 
-def _collect_telemetry(substrate: str, chunks: int, seed: int, codec: str):
-    """Run a small canned pipeline on ``substrate``, return its Telemetry."""
-    from repro.telemetry import Telemetry
-
-    if substrate == "live":
-        from repro.data import SpheresDataset, SpheresPhantom
-        from repro.data.chunking import DatasetChunkSource
-        from repro.live import LiveConfig, LivePipeline
-
-        dataset = SpheresDataset(
-            SpheresPhantom(
-                cylinder_radius=300,
-                cylinder_height=240,
-                volume_fraction=0.2,
-                seed=seed,
-            ),
-            detector_shape=(64, 64),
-            num_projections=max(chunks, 1),
-            seed=seed,
-        )
-        source = DatasetChunkSource("live", dataset, limit=chunks).chunks()
-        telemetry = Telemetry()
-        pipeline = LivePipeline(LiveConfig(codec=codec), telemetry=telemetry)
-        report = pipeline.run(source)
-        if not report.ok:
-            raise SystemExit(f"live run failed: {'; '.join(report.errors)}")
-        return telemetry
-
-    from repro.core.generator import ConfigGenerator, StreamRequest, Workload
-    from repro.core.runtime import SimRuntime
-    from repro.experiments.base import paper_testbed
-
-    workload = Workload(
-        [
-            StreamRequest(
-                "det1", "updraft1", "lynxdtn", "aps-lan", num_chunks=chunks
-            )
-        ],
-        name="telemetry-cli",
-        seed=seed,
-    )
-    scenario = ConfigGenerator(paper_testbed()).generate(workload)
-    runtime = SimRuntime(scenario, telemetry=True)
-    runtime.run()
-    return runtime.telemetry
-
-
-def telemetry_main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-telemetry",
-        description="Exercise the unified telemetry layer: run a small "
-        "pipeline on either substrate and dump metrics or export a trace.",
+        prog="repro",
+        description="NUMA-aware streaming runtime (SC'23 reproduction): "
+        "plan a workload, run the plan on the simulator or on this host, "
+        "and watch either run the same way.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--substrate",
-            choices=["live", "sim"],
-            default="live",
-            help="real threads+sockets, or the virtual-clock simulator",
-        )
-        p.add_argument("--chunks", type=int, default=8)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--codec", default="zlib", help="live substrate codec")
-
-    dump = sub.add_parser(
-        "dump", help="print collected metrics and the pipeline report"
+    _add_experiment(sub)
+    _add_plan(sub)
+    _add_run(sub)
+    _add_live(sub)
+    top = sub.add_parser(
+        "top",
+        help="live dashboard over a run's --obs-port",
+        description="live dashboard for a repro pipeline's --obs-port",
     )
-    common(dump)
-    dump.add_argument(
-        "--format",
-        choices=["prom", "json", "report"],
-        default="report",
-        help="prom = Prometheus text exposition, json = metric snapshot, "
-        "report = per-stage service/queue-wait table",
-    )
-
-    export = sub.add_parser(
-        "export", help="write the run's spans as Chrome trace_event JSON"
-    )
-    common(export)
-    export.add_argument("-o", "--output", required=True, metavar="PATH")
-
+    add_top_arguments(top)
+    top.set_defaults(handler=run_top)
     args = parser.parse_args(argv)
-    telemetry = _collect_telemetry(
-        args.substrate, args.chunks, args.seed, args.codec
-    )
-
-    if args.command == "dump":
-        if args.format == "prom":
-            print(telemetry.prometheus_text(), end="")
-        elif args.format == "json":
-            import json
-
-            print(json.dumps(telemetry.json_snapshot(), indent=2))
-        else:
-            print(telemetry.pipeline_report().render())
-        return 0
-
-    n = telemetry.write_chrome_trace(args.output)
-    print(f"wrote {n} trace events to {args.output}")
-    print(telemetry.pipeline_report().render())
-    return 0
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(experiment_main())
+    sys.exit(main())

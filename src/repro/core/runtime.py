@@ -150,8 +150,8 @@ class SimRuntime:
     (:mod:`repro.telemetry`) on the *virtual* clock: pass ``True`` to
     build one internally, or an existing :class:`~repro.telemetry.Telemetry`
     to share (its clock is rebound to this runtime's engine).  With
-    telemetry attached a tracer is always built, so spans flow into the
-    shared span store and Chrome traces / pipeline reports work on
+    telemetry attached every stage records a span per chunk into the
+    shared span store, so Chrome traces / pipeline reports work on
     simulated time exactly as they do on wall time.
     """
 
@@ -159,7 +159,6 @@ class SimRuntime:
         self,
         scenario: ScenarioConfig,
         *,
-        trace: bool = False,
         telemetry: "bool | object" = False,
         watchdog: "object | None" = None,
         controller: "object | None" = None,
@@ -202,13 +201,6 @@ class SimRuntime:
             self.network,
             registry=self.telemetry.registry if self.telemetry else None,
         )
-        #: Per-chunk tracer (populated when ``trace=True`` or telemetry
-        #: is attached).
-        self.tracer = None
-        if trace or self.telemetry is not None:
-            from repro.sim.trace import ChunkTracer
-
-            self.tracer = ChunkTracer(telemetry=self.telemetry)
         self.machines: dict[str, Machine] = {
             name: Machine(self.engine, spec, csw_penalty=scenario.csw_penalty)
             for name, spec in scenario.machines.items()
@@ -229,7 +221,7 @@ class SimRuntime:
         }
         self.stream_contexts: dict[str, StreamContext] = {}
         #: All inter-stage stores, for queue-occupancy reporting when
-        #: tracing is on.
+        #: telemetry is attached.
         self.queues: list[Store] = []
         #: (stream_id, stage value) -> reconfigurable stage entry; the
         #: controller scales these through :class:`SimReconfigurator`.
@@ -267,17 +259,15 @@ class SimRuntime:
             ),
             sender_nic=sender.nic() if has_hop else None,
             receiver_nic=receiver.nic() if has_hop else None,
-            tracer=self.tracer,
             telemetry=self.telemetry,
         )
         self.stream_contexts[cfg.stream_id] = ctx
-        if self.tracer is not None:
+        if self.telemetry is not None:
             counts = {k.value: s.count for k, s in cfg.stages().items()}
             if cfg.send is not None:
                 counts["wire"] = cfg.send.count  # one pump per connection
-            self.tracer.set_thread_counts(cfg.stream_id, counts)
-            if self.telemetry is not None:
-                self.telemetry.thread_counts.update(counts)
+            self.telemetry.stream_thread_counts[cfg.stream_id] = counts
+            self.telemetry.thread_counts.update(counts)
 
         source = SyntheticChunkSource(
             stream_id=cfg.stream_id,
@@ -321,7 +311,7 @@ class SimRuntime:
             StageKind.EGEST: (egest_flow, False),
         }
 
-        monitor = self.tracer is not None
+        monitor = self.telemetry is not None
 
         def make_store(capacity: int, name: str) -> Store:
             store = Store(self.engine, capacity=capacity, name=name,
@@ -512,7 +502,7 @@ class SimRuntime:
     # -- inspection -------------------------------------------------------
 
     def queue_report(self) -> dict[str, dict[str, float]]:
-        """Per-queue occupancy stats (needs ``trace=True``).
+        """Per-queue occupancy stats (needs telemetry).
 
         Returns {queue name: {"max": ..., "mean": ...}} where mean is
         time-weighted depth — the practical signal for sizing the
@@ -737,8 +727,10 @@ class _SimStageSet:
             self.count += 1
             tel = self.ctx.telemetry
             if tel is not None:
-                counts = tel.thread_counts
-                counts[self.kind.value] = counts.get(self.kind.value, 0) + 1
+                for counts in (
+                    tel.thread_counts, tel.stream_thread_counts[sid]
+                ):
+                    counts[self.kind.value] = counts.get(self.kind.value, 0) + 1
         return True
 
 

@@ -156,10 +156,9 @@ class StreamContext:
         """
         return self.cost.queue_handoff_seconds / self.config.batch_frames
     meters: dict[StageKind, StageMeters] = field(default_factory=dict)
-    #: Optional per-chunk tracer (see :mod:`repro.sim.trace`).
-    tracer: "object | None" = None
-    #: Optional unified telemetry (see :mod:`repro.telemetry`); counters
-    #: and frame totals are emitted on the engine's virtual clock.
+    #: Optional unified telemetry (see :mod:`repro.telemetry`); spans,
+    #: counters and frame totals are emitted on the engine's virtual
+    #: clock.
     telemetry: "object | None" = None
 
     def meter(self, kind: StageKind) -> StageMeters:
@@ -476,12 +475,12 @@ def stage_worker_proc(
             if first_touch:
                 chunk.home_socket = core.socket
             meters.record(ctx.engine.now, chunk, start=t0)
-            if ctx.tracer is not None:
-                ctx.tracer.record(
-                    chunk.stream_id, chunk.index, kind.value,
-                    t0, ctx.engine.now, str(core),
-                )
             if ctx.telemetry is not None:
+                ctx.telemetry.record_span(
+                    kind.value, t0, ctx.engine.now,
+                    stream_id=chunk.stream_id, chunk_id=chunk.index,
+                    track=str(core),
+                )
                 ctx.telemetry.record_chunk(
                     kind.value, chunk.stream_id, chunk.nbytes
                 )
@@ -526,12 +525,12 @@ def send_worker_proc(
             yield ctx.network.run(send_flow(ctx, chunk, core))
             chunk.home_socket = core.socket  # kernel buffer, first touch
             meters.record(ctx.engine.now, chunk, start=t0)
-            if ctx.tracer is not None:
-                ctx.tracer.record(
-                    chunk.stream_id, chunk.index, "send",
-                    t0, ctx.engine.now, str(core),
-                )
             if ctx.telemetry is not None:
+                ctx.telemetry.record_span(
+                    "send", t0, ctx.engine.now,
+                    stream_id=chunk.stream_id, chunk_id=chunk.index,
+                    track=str(core),
+                )
                 ctx.telemetry.record_chunk(
                     "send", chunk.stream_id, chunk.nbytes
                 )
@@ -560,11 +559,11 @@ def wire_pump_proc(
         yield ctx.network.run(flow)
         chunk.home_socket = ctx.receiver_nic.socket  # DMA target
         wire.record(ctx.engine.now, chunk, start=t0)
-        if ctx.tracer is not None:
-            ctx.tracer.record(
-                chunk.stream_id, chunk.index, "wire", t0, ctx.engine.now
-            )
         if ctx.telemetry is not None:
+            ctx.telemetry.record_span(
+                "wire", t0, ctx.engine.now,
+                stream_id=chunk.stream_id, chunk_id=chunk.index,
+            )
             ctx.telemetry.record_chunk("wire", chunk.stream_id, chunk.nbytes)
             # The simulated hop is both ends of the transport at once.
             ctx.telemetry.record_frame("tx", chunk.wire_bytes)

@@ -5,7 +5,7 @@ that regenerates the corresponding exhibit's rows (same sweep axes, same
 configurations) and carries machine-checkable qualitative claims —
 who wins, by what factor, where the crossovers sit.  ``tests/experiments``
 runs these, asserts the claims and pins the paper's numbers;
-``repro-experiment <id>`` prints the tables.
+``repro experiment <id>`` prints the tables.
 
 Index (see DESIGN.md §5 for the full mapping):
 

@@ -2,7 +2,7 @@
 
 Collects the handful of values the paper leads with and prints one
 table — the executive view of the reproduction.  Used by
-``repro-experiment all`` after the per-exhibit output.
+``repro experiment all`` after the per-exhibit output.
 """
 
 from __future__ import annotations

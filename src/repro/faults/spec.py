@@ -6,7 +6,7 @@ seconds).  The live substrate needs a different vocabulary — its faults
 live on the *wire*: a frame arrives corrupted, a connection resets
 mid-stream, the network hiccups.  :class:`LiveFaultSpec` is that
 vocabulary, and :func:`parse_fault` is the CLI surface for it
-(``repro-live --fault drop:at=5``).
+(``repro live --fault drop:at=5``).
 
 Both spec families share the same shape on purpose: a *kind*, a trigger
 point, and a magnitude — so a chaos scenario reads the same whether it

@@ -14,7 +14,7 @@ physical:
 - :class:`~repro.mp.stats.StatsBlock` — a lightweight shared-memory
   counter page each worker process writes and the parent snapshots
   into the ordinary telemetry registry, so ``/metrics``, ``/report``
-  and ``repro-top`` keep working across the process boundary;
+  and ``repro top`` keep working across the process boundary;
 - :mod:`~repro.mp.topology` — worker-process specs (stage role, CPU
   set, ring attachments) lowered from the plan IR's ``execution``
   policy node;
@@ -23,7 +23,7 @@ physical:
   SIGTERM drain;
 - :class:`~repro.mp.pipeline.ProcessFront` — the pipeline's front
   half in process mode (``LiveConfig.execution_mode = "process"``,
-  ``repro-live --mode process``): one compressor process per NUMA
+  ``repro live --mode process``): one compressor process per NUMA
   domain, each with its *own* pair of domain-local rings (buffer
   locality, not just pinning — the dgen-rs lesson), exactly-once
   delivery preserved across worker crashes by record replay +

@@ -1,4 +1,4 @@
-"""`repro-live --mode process`: the compress stage as processes.
+"""`repro live --mode process`: the compress stage as processes.
 
 ``LiveConfig.execution_mode = "process"`` makes
 :class:`~repro.live.runtime.LivePipeline` swap its front half for

@@ -6,7 +6,7 @@ heap state.  Instead each worker owns one 64-byte slot in a
 :class:`StatsBlock` (a single shared-memory page) and bumps plain
 struct fields there; the supervisor polls :meth:`StatsBlock.snapshot`
 and folds the deltas into the normal registry, so ``/metrics``,
-``/report`` and ``repro-top`` show process workers exactly like
+``/report`` and ``repro top`` show process workers exactly like
 thread workers.
 
 Slot layout (64 bytes, one cache line, single writer)::

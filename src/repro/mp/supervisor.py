@@ -15,7 +15,7 @@ attached to them.  Three parent-side threads do the watching:
 - the **poller** folds each worker's shared stats slot into the
   ordinary telemetry registry — heartbeats under the worker's stable
   name and the applied CPU set under ``repro_affinity_cpus`` — so
-  ``/metrics``, ``/report``, the watchdog and repro-top see process
+  ``/metrics``, ``/report``, the watchdog and repro top see process
   workers exactly like thread workers;
 - callers' own feeder/collector threads, which go through
   :meth:`dispatch` / :meth:`ack` so the supervisor can track the

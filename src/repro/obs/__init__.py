@@ -4,7 +4,7 @@ Layered on :mod:`repro.telemetry` (which *collects*), this package
 *serves and watches*: HTTP endpoints for scrapers and supervisors, a
 structured event timeline shared by both substrates, a watchdog that
 turns heartbeats and queue gauges into alerts, a stage-attributed
-sampling profiler, and the ``repro-top`` dashboard.  See
+sampling profiler, and the ``repro top`` dashboard.  See
 ``docs/observability.md``.
 """
 
@@ -26,7 +26,7 @@ from repro.obs.promparse import (
     sample_value,
 )
 from repro.obs.server import PROM_CONTENT_TYPE, ObservabilityServer
-from repro.obs.top import Dashboard, fetch_sample, top_main
+from repro.obs.top import Dashboard, fetch_sample
 from repro.obs.watchdog import Watchdog, WatchdogConfig
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "ObservabilityServer",
     "Dashboard",
     "fetch_sample",
-    "top_main",
     "Watchdog",
     "WatchdogConfig",
 ]

@@ -2,7 +2,7 @@
 
 Two consumers:
 
-- ``repro-top`` scrapes a live run's ``/metrics`` endpoint and needs
+- ``repro top`` scrapes a live run's ``/metrics`` endpoint and needs
   the sample values back as numbers;
 - the exporter-conformance tests round-trip
   :func:`repro.telemetry.export.prometheus_text` through this parser to

@@ -1,0 +1,109 @@
+"""One observation session: set-up order and teardown for either substrate.
+
+``repro live`` and ``repro run`` watch their run the same way — an
+event bus fed by telemetry and the ``repro`` logger, a watchdog, the
+autotuning controller, the sampling profiler, the HTTP endpoints.
+:func:`observe` owns the order those come up in and guarantees, in a
+``finally``, that every thread, socket, log handler and open sink is
+gone again whatever the run raised.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Literal
+
+from repro.obs.events import EventBus
+from repro.obs.profiler import SamplingProfiler
+from repro.obs.server import ObservabilityServer
+from repro.obs.watchdog import Watchdog, WatchdogConfig
+from repro.plan.ir import ControlNode, PipelinePlan
+from repro.util.log import attach_event_bus, detach_event_bus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.control import Controller
+    from repro.telemetry.facade import Telemetry
+
+#: Coarser than the live defaults: these are *virtual* seconds, and
+#: every bottleneck check walks the span store.
+SIM_WATCHDOG = WatchdogConfig(
+    interval=1.0, stall_after=5.0, backpressure_after=2.0, bottleneck_every=10
+)
+#: The controller's pacing when the plan does not set its own.
+DEFAULT_CONTROL = {
+    "live": ControlNode(enabled=True),
+    "sim": ControlNode(enabled=True, interval=1.0, cooldown=2.0),
+}
+
+
+@dataclass
+class Observation:
+    """The handles a running session gives its caller."""
+
+    bus: EventBus | None = None
+    server: ObservabilityServer | None = None
+    profiler: SamplingProfiler | None = None
+    #: Built, not started: the runtime it is handed to drives it.
+    controller: "Controller | None" = None
+    #: Sim only: the virtual-clock watchdog ``SimRuntime`` should run.
+    watchdog_config: WatchdogConfig | None = None
+
+
+@contextmanager
+def observe(
+    telemetry: "Telemetry",
+    substrate: Literal["live", "sim"],
+    *,
+    port: int | None = None,
+    events_out: str | None = None,
+    profile: bool = False,
+    autotune: bool = False,
+    plan: PipelinePlan | None = None,
+) -> Iterator[Observation]:
+    """Bring up what was asked for, yield the handles, tear it all down.
+
+    The event bus (and with it the watchdog) exists when anything reads
+    events: the HTTP server, the JSONL sink, or the controller.
+    """
+    obs = Observation()
+    handler = None
+    watchdog = None
+    try:
+        if port is not None or events_out or autotune:
+            obs.bus = EventBus(source=substrate, jsonl_path=events_out)
+            telemetry.attach_events(obs.bus)
+            handler = attach_event_bus(obs.bus)
+            if substrate == "live":
+                watchdog = Watchdog(telemetry).start()
+            else:
+                obs.watchdog_config = SIM_WATCHDOG
+        if autotune:
+            # repro.control imports repro.obs.events: a module-level
+            # import here would be a cycle.
+            from repro.control import Controller
+
+            node = DEFAULT_CONTROL[substrate]
+            if plan is not None and not plan.control.is_default:
+                node = plan.control
+            obs.controller = Controller(telemetry, node, plan=plan)
+        if profile:
+            obs.profiler = SamplingProfiler().start()
+        if port is not None:
+            obs.server = ObservabilityServer(
+                telemetry, port=port, events=obs.bus, profiler=obs.profiler
+            )
+            obs.server.start()
+        yield obs
+    finally:
+        if watchdog is not None:
+            watchdog.stop()
+        if obs.profiler is not None:
+            obs.profiler.stop()
+        if obs.server is not None:
+            obs.server.mark_finished()
+            obs.server.stop()
+        if handler is not None:
+            detach_event_bus(handler)
+        if obs.bus is not None:
+            obs.bus.close()

@@ -1,4 +1,4 @@
-"""``repro-top``: a live ANSI dashboard over the observability plane.
+"""``repro top``: a live ANSI dashboard over the observability plane.
 
 Polls a running pipeline's :class:`~repro.obs.server.ObservabilityServer`
 (``/metrics`` + ``/report`` + ``/healthz`` + ``/events``) and redraws a
@@ -124,7 +124,7 @@ class Dashboard:
         status = health.get("status", "?")
         badge = self._c(_GREEN if healthy else _RED, status.upper())
         lines = [
-            self._c(_BOLD, "repro-top")
+            self._c(_BOLD, "repro top")
             + f"  health={badge}  bottleneck="
             + self._c(_YELLOW, str(bottleneck))
             + f"  retries={sample_value(families, 'transport_retries_total'):g}"
@@ -223,12 +223,8 @@ def _family_total(families: Mapping[str, Family], name: str) -> float:
     return sum(s.value for s in fam.samples)
 
 
-def top_main(argv: list[str] | None = None) -> int:
-    """Entry point for the ``repro-top`` console script."""
-    parser = argparse.ArgumentParser(
-        prog="repro-top",
-        description="live dashboard for a repro pipeline's --obs-port",
-    )
+def add_top_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare ``repro top``'s arguments on ``parser``."""
     parser.add_argument(
         "url",
         nargs="?",
@@ -246,14 +242,16 @@ def top_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-color", action="store_true", help="disable ANSI colors"
     )
-    args = parser.parse_args(argv)
 
+
+def run_top(args: argparse.Namespace) -> int:
+    """Poll ``args.url`` and redraw until interrupted (or ``--once``)."""
     dash = Dashboard(color=not args.no_color and sys.stdout.isatty())
     while True:
         try:
             sample = fetch_sample(args.url, timeout=max(args.interval, 2.0))
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            print(f"repro-top: cannot poll {args.url}: {exc}",
+            print(f"repro top: cannot poll {args.url}: {exc}",
                   file=sys.stderr)
             return 1
         frame = dash.frame(sample, now=time.monotonic())

@@ -35,8 +35,6 @@ _EXPORTS = {
     "plan_from_scenario": "repro.plan.ingest",
     "stream_from_config": "repro.plan.ingest",
     # passes
-    "Planner": "repro.plan.passes",
-    "PlanPass": "repro.plan.passes",
     "PlanResult": "repro.plan.passes",
     "run_passes": "repro.plan.passes",
     "build_scenario": "repro.plan.passes",

@@ -3,7 +3,7 @@
 A :class:`PlanDelta` is a small, serializable edit script over a
 :class:`~repro.plan.ir.PipelinePlan` — the representation shared by the
 autotuning controller (:mod:`repro.control`), which *proposes* deltas
-from observed signals, and ``repro-plan diff --format json``, which
+from observed signals, and ``repro plan diff --format json``, which
 *derives* them by comparing two plan files.  One grammar both ways
 means a controller decision can be replayed offline by applying the
 emitted delta to the static plan, and a human diff can be fed back to
@@ -233,7 +233,7 @@ def apply_delta(
 
 
 # ---------------------------------------------------------------------------
-# (de)serialization — the schema `repro-plan diff --format json` emits
+# (de)serialization — the schema `repro plan diff --format json` emits
 # ---------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""``repro-plan diff``: plan-vs-plan drift and sim-vs-live parity.
+"""``repro plan diff``: plan-vs-plan drift and sim-vs-live parity.
 
 Two comparisons live here:
 

@@ -1,4 +1,4 @@
-"""``repro-plan explain``: render a plan with its placement rationale.
+"""``repro plan explain``: render a plan with its placement rationale.
 
 The paper presents placement as a chain of observations (§3, Obs 1-4);
 a plan file presents it as bare core lists.  ``explain`` reconnects the

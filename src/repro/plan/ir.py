@@ -63,7 +63,7 @@ class StageNode:
     count: int
     placement: PlacementSpec
     #: Human-readable placement rationale (the §3 decision that put it
-    #: there); surfaces in ``repro-plan explain`` and plan files.
+    #: there); surfaces in ``repro plan explain`` and plan files.
     rationale: str = ""
 
     def describe(self) -> str:

@@ -5,7 +5,7 @@ discrete-event runtime executes; ``lower_live`` emits a
 :class:`~repro.live.runtime.LiveConfig` plus per-stage CPU affinity for
 the real-thread pipeline.  Both read the same
 :class:`~repro.plan.ir.PipelinePlan`, which is what keeps the two
-substrates from drifting: ``repro-plan diff --substrates`` holds them
+substrates from drifting: ``repro plan diff --substrates`` holds them
 to placement parity.
 
 The live lowering owns the modulo host-mapping: modelled cores map

@@ -1,24 +1,25 @@
-"""The pass-based planner: ``generate -> validate -> normalize -> lower``.
+"""The planner: ``generate -> validate -> normalize -> lower``.
 
-A pass is a named function ``(PipelinePlan, PassContext) -> PipelinePlan``.
-The :class:`Planner` runs a pipeline of them, collecting diagnostics,
-and — when a :class:`~repro.telemetry.Telemetry` is attached — times
-each pass as a span named ``plan.<pass>`` and counts runs in the
+:func:`run_passes` validates a plan (collecting *every* finding as a
+diagnostic) and then normalizes it.  When a
+:class:`~repro.telemetry.Telemetry` is attached, each step is timed as
+a span named ``plan.validate`` / ``plan.normalize`` and counted in the
 ``plan_passes_total`` metric family, so planning shows up in the same
 traces and dashboards as the pipelines it plans.
 
 Generation is a front-end, not a pass: the generator
 (:class:`repro.core.generator.ConfigGenerator`) and the scenario lift
 (:func:`repro.plan.ingest.plan_from_scenario`) both *produce* the plan
-the planner then runs over.  Lowering is the exit:
+the passes then run over.  Lowering is the exit:
 :func:`build_scenario` / :func:`build_live` bolt the matching lowering
-onto the standard pipeline.
+onto the standard passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.plan.diagnostics import Diagnostics
 from repro.plan.ir import PipelinePlan
@@ -29,44 +30,6 @@ from repro.plan.validate import validate_plan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ScenarioConfig
     from repro.telemetry.facade import Telemetry
-
-
-@dataclass
-class PassContext:
-    """Shared state the passes read and write."""
-
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    telemetry: "Telemetry | None" = None
-
-
-PassFn = Callable[[PipelinePlan, PassContext], PipelinePlan]
-
-
-@dataclass(frozen=True)
-class PlanPass:
-    """One named transformation over the IR."""
-
-    name: str
-    fn: PassFn
-
-    def run(self, plan: PipelinePlan, ctx: PassContext) -> PipelinePlan:
-        return self.fn(plan, ctx)
-
-
-def _validate(plan: PipelinePlan, ctx: PassContext) -> PipelinePlan:
-    ctx.diagnostics.extend(validate_plan(plan))
-    return plan
-
-
-def _normalize(plan: PipelinePlan, ctx: PassContext) -> PipelinePlan:
-    return normalize_plan(plan)
-
-
-VALIDATE = PlanPass("validate", _validate)
-NORMALIZE = PlanPass("normalize", _normalize)
-
-#: The standard pipeline every entry point runs.
-DEFAULT_PASSES: tuple[PlanPass, ...] = (VALIDATE, NORMALIZE)
 
 
 @dataclass
@@ -81,63 +44,13 @@ class PlanResult:
         return self.diagnostics.ok
 
 
-class Planner:
-    """Runs a pass pipeline over a plan.
-
-    ``strict=True`` (default) raises one
-    :class:`~repro.util.errors.ConfigurationError` listing *all*
-    collected errors after the passes ran; ``strict=False`` returns the
-    diagnostics for the caller to inspect (``repro-plan`` prints them).
-    """
-
-    def __init__(
-        self,
-        passes: tuple[PlanPass, ...] = DEFAULT_PASSES,
-        *,
-        telemetry: "Telemetry | None" = None,
-        strict: bool = True,
-    ) -> None:
-        self.passes = passes
-        self.telemetry = telemetry
-        self.strict = strict
-
-    def run(self, plan: PipelinePlan) -> PlanResult:
-        ctx = PassContext(telemetry=self.telemetry)
-        tel = self.telemetry
-        counter = (
-            tel.registry.counter(
-                "plan_passes_total",
-                "Planner passes executed",
-                ("pass", "plan"),
-            )
-            if tel is not None
-            else None
-        )
-        for p in self.passes:
-            if tel is not None:
-                with tel.span(f"plan.{p.name}", track="plan"):
-                    plan = p.run(plan, ctx)
-            else:
-                plan = p.run(plan, ctx)
-            if counter is not None:
-                counter.labels(**{"pass": p.name, "plan": plan.name}).inc()
-        if tel is not None and ctx.diagnostics:
-            diag_counter = tel.registry.counter(
-                "plan_diagnostics_total",
-                "Validation findings by severity",
-                ("severity",),
-            )
-            for severity, n in ctx.diagnostics.counts().items():
-                if n:
-                    diag_counter.labels(severity=severity).inc(n)
-        if self.strict:
-            ctx.diagnostics.raise_if_errors()
-        return PlanResult(plan=plan, diagnostics=ctx.diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# blessed entry points
-# ---------------------------------------------------------------------------
+def _step(
+    telemetry: "Telemetry | None", name: str
+) -> AbstractContextManager[object]:
+    """Time ``plan.<name>`` as a span when telemetry is attached."""
+    if telemetry is None:
+        return nullcontext()
+    return telemetry.span(f"plan.{name}", track="plan")
 
 
 def run_passes(
@@ -146,8 +59,37 @@ def run_passes(
     telemetry: "Telemetry | None" = None,
     strict: bool = True,
 ) -> PlanResult:
-    """Run the standard ``validate -> normalize`` pipeline."""
-    return Planner(telemetry=telemetry, strict=strict).run(plan)
+    """Validate, then normalize.
+
+    ``strict=True`` (default) raises one
+    :class:`~repro.util.errors.ConfigurationError` listing *all*
+    collected errors after both steps ran; ``strict=False`` returns the
+    diagnostics for the caller to inspect (``repro plan explain``
+    prints them).
+    """
+    diagnostics = Diagnostics()
+    with _step(telemetry, "validate"):
+        diagnostics.extend(validate_plan(plan))
+    with _step(telemetry, "normalize"):
+        plan = normalize_plan(plan)
+    if telemetry is not None:
+        passes = telemetry.registry.counter(
+            "plan_passes_total", "Planner passes executed", ("pass", "plan")
+        )
+        for name in ("validate", "normalize"):
+            passes.labels(**{"pass": name, "plan": plan.name}).inc()
+        if diagnostics:
+            found = telemetry.registry.counter(
+                "plan_diagnostics_total",
+                "Validation findings by severity",
+                ("severity",),
+            )
+            for severity, n in diagnostics.counts().items():
+                if n:
+                    found.labels(severity=severity).inc(n)
+    if strict:
+        diagnostics.raise_if_errors()
+    return PlanResult(plan=plan, diagnostics=diagnostics)
 
 
 def build_scenario(
@@ -155,10 +97,8 @@ def build_scenario(
 ) -> "ScenarioConfig":
     """Standard passes, then the sim lowering."""
     result = run_passes(plan, telemetry=telemetry)
-    if telemetry is not None:
-        with telemetry.span("plan.lower_sim", track="plan"):
-            return lower_sim(result.plan)
-    return lower_sim(result.plan)
+    with _step(telemetry, "lower_sim"):
+        return lower_sim(result.plan)
 
 
 def build_live(
@@ -171,12 +111,10 @@ def build_live(
 ) -> LiveLowering:
     """Standard passes, then the live lowering."""
     result = run_passes(plan, telemetry=telemetry)
-    if telemetry is not None:
-        with telemetry.span("plan.lower_live", track="plan"):
-            return lower_live(
-                result.plan, stream_id, codec=codec, host_cpus=host_cpus
-            )
-    return lower_live(result.plan, stream_id, codec=codec, host_cpus=host_cpus)
+    with _step(telemetry, "lower_live"):
+        return lower_live(
+            result.plan, stream_id, codec=codec, host_cpus=host_cpus
+        )
 
 
 def through_plan(

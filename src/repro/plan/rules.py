@@ -1,7 +1,7 @@
 """The paper's §3 placement decision logic, as shared data and helpers.
 
 Every layer that reasons about *where threads belong* — the generator's
-planning passes, ``repro-plan explain``, and the §6 online rebalancer
+planning passes, ``repro plan explain``, and the §6 online rebalancer
 (:mod:`repro.core.dynamic`) — used to restate Observations 1–4 in its
 own words.  This module is the single statement: which sockets each
 stage targets on a given machine, and the one-line rationale the paper

@@ -93,6 +93,9 @@ class Telemetry:
         self.trace_align = _clock_align()
         #: stage -> thread count, for per-thread bottleneck utilization.
         self.thread_counts: dict[str, int] = {}
+        #: stream -> its own {stage -> thread count} (the simulator's
+        #: multi-stream scenarios); without an entry, the run-wide dict.
+        self.stream_thread_counts: dict[str, dict[str, int]] = {}
         #: Optional structured-event bus (see :mod:`repro.obs.events`);
         #: attached by the observability plane, never required.
         self.events: "EventBus | None" = None
@@ -366,7 +369,11 @@ class Telemetry:
         thread_counts: Mapping[str, int] | None = None,
     ) -> PipelineReport:
         """Service/queue-wait/bottleneck analysis over collected spans."""
-        counts = thread_counts if thread_counts is not None else self.thread_counts
+        counts = thread_counts
+        if counts is None:
+            counts = self.stream_thread_counts.get(
+                stream_id or "", self.thread_counts
+            )
         return PipelineReport.from_spans(
             self.spans.snapshot(), stream_id=stream_id, thread_counts=counts
         )

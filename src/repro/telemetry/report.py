@@ -5,10 +5,9 @@ step (§4.1), computed identically for both substrates: group spans per
 chunk, read per-stage service time directly and *queue wait* as the gap
 between the previous stage finishing a chunk and the next one starting
 it, then pick the bottleneck as the stage whose threads are busiest
-(busy_seconds / (threads × makespan)).  ``sim/trace.py``'s
-:class:`~repro.sim.trace.ChunkTracer` delegates here, so a simulated
-trace and a live trace answer the bottleneck question through one code
-path.
+(busy_seconds / (threads × makespan)).  The simulator records its
+spans into the same store, so a simulated trace and a live trace answer
+the bottleneck question through one code path.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ class PipelineReport:
         return out
 
     def render(self) -> str:
-        """Human-readable per-stage table (the ``repro telemetry`` view)."""
+        """Human-readable per-stage table (printed by ``repro run`` / ``repro live``)."""
         title = f"stream {self.stream_id!r}" if self.stream_id else "pipeline"
         lines = [f"telemetry report for {title}:"]
         lines.append(

@@ -45,8 +45,7 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    # Aliases matching the original ``sim.trace.StageSpan`` field names,
-    # so trace-era call sites keep reading.
+    # The simulator's names for the same two fields.
 
     @property
     def chunk_index(self) -> int:

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment harness output.
 
 The benchmark harness prints paper-shaped rows; this module renders them
-as aligned monospace tables so ``repro-experiment fig12`` output can be
+as aligned monospace tables so ``repro experiment fig12`` output can be
 eyeballed against the paper's figures.
 """
 

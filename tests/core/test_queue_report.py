@@ -1,4 +1,4 @@
-"""Queue-occupancy reporting under tracing."""
+"""Queue-occupancy reporting when telemetry is attached."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.core.runtime import SimRuntime
 from repro.hw.presets import lynxdtn_spec, updraft_spec
 
 
-def runtime(trace, compress_threads=2):
+def runtime(telemetry, compress_threads=2):
     stream = StreamConfig(
         stream_id="q",
         sender="updraft1",
@@ -30,13 +30,13 @@ def runtime(trace, compress_threads=2):
             streams=[stream],
             warmup_chunks=5,
         ),
-        trace=trace,
+        telemetry=telemetry,
     )
 
 
 class TestQueueReport:
     def test_untraced_report_empty(self):
-        rt = runtime(trace=False)
+        rt = runtime(telemetry=False)
         rt.run()
         assert rt.queue_report() == {}
 
@@ -44,7 +44,7 @@ class TestQueueReport:
         """With compression as the bottleneck, its input queue sits at
         capacity while downstream queues stay near-empty — textbook
         backpressure."""
-        rt = runtime(trace=True, compress_threads=2)
+        rt = runtime(telemetry=True, compress_threads=2)
         rt.run()
         report = rt.queue_report()
         assert report["q/q0"]["mean"] >= 3.0  # capacity 4, nearly full
@@ -57,16 +57,16 @@ class TestQueueReport:
         it sat empty when compression was starved.  (The dispatcher is
         free, so the very first queue is always full — the signal lives
         in the queues *between* worker stages.)"""
-        starved = runtime(trace=True, compress_threads=2)
+        starved = runtime(telemetry=True, compress_threads=2)
         starved.run()
-        ample = runtime(trace=True, compress_threads=16)
+        ample = runtime(telemetry=True, compress_threads=16)
         ample.run()
         assert ample.queue_report()["q/q-compress"]["mean"] > (
             starved.queue_report()["q/q-compress"]["mean"] + 1.0
         )
 
     def test_depth_never_exceeds_capacity_plus_sentinels(self):
-        rt = runtime(trace=True)
+        rt = runtime(telemetry=True)
         rt.run()
         report = rt.queue_report()
         # Capacity 4 + force-put END sentinels (one per consumer).

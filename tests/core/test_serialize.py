@@ -123,11 +123,12 @@ class TestValidation:
 
 class TestCli:
     def test_plan_then_run(self, tmp_path, capsys):
-        from repro.cli import plan_main, run_main
+        from repro.cli import main
 
         out = tmp_path / "plan.json"
-        rc = plan_main(
+        rc = main(
             [
+                "plan", "generate",
                 "--stream", "d1:updraft1:lynxdtn:aps-lan",
                 "--chunks", "60",
                 "-o", str(out),
@@ -135,17 +136,18 @@ class TestCli:
         )
         assert rc == 0
         assert out.exists()
-        rc = run_main([str(out)])
+        rc = main(["run", str(out)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "TOTAL" in text and "end-to-end" in text
 
     def test_plan_os_baseline(self, tmp_path):
-        from repro.cli import plan_main
+        from repro.cli import main
 
         out = tmp_path / "os.json"
-        assert plan_main(
+        assert main(
             [
+                "plan", "generate",
                 "--stream", "d1:updraft1:lynxdtn:aps-lan",
                 "--os-baseline",
                 "-o", str(out),
@@ -154,7 +156,8 @@ class TestCli:
         assert '"kind": "os"' in out.read_text()
 
     def test_plan_bad_stream_spec(self, tmp_path):
-        from repro.cli import plan_main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            plan_main(["--stream", "nope", "-o", str(tmp_path / "x.json")])
+            main(["plan", "generate", "--stream", "nope",
+                  "-o", str(tmp_path / "x.json")])

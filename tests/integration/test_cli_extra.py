@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import experiment_main, live_main, plan_main, run_main
+from repro.cli import main
 from repro.util.errors import ValidationError
 
 
@@ -21,23 +21,23 @@ class TestExperimentCliEdges:
 
         monkeypatch.setattr(registry, "get_experiment", lambda n: failing_run)
         monkeypatch.setattr("repro.cli.get_experiment", lambda n: failing_run)
-        assert experiment_main(["fig9", "--quick"]) == 1
+        assert main(["experiment", "fig9", "--quick"]) == 1
         assert "FAILED claims" in capsys.readouterr().err
 
 
 class TestLiveCliEdges:
     def test_listen_and_connect_mutually_exclusive(self):
         with pytest.raises(SystemExit):
-            live_main(
-                ["--listen", "127.0.0.1:1", "--connect", "127.0.0.1:2"]
+            main(
+                ["live", "--listen", "127.0.0.1:1", "--connect", "127.0.0.1:2"]
             )
 
     def test_connect_to_nowhere_fails(self):
         from repro.util.errors import TransportError
 
         with pytest.raises(TransportError):
-            live_main(
-                ["--connect", "127.0.0.1:9", "--chunks", "1",
+            main(
+                ["live", "--connect", "127.0.0.1:9", "--chunks", "1",
                  "--detector", "20x20", "--connections", "1"]
             )
 
@@ -46,22 +46,22 @@ class TestProcessModeCli:
     def test_process_mode_rejects_remote_endpoints(self):
         for endpoint in ("--listen", "--connect"):
             with pytest.raises(SystemExit):
-                live_main(["--mode", "process", endpoint, "127.0.0.1:1"])
+                main(["live", "--mode", "process", endpoint, "127.0.0.1:1"])
 
     def test_process_mode_rejects_fault_injection(self):
         with pytest.raises(SystemExit):
-            live_main(
-                ["--mode", "process", "--fault", "drop@5", "--chunks", "1"]
+            main(
+                ["live", "--mode", "process", "--fault", "drop@5", "--chunks", "1"]
             )
 
     def test_domains_must_be_positive(self):
         with pytest.raises(SystemExit):
-            live_main(["--mode", "process", "--domains", "0", "--chunks", "1"])
+            main(["live", "--mode", "process", "--domains", "0", "--chunks", "1"])
 
     def test_domains_without_process_mode_is_an_error(self, capsys):
         """--domains used to be silently ignored in thread mode."""
         with pytest.raises(SystemExit) as info:
-            live_main(["--domains", "2", "--chunks", "1"])
+            main(["live", "--domains", "2", "--chunks", "1"])
         assert info.value.code == 2
         assert "--mode process" in capsys.readouterr().err
 
@@ -72,15 +72,15 @@ class TestProcessModeCli:
         import json
 
         plan = tmp_path / "plan.json"
-        assert plan_main(
-            ["generate", "--stream", "det1:updraft1:lynxdtn:aps-lan",
+        assert main(
+            ["plan", "generate", "--stream", "det1:updraft1:lynxdtn:aps-lan",
              "--chunks", "3", "-o", str(plan)]
         ) == 0
         doc = json.loads(plan.read_text())
         doc["execution"] = {"mode": "process"}
         plan.write_text(json.dumps(doc))
-        rc = live_main(
-            ["--plan", str(plan), "--domains", "1", "--chunks", "3",
+        rc = main(
+            ["live", "--plan", str(plan), "--domains", "1", "--chunks", "3",
              "--detector", "60x64", "--codec", "zlib"]
         )
         out = capsys.readouterr().out
@@ -89,12 +89,12 @@ class TestProcessModeCli:
 
     def test_receiver_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
-            live_main(["--receiver-mode", "eventloop", "--chunks", "1"])
+            main(["live", "--receiver-mode", "eventloop", "--chunks", "1"])
         assert info.value.code == 2
 
     def test_process_loopback_runs(self, capsys):
-        rc = live_main(
-            ["--mode", "process", "--chunks", "3", "--detector", "60x64",
+        rc = main(
+            ["live", "--mode", "process", "--chunks", "3", "--detector", "60x64",
              "--codec", "zlib", "--compress-threads", "1", "--domains", "1"]
         )
         out = capsys.readouterr().out
@@ -105,27 +105,28 @@ class TestProcessModeCli:
 class TestPlanRunEdges:
     def test_run_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            run_main([str(tmp_path / "ghost.json")])
+            main(["run", str(tmp_path / "ghost.json")])
 
     def test_run_garbage_file(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{]")
         with pytest.raises(ValidationError):
-            run_main([str(path)])
+            main(["run", str(path)])
 
     def test_plan_unknown_machine(self, tmp_path):
         from repro.util.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="unknown machine"):
-            plan_main(
-                ["--stream", "s:ghost:lynxdtn:aps-lan",
+            main(
+                ["plan", "generate", "--stream", "s:ghost:lynxdtn:aps-lan",
                  "-o", str(tmp_path / "x.json")]
             )
 
     def test_plan_multiple_streams(self, tmp_path, capsys):
         out = tmp_path / "multi.json"
-        rc = plan_main(
+        rc = main(
             [
+                "plan", "generate",
                 "--stream", "a:updraft1:lynxdtn:aps-lan",
                 "--stream", "b:updraft2:lynxdtn:aps-lan",
                 "--chunks", "50",

@@ -100,17 +100,51 @@ class TestLiveTrace:
 
 
 class TestSimBottleneckParity:
-    def test_facade_report_matches_tracer(self, sim_runtime):
-        tracer = sim_runtime.tracer
-        tel = sim_runtime.telemetry
-        assert tracer.bottleneck("det1") == (
-            tel.pipeline_report("det1").bottleneck
+    def test_report_uses_own_stream_threads(self):
+        """Two streams sized differently: each stream's report divides
+        its busy time by its *own* thread count.  The facade used to
+        keep one run-wide dict, so stream ``a`` (24 compress threads)
+        was reported against ``b``'s 6 — a busy fraction of 1.514."""
+        import dataclasses
+
+        workload = Workload(
+            [
+                StreamRequest("a", "updraft1", "lynxdtn", "aps-lan",
+                              num_chunks=30),
+                StreamRequest("b", "updraft2", "lynxdtn", "aps-lan",
+                              num_chunks=30),
+            ],
+            name="two-streams",
+            seed=7,
+        )
+        scenario = ConfigGenerator(paper_testbed()).generate(workload)
+        b = scenario.streams[1]
+        scenario.streams[1] = dataclasses.replace(
+            b, compress=dataclasses.replace(b.compress, count=6)
+        )
+        runtime = SimRuntime(scenario, telemetry=True)
+        runtime.run()
+        reports = {
+            sid: runtime.telemetry.pipeline_report(sid) for sid in "ab"
+        }
+        assert reports["a"].thread_counts["compress"] == 24
+        assert reports["b"].thread_counts["compress"] == 6
+        for report in reports.values():
+            for stage, util in report.stage_utilization().items():
+                assert 0.0 <= util <= 1.0, (report.stream_id, stage, util)
+        assert reports["a"].stage_utilization()["compress"] == pytest.approx(
+            0.379, abs=5e-4
+        )
+        assert reports["b"].stage_utilization()["compress"] == pytest.approx(
+            0.833, abs=5e-4
         )
 
     def test_same_span_population(self, sim_runtime):
-        assert sim_runtime.tracer.total_spans == len(
-            sim_runtime.telemetry.spans
-        )
+        # One span per chunk per stage (wire included), nothing else.
+        tel = sim_runtime.telemetry
+        stages = tel.pipeline_report("det1").stages
+        assert len(tel.spans) == 6 * len(stages)
+        assert all(agg.chunks == 6 for agg in stages.values())
 
     def test_virtual_clock_spans(self, sim_runtime):
         # spans carry sim time, which starts at 0 — wall clock would be

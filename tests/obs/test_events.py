@@ -150,7 +150,7 @@ class TestSince:
         _, cursor = bus.since(0)
         bus.emit("stage_stall", "b", severity="warning")
         bus.emit("log", "c", severity="debug")
-        # Interleaved filtered reads (the repro-top dashboard).
+        # Interleaved filtered reads (the repro top dashboard).
         assert [e.message for e in bus.recent(min_severity="warning")] == [
             "b"
         ]

@@ -1,4 +1,4 @@
-"""repro-top: dashboard rendering and end-to-end polling."""
+"""repro top: dashboard rendering and end-to-end polling."""
 
 import json
 
@@ -7,7 +7,8 @@ import pytest
 from repro.obs.events import EventBus
 from repro.obs.promparse import parse_prometheus_text
 from repro.obs.server import ObservabilityServer
-from repro.obs.top import Dashboard, fetch_sample, top_main
+from repro.cli import main
+from repro.obs.top import Dashboard, fetch_sample
 from repro.telemetry import Telemetry
 from repro.telemetry.clock import ManualClock
 
@@ -101,15 +102,15 @@ class TestEndToEnd:
         assert sample["health"]["healthy"] is False
         assert sample["health"]["stale_workers"] == ["recv-0"]
 
-    def test_top_main_once(self, live_server, capsys):
-        assert top_main([live_server.url, "--once", "--no-color"]) == 0
+    def test_top_once(self, live_server, capsys):
+        assert main(["top", live_server.url, "--once", "--no-color"]) == 0
         out = capsys.readouterr().out
-        assert "repro-top" in out
+        assert "repro top" in out
         assert "compress" in out
 
-    def test_top_main_unreachable_is_error(self, capsys):
+    def test_top_unreachable_is_error(self, capsys):
         # A closed ephemeral port: nothing listens there any more.
         with ObservabilityServer(Telemetry(), port=0) as server:
             dead_url = server.url
-        assert top_main([dead_url, "--once"]) == 1
+        assert main(["top", dead_url, "--once"]) == 1
         assert "cannot poll" in capsys.readouterr().err

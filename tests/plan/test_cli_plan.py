@@ -1,10 +1,10 @@
-"""The repro-plan subcommand CLI (and the --plan flags downstream)."""
+"""The ``repro plan`` subcommands, and ``repro run`` on their output."""
 
 import json
 
 import pytest
 
-from repro.cli import plan_main, run_main
+from repro.cli import main
 from repro.plan.serialize import load_plan
 from repro.util.errors import ConfigurationError
 
@@ -14,8 +14,8 @@ STREAM = "det1:updraft1:lynxdtn:aps-lan"
 @pytest.fixture
 def plan_file(tmp_path):
     out = tmp_path / "plan.json"
-    rc = plan_main(["generate", "--stream", STREAM, "--chunks", "40",
-                    "-o", str(out)])
+    rc = main(["plan", "generate", "--stream", STREAM, "--chunks", "40",
+               "-o", str(out)])
     assert rc == 0
     return out
 
@@ -30,31 +30,19 @@ class TestGenerate:
 
     def test_os_baseline(self, tmp_path):
         out = tmp_path / "base.json"
-        assert plan_main(["generate", "--stream", STREAM, "--os-baseline",
-                          "-o", str(out)]) == 0
+        assert main(["plan", "generate", "--stream", STREAM, "--os-baseline",
+                     "-o", str(out)]) == 0
         assert json.loads(out.read_text())["policy"] == "os_baseline"
-
-    def test_scenario_flag_writes_v2(self, tmp_path):
-        out = tmp_path / "scenario.json"
-        assert plan_main(["generate", "--stream", STREAM, "--scenario",
-                          "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["version"] == 2
-
-    def test_legacy_no_subcommand_form(self, tmp_path, capsys):
-        out = tmp_path / "legacy.json"
-        assert plan_main(["--stream", STREAM, "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["version"] == 3
-        assert "wrote" in capsys.readouterr().out
 
     def test_unknown_machine_raises(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown machine"):
-            plan_main(["generate", "--stream", "s:ghost:lynxdtn:aps-lan",
-                       "-o", str(tmp_path / "x.json")])
+            main(["plan", "generate", "--stream", "s:ghost:lynxdtn:aps-lan",
+                  "-o", str(tmp_path / "x.json")])
 
 
 class TestExplain:
     def test_explains_generated_plan(self, plan_file, capsys):
-        assert plan_main(["explain", str(plan_file)]) == 0
+        assert main(["plan", "explain", str(plan_file)]) == 0
         out = capsys.readouterr().out
         assert "policy=numa_aware" in out
         assert "why:" in out
@@ -70,50 +58,50 @@ class TestExplain:
             PipelinePlan(name="b", machines={}, paths={}, streams=[]),
             str(doc_path),
         )
-        assert plan_main(["explain", str(doc_path)]) == 1
+        assert main(["plan", "explain", str(doc_path)]) == 1
         assert "has no streams" in capsys.readouterr().out
 
 
 class TestDiff:
     def test_substrates_parity(self, plan_file, capsys):
-        assert plan_main(["diff", str(plan_file), "--substrates"]) == 0
+        assert main(["plan", "diff", str(plan_file), "--substrates"]) == 0
         assert "0 placement drift" in capsys.readouterr().out
 
     def test_identical_plans(self, plan_file, capsys):
-        assert plan_main(["diff", str(plan_file), str(plan_file)]) == 0
+        assert main(["plan", "diff", str(plan_file), str(plan_file)]) == 0
         assert "plans are identical" in capsys.readouterr().out
 
     def test_drifted_plans_exit_nonzero(self, plan_file, tmp_path, capsys):
         other = tmp_path / "other.json"
-        rc = plan_main(["generate", "--stream", STREAM, "--chunks", "99",
-                        "-o", str(other)])
+        rc = main(["plan", "generate", "--stream", STREAM, "--chunks", "99",
+                   "-o", str(other)])
         assert rc == 0
-        assert plan_main(["diff", str(plan_file), str(other)]) == 1
+        assert main(["plan", "diff", str(plan_file), str(other)]) == 1
         assert "num_chunks" in capsys.readouterr().out
 
     def test_missing_second_plan_errors(self, plan_file):
         with pytest.raises(SystemExit):
-            plan_main(["diff", str(plan_file)])
+            main(["plan", "diff", str(plan_file)])
 
 
 class TestLower:
     def test_lower_sim_prints_scenario(self, plan_file, capsys):
-        assert plan_main(["lower", str(plan_file), "--target", "sim"]) == 0
+        assert main(["plan", "lower", str(plan_file), "--target", "sim"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == 2
         assert doc["streams"][0]["stream_id"] == "det1"
 
     def test_lower_sim_writes_file(self, plan_file, tmp_path, capsys):
         out = tmp_path / "lowered.json"
-        assert plan_main(["lower", str(plan_file), "--target", "sim",
-                          "-o", str(out)]) == 0
+        assert main(["plan", "lower", str(plan_file), "--target", "sim",
+                     "-o", str(out)]) == 0
         from repro.core.serialize import load_scenario
 
         load_scenario(str(out)).validate()
 
     def test_lower_live_prints_affinity(self, plan_file, capsys):
-        assert plan_main(["lower", str(plan_file), "--target", "live",
-                          "--host-cpus", "64"]) == 0
+        assert main(["plan", "lower", str(plan_file), "--target", "live",
+                     "--host-cpus", "64"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["stream_id"] == "det1"
         assert doc["connections"] >= 1
@@ -122,23 +110,52 @@ class TestLower:
 
 
 class TestRunPlanFlag:
-    def test_run_accepts_plan_flag(self, tmp_path, capsys):
-        out = tmp_path / "plan.json"
-        plan_main(["generate", "--stream", STREAM, "--chunks", "30",
-                   "-o", str(out)])
-        capsys.readouterr()
-        assert run_main(["--plan", str(out)]) == 0
+    """``repro run`` takes the plan file one way: positionally."""
+
+    def test_run_positional_still_accepts_v3(self, plan_file, capsys):
+        assert main(["run", str(plan_file)]) == 0
         text = capsys.readouterr().out
         assert "det1" in text and "TOTAL" in text
 
-    def test_run_positional_still_accepts_v3(self, plan_file, capsys):
-        assert run_main([str(plan_file)]) == 0
-        assert "TOTAL" in capsys.readouterr().out
-
-    def test_run_rejects_both_forms(self, plan_file):
-        with pytest.raises(SystemExit):
-            run_main([str(plan_file), "--plan", str(plan_file)])
-
     def test_run_rejects_neither(self):
         with pytest.raises(SystemExit):
-            run_main([])
+            main(["run"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["telemetry", "dump"],
+        ["plan", "--stream", STREAM, "-o", "OUT"],
+        ["plan", "generate", "--stream", STREAM, "-o", "OUT",
+         "--codec-adaptive", "zlib,null"],
+        ["plan", "generate", "--stream", STREAM, "-o", "OUT",
+         "--codec", "adaptive", "--probe-interval", "8"],
+        ["plan", "generate", "--stream", STREAM, "-o", "OUT", "--scenario"],
+        ["run", "--plan", "PLAN"],
+        ["run", "PLAN", "--plan", "PLAN"],
+    ],
+    ids=["telemetry", "bare-plan", "codec-adaptive", "probe-interval",
+         "scenario", "run-plan-flag", "run-both-forms"],
+)
+def test_old_spelling_exits_2(argv, plan_file, tmp_path, capsys):
+    """Removed spellings are rejected by argparse, not aliased."""
+    out = tmp_path / "out.json"
+    argv = [{"OUT": str(out), "PLAN": str(plan_file)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert not out.exists()
+
+
+def test_adaptive_codec_is_one_spec_string(tmp_path):
+    """The adaptive pool and probe interval ride ``--codec`` as one
+    spec string (they once had flags of their own)."""
+    from repro.plan.ir import CodecNode
+
+    out = tmp_path / "adaptive.json"
+    assert main(["plan", "generate", "--stream", STREAM, "-o", str(out),
+                 "--codec", "adaptive:allowed=zlib|null,probe_interval=8"]) == 0
+    assert load_plan(str(out)).codec == CodecNode(
+        name="adaptive", allowed=("zlib", "null"), probe_interval=8
+    )

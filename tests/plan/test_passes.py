@@ -5,10 +5,6 @@ import pytest
 from repro.core.serialize import scenario_to_dict
 from repro.plan.ir import PipelinePlan
 from repro.plan.passes import (
-    DEFAULT_PASSES,
-    PassContext,
-    Planner,
-    PlanPass,
     build_live,
     build_scenario,
     run_passes,
@@ -23,15 +19,20 @@ def broken_plan():
 
 
 class TestPlanner:
-    def test_default_pipeline(self):
-        assert [p.name for p in DEFAULT_PASSES] == ["validate", "normalize"]
+    def test_default_pipeline(self, generated_plan):
+        """Validate runs before normalize (diagnostics name the plan as
+        written, not as canonicalized)."""
+        tel = Telemetry()
+        run_passes(generated_plan, telemetry=tel)
+        spans = sorted(tel.spans.snapshot(), key=lambda s: s.start)
+        assert [s.stage for s in spans] == ["plan.validate", "plan.normalize"]
 
     def test_strict_raises_aggregate(self):
         with pytest.raises(ConfigurationError, match="has no streams"):
-            Planner().run(broken_plan())
+            run_passes(broken_plan())
 
     def test_non_strict_returns_diagnostics(self):
-        result = Planner(strict=False).run(broken_plan())
+        result = run_passes(broken_plan(), strict=False)
         assert not result.ok
         assert any(d.code == "no-streams" for d in result.diagnostics.errors)
 
@@ -40,17 +41,6 @@ class TestPlanner:
         assert result.ok
         # Normalization ran: edges derived, canonical order.
         assert all(s.edges for s in result.plan.streams)
-
-    def test_custom_pass_sees_context(self, generated_plan):
-        seen = []
-
-        def snoop(plan, ctx):
-            assert isinstance(ctx, PassContext)
-            seen.append(plan.name)
-            return plan
-
-        Planner(passes=(PlanPass("snoop", snoop),)).run(generated_plan)
-        assert seen == [generated_plan.name]
 
 
 class TestPlannerTelemetry:

@@ -1,66 +1,66 @@
-"""Chunk tracer: spans, timelines, bottleneck detection."""
+"""Per-chunk stage spans on the virtual clock: timelines, bottleneck."""
 
 import pytest
 
-from repro.sim.trace import ChunkTracer
+from repro.telemetry import ManualClock, Telemetry
+
+
+def telemetry():
+    return Telemetry(clock=ManualClock())
 
 
 class TestRecording:
     def test_record_and_timeline(self):
-        tr = ChunkTracer()
-        tr.record("s", 0, "compress", 0.0, 1.0, "s0c0")
-        tr.record("s", 0, "send", 1.2, 1.5)
-        tl = tr.timeline("s", 0)
+        tel = telemetry()
+        tel.record_span("compress", 0.0, 1.0, stream_id="s", chunk_id=0,
+                        track="s0c0")
+        tel.record_span("send", 1.2, 1.5, stream_id="s", chunk_id=0)
+        tl = tel.spans.for_chunk("s", 0)
         assert [sp.stage for sp in tl] == ["compress", "send"]
         assert tl[0].duration == 1.0
 
     def test_timeline_sorted_by_start(self):
-        tr = ChunkTracer()
-        tr.record("s", 0, "b", 2.0, 3.0)
-        tr.record("s", 0, "a", 0.0, 1.0)
-        assert [sp.stage for sp in tr.timeline("s", 0)] == ["a", "b"]
+        tel = telemetry()
+        tel.record_span("b", 2.0, 3.0, stream_id="s", chunk_id=0)
+        tel.record_span("a", 0.0, 1.0, stream_id="s", chunk_id=0)
+        assert [sp.stage for sp in tel.spans.for_chunk("s", 0)] == ["a", "b"]
 
     def test_invalid_span_rejected(self):
-        tr = ChunkTracer()
         with pytest.raises(ValueError):
-            tr.record("s", 0, "x", 2.0, 1.0)
+            telemetry().record_span("x", 2.0, 1.0, stream_id="s", chunk_id=0)
 
     def test_empty_timeline(self):
-        assert ChunkTracer().timeline("s", 0) == []
+        assert telemetry().spans.for_chunk("s", 0) == []
 
 
 class TestDerived:
     def _filled(self):
-        tr = ChunkTracer()
+        tel = telemetry()
         for i in range(5):
             base = i * 1.0
-            tr.record("s", i, "compress", base, base + 0.5)
-            tr.record("s", i, "send", base + 0.6, base + 0.7)  # 0.1 wait
-            tr.record("s", i, "recv", base + 0.7, base + 0.8)
-        return tr
-
-    def test_residence_time(self):
-        tr = self._filled()
-        assert tr.residence_time("s", 0) == pytest.approx(0.8)
-
-    def test_chunks_of(self):
-        assert self._filled().chunks_of("s") == [0, 1, 2, 3, 4]
+            for stage, start, end in (
+                ("compress", base, base + 0.5),
+                ("send", base + 0.6, base + 0.7),  # 0.1 wait
+                ("recv", base + 0.7, base + 0.8),
+            ):
+                tel.record_span(stage, start, end, stream_id="s", chunk_id=i)
+        return tel
 
     def test_summary_service_times(self):
-        summary = self._filled().summarize("s")
+        summary = self._filled().pipeline_report("s").stages
         assert summary["compress"].service.mean == pytest.approx(0.5)
         assert summary["send"].queue_wait.mean == pytest.approx(0.1)
         assert summary["recv"].queue_wait.mean == pytest.approx(0.0)
         assert summary["compress"].chunks == 5
 
     def test_bottleneck_is_longest_service(self):
-        assert self._filled().bottleneck("s") == "compress"
+        assert self._filled().pipeline_report("s").bottleneck == "compress"
 
     def test_bottleneck_empty(self):
-        assert ChunkTracer().bottleneck("s") is None
+        assert telemetry().pipeline_report("s").bottleneck is None
 
     def test_report_renders(self):
-        text = self._filled().report("s")
+        text = self._filled().pipeline_report("s").render()
         assert "bottleneck stage: compress" in text
         assert "q-wait" in text
 
@@ -92,43 +92,16 @@ class TestRuntimeIntegration:
                 paths={"aps-lan": APS_LAN_PATH},
                 streams=[stream],
             ),
-            trace=True,
+            telemetry=True,
         )
         rt.run()
-        tracer = rt.tracer
-        assert tracer is not None
+        spans = rt.telemetry.spans
         # Every chunk traced through all five spans (4 stages + wire).
-        assert len(tracer.chunks_of("t")) == 40
-        assert len(tracer.timeline("t", 0)) == 5
+        assert {s.chunk_id for s in spans.for_stream("t")} == set(range(40))
+        assert len(spans.for_chunk("t", 0)) == 5
+        report = rt.telemetry.pipeline_report("t")
         # With 2 compression threads the bottleneck must be compression.
-        assert tracer.bottleneck("t") == "compress"
+        assert report.bottleneck == "compress"
         # Downstream stages accumulate queue wait; compression does not
         # (it is never starved by its dispatcher).
-        summary = tracer.summarize("t")
-        assert summary["send"].queue_wait.n > 0
-
-    def test_untraced_runtime_has_no_tracer(self):
-        from repro.core.config import ScenarioConfig, StageConfig, StreamConfig
-        from repro.core.placement import PlacementSpec
-        from repro.core.runtime import SimRuntime
-        from repro.hw.presets import updraft_spec
-
-        stream = StreamConfig(
-            stream_id="t",
-            sender="updraft1",
-            receiver="updraft1",
-            path="p",
-            num_chunks=5,
-            source_socket=0,
-            compress=StageConfig(1, PlacementSpec.socket(0)),
-        )
-        rt = SimRuntime(
-            ScenarioConfig(
-                name="untraced",
-                machines={"updraft1": updraft_spec()},
-                paths={},
-                streams=[stream],
-            )
-        )
-        assert rt.tracer is None
-        rt.run()
+        assert report.stages["send"].queue_wait.n > 0
