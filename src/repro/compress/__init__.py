@@ -4,8 +4,9 @@ The paper compresses every chunk with LZ4 (2:1 average on tomographic
 projections).  This package provides:
 
 - :mod:`repro.compress.lz4_block` — a from-scratch, format-correct LZ4
-  *block* compressor/decompressor (pure Python; verified by round-trip
-  property tests and hand-checked vectors);
+  *block* compressor/decompressor (match finding in numpy, a Python
+  walk over the sequences; verified by round-trip property tests, an
+  independent format walker and hand-checked vectors);
 - :mod:`repro.compress.xxhash` — xxHash32, needed by the LZ4 frame
   format's checksums;
 - :mod:`repro.compress.lz4_frame` — the LZ4 *frame* container (magic,

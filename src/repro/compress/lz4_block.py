@@ -15,14 +15,23 @@ A block is a sequence of *sequences*.  Each sequence is::
 - end-of-block rules: the last 5 bytes are always literals, and the last
   match must start at least 12 bytes before the end of the block.
 
-The compressor is the classic hash-chain-free "LZ4 fast" scheme: a
-hash table over 4-byte prefixes, greedy forward match extension and an
-acceleration skip so incompressible input degrades gracefully.  Pure
-Python — correctness and ratio are the point (simulated throughput uses
-calibrated constants; see DESIGN.md §2).
+The compressor finds matches the way "LZ4 fast" does — each position's
+candidate is the most recent earlier position whose 4-byte prefix has
+the same 16-bit Fibonacci hash — but it finds them for every position
+of the block in numpy, 256 Ki positions at a time: one stable sort of
+the hashes puts each position next to its candidate.  The interpreter
+then walks only the *sequences* the block is made of (greedy forward
+extension by slice comparison, backward extension over pending
+literals), not its bytes.
+The decompressor copies literal runs and matches slice by slice.
+Simulated throughput uses calibrated constants; see DESIGN.md §2.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+
+import numpy as np
 
 from repro.util.errors import CodecError
 
@@ -34,11 +43,14 @@ LAST_LITERALS = 5
 MAX_OFFSET = 0xFFFF
 
 _HASH_LOG = 16
-_HASH_SIZE = 1 << _HASH_LOG
 #: Fibonacci hashing multiplier used by reference LZ4 (2654435761).
 _HASH_MULT = 2654435761
-#: After this many failed match probes the scan step grows (acceleration).
-_SKIP_TRIGGER = 6
+#: Positions searched per numpy pass.  The result does not depend on it;
+#: at this size the arrays of a pass stay in cache and their total stays
+#: near 8 MB however large the block is.
+_SEGMENT = 1 << 18
+#: First slice length tried when extending a match forward; it doubles.
+_EXTEND_START = 32
 
 
 def compress_bound(n: int) -> int:
@@ -49,17 +61,78 @@ def compress_bound(n: int) -> int:
 
 
 def _write_length(out: bytearray, length: int) -> None:
-    while length >= 255:
-        out.append(255)
-        length -= 255
-    out.append(length)
+    full, last = divmod(length, 255)
+    out += b"\xff" * full
+    out.append(last)
+
+
+def _find_matches(src: bytes, acceleration: int) -> tuple[memoryview, list[int]]:
+    """Match candidates for every position of ``src``.
+
+    Returns ``prev`` — ``prev[p]`` is the most recent earlier position
+    with the same hash as ``p`` when that position is within
+    ``MAX_OFFSET``, really starts with the same four bytes and ``p`` is
+    a multiple of ``acceleration``; −1 otherwise — and the sorted
+    positions where a run of usable positions begins (a usable position
+    whose predecessor is not), so the next usable position at or after
+    any point is one index or one bisection away.  Only positions before
+    ``len(src) - MF_LIMIT`` are considered: a match may not start later.
+    """
+    count = len(src) - MF_LIMIT
+    prev = np.full(count, -1, dtype=np.int32)
+    for start in range(0, count, _SEGMENT):
+        # Every candidate a position of this segment can use lies in the
+        # MAX_OFFSET positions before it, so a window that carries them
+        # finds what a search of the whole block would (and finds again,
+        # harmlessly, some of what the previous window found).
+        base = max(0, start - MAX_OFFSET)
+        size = min(count, start + _SEGMENT) - base
+        # The little-endian word at every byte offset: one overlapping view.
+        words = np.ndarray((size,), dtype="<u4", buffer=src, offset=base, strides=(1,))
+        # Multiplying by an odd constant permutes the 32-bit words, so two
+        # products are equal exactly when the four bytes are.
+        products = words * np.array(_HASH_MULT, dtype="<u4")
+        hashes = (products >> (32 - _HASH_LOG)).astype(np.uint16)
+        # A stable sort keeps equal hashes in position order, so each
+        # position's predecessor in the sorted order is its candidate.
+        order = np.argsort(hashes, kind="stable")
+        cand, cur = order[:-1], order[1:]
+        sorted_products = products[order]
+        usable = (sorted_products[1:] == sorted_products[:-1]) & (
+            cur - cand <= MAX_OFFSET
+        )
+        if acceleration > 1:
+            usable &= (cur + base) % acceleration == 0
+        prev[cur[usable] + base] = cand[usable] + base
+    found = prev >= 0
+    found[1:] &= ~found[:-1]
+    return memoryview(prev), np.flatnonzero(found).tolist()
+
+
+def _common_prefix(src: bytes, a: int, b: int, limit: int) -> int:
+    """Length of the longest common prefix of ``src[a:]`` and
+    ``src[b:limit]`` (``a < b``; the two may overlap)."""
+    from_bytes = int.from_bytes
+    length = 0
+    step = _EXTEND_START
+    while b + length < limit:
+        differ = from_bytes(src[a + length : a + length + step], "little") ^ from_bytes(
+            src[b + length : b + length + step], "little"
+        )
+        if differ:
+            # The lowest set bit sits in the first byte that differs.
+            first = ((differ & -differ).bit_length() - 1) >> 3
+            return min(length + first, limit - b)
+        length += step
+        step *= 2
+    return limit - b
 
 
 def compress_block(data: bytes | bytearray | memoryview, acceleration: int = 1) -> bytes:
     """Compress ``data`` into an LZ4 block.
 
-    ``acceleration`` ≥ 1 trades ratio for speed by widening the skip
-    step, like the reference ``LZ4_compress_fast``.
+    ``acceleration`` ≥ 1 lets a match start only at a position that is a
+    multiple of it: fewer sequences to walk, the same or a worse ratio.
     """
     if acceleration < 1:
         raise CodecError("acceleration must be >= 1")
@@ -75,44 +148,31 @@ def compress_block(data: bytes | bytearray | memoryview, acceleration: int = 1) 
         _emit_last_literals(out, src, 0)
         return bytes(out)
 
-    table: dict[int, int] = {}
+    prev, starts = _find_matches(src, acceleration)
+    match_limit = n - MF_LIMIT  # a match may not start here or later
+    match_end = n - LAST_LITERALS  # nor reach past here
     anchor = 0
-    ip = 0
-    match_limit = n - MF_LIMIT  # last position where a match may start
-    search_count = 0
-    step_shift = _SKIP_TRIGGER + (acceleration - 1)
+    next_start = 0
 
-    while ip < match_limit:
-        seq = int.from_bytes(src[ip : ip + 4], "little")
-        h = ((seq * _HASH_MULT) & 0xFFFFFFFF) >> (32 - _HASH_LOG)
-        candidate = table.get(h)
-        table[h] = ip
-        if (
-            candidate is not None
-            and ip - candidate <= MAX_OFFSET
-            and src[candidate : candidate + 4] == src[ip : ip + 4]
-        ):
-            # Extend the match forward, respecting the end-of-block rule.
-            mlen = 4
-            limit = n - LAST_LITERALS
-            while ip + mlen < limit and src[candidate + mlen] == src[ip + mlen]:
-                mlen += 1
-            # Extend backward over pending literals (improves ratio).
-            while (
-                ip > anchor
-                and candidate > 0
-                and src[ip - 1] == src[candidate - 1]
-            ):
-                ip -= 1
-                candidate -= 1
-                mlen += 1
-            _emit_sequence(out, src, anchor, ip, ip - candidate, mlen)
-            ip += mlen
-            anchor = ip
-            search_count = 0
-        else:
-            search_count += 1
-            ip += 1 + (search_count >> step_shift)
+    while anchor < match_limit:
+        ip = anchor
+        candidate = prev[ip]
+        if candidate < 0:
+            next_start = bisect_right(starts, ip, next_start)
+            if next_start == len(starts):
+                break
+            ip = starts[next_start]
+            candidate = prev[ip]
+        mlen = MIN_MATCH + _common_prefix(
+            src, candidate + MIN_MATCH, ip + MIN_MATCH, match_end
+        )
+        # Extend backward over pending literals (improves ratio).
+        while ip > anchor and candidate > 0 and src[ip - 1] == src[candidate - 1]:
+            ip -= 1
+            candidate -= 1
+            mlen += 1
+        _emit_sequence(out, src, anchor, ip, ip - candidate, mlen)
+        anchor = ip + mlen
 
     _emit_last_literals(out, src, anchor)
     return bytes(out)

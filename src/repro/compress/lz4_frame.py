@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compress.lz4_block import compress_block, decompress_block
-from repro.compress.xxhash import xxhash32
+from repro.compress.xxhash import as_byte_view, xxhash32
 from repro.util.errors import CodecError
 
 MAGIC = 0x184D2204
@@ -54,7 +54,7 @@ def compress_frame(
         raise CodecError(
             f"block_max_size must be one of {sorted(_BLOCK_MAX_SIZES.values())}"
         )
-    src = bytes(data)
+    src = as_byte_view(data)
     out = bytearray()
     out += MAGIC.to_bytes(4, "little")
     flg = (
@@ -69,7 +69,7 @@ def compress_frame(
     if store_content_size:
         descriptor += len(src).to_bytes(8, "little")
     out += descriptor
-    out.append((xxhash32(bytes(descriptor)) >> 8) & 0xFF)  # HC byte
+    out.append((xxhash32(descriptor) >> 8) & 0xFF)  # HC byte
 
     for start in range(0, len(src), block_max_size):
         raw = src[start : start + block_max_size]
@@ -139,7 +139,7 @@ def decompress_frame(data: bytes | bytearray | memoryview) -> bytes:
             break  # EndMark
         uncompressed = bool(block_size & 0x80000000)
         block_size &= 0x7FFFFFFF
-        if block_size > block_max + (0 if uncompressed else block_max):
+        if block_size > block_max:
             raise CodecError(f"block size {block_size} exceeds frame maximum")
         payload = take(block_size, "block payload")
         if block_checksums:
@@ -153,7 +153,7 @@ def decompress_frame(data: bytes | bytearray | memoryview) -> bytes:
 
     if content_checksum:
         want = int.from_bytes(take(4, "content checksum"), "little")
-        if xxhash32(bytes(out)) != want:
+        if xxhash32(out) != want:
             raise CodecError("content checksum mismatch")
     if content_size is not None and content_size != len(out):
         raise CodecError(

@@ -1,9 +1,57 @@
-"""xxHash32 against the reference test vectors."""
+"""xxHash32 against the reference test vectors and the spec."""
+
+import array
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.compress import xxhash
 from repro.compress.xxhash import xxhash32
+
+_P1, _P2, _P3, _P4, _P5 = 0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F, 0x165667B1
+_M = 0xFFFFFFFF
+
+
+def spec_xxh32(data: bytes, seed: int = 0) -> int:
+    """XXH32 transcribed from the specification, one lane and one byte
+    at a time — the reference the lane-packed implementation must equal."""
+
+    def rotl(x: int, r: int) -> int:
+        return ((x << r) | (x >> (32 - r))) & _M
+
+    def word(i: int) -> int:
+        return int.from_bytes(data[i : i + 4], "little")
+
+    seed &= _M
+    n = len(data)
+    i = 0
+    if n >= 16:
+        acc = [(seed + _P1 + _P2) & _M, (seed + _P2) & _M, seed, (seed - _P1) & _M]
+        while i + 16 <= n:
+            for lane in range(4):
+                a = (acc[lane] + word(i) * _P2) & _M
+                acc[lane] = (rotl(a, 13) * _P1) & _M
+                i += 4
+        h = (rotl(acc[0], 1) + rotl(acc[1], 7) + rotl(acc[2], 12) + rotl(acc[3], 18)) & _M
+    else:
+        h = (seed + _P5) & _M
+    h = (h + n) & _M
+    while i + 4 <= n:
+        h = (rotl((h + word(i) * _P3) & _M, 17) * _P4) & _M
+        i += 4
+    while i < n:
+        h = (rotl((h + data[i] * _P5) & _M, 11) * _P1) & _M
+        i += 1
+    h ^= h >> 15
+    h = (h * _P2) & _M
+    h ^= h >> 13
+    h = (h * _P3) & _M
+    h ^= h >> 16
+    return h
+
+
+SEEDS = (0, 1, 0xFFFFFFFF, 2**32 + 5)
 
 
 class TestReferenceVectors:
@@ -50,3 +98,45 @@ class TestProperties:
     @given(st.binary(max_size=200))
     def test_seed_changes_hash(self, data):
         assert xxhash32(data, 0) != xxhash32(data, 1)
+
+
+class TestAgainstSpec:
+    def test_reference_vector_holds_for_the_transcription(self):
+        assert spec_xxh32(b"Hello World") == 0xB1FD16EE
+
+    def test_every_length_and_seed(self):
+        # 0..4100 covers every residue mod 16 with 0, 1 and many whole
+        # stripes before it; all-ones bytes make every lane sum carry.
+        rng = random.Random(20)
+        noise = rng.randbytes(4100)
+        ones = b"\xff" * 4100
+        for n in range(4101):
+            # Every seed on the short lengths, one in rotation after.
+            for seed in SEEDS if n < 70 else SEEDS[n % 4 :][:1]:
+                assert xxhash32(noise[:n], seed) == spec_xxh32(noise[:n], seed), n
+        for n in range(0, 4101, 61):
+            for seed in SEEDS:
+                assert xxhash32(ones[:n], seed) == spec_xxh32(ones[:n], seed), n
+
+    @pytest.mark.parametrize("n", [0, 3, 16, 100, 1027])
+    def test_every_buffer_kind(self, n):
+        data = random.Random(n).randbytes(2 * n)
+        want = spec_xxh32(data[:n], 7)
+        assert xxhash32(data[:n], 7) == want
+        assert xxhash32(bytearray(data[:n]), 7) == want
+        assert xxhash32(memoryview(data)[:n], 7) == want
+        assert xxhash32(memoryview(data)[1 : n + 1], 7) == spec_xxh32(data[1 : n + 1], 7)
+        strided = memoryview(data)[::2]
+        assert not strided.contiguous or n < 2
+        assert xxhash32(strided, 7) == spec_xxh32(data[::2], 7)
+        wide = array.array("I", data[: n - n % 4])
+        assert memoryview(wide).itemsize == 4
+        assert xxhash32(memoryview(wide), 7) == spec_xxh32(wide.tobytes(), 7)
+
+
+class TestWorkCount:
+    def test_one_loop_body_per_stripe(self, spheres_chunk, count_lines):
+        data = spheres_chunk((256, 512))
+        stripes = len(data) // 16
+        lines = count_lines(xxhash, lambda: xxhash32(data))
+        assert 0 < lines < 4 * stripes + 500
