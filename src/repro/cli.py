@@ -85,6 +85,19 @@ def _add_observation_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _load_plan(path: str):
+    """Read a plan or scenario file; one that does not load is one line
+    on stderr and exit 1, not a traceback."""
+    from repro.plan.serialize import load_plan
+    from repro.util.errors import ReproError
+
+    try:
+        return load_plan(path)
+    except ReproError as exc:
+        print(f"repro: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _telemetry_for(args: argparse.Namespace, autotune: bool, *also):
     """A fresh Telemetry when an observation option (or anything in
     ``also``) reads one; None for an unobserved run."""
@@ -409,9 +422,8 @@ def _live(args) -> int:
     base = LiveConfig(**_LIVE_DEFAULTS)
     if args.plan:
         from repro.plan.passes import build_live
-        from repro.plan.serialize import load_plan
 
-        plan_obj = load_plan(args.plan)
+        plan_obj = _load_plan(args.plan)
         lowered = build_live(plan_obj, args.stream, host_cpus=args.host_cpus)
         base = lowered.config
     given = {
@@ -613,9 +625,8 @@ def _plan_generate(args) -> int:
 def _plan_explain(args) -> int:
     from repro.plan.explain import explain_plan
     from repro.plan.passes import run_passes
-    from repro.plan.serialize import load_plan
 
-    plan = load_plan(args.plan)
+    plan = _load_plan(args.plan)
     result = run_passes(plan, strict=False)
     print(explain_plan(result.plan))
     if result.diagnostics:
@@ -626,10 +637,9 @@ def _plan_explain(args) -> int:
 
 def _plan_diff(args) -> int:
     from repro.plan.diff import diff_plans, substrate_drift
-    from repro.plan.serialize import load_plan
 
     parser = args.parser
-    plan = load_plan(args.plan)
+    plan = _load_plan(args.plan)
     if args.substrates:
         if args.other is not None:
             parser.error("--substrates compares one plan's two lowerings; "
@@ -646,7 +656,7 @@ def _plan_diff(args) -> int:
         return 0
     if args.other is None:
         parser.error("diff needs a second plan (or --substrates)")
-    other = load_plan(args.other)
+    other = _load_plan(args.other)
     if args.format == "json":
         # The same delta schema the autotuning controller emits on
         # replan_* events (repro.plan.delta) — machine-checkable drift.
@@ -671,11 +681,10 @@ def _plan_lower(args) -> int:
     import json
 
     from repro.plan.passes import build_live, build_scenario
-    from repro.plan.serialize import load_plan
 
-    plan = load_plan(args.plan)
+    plan = _load_plan(args.plan)
     if args.target == "sim":
-        from repro.core.serialize import save_scenario, scenario_to_json
+        from repro.plan.serialize import save_scenario, scenario_to_json
 
         scenario = build_scenario(plan)
         if args.output:
@@ -817,10 +826,9 @@ def _add_run(sub) -> None:
 def _run(args) -> int:
     from repro.core.runtime import SimRuntime
     from repro.plan.passes import build_scenario
-    from repro.plan.serialize import load_plan
     from repro.util.tables import Table
 
-    plan_obj = load_plan(args.plan)
+    plan_obj = _load_plan(args.plan)
     scenario = build_scenario(plan_obj)
     autotune = args.autotune or plan_obj.control.enabled
     telemetry = _telemetry_for(args, autotune)

@@ -4,7 +4,9 @@ Layers:
 
 - :mod:`repro.core.params` — the calibrated cost model and network paths;
 - :mod:`repro.core.knowledge` — the hardware knowledge base (§5);
-- :mod:`repro.core.config` — declarative scenario configuration;
+- :mod:`repro.core.config` — declarative scenario configuration, and
+  the one declaration of the stream and run fields the plan IR shares
+  (files are read and written by :mod:`repro.plan.serialize`);
 - :mod:`repro.core.placement` — placement policies (pin / numa-bind /
   split / OS-managed);
 - :mod:`repro.core.generator` — the runtime configuration generator
@@ -34,12 +36,6 @@ from repro.core.params import (
 )
 from repro.core.placement import PlacementSpec, ThreadHome, resolve_placement
 from repro.core.results import RunResult, result_envelope, write_result_json
-from repro.core.serialize import (
-    load_scenario,
-    save_scenario,
-    scenario_from_json,
-    scenario_to_json,
-)
 from repro.core.runtime import (
     ScenarioResult,
     SimRuntime,
@@ -74,12 +70,8 @@ __all__ = [
     "TABLE3",
     "ThreadHome",
     "Workload",
-    "load_scenario",
     "resolve_placement",
     "result_envelope",
     "run_scenario",
-    "save_scenario",
-    "scenario_from_json",
-    "scenario_to_json",
     "write_result_json",
 ]

@@ -24,8 +24,8 @@ of the same machinery.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Any
 
 from repro.core.params import CostModel, PathSpec
 from repro.core.placement import PlacementSpec
@@ -79,7 +79,8 @@ class FaultSpec:
 
 
 class StageKind(enum.Enum):
-    """The paper's pipeline stages (Figure 2) plus source ingest."""
+    """The paper's pipeline stages (Figure 2) plus source ingest and
+    sink egest, declared in pipeline order."""
 
     INGEST = "ingest"
     COMPRESS = "compress"
@@ -106,8 +107,16 @@ class StageConfig:
 
 
 @dataclass
-class StreamConfig:
-    """One detector stream: workload, endpoints, and per-stage configs."""
+class StreamFields:
+    """What both forms of a stream state: endpoints, workload, faults.
+
+    Declared here once.  :class:`StreamConfig` (what the simulator
+    executes) and :class:`repro.plan.ir.StreamNode` (the plan IR) both
+    inherit these fields, so the lift, the lowering, the file format
+    and ``repro plan diff`` enumerate them with
+    :func:`dataclasses.fields` instead of repeating the list.
+    Declaration order is the key order of a stream in a plan file.
+    """
 
     stream_id: str
     sender: str
@@ -120,6 +129,47 @@ class StreamConfig:
     #: NUMA domain the source dataset is pinned to (Table 1's "Memory
     #: Domain"); None means first-touch by the ingest/compress threads.
     source_socket: int | None = None
+    #: Bounded inter-stage queue depth (chunks) — the paper's
+    #: thread-safe queues; small values give tight backpressure.
+    queue_capacity: int = 4
+    #: Chunks moved per queue handoff (the live runtime's batched
+    #: drain/vectored send) — a plan *policy* knob: lowered to
+    #: ``LiveConfig.batch_frames``, and amortizing
+    #: ``CostModel.queue_handoff_seconds`` in the sim, so both
+    #: substrates model the same batched cost.
+    batch_frames: int = 1
+    #: True for the §3.2/§3.3 standalone microbenchmarks (no pipeline
+    #: overhead on compute rates); False for full streaming pipelines.
+    micro: bool = False
+    #: Injected faults for failure testing (see :class:`FaultSpec`).
+    faults: tuple[FaultSpec, ...] = ()
+
+    def workload_errors(self) -> list[str]:
+        """Every workload-shape constraint this stream violates.
+
+        ``StreamConfig`` raises the first at construction; the plan
+        validator reports them all (the IR is permissive by design).
+        """
+        checks = (
+            (self.num_chunks < 1, "num_chunks must be >= 1"),
+            (self.chunk_bytes < 1, "chunk_bytes must be >= 1"),
+            (self.ratio_mean <= 0, "ratio_mean must be > 0"),
+            (self.queue_capacity < 1, "queue_capacity must be >= 1"),
+            (self.batch_frames < 1, "batch_frames must be >= 1"),
+        )
+        return [message for violated, message in checks if violated]
+
+
+def shared_fields(src: object, base: type) -> dict[str, Any]:
+    """``{name: value}`` of the fields ``base`` declares, read off
+    ``src`` — how the lift and the lowering copy what both forms share."""
+    return {f.name: getattr(src, f.name) for f in fields(base)}
+
+
+@dataclass
+class StreamConfig(StreamFields):
+    """One detector stream: workload, endpoints, and per-stage configs."""
+
     ingest: StageConfig | None = None
     compress: StageConfig | None = None
     send: StageConfig | None = None
@@ -128,30 +178,11 @@ class StreamConfig:
     #: Receiver-side sink writers ("stores it back into memory or disk",
     #: Figure 2); optional — most experiments leave delivery in memory.
     egest: StageConfig | None = None
-    #: Bounded inter-stage queue depth (chunks) — the paper's
-    #: thread-safe queues; small values give tight backpressure.
-    queue_capacity: int = 4
-    #: Chunks moved per queue handoff (the live runtime's batched
-    #: drain/vectored send); amortizes ``CostModel.queue_handoff_seconds``
-    #: in the sim so both substrates model the same batched cost.
-    batch_frames: int = 1
-    #: True for the §3.2/§3.3 standalone microbenchmarks (no pipeline
-    #: overhead on compute rates); False for full streaming pipelines.
-    micro: bool = False
-    #: Injected faults for failure testing (see :class:`FaultSpec`).
-    faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_chunks < 1:
-            raise ValidationError("num_chunks must be >= 1")
-        if self.chunk_bytes < 1:
-            raise ValidationError("chunk_bytes must be >= 1")
-        if self.ratio_mean <= 0:
-            raise ValidationError("ratio_mean must be > 0")
-        if self.queue_capacity < 1:
-            raise ValidationError("queue_capacity must be >= 1")
-        if self.batch_frames < 1:
-            raise ValidationError("batch_frames must be >= 1")
+        errors = self.workload_errors()
+        if errors:
+            raise ValidationError(errors[0])
         if (self.send is None) != (self.recv is None):
             raise ConfigurationError(
                 f"stream {self.stream_id!r}: send and recv stages must both "
@@ -160,17 +191,11 @@ class StreamConfig:
 
     def stages(self) -> dict[StageKind, StageConfig]:
         """Present stages, in pipeline order."""
-        out: dict[StageKind, StageConfig] = {}
-        for kind, cfg in (
-            (StageKind.INGEST, self.ingest),
-            (StageKind.COMPRESS, self.compress),
-            (StageKind.SEND, self.send),
-            (StageKind.RECV, self.recv),
-            (StageKind.DECOMPRESS, self.decompress),
-            (StageKind.EGEST, self.egest),
-        ):
-            if cfg is not None:
-                out[kind] = cfg
+        out: dict[StageKind, StageConfig] = {
+            kind: cfg
+            for kind in StageKind
+            if (cfg := getattr(self, kind.value)) is not None
+        }
         if not out:
             raise ConfigurationError(
                 f"stream {self.stream_id!r} has no stages"
@@ -179,13 +204,19 @@ class StreamConfig:
 
 
 @dataclass
-class ScenarioConfig:
-    """A complete runnable scenario."""
+class RunFields:
+    """What both forms of a run state: facts, cost model, sim settings.
+
+    The run-level counterpart of :class:`StreamFields`:
+    :class:`ScenarioConfig` and :class:`repro.plan.ir.PipelinePlan`
+    inherit these, each redeclaring ``streams`` with its own element
+    type (a redeclared field keeps its place in the order).
+    """
 
     name: str
     machines: dict[str, MachineSpec]
     paths: dict[str, PathSpec]
-    streams: list[StreamConfig]
+    streams: list[Any]
     cost: CostModel = field(default_factory=CostModel)
     seed: int = 7
     #: Chunk completions per stream discarded before measuring rates
@@ -199,6 +230,13 @@ class ScenarioConfig:
     spill_threshold: int = 1
     #: Hard wall on simulated seconds (deadlock/runaway guard).
     max_sim_time: float = 600.0
+
+
+@dataclass
+class ScenarioConfig(RunFields):
+    """A complete runnable scenario."""
+
+    streams: list[StreamConfig]
 
     def __post_init__(self) -> None:
         self.validate()

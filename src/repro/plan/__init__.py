@@ -64,7 +64,7 @@ _EXPORTS = {
     "plan_delta": "repro.plan.delta",
     "delta_to_dict": "repro.plan.delta",
     "delta_from_dict": "repro.plan.delta",
-    # serialization (scenario format v3)
+    # serialization (the one document: v3 plans, v1/v2 scenarios)
     "plan_to_dict": "repro.plan.serialize",
     "plan_from_dict": "repro.plan.serialize",
     "plan_to_json": "repro.plan.serialize",
@@ -72,6 +72,12 @@ _EXPORTS = {
     "save_plan": "repro.plan.serialize",
     "load_plan": "repro.plan.serialize",
     "PLAN_VERSION": "repro.plan.serialize",
+    "scenario_to_dict": "repro.plan.serialize",
+    "scenario_from_dict": "repro.plan.serialize",
+    "scenario_to_json": "repro.plan.serialize",
+    "scenario_from_json": "repro.plan.serialize",
+    "save_scenario": "repro.plan.serialize",
+    "load_scenario": "repro.plan.serialize",
 }
 
 __all__ = sorted(_EXPORTS)

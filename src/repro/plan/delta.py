@@ -26,8 +26,8 @@ so a bad delta surfaces diagnostics exactly like a bad plan file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Any, Iterator
 
 from repro.core.config import StageKind
 from repro.core.placement import PlacementSpec
@@ -46,6 +46,7 @@ __all__ = [
     "delta_from_dict",
     "delta_to_dict",
     "plan_delta",
+    "plan_drift",
 ]
 
 
@@ -239,16 +240,9 @@ def apply_delta(
 
 def _op_to_dict(op: DeltaOp) -> dict[str, Any]:
     out: dict[str, Any] = {"op": op.op}
-    if isinstance(op, ScaleStage):
-        out.update(stream=op.stream, stage=op.stage, count=op.count)
-    elif isinstance(op, MoveStage):
-        out.update(
-            stream=op.stream, stage=op.stage, sockets=list(op.sockets)
-        )
-    elif isinstance(op, SetBatchFrames):
-        out.update(stream=op.stream, batch_frames=op.batch_frames)
-    elif isinstance(op, SetCodec):
-        out.update(codec=op.codec)
+    for f in fields(op):
+        value = getattr(op, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -289,65 +283,117 @@ def delta_from_dict(doc: dict[str, Any]) -> PlanDelta:
 
 
 # ---------------------------------------------------------------------------
-# structured diff — plan_delta(a, b) such that apply(a, delta) ~ b
+# the drift walk — what `repro plan diff` renders, as text or as a delta
 # ---------------------------------------------------------------------------
 
-
-def _placement_sockets(node: StageNode) -> tuple[int, ...] | None:
-    """The socket set a placement pins to, or None when not socket-kind."""
-    if node.placement.kind in ("socket", "sockets"):
-        return node.placement.sockets
-    return None
+#: One finding of the walk: the line ``repro plan diff`` prints, and the
+#: op that would close the gap when the grammar can express it.
+Drift = tuple[str, DeltaOp | None]
 
 
-def _stream_ops(
-    a: StreamNode, b: StreamNode
-) -> tuple[list[DeltaOp], list[str]]:
-    ops: list[DeltaOp] = []
-    notes: list[str] = []
-    sid = a.stream_id
-    if a.batch_frames != b.batch_frames:
-        ops.append(SetBatchFrames(sid, b.batch_frames))
-    a_stages = {n.kind: n for n in a.stages}
-    b_stages = {n.kind: n for n in b.stages}
+def _value_drift(label: str, a: Any, b: Any) -> Iterator[str]:
+    """Lines locating where two values of one field differ, descending
+    through dataclasses, mappings and sequences."""
+    if a == b:
+        return
+    if is_dataclass(a) and type(a) is type(b):
+        for f in fields(a):
+            yield from _value_drift(
+                f"{label}.{f.name}", getattr(a, f.name), getattr(b, f.name)
+            )
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if set(a) != set(b):
+            yield f"{label}: {sorted(a)} != {sorted(b)}"
+        for key in sorted(set(a) & set(b)):
+            yield from _value_drift(f"{label}[{key!r}]", a[key], b[key])
+    elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if len(a) != len(b):
+            yield f"{label}: {len(a)} entries != {len(b)}"
+        for i, (av, bv) in enumerate(zip(a, b)):
+            yield from _value_drift(f"{label}[{i}]", av, bv)
+    else:
+        yield f"{label}: {a!r} != {b!r}"
+
+
+def _stage_drift(
+    sid: str, a: tuple[StageNode, ...], b: tuple[StageNode, ...]
+) -> Iterator[Drift]:
+    a_stages = {n.kind: n for n in a}
+    b_stages = {n.kind: n for n in b}
     for kind in sorted(set(a_stages) | set(b_stages), key=lambda k: k.value):
+        at = f"stream {sid!r} stage {kind.value}"
         an, bn = a_stages.get(kind), b_stages.get(kind)
         if an is None or bn is None:
             which = "first" if bn is None else "second"
-            notes.append(
-                f"stream {sid!r} stage {kind.value}: only in {which} plan"
-            )
+            yield f"{at}: only in {which} plan", None
             continue
-        if an.count != bn.count:
-            ops.append(ScaleStage(sid, kind.value, bn.count))
-        if an.placement != bn.placement:
-            target = _placement_sockets(bn)
-            if target is not None:
-                ops.append(MoveStage(sid, kind.value, target))
-            else:
-                notes.append(
-                    f"stream {sid!r} stage {kind.value}: placement "
-                    f"{an.placement.describe()} != "
-                    f"{bn.placement.describe()} (not socket-addressable)"
+        for f in fields(StageNode):
+            av, bv = getattr(an, f.name), getattr(bn, f.name)
+            if av == bv:
+                continue
+            if f.name == "count":
+                yield (
+                    f"{at}: count {av} != {bv}",
+                    ScaleStage(sid, kind.value, bv),
                 )
-    for attr in (
-        "sender",
-        "receiver",
-        "path",
-        "num_chunks",
-        "chunk_bytes",
-        "ratio_mean",
-        "ratio_sigma",
-        "source_socket",
-        "queue_capacity",
-        "micro",
-    ):
-        av, bv = getattr(a, attr), getattr(b, attr)
-        if av != bv:
-            notes.append(f"stream {sid!r} {attr}: {av!r} != {bv!r}")
-    if tuple(a.faults) != tuple(b.faults):
-        notes.append(f"stream {sid!r}: fault specs differ")
-    return ops, notes
+            elif f.name == "placement":
+                line = f"{at}: placement {av.describe()} != {bv.describe()}"
+                if bv.kind in ("socket", "sockets"):
+                    yield line, MoveStage(sid, kind.value, bv.sockets)
+                else:
+                    yield f"{line} (not socket-addressable)", None
+            else:
+                for line in _value_drift(f"{at} {f.name}", av, bv):
+                    yield line, None
+
+
+def _stream_drift(a: StreamNode, b: StreamNode) -> Iterator[Drift]:
+    sid = a.stream_id
+    for f in fields(StreamNode):
+        av, bv = getattr(a, f.name), getattr(b, f.name)
+        if av == bv:
+            continue
+        if f.name == "stages":
+            yield from _stage_drift(sid, av, bv)
+        elif f.name == "batch_frames":
+            yield (
+                f"stream {sid!r} batch_frames: {av!r} != {bv!r}",
+                SetBatchFrames(sid, bv),
+            )
+        elif f.name == "faults":
+            yield f"stream {sid!r}: fault specs differ", None
+        else:
+            for line in _value_drift(f"stream {sid!r} {f.name}", av, bv):
+                yield line, None
+
+
+def plan_drift(a: PipelinePlan, b: PipelinePlan) -> Iterator[Drift]:
+    """Every difference between two plans, one :data:`Drift` each.
+
+    Walks ``fields(PipelinePlan)`` and, per shared stream,
+    ``fields(StreamNode)`` and ``fields(StageNode)``, so a field added
+    to the IR is compared without an edit here.  Plan-level findings
+    come first, then streams by id.
+    """
+    for f in fields(PipelinePlan):
+        av, bv = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "streams" or av == bv:
+            continue  # streams are matched by id, below
+        if f.name == "codec":
+            yield (
+                f"codec: {av.describe()} != {bv.describe()}",
+                SetCodec(str(bv.spec())),
+            )
+        else:
+            for line in _value_drift(f.name, av, bv):
+                yield line, None
+    a_ids, b_ids = set(a.stream_ids()), set(b.stream_ids())
+    for sid in sorted(a_ids - b_ids):
+        yield f"stream {sid!r}: only in first plan", None
+    for sid in sorted(b_ids - a_ids):
+        yield f"stream {sid!r}: only in second plan", None
+    for sid in sorted(a_ids & b_ids):
+        yield from _stream_drift(a.stream(sid), b.stream(sid))
 
 
 def plan_delta(
@@ -357,51 +403,11 @@ def plan_delta(
 
     Expressible drift (stage counts, socket placements, batch_frames,
     codec node) becomes ops; everything else becomes notes.  An empty
-    delta (no ops, no notes) means the plans agree on every compared
-    axis.
+    delta (no ops, no notes) means the plans agree on every field.
     """
-    ops: list[DeltaOp] = []
-    notes: list[str] = []
-    if a.codec != b.codec:
-        ops.append(SetCodec(str(b.codec.spec())))
-    a_ids, b_ids = set(a.stream_ids()), set(b.stream_ids())
-    for sid in sorted(a_ids - b_ids):
-        notes.append(f"stream {sid!r}: only in first plan")
-    for sid in sorted(b_ids - a_ids):
-        notes.append(f"stream {sid!r}: only in second plan")
-    for sid in sorted(a_ids & b_ids):
-        s_ops, s_notes = _stream_ops(a.stream(sid), b.stream(sid))
-        ops.extend(s_ops)
-        notes.extend(s_notes)
-    for attr, label in (
-        ("name", "name"),
-        ("policy", "policy"),
-        ("seed", "seed"),
-        ("warmup_chunks", "warmup_chunks"),
-        ("csw_penalty", "csw_penalty"),
-        ("wake_affinity", "wake_affinity"),
-        ("migrate_prob", "migrate_prob"),
-        ("spill_threshold", "spill_threshold"),
-        ("max_sim_time", "max_sim_time"),
-    ):
-        av, bv = getattr(a, attr), getattr(b, attr)
-        if av != bv:
-            notes.append(f"{label}: {av!r} != {bv!r}")
-    if a.cost != b.cost:
-        notes.append("cost model differs")
-    if set(a.machines) != set(b.machines):
-        notes.append(
-            f"machines: {sorted(a.machines)} != {sorted(b.machines)}"
-        )
-    if set(a.paths) != set(b.paths):
-        notes.append(f"paths: {sorted(a.paths)} != {sorted(b.paths)}")
-    if a.execution != b.execution:
-        notes.append(
-            f"execution: {a.execution.describe()} != "
-            f"{b.execution.describe()}"
-        )
-    if a.control != b.control:
-        notes.append(
-            f"control: {a.control.describe()} != {b.control.describe()}"
-        )
-    return PlanDelta(ops=tuple(ops), reason=reason, notes=tuple(notes))
+    drift = list(plan_drift(a, b))
+    return PlanDelta(
+        ops=tuple(op for _, op in drift if op is not None),
+        reason=reason,
+        notes=tuple(line for line, op in drift if op is None),
+    )

@@ -2,9 +2,9 @@
 
 Two comparisons live here:
 
-- :func:`diff_plans` reports where two plans disagree (placements,
-  counts, workload shape, faults) — the tool for "what changed between
-  these two generated configs?".
+- :func:`diff_plans` reports where two plans disagree, field by field
+  (the text rendering of :func:`repro.plan.delta.plan_drift`) — the
+  tool for "what changed between these two generated configs?".
 - :func:`substrate_drift` holds the two lowerings to each other: lower
   one plan to the simulator's scenario, lift that back, and check its
   affinity map, stage counts, and fault specs against what the live
@@ -14,102 +14,13 @@ Two comparisons live here:
 
 from __future__ import annotations
 
-from repro.plan.ir import PipelinePlan, StreamNode
+from repro.plan.delta import plan_drift
+from repro.plan.ir import PipelinePlan
 
 
 def diff_plans(a: PipelinePlan, b: PipelinePlan) -> list[str]:
     """Human-readable drift between two plans (empty when identical)."""
-    out: list[str] = []
-    if a.name != b.name:
-        out.append(f"name: {a.name!r} != {b.name!r}")
-    if a.policy != b.policy:
-        out.append(f"policy: {a.policy} != {b.policy}")
-    for attr in (
-        "seed",
-        "warmup_chunks",
-        "csw_penalty",
-        "wake_affinity",
-        "migrate_prob",
-        "spill_threshold",
-        "max_sim_time",
-    ):
-        av, bv = getattr(a, attr), getattr(b, attr)
-        if av != bv:
-            out.append(f"{attr}: {av} != {bv}")
-    if a.cost != b.cost:
-        out.append("cost model differs")
-    if set(a.machines) != set(b.machines):
-        out.append(
-            f"machines: {sorted(a.machines)} != {sorted(b.machines)}"
-        )
-    if set(a.paths) != set(b.paths):
-        out.append(f"paths: {sorted(a.paths)} != {sorted(b.paths)}")
-    if a.execution != b.execution:
-        out.append(
-            f"execution: {a.execution.describe()} != "
-            f"{b.execution.describe()}"
-        )
-    if a.codec != b.codec:
-        out.append(f"codec: {a.codec.describe()} != {b.codec.describe()}")
-    if a.control != b.control:
-        out.append(
-            f"control: {a.control.describe()} != {b.control.describe()}"
-        )
-
-    a_ids, b_ids = set(a.stream_ids()), set(b.stream_ids())
-    for sid in sorted(a_ids - b_ids):
-        out.append(f"stream {sid!r}: only in first plan")
-    for sid in sorted(b_ids - a_ids):
-        out.append(f"stream {sid!r}: only in second plan")
-    for sid in sorted(a_ids & b_ids):
-        out.extend(_diff_streams(a.stream(sid), b.stream(sid)))
-    return out
-
-
-def _diff_streams(a: StreamNode, b: StreamNode) -> list[str]:
-    out: list[str] = []
-    sid = a.stream_id
-    for attr in (
-        "sender",
-        "receiver",
-        "path",
-        "num_chunks",
-        "chunk_bytes",
-        "ratio_mean",
-        "ratio_sigma",
-        "source_socket",
-        "queue_capacity",
-        "batch_frames",
-        "micro",
-    ):
-        av, bv = getattr(a, attr), getattr(b, attr)
-        if av != bv:
-            out.append(f"stream {sid!r} {attr}: {av!r} != {bv!r}")
-    a_stages = {n.kind: n for n in a.stages}
-    b_stages = {n.kind: n for n in b.stages}
-    for kind in sorted(
-        set(a_stages) | set(b_stages), key=lambda k: k.value
-    ):
-        an, bn = a_stages.get(kind), b_stages.get(kind)
-        if an is None or bn is None:
-            which = "first" if bn is None else "second"
-            out.append(
-                f"stream {sid!r} stage {kind.value}: only in {which} plan"
-            )
-            continue
-        if an.count != bn.count:
-            out.append(
-                f"stream {sid!r} stage {kind.value}: "
-                f"count {an.count} != {bn.count}"
-            )
-        if an.placement != bn.placement:
-            out.append(
-                f"stream {sid!r} stage {kind.value}: placement "
-                f"{an.placement.describe()} != {bn.placement.describe()}"
-            )
-    if tuple(a.faults) != tuple(b.faults):
-        out.append(f"stream {sid!r}: fault specs differ")
-    return out
+    return [line for line, _ in plan_drift(a, b)]
 
 
 def substrate_drift(
@@ -145,9 +56,7 @@ def substrate_drift(
                     f"stream {sid!r} stage {stage}: sim cpus "
                     f"{sim_cpus} != live cpus {live_cpus}"
                 )
-        sim_counts = {
-            n.kind.value: n.count for n in lifted.stages_in_order()
-        }
+        sim_counts = lifted.stage_counts()
         if sim_counts != live.stage_counts:
             out.append(
                 f"stream {sid!r}: stage counts {sim_counts} != "

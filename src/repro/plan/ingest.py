@@ -13,7 +13,14 @@ Both produce the same IR, which is the point: one plan, many backends.
 
 from __future__ import annotations
 
-from repro.core.config import ScenarioConfig, StageConfig, StreamConfig
+from repro.core.config import (
+    RunFields,
+    ScenarioConfig,
+    StageConfig,
+    StreamConfig,
+    StreamFields,
+    shared_fields,
+)
 from repro.plan.ir import STAGE_ORDER, PipelinePlan, StageNode, StreamNode
 from repro.plan.rules import rationale_for
 
@@ -43,20 +50,7 @@ def stream_from_config(
             )
         )
     return StreamNode(
-        stream_id=cfg.stream_id,
-        sender=cfg.sender,
-        receiver=cfg.receiver,
-        path=cfg.path,
-        num_chunks=cfg.num_chunks,
-        chunk_bytes=cfg.chunk_bytes,
-        ratio_mean=cfg.ratio_mean,
-        ratio_sigma=cfg.ratio_sigma,
-        source_socket=cfg.source_socket,
-        queue_capacity=cfg.queue_capacity,
-        batch_frames=cfg.batch_frames,
-        micro=cfg.micro,
-        faults=tuple(cfg.faults),
-        stages=tuple(nodes),
+        **shared_fields(cfg, StreamFields), stages=tuple(nodes)
     )
 
 
@@ -65,21 +59,13 @@ def plan_from_scenario(
 ) -> PipelinePlan:
     """Lift a full scenario into the IR (placements kept verbatim)."""
     numa_aware = policy != "os_baseline"
-    return PipelinePlan(
-        name=scenario.name,
+    shared = shared_fields(scenario, RunFields)
+    shared.update(
         machines=dict(scenario.machines),
         paths=dict(scenario.paths),
         streams=[
             stream_from_config(s, numa_aware=numa_aware)
             for s in scenario.streams
         ],
-        cost=scenario.cost,
-        seed=scenario.seed,
-        warmup_chunks=scenario.warmup_chunks,
-        csw_penalty=scenario.csw_penalty,
-        wake_affinity=scenario.wake_affinity,
-        migrate_prob=scenario.migrate_prob,
-        spill_threshold=scenario.spill_threshold,
-        max_sim_time=scenario.max_sim_time,
-        policy=policy,
     )
+    return PipelinePlan(**shared, policy=policy)

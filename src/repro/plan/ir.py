@@ -36,20 +36,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
 from repro.compress.codec import CodecSpec
-from repro.core.config import FaultSpec, StageKind
-from repro.core.params import CostModel, PathSpec
+from repro.core.config import RunFields, StageKind, StreamFields
 from repro.core.placement import PlacementSpec
-from repro.hw.topology import MachineSpec
 
 #: Canonical pipeline order (Figure 2 plus source ingest / sink egest).
-STAGE_ORDER: tuple[StageKind, ...] = (
-    StageKind.INGEST,
-    StageKind.COMPRESS,
-    StageKind.SEND,
-    StageKind.RECV,
-    StageKind.DECOMPRESS,
-    StageKind.EGEST,
-)
+STAGE_ORDER: tuple[StageKind, ...] = tuple(StageKind)
 
 #: Plan policies: how the placements were decided.
 POLICIES = ("numa_aware", "os_baseline", "manual")
@@ -87,8 +78,19 @@ class QueueEdge:
         return f"{self.src} -> {self.dst} [cap {self.capacity}]{fan}"
 
 
+class PolicyNode:
+    """What the four policy nodes share: every field has a default, and
+    a node left at its defaults is not written to the plan file — so a
+    plan that never opted in round-trips byte-identically with files
+    written before the node existed."""
+
+    @property
+    def is_default(self) -> bool:
+        return self == type(self)()
+
+
 @dataclass(frozen=True)
-class ExecutionNode:
+class ExecutionNode(PolicyNode):
     """How the live substrate should *execute* the plan — a policy
     node, not a placement one.
 
@@ -96,9 +98,7 @@ class ExecutionNode:
     ``process`` runs one compressor process per NUMA domain over
     shared-memory rings (:mod:`repro.mp`), which is the only mode that
     can physically demonstrate multi-core compression scaling from
-    CPython.  Serialization is v3-compatible: a default node is simply
-    omitted from the document, so plans that never mention execution
-    round-trip byte-identically with older readers.
+    CPython.
     """
 
     mode: str = "thread"
@@ -113,10 +113,6 @@ class ExecutionNode:
     #: (one per NUMA-domain core, mirroring the NIC's RSS hash→queue
     #: fan-out, Obs 3/4).
     receiver_shards: int = 0
-
-    @property
-    def is_default(self) -> bool:
-        return self == ExecutionNode()
 
     def describe(self) -> str:
         recv = f" recv x{self.receiver_shards}" if self.receiver_shards else ""
@@ -152,16 +148,14 @@ def stream_shard(stream_id: str, shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class CodecNode:
+class CodecNode(PolicyNode):
     """Which codec compresses payloads — a policy node, not a placement.
 
     A static policy names one registered codec (plus constructor
     params); the ``adaptive`` policy carries the candidate set and the
     re-probe cadence for per-chunk selection
-    (:class:`repro.compress.adaptive.AdaptiveCodec`).  Serialization is
-    v3-compatible: the default node (static zlib, no params) is simply
-    omitted from the document, so plans that never chose a codec
-    round-trip byte-identically with older readers.
+    (:class:`repro.compress.adaptive.AdaptiveCodec`).  The default is
+    static zlib with no params.
     """
 
     name: str = "zlib"
@@ -172,10 +166,6 @@ class CodecNode:
     allowed: tuple[str, ...] = ()
     #: Adaptive only: re-probe cadence in chunks; 0 = the codec default.
     probe_interval: int = 0
-
-    @property
-    def is_default(self) -> bool:
-        return self == CodecNode()
 
     @property
     def is_adaptive(self) -> bool:
@@ -219,7 +209,7 @@ class CodecNode:
 
 
 @dataclass(frozen=True)
-class ControlNode:
+class ControlNode(PolicyNode):
     """Closed-loop autotuning policy — a policy node, not a placement.
 
     When ``enabled``, the runtime starts a
@@ -228,10 +218,7 @@ class ControlNode:
     to the *running* pipeline: scaling worker sets, retuning
     ``batch_frames``, respawning stalled workers.  The same node drives
     both substrates — a daemon thread on wall time, a simulated process
-    on the virtual clock.  Serialization is v3-compatible: the default
-    (disabled) node is simply omitted from the document, so plans that
-    never opted into autotuning round-trip byte-identically with older
-    readers.
+    on the virtual clock.
     """
 
     enabled: bool = False
@@ -247,10 +234,6 @@ class ControlNode:
     #: Consecutive quiet polls before scaling a stage back down
     #: (0 disables scale-down).
     scale_down_after: int = 0
-
-    @property
-    def is_default(self) -> bool:
-        return self == ControlNode()
 
     def describe(self) -> str:
         if not self.enabled:
@@ -268,7 +251,7 @@ class ControlNode:
 
 
 @dataclass(frozen=True)
-class TraceNode:
+class TraceNode(PolicyNode):
     """Flow-tracing policy — head-based sampling of per-chunk traces.
 
     When ``sample`` is N > 0, the feeder marks every Nth chunk of each
@@ -276,9 +259,6 @@ class TraceNode:
     ring, and wire handoffs and both endpoints record per-chunk spans
     that :mod:`repro.trace` reassembles into causal timelines.
     ``per_stream_cap`` bounds traces per stream (0 = unbounded).
-    Serialization is v3-compatible: the default (disabled) node is
-    omitted from the document, so existing plans round-trip
-    byte-identically.
     """
 
     #: 1-in-N head sampling rate; 0 disables tracing, 1 traces all.
@@ -289,10 +269,6 @@ class TraceNode:
     @property
     def enabled(self) -> bool:
         return self.sample > 0
-
-    @property
-    def is_default(self) -> bool:
-        return self == TraceNode()
 
     def describe(self) -> str:
         if not self.enabled:
@@ -305,26 +281,15 @@ class TraceNode:
         return f"1-in-{self.sample} head sampling{cap}"
 
 
-@dataclass(frozen=True)
-class StreamNode:
-    """One detector stream: workload, endpoints, stages, and faults."""
+@dataclass
+class StreamNode(StreamFields):
+    """One detector stream: workload, endpoints, stages, and faults.
 
-    stream_id: str
-    sender: str
-    receiver: str
-    path: str
-    num_chunks: int = 200
-    chunk_bytes: int = 11_059_200
-    ratio_mean: float = 2.0
-    ratio_sigma: float = 0.03
-    source_socket: int | None = None
-    queue_capacity: int = 4
-    #: Chunks coalesced per queue handoff / vectored send — a plan
-    #: *policy* knob: lowered to ``LiveConfig.batch_frames`` and
-    #: ``StreamConfig.batch_frames`` so both substrates batch alike.
-    batch_frames: int = 1
-    micro: bool = False
-    faults: tuple[FaultSpec, ...] = ()
+    Not frozen only because a dataclass must match its base, and the
+    base is shared with the mutable :class:`StreamConfig`; the passes
+    still rewrite streams with :func:`dataclasses.replace`.
+    """
+
     stages: tuple[StageNode, ...] = ()
     #: Derived by the normalize pass; () until then.
     edges: tuple[QueueEdge, ...] = ()
@@ -354,21 +319,10 @@ class StreamNode:
 
 
 @dataclass
-class PipelinePlan:
+class PipelinePlan(RunFields):
     """A complete, substrate-neutral plan for one run."""
 
-    name: str
-    machines: dict[str, MachineSpec]
-    paths: dict[str, PathSpec]
     streams: list[StreamNode]
-    cost: CostModel = field(default_factory=CostModel)
-    seed: int = 7
-    warmup_chunks: int = 20
-    csw_penalty: float = 0.04
-    wake_affinity: float = 0.85
-    migrate_prob: float = 0.005
-    spill_threshold: int = 1
-    max_sim_time: float = 600.0
     #: How placements were decided: "numa_aware" (the paper's runtime),
     #: "os_baseline" (§4.2 comparison), or "manual" (hand-built).
     policy: str = "manual"
@@ -407,14 +361,10 @@ class PipelinePlan:
             f"plan {self.name!r} [{self.policy}]: "
             f"{len(self.machines)} machines, {len(self.streams)} streams"
         ]
-        if not self.execution.is_default:
-            lines.append(f"  execution: {self.execution.describe()}")
-        if not self.codec.is_default:
-            lines.append(f"  codec: {self.codec.describe()}")
-        if not self.control.is_default:
-            lines.append(f"  control: {self.control.describe()}")
-        if not self.trace.is_default:
-            lines.append(f"  trace: {self.trace.describe()}")
+        for name in ("execution", "codec", "control", "trace"):
+            node = getattr(self, name)
+            if not node.is_default:
+                lines.append(f"  {name}: {node.describe()}")
         for s in self.streams:
             stages = ", ".join(n.describe() for n in s.stages_in_order())
             lines.append(f"  {s.stream_id}: {s.sender} -> {s.receiver}: {stages}")

@@ -24,10 +24,13 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import (
     FaultSpec,
+    RunFields,
     ScenarioConfig,
     StageConfig,
     StageKind,
     StreamConfig,
+    StreamFields,
+    shared_fields,
 )
 from repro.hw.topology import CoreId, MachineSpec
 from repro.plan.ir import PipelinePlan, StreamNode
@@ -65,20 +68,14 @@ def lower_sim(plan: PipelinePlan) -> ScenarioConfig:
         if plan.codec.is_default
         else plan.cost.for_codec(plan.codec.name)
     )
-    return ScenarioConfig(
-        name=plan.name,
+    shared = shared_fields(plan, RunFields)
+    shared.update(
         machines=dict(plan.machines),
         paths=dict(plan.paths),
         streams=[_lower_stream(s) for s in plan.streams],
         cost=cost,
-        seed=plan.seed,
-        warmup_chunks=plan.warmup_chunks,
-        csw_penalty=plan.csw_penalty,
-        wake_affinity=plan.wake_affinity,
-        migrate_prob=plan.migrate_prob,
-        spill_threshold=plan.spill_threshold,
-        max_sim_time=plan.max_sim_time,
     )
+    return ScenarioConfig(**shared)
 
 
 def _lower_stream(s: StreamNode) -> StreamConfig:
@@ -86,22 +83,7 @@ def _lower_stream(s: StreamNode) -> StreamConfig:
         node.kind.value: StageConfig(node.count, node.placement)
         for node in s.stages_in_order()
     }
-    return StreamConfig(
-        stream_id=s.stream_id,
-        sender=s.sender,
-        receiver=s.receiver,
-        path=s.path,
-        num_chunks=s.num_chunks,
-        chunk_bytes=s.chunk_bytes,
-        ratio_mean=s.ratio_mean,
-        ratio_sigma=s.ratio_sigma,
-        source_socket=s.source_socket,
-        queue_capacity=s.queue_capacity,
-        batch_frames=s.batch_frames,
-        micro=s.micro,
-        faults=tuple(s.faults),
-        **stages,
-    )
+    return StreamConfig(**shared_fields(s, StreamFields), **stages)
 
 
 # ---------------------------------------------------------------------------

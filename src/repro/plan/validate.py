@@ -118,7 +118,10 @@ def _validate_stream(
     if not s.stages:
         diags.error("no-stages", f"stream {sid!r} has no stages", stream=sid)
 
-    _validate_workload(s, diags)
+    # The StreamConfig construction rules, re-checked here because the
+    # IR is permissive by design.
+    for message in s.workload_errors():
+        diags.error("bad-workload", message, stream=sid)
 
     machines: dict[str, MachineSpec | None] = {}
     for role, mname in (("sender", s.sender), ("receiver", s.receiver)):
@@ -170,26 +173,6 @@ def _validate_stream(
                 f"stream {sid!r}: source_socket: {exc}",
                 stream=sid,
             )
-
-
-def _validate_workload(s: StreamNode, diags: Diagnostics) -> None:
-    """Workload-shape constraints (the StreamConfig construction rules,
-    re-checked here because the IR is permissive by design)."""
-    sid = s.stream_id
-    if s.num_chunks < 1:
-        diags.error("bad-workload", "num_chunks must be >= 1", stream=sid)
-    if s.chunk_bytes < 1:
-        diags.error("bad-workload", "chunk_bytes must be >= 1", stream=sid)
-    if s.ratio_mean <= 0:
-        diags.error("bad-workload", "ratio_mean must be > 0", stream=sid)
-    if s.queue_capacity < 1:
-        diags.error(
-            "bad-workload", "queue_capacity must be >= 1", stream=sid
-        )
-    if s.batch_frames < 1:
-        diags.error(
-            "bad-workload", "batch_frames must be >= 1", stream=sid
-        )
 
 
 def _validate_placement(

@@ -45,16 +45,6 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    # The simulator's names for the same two fields.
-
-    @property
-    def chunk_index(self) -> int:
-        return self.chunk_id
-
-    @property
-    def core(self) -> str | None:
-        return self.track
-
 
 class ActiveSpan:
     """Handle yielded by :func:`stage_span` / :meth:`SpanStore.span`.

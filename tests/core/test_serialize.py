@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.generator import ConfigGenerator, StreamRequest, Workload
 from repro.core.runtime import run_scenario
-from repro.core.serialize import (
+from repro.plan.serialize import (
     load_scenario,
     save_scenario,
     scenario_from_dict,

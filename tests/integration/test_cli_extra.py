@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.util.errors import ValidationError
 
 
 class TestExperimentCliEdges:
@@ -107,11 +106,17 @@ class TestPlanRunEdges:
         with pytest.raises(FileNotFoundError):
             main(["run", str(tmp_path / "ghost.json")])
 
-    def test_run_garbage_file(self, tmp_path):
+    def test_run_garbage_file(self, tmp_path, capsys):
+        # A file that does not load is the user's error, reported as
+        # one line and exit 1 (the ValidationError no longer escapes).
         path = tmp_path / "garbage.json"
         path.write_text("{]")
-        with pytest.raises(ValidationError):
+        with pytest.raises(SystemExit) as info:
             main(["run", str(path)])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: {path}: malformed plan JSON")
+        assert err.count("\n") == 1
 
     def test_plan_unknown_machine(self, tmp_path):
         from repro.util.errors import ConfigurationError

@@ -95,7 +95,7 @@ class TestLower:
         out = tmp_path / "lowered.json"
         assert main(["plan", "lower", str(plan_file), "--target", "sim",
                      "-o", str(out)]) == 0
-        from repro.core.serialize import load_scenario
+        from repro.plan.serialize import load_scenario
 
         load_scenario(str(out)).validate()
 
@@ -120,6 +120,29 @@ class TestRunPlanFlag:
     def test_run_rejects_neither(self):
         with pytest.raises(SystemExit):
             main(["run"])
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["plan", "explain"], ["live", "--plan"]],
+        ids=["run", "explain", "live"],
+    )
+    def test_file_that_does_not_load_is_one_line_and_exit_1(
+        self, argv, plan_file, tmp_path, capsys
+    ):
+        """A misspelt key is reported the way a user reads it —
+        ``repro: <file>: <message>`` and exit 1 — not as a traceback
+        (an escaping ReproError would fail the ``raises`` below)."""
+        doc = json.loads(plan_file.read_text())
+        doc["streams"][0]["num_chunk"] = 10
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as info:
+            main([*argv, str(bad)])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: {bad}: unknown stream keys: ['num_chunk']\n"
+        )
 
 
 @pytest.mark.parametrize(

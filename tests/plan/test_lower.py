@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import FaultSpec, StageConfig, StageKind
 from repro.core.placement import PlacementSpec
-from repro.core.serialize import scenario_to_dict
+from repro.plan.serialize import scenario_to_dict
 from repro.hw.presets import lynxdtn_spec, polaris_spec, updraft_spec
 from repro.hw.topology import CoreId
 from repro.plan.ingest import plan_from_scenario, stream_from_config

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.serialize import scenario_to_dict
+from repro.plan.serialize import scenario_to_dict
 from repro.plan.ir import PipelinePlan
 from repro.plan.passes import (
     build_live,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FaultSpec, StageConfig
-from repro.core.serialize import (
+from repro.plan.serialize import (
     load_scenario,
     scenario_from_json,
     scenario_to_dict,
@@ -136,7 +136,7 @@ class TestOldVersionsStillLoad:
         scenario.validate()
 
     def test_v2_scenario_json_lifts(self, hand_scenario):
-        from repro.core.serialize import scenario_to_json
+        from repro.plan.serialize import scenario_to_json
 
         text = scenario_to_json(hand_scenario())
         plan = plan_from_json(text)

@@ -10,8 +10,6 @@ class TestSpan:
     def test_duration_and_aliases(self):
         s = Span("det1", 3, "compress", 1.0, 1.5, track="core-0")
         assert s.duration == pytest.approx(0.5)
-        assert s.chunk_index == 3
-        assert s.core == "core-0"
 
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError):
