@@ -43,12 +43,14 @@ from contextlib import contextmanager
 from repro.experiments import EXPERIMENTS, get_experiment
 from repro.obs.session import Observation, observe
 from repro.obs.top import add_top_arguments, run_top
+from repro.telemetry import Telemetry, assemble
 
 def _add_observation_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out", metavar="PATH",
         help="collect telemetry and write a Chrome trace_event JSON of "
-        "every stage span (open in chrome://tracing or ui.perfetto.dev)",
+        "every stage span, with flow arrows along each chunk's journey "
+        "(open in chrome://tracing or ui.perfetto.dev)",
     )
     parser.add_argument(
         "--metrics-out", metavar="PATH",
@@ -110,8 +112,6 @@ def _telemetry_for(args: argparse.Namespace, autotune: bool, *also):
         or autotune
         or any(also)
     ):
-        from repro.telemetry import Telemetry
-
         return Telemetry()
     return None
 
@@ -168,14 +168,7 @@ def _write_observations(
         if args.trace_out:
             n = telemetry.write_chrome_trace(args.trace_out)
             print(f"wrote {n} trace events to {args.trace_out}")
-        if args.flow_out:
-            from repro.trace import write_flow_trace
-
-            n = write_flow_trace(telemetry.spans.snapshot(), args.flow_out)
-            print(f"wrote {n} flow-trace events to {args.flow_out}")
         if trace_sample:
-            from repro.trace import assemble
-
             traces = assemble(telemetry.spans.snapshot())
             n = sum(1 for t in traces if "wire" in t.stage_order())
             print(f"flow tracing: {n} traced chunk journey(s) assembled "
@@ -344,12 +337,6 @@ def _add_live(sub) -> None:
         "stream after N (bounds trace volume on long runs)",
     )
     parser.add_argument(
-        "--flow-out", metavar="PATH",
-        help="write a Chrome trace with flow-event arrows linking each "
-        "sampled chunk's spans across threads (implies tracing "
-        "telemetry; best with --trace-sample)",
-    )
-    parser.add_argument(
         "--fault", action="append", default=[], metavar="KIND[:k=v,...]",
         help="inject a sender-side transport fault (chaos testing); "
         "repeatable. Kinds: corrupt, truncate, drop, delay. Keys: "
@@ -455,7 +442,7 @@ def _live(args) -> int:
         plan_obj is not None and plan_obj.control.enabled
     )
     telemetry = _telemetry_for(
-        args, autotune, args.flow_out, fault_specs, config.trace_sample
+        args, autotune, fault_specs, config.trace_sample
     )
     injector = (
         FaultInjector(fault_specs, telemetry=telemetry)
@@ -819,8 +806,8 @@ def _add_run(sub) -> None:
         "plan", help="plan or scenario file (v1/v2/v3) from `repro plan`"
     )
     _add_observation_arguments(parser)
-    # The two observation artefacts only `live` can produce.
-    parser.set_defaults(handler=_run, profile_out=None, flow_out=None)
+    # The observation artefact only `live` can produce.
+    parser.set_defaults(handler=_run, profile_out=None)
 
 
 def _run(args) -> int:

@@ -30,7 +30,7 @@ import threading
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro.compress.lz4_frame import compress_frame, decompress_frame
 from repro.compress.shuffle import (
@@ -571,8 +571,3 @@ if HAS_STDLIB_ZSTD:  # pragma: no cover - Python 3.14+ only
         "zstd-default": CodecSpec("zstd", {"level": 3}),
         "zstd-high": CodecSpec("zstd", {"level": 17}),
     }
-
-
-def _iter_registry() -> Iterator[tuple[str, type[Codec]]]:
-    """(name, class) pairs — test/bench introspection hook."""
-    return iter(sorted(_REGISTRY.items()))

@@ -12,8 +12,6 @@ dictionaries, skippable frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.compress.lz4_block import compress_block, decompress_block
 from repro.compress.xxhash import as_byte_view, xxhash32
 from repro.util.errors import CodecError
@@ -24,16 +22,6 @@ _VERSION = 0b01
 #: BD byte "block maximum size" codes -> bytes.
 _BLOCK_MAX_SIZES = {4: 64 * 1024, 5: 256 * 1024, 6: 1024 * 1024, 7: 4 * 1024 * 1024}
 _DEFAULT_BD_CODE = 7
-
-
-@dataclass(frozen=True)
-class FrameInfo:
-    """Parsed frame descriptor."""
-
-    block_max_size: int
-    block_checksums: bool
-    content_checksum: bool
-    content_size: int | None
 
 
 def compress_frame(

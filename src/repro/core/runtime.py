@@ -39,6 +39,7 @@ from repro.sim.engine import Engine
 from repro.sim.flows import FlowNetwork, Resource
 from repro.sim.metrics import MetricsCollector
 from repro.sim.queues import Store
+from repro.telemetry import SimClock, as_telemetry
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.log import get_logger
 from repro.util.rng import derive_seed
@@ -188,13 +189,8 @@ class SimRuntime:
             )
         self.network = FlowNetwork(self.engine)
         #: Unified metrics/span layer (None when disabled).
-        self.telemetry = None
-        if telemetry:
-            from repro.telemetry import SimClock, Telemetry
-
-            self.telemetry = (
-                Telemetry() if telemetry is True else telemetry
-            )
+        self.telemetry = as_telemetry(telemetry)
+        if self.telemetry is not None:
             self.telemetry.set_clock(SimClock(self.engine))
         self.metrics = MetricsCollector(
             self.engine,

@@ -41,8 +41,8 @@ class Chunk:
     #: the stage that first touches it (first-touch policy).
     home_socket: int | None = None
     #: Flow-trace context assigned by the feeder when this chunk was
-    #: head-sampled (:class:`repro.trace.TraceContext`); None for the
-    #: untraced majority.  Downstream stages only test for presence.
+    #: head-sampled (:class:`repro.telemetry.TraceContext`); None for
+    #: the untraced majority.  Downstream stages only test for presence.
     trace: "object | None" = None
 
     def __post_init__(self) -> None:

@@ -25,6 +25,7 @@ from repro.live import workers
 from repro.live.queues import ClosableQueue
 from repro.live.stageset import Knobs, StageSet
 from repro.live.transport import socket_pipe
+from repro.telemetry.context import HeadSampler
 
 if TYPE_CHECKING:
     from repro.compress.codec import Codec
@@ -61,11 +62,9 @@ class Assembly:
         self.knobs = Knobs(cfg.batch_frames, cfg.batch_linger)
         #: What every :mod:`~repro.live.workers` body takes by keyword.
         self.kw: dict[str, Any] = {"telemetry": tel, "knobs": self.knobs}
-        self.sampler: Any = None
-        # A duck-typed telemetry without record_span cannot land a trace.
-        if cfg.trace_sample > 0 and getattr(tel, "record_span", None):
-            from repro.trace import HeadSampler
-
+        self.sampler: HeadSampler | None = None
+        # Without telemetry a trace has nowhere to land.
+        if cfg.trace_sample > 0 and tel is not None:
             self.sampler = HeadSampler(cfg.trace_sample, cfg.trace_per_stream_cap)
         self.stages: dict[str, StageSet] = {}
         self.sendq: ClosableQueue

@@ -396,9 +396,8 @@ class ReactorShard(threading.Thread):
         if not frame.traced or since <= 0:
             return
         tel = self.plane.telemetry
-        record = getattr(tel, "record_span", None) if tel is not None else None
-        if record is not None:
-            record(
+        if tel is not None:
+            tel.record_span(
                 "defer", since, time.perf_counter(),
                 stream_id=frame.stream_id, chunk_id=frame.index,
                 track=self.name,
@@ -555,9 +554,7 @@ class EventLoopPlane:
                     state.episode = True
                     first = True
         if self.telemetry is not None:
-            record = getattr(self.telemetry, "record_deferred", None)
-            if record is not None:
-                record(stream_id)
+            self.telemetry.record_deferred(stream_id)
             if first:
                 self.telemetry.emit_event(
                     "backpressure",

@@ -95,9 +95,7 @@ class ClosableQueue:
 
     def _record_batch(self, site: str, size: int) -> None:
         if self._telemetry is not None:
-            record = getattr(self._telemetry, "record_batch", None)
-            if record is not None:
-                record(site, size)
+            self._telemetry.record_batch(site, size)
 
     @staticmethod
     def _deadline(timeout: float | None) -> float | None:

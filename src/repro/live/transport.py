@@ -68,7 +68,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.util.errors import FrameIntegrityError, TransportError
 
@@ -92,8 +92,8 @@ CODEC_SHIFT = 8
 #: Trailer of a traced frame: the sender's wall clock when the frame
 #: was built.  The receiver pairs it with its own arrival stamp to
 #: derive wire time and the sender/receiver clock offset
-#: (:mod:`repro.trace`).  Excluded from the payload checksum — it is
-#: observability metadata, not scientific data.
+#: (:class:`repro.telemetry.ClockAlign`).  Excluded from the payload
+#: checksum — it is observability metadata, not scientific data.
 TRACE_TRAILER = struct.Struct("<d")
 
 #: Refuse absurd frames before allocating for them.
@@ -256,9 +256,7 @@ class FramedSender:
                 for size in sizes:
                     self.telemetry.record_frame("tx", size)
         if self.telemetry is not None and len(frames) > 1:
-            record = getattr(self.telemetry, "record_batch", None)
-            if record is not None:
-                record("wire.tx", len(frames))
+            self.telemetry.record_batch("wire.tx", len(frames))
 
     def _sendv(self, buffers: list[bytes]) -> None:
         """Vectored transmit with partial-send recovery."""
@@ -332,6 +330,18 @@ class FramedSender:
             pass
 
 
+class _Head(NamedTuple):
+    """A decoded frame header; ``size`` is the whole frame on the wire."""
+
+    size: int
+    sid_len: int
+    index: int
+    flags: int
+    orig_len: int
+    checksum: int
+    length: int
+
+
 class FramedReceiver:
     """Parses frames off a connected socket.
 
@@ -374,15 +384,10 @@ class FramedReceiver:
             self._pos = 0
         self._buf += data
 
-    def next_frame(self) -> Frame | None:
-        """Parse one frame from buffered bytes, without touching the socket.
-
-        Returns None when the buffer holds only a partial frame — the
-        bytes stay put and parsing resumes exactly where it left off on
-        the next :meth:`feed` (partial-frame resume).  Raises
-        :class:`FrameIntegrityError` on a bad magic / oversized header
-        or a checksum mismatch, same as :meth:`recv`.
-        """
+    def _header(self) -> _Head | None:
+        """Decode the header at the read position without consuming it;
+        None while it is incomplete.  The one place a malformed header
+        (bad magic, oversized stream id or payload) is refused."""
         have = len(self._buf) - self._pos
         if have < _HEADER.size:
             return None
@@ -393,8 +398,7 @@ class FramedReceiver:
             raise FrameIntegrityError(
                 f"stream id length {sid_len} exceeds limit"
             )
-        head = _HEADER.size + sid_len + _BODY.size
-        if have < head:
+        if have < _HEADER.size + sid_len + _BODY.size:
             return None
         index, flags, orig_len, checksum, length = _BODY.unpack_from(
             self._buf, self._pos + _HEADER.size + sid_len
@@ -403,31 +407,36 @@ class FramedReceiver:
             raise FrameIntegrityError(
                 f"frame payload {length} exceeds limit"
             )
-        traced = bool(flags & FLAG_TRACED)
-        tail = TRACE_TRAILER.size if traced else 0
-        if have < head + length + tail:
-            return None
-        pos = self._pos + _HEADER.size
-        sid = bytes(self._buf[pos : pos + sid_len]).decode()
-        pos += sid_len + _BODY.size
-        if length:
-            with memoryview(self._buf) as mv:
-                payload = bytes(mv[pos : pos + length])
-        else:
-            payload = b""
+        tail = TRACE_TRAILER.size if flags & FLAG_TRACED else 0
+        size = _HEADER.size + sid_len + _BODY.size + length + tail
+        return _Head(size, sid_len, index, flags, orig_len, checksum, length)
+
+    def _take(self, header: _Head) -> Frame:
+        """Consume the frame ``header`` opens, verify it and build it.
+
+        Payload and trailer bytes not yet buffered are read from the
+        socket; :meth:`next_frame` only calls this once all of them are.
+        """
+        size, sid_len, index, flags, orig_len, checksum, length = header
+        self._pos += _HEADER.size
+        sid = bytes(self._buf[self._pos : self._pos + sid_len]).decode()
+        self._pos += sid_len + _BODY.size
+        payload = self._read_payload(length) if length else b""
         if zlib.crc32(payload) != checksum:
             raise FrameIntegrityError(
                 f"checksum mismatch on {sid}#{index} ({length} bytes)"
             )
+        traced = bool(flags & FLAG_TRACED)
         sent_at = 0.0
         if traced:
-            (sent_at,) = TRACE_TRAILER.unpack_from(self._buf, pos + length)
-        self._pos = pos + length + tail
+            self._fill(TRACE_TRAILER.size)
+            (sent_at,) = TRACE_TRAILER.unpack_from(self._buf, self._pos)
+            self._pos += TRACE_TRAILER.size
         if self._pos == len(self._buf):
             del self._buf[:]
             self._pos = 0
         if self.telemetry is not None:
-            self.telemetry.record_frame("rx", head + length + tail)
+            self.telemetry.record_frame("rx", size)
         return Frame(
             stream_id=sid,
             index=index,
@@ -440,6 +449,20 @@ class FramedReceiver:
             traced=traced,
             sent_at=sent_at,
         )
+
+    def next_frame(self) -> Frame | None:
+        """Parse one frame from buffered bytes, without touching the socket.
+
+        Returns None when the buffer holds only a partial frame — the
+        bytes stay put and parsing resumes exactly where it left off on
+        the next :meth:`feed` (partial-frame resume).  Raises
+        :class:`FrameIntegrityError` on a bad magic / oversized header
+        or a checksum mismatch, same as :meth:`recv`.
+        """
+        header = self._header()
+        if header is None or len(self._buf) - self._pos < header.size:
+            return None
+        return self._take(header)
 
     def _fill(self, need: int, *, eof_ok: bool = False) -> bool:
         """Ensure ``need`` unconsumed bytes are buffered.
@@ -458,7 +481,7 @@ class FramedReceiver:
                     return False
                 raise TransportError(
                     f"connection closed mid-frame "
-                    f"({need - have} of {need} bytes missing)"
+                    f"({have} of at least {need} bytes buffered)"
                 )
             if self._pos:
                 # Compact consumed bytes before growing the buffer.
@@ -469,64 +492,13 @@ class FramedReceiver:
 
     def recv(self) -> Frame | None:
         """Next frame, or None on clean connection shutdown."""
-        if self.pending:
-            # A whole frame may already sit in the read-ahead buffer.
-            frame = self.next_frame()
-            if frame is not None:
-                return frame
-        if not self._fill(_HEADER.size, eof_ok=True):
-            return None
-        magic, sid_len = _HEADER.unpack_from(self._buf, self._pos)
-        if magic != MAGIC:
-            raise FrameIntegrityError(f"bad frame magic 0x{magic:08X}")
-        if sid_len > MAX_STREAM_ID:
-            raise FrameIntegrityError(
-                f"stream id length {sid_len} exceeds limit"
-            )
-        self._fill(_HEADER.size + sid_len + _BODY.size)
-        self._pos += _HEADER.size
-        sid = bytes(self._buf[self._pos : self._pos + sid_len]).decode()
-        self._pos += sid_len
-        index, flags, orig_len, checksum, length = _BODY.unpack_from(
-            self._buf, self._pos
-        )
-        self._pos += _BODY.size
-        if length > MAX_FRAME_PAYLOAD:
-            raise FrameIntegrityError(
-                f"frame payload {length} exceeds limit"
-            )
-        payload = self._read_payload(length) if length else b""
-        if zlib.crc32(payload) != checksum:
-            raise FrameIntegrityError(
-                f"checksum mismatch on {sid}#{index} ({length} bytes)"
-            )
-        traced = bool(flags & FLAG_TRACED)
-        sent_at = 0.0
-        tail = 0
-        if traced:
-            tail = TRACE_TRAILER.size
-            self._fill(tail)
-            (sent_at,) = TRACE_TRAILER.unpack_from(self._buf, self._pos)
-            self._pos += tail
-        if self._pos == len(self._buf):
-            del self._buf[:]
-            self._pos = 0
-        if self.telemetry is not None:
-            self.telemetry.record_frame(
-                "rx", _HEADER.size + sid_len + _BODY.size + length + tail
-            )
-        return Frame(
-            stream_id=sid,
-            index=index,
-            payload=payload,
-            compressed=bool(flags & FLAG_COMPRESSED),
-            orig_len=orig_len,
-            eos=bool(flags & FLAG_EOS),
-            ack=bool(flags & FLAG_ACK),
-            codec_id=flags >> CODEC_SHIFT,
-            traced=traced,
-            sent_at=sent_at,
-        )
+        while (header := self._header()) is None:
+            # Nothing of a frame buffered yet is the one clean place
+            # for the peer to have closed.
+            buffered = len(self._buf) - self._pos
+            if not self._fill(buffered + 1, eof_ok=True):
+                return None
+        return self._take(header)
 
     def _read_payload(self, length: int) -> bytes:
         """Assemble the payload: buffered bytes first, then read the
@@ -572,8 +544,3 @@ def socket_pipe(*, telemetry=None) -> tuple[FramedSender, FramedReceiver]:
         FramedSender(a, telemetry=telemetry),
         FramedReceiver(b, telemetry=telemetry),
     )
-
-
-def frames_payload_bytes(frames: Iterable[Frame]) -> int:
-    """Total payload bytes across ``frames`` (batch accounting helper)."""
-    return sum(len(f.payload) for f in frames)

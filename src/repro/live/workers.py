@@ -85,11 +85,9 @@ def _finish(
 
 
 def _record_codec(telemetry, stage: str, stream_id: str, name: str) -> None:
-    """Bump the codec-choice counter when the telemetry supports it."""
+    """Bump the codec-choice counter when telemetry is attached."""
     if telemetry is not None:
-        record = getattr(telemetry, "record_codec", None)
-        if record is not None:
-            record(stage, stream_id, name)
+        telemetry.record_codec(stage, stream_id, name)
 
 
 def feeder(
@@ -109,7 +107,7 @@ def feeder(
     chunk-at-a-time behaviour.  The knob is re-read before every batch,
     so the controller can hot-swap it.
 
-    ``sampler`` (a :class:`repro.trace.HeadSampler`) is where flow
+    ``sampler`` (a :class:`repro.telemetry.HeadSampler`) is where flow
     tracing begins: the feeder assigns each head-sampled chunk its
     trace context before the chunk enters the pipeline, and every
     downstream hop merely forwards the mark.
@@ -233,7 +231,7 @@ def _chunk_frame(chunk: Chunk, *, compressed: bool) -> Frame:
         # Frames are built in the sender thread immediately before
         # transmit, so this stamp is the start of the wire interval
         # (it deliberately includes the send syscall — overlap is
-        # documented in repro.trace).
+        # documented in repro.telemetry.assemble).
         sent_at=time.perf_counter() if traced else 0.0,
     )
 
@@ -254,22 +252,17 @@ def _note_wire(telemetry, frame: Frame, *, arrived: float | None = None) -> None
     The span runs from the sender's trailer stamp to arrival on the
     receiver's clock.  On a loopback pipeline both stamps share one
     monotonic clock so the interval is exact; across hosts the pair
-    also feeds the telemetry's :class:`~repro.trace.ClockAlign`
+    also feeds the telemetry's :class:`~repro.telemetry.ClockAlign`
     estimator, whose offset bound the ``/trace`` endpoint reports.
     """
     if telemetry is None or not frame.traced:
         return
     now = arrived if arrived is not None else time.perf_counter()
-    align = getattr(telemetry, "trace_align", None)
-    if align is not None:
-        align.observe(frame.sent_at, now)
+    telemetry.trace_align.observe(frame.sent_at, now)
     start = min(frame.sent_at, now) if frame.sent_at > 0 else now
-    record = getattr(telemetry, "record_span", None)
-    if record is not None:
-        record(
-            "wire", start, now,
-            stream_id=frame.stream_id, chunk_id=frame.index,
-        )
+    telemetry.record_span(
+        "wire", start, now, stream_id=frame.stream_id, chunk_id=frame.index
+    )
 
 
 def _pump(

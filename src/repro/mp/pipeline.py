@@ -38,7 +38,7 @@ from repro.live.stageset import StageSet
 from repro.mp.records import ChunkRecord, pack_record, unpack_record
 from repro.mp.supervisor import DomainSupervisor
 from repro.mp.topology import plan_topology
-from repro.trace import TraceContext
+from repro.telemetry.context import TraceContext
 from repro.util.errors import ValidationError
 
 
@@ -178,7 +178,6 @@ class ProcessFront:
     def _feed(self) -> None:
         supervisor, ndomains, expected = self.supervisor, self.domains, self.expected
         tel, sampler, stats = self.tel, self.sampler, self.stats["feed"]
-        record_span = getattr(tel, "record_span", None)
         next_domain = 0
         try:
             for chunk in self.source:
@@ -207,8 +206,8 @@ class ProcessFront:
                 if tel is not None:
                     tel.record_chunk("feed", chunk.stream_id, n)
                     tel.heartbeat("mp-feeder")
-                    if chunk.trace is not None and record_span is not None:
-                        record_span(
+                    if chunk.trace is not None:
+                        tel.record_span(
                             "feed", t0, t1, stream_id=chunk.stream_id,
                             chunk_id=chunk.index, track="mp-feeder",
                         )
@@ -221,9 +220,6 @@ class ProcessFront:
         supervisor = self.supervisor
         tel, knobs, sendq, codec = self.tel, self.knobs, self.sendq, self.codec
         dedup, dedup_lock = self.dedup, self._dedup_lock
-        # Guarded like workers._record_codec: as_telemetry passes
-        # through duck-typed user objects that may predate record_span.
-        record_span = getattr(tel, "record_span", None)
         ring = supervisor.comp_ring(domain)
         try:
             while True:
@@ -251,13 +247,13 @@ class ProcessFront:
                             if rec.codec_id
                             else codec.name,
                         )
-                        if rec.stage_times is not None and record_span is not None:
+                        if rec.stage_times is not None:
                             # The worker stamped its compress interval
                             # (perf_counter is shared across processes
                             # on this host) — surface it on the same
                             # per-domain track the thread pipeline
                             # would use.
-                            record_span(
+                            tel.record_span(
                                 "compress", rec.stage_times[0], rec.stage_times[1],
                                 stream_id=rec.stream_id, chunk_id=rec.index,
                                 track=f"mp-compress-{domain}",

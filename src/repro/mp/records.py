@@ -19,10 +19,10 @@ records).  Layout, little-endian::
     <t0, t1   2×f64 — only when bit 4 is set>
 
 The trailer is how per-chunk flow tracing crosses the process
-boundary (:mod:`repro.trace`): the parent marks a sampled record with
-bit 3, the compress worker echoes the bit and stamps its wall-clock
-work interval ``(t0, t1)`` into the outgoing trailer (bit 4), and the
-collector synthesizes the ``mp-compress-N`` span from it.  A pipeline
+boundary (:mod:`repro.telemetry.context`): the parent marks a sampled
+record with bit 3, the compress worker echoes the bit and stamps its
+wall-clock work interval ``(t0, t1)`` into the outgoing trailer (bit
+4), and the collector synthesizes the ``mp-compress-N`` span from it.  A pipeline
 with telemetry attached asks workers to stamp *every* record (timed
 without traced) so process mode emits the same per-chunk compress
 spans thread mode does.  Untraced, untimed records are byte-identical

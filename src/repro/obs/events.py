@@ -107,7 +107,6 @@ class EventBus:
         self._counts: Counter[str] = Counter()
         self._emitted = 0
         self._sink: IO[str] | None = None
-        self._sink_path: str | None = None
         if jsonl_path is not None:
             self.attach_sink(jsonl_path)
 
@@ -151,11 +150,6 @@ class EventBus:
             if self._sink is not None:
                 self._sink.close()
             self._sink = open(path, "w", encoding="utf-8")
-            self._sink_path = path
-
-    @property
-    def sink_path(self) -> str | None:
-        return self._sink_path
 
     def close(self) -> None:
         """Flush and close the sink (the ring stays readable)."""

@@ -34,7 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs, urlparse
 
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, trace_summary
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.events import EventBus
@@ -169,11 +169,9 @@ class ObservabilityServer:
 
     def trace(self, limit: int = 20) -> dict[str, Any]:
         """The ``/trace`` payload: assembled flow traces, newest last."""
-        from repro.trace import trace_summary
-
         return trace_summary(
             self.telemetry.spans.snapshot(),
-            align=getattr(self.telemetry, "trace_align", None),
+            align=self.telemetry.trace_align,
             limit=limit,
         )
 

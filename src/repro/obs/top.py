@@ -26,6 +26,7 @@ from repro.obs.promparse import (
     parse_prometheus_text,
     sample_value,
 )
+from repro.telemetry.assemble import stage_rank
 
 _CLEAR = "\x1b[2J\x1b[H"
 _BOLD = "\x1b[1m"
@@ -34,10 +35,6 @@ _RED = "\x1b[31m"
 _GREEN = "\x1b[32m"
 _YELLOW = "\x1b[33m"
 _RESET = "\x1b[0m"
-
-#: Pipeline stage display order (families may carry any subset).
-_STAGE_ORDER = ("feed", "ingest", "compress", "send", "wire", "recv",
-                "decompress", "egest")
 
 
 def _fetch(url: str, timeout: float) -> bytes:
@@ -57,10 +54,7 @@ def fetch_sample(base_url: str, *, timeout: float = 2.0) -> dict[str, Any]:
     except urllib.error.HTTPError as exc:  # 503 still carries the body
         health = json.loads(exc.read())
     events = json.loads(_fetch(f"{base}/events?n=5", timeout))
-    try:
-        trace = json.loads(_fetch(f"{base}/trace?n=3", timeout))
-    except (urllib.error.URLError, OSError, json.JSONDecodeError):
-        trace = {}  # older server without the /trace route
+    trace = json.loads(_fetch(f"{base}/trace?n=3", timeout))
     return {
         "metrics": metrics,
         "report": report,
@@ -83,8 +77,8 @@ def _stage_chunks(families: Mapping[str, Family]) -> dict[str, float]:
 
 
 def _ordered(stages: Mapping[str, Any]) -> list[str]:
-    known = [s for s in _STAGE_ORDER if s in stages]
-    return known + sorted(set(stages) - set(known))
+    """Pipeline order (families may carry any subset), strangers last."""
+    return sorted(stages, key=lambda s: (stage_rank(s), s))
 
 
 class Dashboard:

@@ -69,9 +69,6 @@ class OsScheduler:
         except KeyError as exc:
             raise ConfigurationError(f"thread {tid!r} was never placed") from exc
 
-    def core_loads(self) -> dict[CoreId, int]:
-        return dict(self.loads)
-
     def socket_load(self, socket: int) -> int:
         return sum(n for c, n in self.loads.items() if c.socket == socket)
 

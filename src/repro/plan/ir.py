@@ -257,7 +257,8 @@ class TraceNode(PolicyNode):
     When ``sample`` is N > 0, the feeder marks every Nth chunk of each
     stream with a trace context; the mark propagates through queue,
     ring, and wire handoffs and both endpoints record per-chunk spans
-    that :mod:`repro.trace` reassembles into causal timelines.
+    that :mod:`repro.telemetry.assemble` reassembles into causal
+    timelines.
     ``per_stream_cap`` bounds traces per stream (0 = unbounded).
     """
 

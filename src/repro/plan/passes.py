@@ -17,7 +17,6 @@ onto the standard passes.
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,6 +25,7 @@ from repro.plan.ir import PipelinePlan
 from repro.plan.lower import LiveLowering, lower_live, lower_sim
 from repro.plan.normalize import normalize_plan
 from repro.plan.validate import validate_plan
+from repro.telemetry.spans import ActiveSpan, stage_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ScenarioConfig
@@ -44,13 +44,9 @@ class PlanResult:
         return self.diagnostics.ok
 
 
-def _step(
-    telemetry: "Telemetry | None", name: str
-) -> AbstractContextManager[object]:
-    """Time ``plan.<name>`` as a span when telemetry is attached."""
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.span(f"plan.{name}", track="plan")
+def _step(telemetry: "Telemetry | None", name: str) -> ActiveSpan:
+    """Time ``plan.<name>``; the span lands when telemetry is attached."""
+    return stage_span(telemetry, f"plan.{name}", track="plan")
 
 
 def run_passes(

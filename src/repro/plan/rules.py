@@ -11,7 +11,6 @@ gives for it.
 from __future__ import annotations
 
 from repro.core.config import StageKind
-from repro.hw.topology import MachineSpec
 
 #: Observation rationale per stage kind, the §3 decision logic verbatim
 #: enough to annotate plans and explain placements.
@@ -62,16 +61,3 @@ def rationale_for(kind: StageKind, *, numa_aware: bool = True) -> str:
     if not numa_aware:
         return OS_BASELINE_RATIONALE
     return RATIONALE[kind]
-
-
-def recv_sockets(machine: MachineSpec) -> list[int]:
-    """Sockets receive threads belong on: the streaming NIC's domain."""
-    return [machine.nic_socket()]
-
-
-def decompress_sockets(machine: MachineSpec) -> list[int]:
-    """Sockets decompression belongs on: every non-NIC domain, or the
-    NIC domain itself on single-socket machines (no choice)."""
-    nic = machine.nic_socket()
-    other = [s for s in range(machine.num_sockets) if s != nic]
-    return other or [nic]

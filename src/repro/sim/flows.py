@@ -166,19 +166,13 @@ IntervalObserver = Callable[[float, float, list[Flow]], None]
 class FlowNetwork:
     """Tracks active flows and assigns max-min fair rates."""
 
-    #: Flow-population size at which allocation switches from the scalar
-    #: reference implementation to the vectorized one.  Both compute the
-    #: same rates (a property test pins them against each other); the
-    #: vectorized path wins once per-reallocation work dominates.
-    VECTORIZE_THRESHOLD = 24
-
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._flows: list[Flow] = []
         self._last_t = engine.now
         self._version = 0
         self._observers: list[IntervalObserver] = []
-        # Vectorized-path caches: a stable column index per resource and
+        # Allocator caches: a stable column index per resource and
         # per-resource capacity/penalty arrays (grown on first sighting).
         self._res_index: dict[Resource, int] = {}
         self._res_caps: list[float] = []
@@ -241,16 +235,10 @@ class FlowNetwork:
         self._version += 1
         self._schedule_next_completion()
 
-    def _compute_rates(self) -> None:
-        flows = self._flows
-        if not flows:
-            return
-        if len(flows) >= self.VECTORIZE_THRESHOLD:
-            self._compute_rates_vectorized()
-            return
-        self._compute_rates_scalar()
-
     def _compute_rates_scalar(self) -> None:
+        """Progressive filling in plain Python: the oracle
+        ``tests/sim/test_flows.py::test_paths_agree`` holds
+        :meth:`_compute_rates` to.  Nothing else calls it."""
         flows = self._flows
         # Per-resource flow population (for load-dependent capacities).
         users: dict[Resource, int] = {}
@@ -347,16 +335,20 @@ class FlowNetwork:
         flow._cols = np.asarray(cols, dtype=np.intp)
         flow._vals = np.asarray(vals, dtype=float)
 
-    def _compute_rates_vectorized(self) -> None:
-        """Progressive filling over dense arrays (numpy).
+    def _compute_rates(self) -> None:
+        """Progressive filling over dense arrays (numpy), at every
+        population size.
 
         Identical semantics to :meth:`_compute_rates_scalar` — a
         differential property test pins the two against each other.
         Profiling shows rate allocation dominates large scenarios
-        (Figure 5 with 128 streams); this path amortizes it with cached
-        per-flow demand columns and incremental load updates.
+        (Figure 5 with 128 streams; on a fig14 pair nine in ten calls
+        see 24 flows or more, median 64); cached per-flow demand
+        columns amortize it.
         """
         flows = self._flows
+        if not flows:
+            return
         n = len(flows)
         m = len(self._res_index)
         # Per-resource flow population -> effective capacities

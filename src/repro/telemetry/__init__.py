@@ -9,8 +9,13 @@ substrates:
   with thread-safe updates;
 - :class:`SpanStore` / :func:`stage_span` — per-chunk stage spans on a
   pluggable :class:`Clock` (wall time live, virtual time in the sim);
-- exporters — Prometheus text, JSON snapshot, Chrome ``trace_event``
-  (open in ``chrome://tracing`` or Perfetto);
+- :class:`HeadSampler` / :func:`assemble` — which chunks are followed
+  across threads, processes and the wire, and their spans folded into
+  one :class:`ChunkTrace` per chunk: the causal order, the handoff
+  waits, the waterfall and the critical-path verdict that the report,
+  the export and ``/trace`` all read (``docs/tracing.md``);
+- exporters — Prometheus text and Chrome ``trace_event`` with flow
+  arrows (open in ``chrome://tracing`` or Perfetto);
 - :class:`PipelineReport` — per-stage service time, queue wait and the
   bottleneck stage, derived identically for sim and live traces.
 
@@ -18,10 +23,21 @@ Most call sites only need :class:`Telemetry`, the facade bundling all
 of the above.  See ``docs/telemetry.md``.
 """
 
+from repro.telemetry.assemble import (
+    CANONICAL_STAGES,
+    ChunkTrace,
+    ClockAlign,
+    Handoff,
+    assemble,
+    canonical_stage,
+    critical_path,
+    trace_flows,
+    trace_summary,
+)
 from repro.telemetry.clock import Clock, ManualClock, SimClock, WallClock
+from repro.telemetry.context import HeadSampler, TraceContext
 from repro.telemetry.export import (
     chrome_trace,
-    json_snapshot,
     prometheus_text,
     write_chrome_trace,
 )
@@ -39,10 +55,15 @@ from repro.telemetry.spans import ActiveSpan, Span, SpanStore, stage_span
 
 __all__ = [
     "ActiveSpan",
+    "CANONICAL_STAGES",
+    "ChunkTrace",
     "Clock",
+    "ClockAlign",
     "CounterSeries",
     "DEFAULT_BUCKETS",
     "GaugeSeries",
+    "Handoff",
+    "HeadSampler",
     "HistogramSeries",
     "ManualClock",
     "MetricFamily",
@@ -53,11 +74,16 @@ __all__ = [
     "SpanStore",
     "StageAggregate",
     "Telemetry",
+    "TraceContext",
     "WallClock",
     "as_telemetry",
+    "assemble",
+    "canonical_stage",
     "chrome_trace",
-    "json_snapshot",
+    "critical_path",
     "prometheus_text",
     "stage_span",
+    "trace_flows",
+    "trace_summary",
     "write_chrome_trace",
 ]

@@ -38,7 +38,8 @@ def canonical_stage(stage: str) -> str:
     return _STAGE_ALIASES.get(stage, stage)
 
 
-def _stage_rank(stage: str) -> int:
+def stage_rank(stage: str) -> int:
+    """Position in pipeline order; stages it does not name rank last."""
     try:
         return CANONICAL_STAGES.index(canonical_stage(stage))
     except ValueError:
@@ -149,7 +150,7 @@ class ChunkTrace:
     def critical_stage(self) -> str:
         """The stage this chunk spent the most time in (work + wait)."""
         costs = self.stage_costs()
-        return max(costs, key=lambda s: (costs[s], -_stage_rank(s)))
+        return max(costs, key=lambda s: (costs[s], -stage_rank(s)))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -177,6 +178,19 @@ class ChunkTrace:
         }
 
 
+def _handoff_pairs(spans: Iterable[Span]) -> list[tuple[Span, Span]]:
+    """(source, destination) spans of each handoff in a causally
+    ordered chain; deferral markers are not pipeline steps."""
+    steps = [s for s in spans if canonical_stage(s.stage) != DEFER_STAGE]
+    return list(zip(steps, steps[1:]))
+
+
+def trace_flows(traces: Iterable[ChunkTrace]) -> list[tuple[Span, Span]]:
+    """The span pairs of every handoff: the arrows
+    :func:`~repro.telemetry.export.chrome_trace` draws."""
+    return [pair for t in traces for pair in _handoff_pairs(t.spans)]
+
+
 def assemble(spans: Iterable[Span]) -> list[ChunkTrace]:
     """Group per-chunk spans into :class:`ChunkTrace` objects.
 
@@ -196,24 +210,16 @@ def assemble(spans: Iterable[Span]) -> list[ChunkTrace]:
         groups.setdefault((span.stream_id, span.chunk_id), []).append(span)
     traces: list[ChunkTrace] = []
     for (stream_id, chunk_id), group in sorted(groups.items()):
-        group.sort(key=lambda s: (_stage_rank(s.stage), s.start, s.end))
-        handoffs: list[Handoff] = []
-        prev: Span | None = None
-        for span in group:
-            if canonical_stage(span.stage) == DEFER_STAGE:
-                continue
-            if prev is not None:
-                handoffs.append(
-                    Handoff(
-                        src=canonical_stage(prev.stage),
-                        dst=canonical_stage(span.stage),
-                        wait=max(0.0, span.start - prev.end),
-                    )
-                )
-            prev = span
-        traces.append(
-            ChunkTrace(stream_id, chunk_id, tuple(group), tuple(handoffs))
+        group.sort(key=lambda s: (stage_rank(s.stage), s.start, s.end))
+        handoffs = tuple(
+            Handoff(
+                src=canonical_stage(src.stage),
+                dst=canonical_stage(dst.stage),
+                wait=max(0.0, dst.start - src.end),
+            )
+            for src, dst in _handoff_pairs(group)
         )
+        traces.append(ChunkTrace(stream_id, chunk_id, tuple(group), handoffs))
     return traces
 
 
@@ -253,7 +259,7 @@ def critical_path(traces: Iterable[ChunkTrace]) -> dict[str, CriticalPath]:
     verdicts: dict[str, CriticalPath] = {}
     for stream_id, per_stage in costs.items():
         total = sum(per_stage.values())
-        stage = max(per_stage, key=lambda s: (per_stage[s], -_stage_rank(s)))
+        stage = max(per_stage, key=lambda s: (per_stage[s], -stage_rank(s)))
         verdicts[stream_id] = CriticalPath(
             stream_id=stream_id,
             stage=stage,

@@ -1,16 +1,15 @@
-"""Exporters: Prometheus text, JSON snapshot, Chrome trace_event.
+"""Exporters: Prometheus text, Chrome trace_event.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 - ``prometheus_text`` — the text exposition format scrapers expect
   (``# HELP`` / ``# TYPE`` headers, ``_bucket``/``_sum``/``_count`` for
   histograms) so a live run can be scraped or diffed with ``promtool``;
-- ``json_snapshot`` — a structured dump for programmatic comparison
-  (the sim-vs-live parity tests consume this);
 - ``chrome_trace`` — the Trace Event Format understood by
   ``chrome://tracing`` and https://ui.perfetto.dev: complete ("X")
   events per span plus thread-name metadata so each core/worker gets
-  its own row.
+  its own row, and flow arrows ("s"/"f") along each assembled chunk's
+  journey.
 """
 
 from __future__ import annotations
@@ -19,12 +18,8 @@ import json
 import math
 from typing import Any, Iterable
 
-from repro.telemetry.registry import (
-    CounterSeries,
-    GaugeSeries,
-    HistogramSeries,
-    MetricRegistry,
-)
+from repro.telemetry.assemble import assemble, trace_flows
+from repro.telemetry.registry import HistogramSeries, MetricRegistry
 from repro.telemetry.spans import Span
 
 
@@ -85,51 +80,10 @@ def prometheus_text(registry: MetricRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_snapshot(registry: MetricRegistry) -> dict[str, Any]:
-    """Structured dump of every family and series."""
-    out: dict[str, Any] = {}
-    for family in registry.families():
-        series_out = []
-        for series in family.series():
-            labels = dict(zip(family.label_names, series.labels))
-            if isinstance(series, HistogramSeries):
-                series_out.append(
-                    {
-                        "labels": labels,
-                        "count": series.count,
-                        "sum": series.sum,
-                        "buckets": {
-                            _fmt_value(b): n
-                            for b, n in zip(
-                                (*series.bounds, math.inf),
-                                series.bucket_counts,
-                            )
-                        },
-                    }
-                )
-            elif isinstance(series, GaugeSeries):
-                series_out.append(
-                    {
-                        "labels": labels,
-                        "value": series.value,
-                        "high_water": series.high_water,
-                    }
-                )
-            elif isinstance(series, CounterSeries):
-                series_out.append({"labels": labels, "value": series.value})
-        out[family.name] = {
-            "type": family.kind,
-            "help": family.help,
-            "series": series_out,
-        }
-    return out
-
-
 def chrome_trace(
     spans: Iterable[Span],
     *,
     time_origin: float | None = None,
-    flows: Iterable[tuple[Span, Span]] | None = None,
 ) -> dict[str, Any]:
     """Spans as a Chrome/Perfetto ``trace_event`` document.
 
@@ -137,11 +91,11 @@ def chrome_trace(
     the viewer lays spans out per core / per worker; timestamps are
     microseconds relative to the earliest span (or ``time_origin``).
 
-    ``flows`` is an optional sequence of (source, destination) span
-    pairs; each pair becomes a flow-event arrow ("s"/"f") from the
-    source span's end to the destination span's start, which is how a
-    traced chunk renders as one connected chain across process tracks
-    (:mod:`repro.trace` supplies the pairs).
+    Every chunk that assembles into a multi-span journey
+    (:func:`~repro.telemetry.assemble.assemble`) additionally gets a
+    flow-event arrow ("s"/"f") per handoff, from the source span's end
+    to the destination span's start, which is how a chunk renders as
+    one connected chain across thread and process tracks.
     """
     all_spans = sorted(spans, key=lambda s: (s.start, s.end))
     events: list[dict[str, Any]] = []
@@ -181,11 +135,9 @@ def chrome_trace(
                 "args": {"stream": stream, "chunk": span.chunk_id},
             }
         )
-    for flow_id, (src, dst) in enumerate(flows or (), start=1):
-        src_loc = locate.get(src)
-        dst_loc = locate.get(dst)
-        if src_loc is None or dst_loc is None:
-            continue  # flow endpoints must be among the exported spans
+    flows = trace_flows(assemble(all_spans))
+    for flow_id, (src, dst) in enumerate(flows, start=1):
+        src_loc, dst_loc = locate[src], locate[dst]
         name = f"{src.stream_id or 'pipeline'}#{src.chunk_id}"
         events.append(
             {

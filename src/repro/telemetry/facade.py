@@ -43,22 +43,22 @@ substrates to this contract.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.telemetry.assemble import ClockAlign
 from repro.telemetry.clock import Clock, WallClock
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a runtime telemetry->obs cycle
     from repro.obs.events import Event, EventBus
 from repro.telemetry.export import (
     chrome_trace,
-    json_snapshot,
     prometheus_text,
     write_chrome_trace,
 )
 from repro.telemetry.registry import GaugeSeries, MetricRegistry
 from repro.telemetry.report import PipelineReport
 from repro.telemetry.spans import ActiveSpan, Span, SpanStore
+from repro.util.errors import ValidationError
 
 
 #: Default per-stream label budget for high-cardinality families.
@@ -88,9 +88,9 @@ class Telemetry:
         if max_spans is not None:
             span_kwargs["max_spans"] = max_spans
         self.spans = SpanStore(clock=self.clock, **span_kwargs)
-        #: Sender/receiver clock alignment fed by traced frames
-        #: (:mod:`repro.trace`); always present, costs nothing unused.
-        self.trace_align = _clock_align()
+        #: Sender/receiver clock alignment fed by traced frames;
+        #: always present, costs nothing unused.
+        self.trace_align = ClockAlign()
         #: stage -> thread count, for per-thread bottleneck utilization.
         self.thread_counts: dict[str, int] = {}
         #: stream -> its own {stage -> thread count} (the simulator's
@@ -193,7 +193,6 @@ class Telemetry:
 
     # -- spans -----------------------------------------------------------
 
-    @contextmanager
     def span(
         self,
         stage: str,
@@ -201,17 +200,17 @@ class Telemetry:
         stream_id: str = "",
         chunk_id: int = -1,
         track: str | None = None,
-    ) -> Iterator[ActiveSpan]:
+    ) -> ActiveSpan:
         """Time a block; records the span and the stage-seconds sample."""
-        with self.spans.span(
-            stage, stream_id=stream_id, chunk_id=chunk_id, track=track
-        ) as handle:
-            yield handle
+        return ActiveSpan(self, stage, stream_id, chunk_id, track)
+
+    def _close(self, span: ActiveSpan) -> None:
+        self.spans._close(span)
         # A discarded span (end-of-stream marker) still proves liveness.
-        if handle.track is not None and handle.end is not None:
-            self.heartbeat(handle.track, ts=handle.end)
-        if not handle.discard:
-            self._stage_seconds.labels(stage=stage).observe(handle.duration)
+        if span.track is not None:
+            self.heartbeat(span.track, ts=span.end)
+        if not span.discard:
+            self._stage_seconds.labels(stage=span.stage).observe(span.duration)
 
     def record_span(
         self,
@@ -381,23 +380,11 @@ class Telemetry:
     def prometheus_text(self) -> str:
         return prometheus_text(self.registry)
 
-    def json_snapshot(self) -> dict[str, Any]:
-        return json_snapshot(self.registry)
-
     def chrome_trace(self) -> dict[str, Any]:
         return chrome_trace(self.spans.snapshot())
 
     def write_chrome_trace(self, path: str) -> int:
         return write_chrome_trace(self.spans.snapshot(), path)
-
-
-def _clock_align():
-    # Deferred import: repro.trace sits above repro.telemetry in the
-    # layering (it imports spans/export), so a module-level import here
-    # would be a cycle.
-    from repro.trace.assemble import ClockAlign
-
-    return ClockAlign()
 
 
 def as_telemetry(value: "bool | Telemetry | None") -> "Telemetry | None":
@@ -406,10 +393,17 @@ def as_telemetry(value: "bool | Telemetry | None") -> "Telemetry | None":
     Every run entry point (``run_scenario``, ``SimRuntime``,
     ``LivePipeline``, ``ReceiverServer``, ``SenderClient``) accepts the
     same three spellings: ``False``/``None`` → telemetry off, ``True``
-    → build a fresh :class:`Telemetry`, an instance → share it.
+    → build a fresh :class:`Telemetry`, an instance → share it.  This
+    is the only door: past it a telemetry is a :class:`Telemetry` or
+    ``None``, so the hot path calls its methods without probing for
+    them, and anything else is refused here.
     """
     if value is None or value is False:
         return None
     if value is True:
         return Telemetry()
+    if not isinstance(value, Telemetry):
+        raise ValidationError(
+            f"telemetry must be a bool, None or a Telemetry, got {value!r}"
+        )
     return value

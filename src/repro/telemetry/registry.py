@@ -19,7 +19,7 @@ import bisect
 import math
 import re
 import threading
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from repro.util.errors import ValidationError
 
@@ -382,7 +382,3 @@ class MetricRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._families
-
-    def as_dict(self) -> Mapping[str, MetricFamily]:
-        with self._lock:
-            return dict(self._families)

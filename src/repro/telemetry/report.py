@@ -1,10 +1,13 @@
 """Derive pipeline diagnostics from spans: service, queue wait, bottleneck.
 
 This is the paper's *measure → diagnose → re-place* loop's "diagnose"
-step (§4.1), computed identically for both substrates: group spans per
-chunk, read per-stage service time directly and *queue wait* as the gap
-between the previous stage finishing a chunk and the next one starting
-it, then pick the bottleneck as the stage whose threads are busiest
+step (§4.1), computed identically for both substrates: read per-stage
+service time directly off the spans, take *queue wait* from the
+handoffs of each chunk's assembled journey
+(:func:`~repro.telemetry.assemble.assemble` — the gap between the
+previous stage finishing a chunk and the next one starting it, in
+pipeline order, booked to the stage the chunk waited for), then pick
+the bottleneck as the stage whose threads are busiest
 (busy_seconds / (threads × makespan)).  The simulator records its
 spans into the same store, so a simulated trace and a live trace answer
 the bottleneck question through one code path.
@@ -16,6 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from repro.telemetry.assemble import assemble, canonical_stage, stage_rank
 from repro.telemetry.spans import Span
 from repro.util.timeseries import WindowStats
 
@@ -62,20 +66,16 @@ class PipelineReport:
             s for s in spans if stream_id is None or s.stream_id == stream_id
         ]
         stages: dict[str, StageAggregate] = defaultdict(StageAggregate)
-        by_chunk: dict[tuple[str, int], list[Span]] = defaultdict(list)
-        for s in selected:
-            by_chunk[(s.stream_id, s.chunk_id)].append(s)
-        for key in sorted(by_chunk):
-            timeline = sorted(by_chunk[key], key=lambda s: (s.start, s.end))
-            prev_end: float | None = None
-            for span in timeline:
-                agg = stages[span.stage]
-                agg.service.add(span.duration)
-                agg.busy_seconds += span.duration
-                agg.chunks += 1
-                if prev_end is not None:
-                    agg.queue_wait.add(max(0.0, span.start - prev_end))
-                prev_end = span.end
+        for span in selected:
+            agg = stages[span.stage]
+            agg.service.add(span.duration)
+            agg.busy_seconds += span.duration
+            agg.chunks += 1
+        # Handoffs name stages canonically; rows keep the substrate's.
+        named = {canonical_stage(stage): stage for stage in stages}
+        for trace in assemble(selected):
+            for handoff in trace.handoffs:
+                stages[named[handoff.dst]].queue_wait.add(handoff.wait)
         makespan = 0.0
         if selected:
             t0 = min(s.start for s in selected)
@@ -83,7 +83,7 @@ class PipelineReport:
             makespan = max(t1 - t0, 0.0)
         return cls(
             stream_id=stream_id or "",
-            stages=dict(stages),
+            stages=dict(sorted(stages.items(), key=lambda kv: stage_rank(kv[0]))),
             thread_counts=dict(thread_counts or {}),
             makespan=makespan,
         )

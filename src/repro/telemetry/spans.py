@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Protocol
 
 from repro.telemetry.clock import Clock, WallClock
-
-_WALL = WallClock()
 
 
 @dataclass(frozen=True)
@@ -46,30 +43,57 @@ class Span:
         return self.end - self.start
 
 
-class ActiveSpan:
-    """Handle yielded by :func:`stage_span` / :meth:`SpanStore.span`.
+class SpanSink(Protocol):
+    """What an :class:`ActiveSpan` needs of where it lands: the clock
+    to stamp with, and what to do with the finished span."""
 
-    ``duration`` is valid after the ``with`` block exits, whether or not
-    a store is attached — live workers use it to feed their legacy
-    per-stage stats without a second clock read.
+    clock: Clock
+
+    def _close(self, span: "ActiveSpan") -> None: ...
+
+
+class ActiveSpan:
+    """One timed block: the context manager :func:`stage_span`,
+    :meth:`Telemetry.span` and :meth:`SpanStore.span` return.
+
+    ``__enter__`` stamps ``start`` on the sink's clock; ``__exit__``
+    stamps ``end`` and hands the span to the sink's ``_close`` — also
+    when the block raises: a failing stage still occupied its thread,
+    and traces of failures are the ones worth reading.  Identity fields
+    are read at exit, so a block may fill in ``stream_id``/``chunk_id``
+    once it learns them (e.g. a receiver that discovers the chunk id
+    inside the frame it just read).  ``duration`` is valid after the
+    block exits, whatever the sink — live workers use it to feed their
+    legacy per-stage stats without a second clock read.  ``sink=None``
+    times on the wall clock and keeps nothing.
     """
 
     __slots__ = ("stage", "stream_id", "chunk_id", "track", "start", "end",
-                 "discard")
+                 "discard", "_sink")
+
+    start: float
 
     def __init__(
-        self, stage: str, stream_id: str, chunk_id: int, track: str | None,
-        start: float,
+        self, sink: SpanSink | None, stage: str, stream_id: str = "",
+        chunk_id: int = -1, track: str | None = None,
     ) -> None:
+        self._sink = _UNRECORDED if sink is None else sink
         self.stage = stage
         self.stream_id = stream_id
         self.chunk_id = chunk_id
         self.track = track
-        self.start = start
         self.end: float | None = None
         #: Set True inside the block to drop the span at exit (e.g. a
         #: receive that turned out to be the end-of-stream marker).
         self.discard = False
+
+    def __enter__(self) -> "ActiveSpan":
+        self.start = self._sink.clock.now()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.end = self._sink.clock.now()
+        self._sink._close(self)
 
     @property
     def duration(self) -> float:
@@ -98,7 +122,7 @@ class SpanStore:
         clock: Clock | None = None,
         *,
         max_spans: int = DEFAULT_MAX_SPANS,
-        on_drop=None,
+        on_drop: Callable[[], None] | None = None,
     ) -> None:
         if max_spans < 0:
             raise ValueError(f"max_spans must be >= 0, got {max_spans}")
@@ -144,7 +168,6 @@ class SpanStore:
         """Explicit begin/end recording (the simulator's virtual clock)."""
         return self.add(Span(stream_id, chunk_id, stage, start, end, track))
 
-    @contextmanager
     def span(
         self,
         stage: str,
@@ -152,28 +175,19 @@ class SpanStore:
         stream_id: str = "",
         chunk_id: int = -1,
         track: str | None = None,
-    ) -> Iterator[ActiveSpan]:
-        """Time a block on this store's clock and record the span.
+    ) -> ActiveSpan:
+        """Time a block on this store's clock and record the span."""
+        return ActiveSpan(self, stage, stream_id, chunk_id, track)
 
-        The span is recorded even when the block raises — a failing
-        stage still occupied its thread, and traces of failures are the
-        ones worth reading.  Identity fields are read off the handle at
-        exit, so a block may fill in ``stream_id``/``chunk_id`` once it
-        learns them (e.g. a receiver that discovers the chunk id inside
-        the frame it just read).
-        """
-        handle = ActiveSpan(stage, stream_id, chunk_id, track, self.clock.now())
-        try:
-            yield handle
-        finally:
-            handle.end = self.clock.now()
-            if not handle.discard:
-                self.add(
-                    Span(
-                        handle.stream_id, handle.chunk_id, handle.stage,
-                        handle.start, handle.end, handle.track,
-                    )
+    def _close(self, span: ActiveSpan) -> None:
+        if not span.discard:
+            assert span.end is not None
+            self.add(
+                Span(
+                    span.stream_id, span.chunk_id, span.stage,
+                    span.start, span.end, span.track,
                 )
+            )
 
     # -- queries ---------------------------------------------------------
 
@@ -208,15 +222,26 @@ class SpanStore:
             self._spans.clear()
 
 
-@contextmanager
+class _Unrecorded:
+    """The sink of a span nobody collects: wall clock, nothing kept."""
+
+    clock: Clock = WallClock()
+
+    def _close(self, span: ActiveSpan) -> None:
+        pass
+
+
+_UNRECORDED = _Unrecorded()
+
+
 def stage_span(
-    telemetry,
+    telemetry: SpanSink | None,
     stage: str,
     *,
     stream_id: str = "",
     chunk_id: int = -1,
     track: str | None = None,
-) -> Iterator[ActiveSpan]:
+) -> ActiveSpan:
     """The shared timing idiom for live workers.
 
     Works with ``telemetry=None`` (timing only, nothing recorded) so
@@ -225,14 +250,4 @@ def stage_span(
     :class:`~repro.telemetry.Telemetry` is attached the span lands in
     its store and its stage-seconds histogram.
     """
-    if telemetry is None:
-        handle = ActiveSpan(stage, stream_id, chunk_id, track, _WALL.now())
-        try:
-            yield handle
-        finally:
-            handle.end = _WALL.now()
-        return
-    with telemetry.span(
-        stage, stream_id=stream_id, chunk_id=chunk_id, track=track
-    ) as handle:
-        yield handle
+    return ActiveSpan(telemetry, stage, stream_id, chunk_id, track)

@@ -193,7 +193,7 @@ def test_process_mode_under_spawn_beats_per_worker(live_child):
 def test_cross_process_trace_assembles_with_flow_arrows(live_child, tmp_path):
     child = live_child("--chunks", "400", "--codec", "zlib",
                        "--mode", "process", "--trace-sample", "8",
-                       "--flow-out", "flow.json")
+                       "--trace-out", "flow.json")
     journey = {"feed", "compress", "send", "wire", "recv"}
 
     # Spawn-started compressor processes take seconds to come up; poll

@@ -17,6 +17,7 @@ from repro.data.chunking import Chunk
 from repro.live.runtime import LiveConfig, LivePipeline
 from repro.mp import ProcessPipeline
 from repro.telemetry import Telemetry
+from repro.util.errors import ValidationError
 from repro.util.rng import make_rng
 
 pytestmark = pytest.mark.skipif(
@@ -159,23 +160,17 @@ class TestAccounting:
         assert "mp-compress-0" in affinity
         assert "mp-compress-1" in affinity
 
-    def test_duck_typed_telemetry_without_record_codec_survives(self):
-        """as_telemetry passes arbitrary user facades through; one that
-        predates record_codec must not crash the collector mid-run."""
+    def test_non_telemetry_object_is_refused_at_the_door(self):
+        """as_telemetry is the only door: past it the hot path calls
+        Telemetry methods without probing for them, so a look-alike is
+        refused before the run starts, not inside a collector."""
 
-        class LegacyTelemetry:
-            def __init__(self):
-                self._real = Telemetry()
+        class LookAlike:
+            def record_chunk(self, stage, stream_id, nbytes):
+                pass
 
-            def __getattr__(self, name):
-                if name == "record_codec":
-                    raise AttributeError(name)
-                return getattr(self._real, name)
-
-        tel = LegacyTelemetry()
-        report = ProcessPipeline(config(), telemetry=tel).run(chunks())
-        assert report.ok, report.errors
-        assert "mp-feeder" in tel.heartbeats()
+        with pytest.raises(ValidationError, match="telemetry must be"):
+            ProcessPipeline(config(), telemetry=LookAlike())
 
     def test_run_events_name_the_process_runner(self):
         from repro.obs import EventBus
@@ -205,7 +200,7 @@ class TestFlowTracing:
         """A sampled chunk's trace spans feeder, a compress worker in
         another process, the wire, and the receiver — the acceptance
         shape of PR 10 on the fork path (spawn is the CI smoke job)."""
-        from repro.trace import assemble, critical_path
+        from repro.telemetry import assemble, critical_path
 
         tel = Telemetry()
         report = ProcessPipeline(
@@ -255,7 +250,7 @@ class TestFlowTracing:
 
 
 def assemble_traces(tel):
-    from repro.trace import assemble
+    from repro.telemetry import assemble
 
     return assemble(tel.spans.snapshot())
 

@@ -418,7 +418,7 @@ class TestFlowTracing:
     def test_traced_frames_assemble_across_the_event_loop(self):
         """Loopback sender + event-loop receiver sharing one telemetry:
         sampled chunks must assemble into full wire-crossing traces."""
-        from repro.trace import assemble
+        from repro.telemetry import assemble
 
         tel = Telemetry()
         server = ReceiverServer(

@@ -157,9 +157,10 @@ class TestRunPlanFlag:
         ["plan", "generate", "--stream", STREAM, "-o", "OUT", "--scenario"],
         ["run", "--plan", "PLAN"],
         ["run", "PLAN", "--plan", "PLAN"],
+        ["live", "--chunks", "1", "--flow-out", "OUT"],
     ],
     ids=["telemetry", "bare-plan", "codec-adaptive", "probe-interval",
-         "scenario", "run-plan-flag", "run-both-forms"],
+         "scenario", "run-plan-flag", "run-both-forms", "flow-out"],
 )
 def test_old_spelling_exits_2(argv, plan_file, tmp_path, capsys):
     """Removed spellings are rejected by argparse, not aliased."""

@@ -87,7 +87,6 @@ class TestFlowNetworkEdges:
         """Cancellation reallocates correctly on the numpy path."""
         eng = Engine()
         net = FlowNetwork(eng)
-        net.VECTORIZE_THRESHOLD = 0
         r = Resource("r", 30.0)
         flows = [Flow(300.0, {r: 1.0}) for _ in range(30)]
         for f in flows:
@@ -98,26 +97,6 @@ class TestFlowNetworkEdges:
             net.cancel(f)
         eng.run(eng.timeout(1e-9))
         assert flows[0].rate == pytest.approx(30.0)
-
-    def test_mixed_population_crossing_threshold(self):
-        """Arrivals that push the population over VECTORIZE_THRESHOLD
-        mid-run keep rates consistent."""
-        eng = Engine()
-        net = FlowNetwork(eng)
-        net.VECTORIZE_THRESHOLD = 4
-        r = Resource("r", 100.0)
-        events = []
-
-        def spawner():
-            for _ in range(8):
-                events.append(net.run(Flow(10.0, {r: 1.0})))
-                yield eng.timeout(0.01)
-
-        eng.process(spawner())
-        eng.run(eng.all_of(events) if events else None)
-        eng.run()
-        # Total work 80 units at <=100/s with staggered arrivals: all done.
-        assert all(e.processed for e in events)
 
     def test_flow_tags_survive(self):
         eng = Engine()

@@ -263,7 +263,8 @@ class TestVectorizedParity:
     def _allocate(flows_spec, *, vectorized):
         eng = Engine()
         net = FlowNetwork(eng)
-        net.VECTORIZE_THRESHOLD = 0 if vectorized else 10**9
+        if not vectorized:
+            net._compute_rates = net._compute_rates_scalar
         flows = [
             Flow(100.0, d, max_rate=c, weight=w) for (d, c, w) in flows_spec
         ]
@@ -282,14 +283,10 @@ class TestVectorizedParity:
         vector = self._allocate(spec, vectorized=True)
         assert np.allclose(scalar, vector, rtol=1e-7, atol=1e-9)
 
-    def test_default_threshold_routes_large_populations(self):
-        assert FlowNetwork.VECTORIZE_THRESHOLD <= 32
-
     def test_vectorized_full_lifecycle(self):
         """Completions, not just initial rates, agree with analysis."""
         eng = Engine()
         net = FlowNetwork(eng)
-        net.VECTORIZE_THRESHOLD = 0
         r = Resource("r", 10.0)
         flows = [Flow(100, {r: 1.0}) for _ in range(4)]
         events = [net.run(f) for f in flows]

@@ -1,4 +1,4 @@
-"""Exporter formats: Prometheus text, JSON snapshot, Chrome trace."""
+"""Exporter formats: Prometheus text, Chrome trace."""
 
 import json
 
@@ -6,7 +6,6 @@ from repro.telemetry import (
     MetricRegistry,
     Span,
     chrome_trace,
-    json_snapshot,
     prometheus_text,
     write_chrome_trace,
 )
@@ -56,22 +55,6 @@ class TestPrometheusText:
         reg.counter("x_total", "", ("path",)).labels('a"b\\c').inc()
         text = prometheus_text(reg)
         assert 'x_total{path="a\\"b\\\\c"} 1' in text
-
-
-class TestJsonSnapshot:
-    def test_structure_round_trips_through_json(self):
-        snap = json.loads(json.dumps(json_snapshot(sample_registry())))
-        assert snap["chunks_total"]["type"] == "counter"
-        assert snap["chunks_total"]["series"][0] == {
-            "labels": {"stage": "compress"},
-            "value": 3,
-        }
-        gauge = snap["queue_depth"]["series"][0]
-        assert gauge["value"] == 2
-        assert gauge["high_water"] == 5
-        hist = snap["stage_seconds"]["series"][0]
-        assert hist["count"] == 3
-        assert hist["buckets"]["+Inf"] == 1
 
 
 def sample_spans():

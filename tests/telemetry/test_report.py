@@ -1,8 +1,12 @@
 """PipelineReport: service time, queue wait, bottleneck verdict."""
 
+from collections import defaultdict
+
 import pytest
 
-from repro.telemetry import PipelineReport, Span
+from repro.data.chunking import Chunk
+from repro.live.runtime import LiveConfig, LivePipeline
+from repro.telemetry import PipelineReport, Span, Telemetry, assemble
 
 
 def two_chunk_spans():
@@ -47,6 +51,65 @@ class TestAggregation:
         r = PipelineReport.from_spans(spans, stream_id="s")
         assert r.makespan == pytest.approx(6.5)
         assert r.stages["feed"].chunks == 2
+
+
+class TestQueueWaitIsTheAssembledHandoff:
+    """Queue wait is read off ``assemble()``'s handoffs — pipeline order,
+    not start order — so the report and ``/trace`` cannot disagree."""
+
+    def test_receiver_that_opened_early_does_not_reorder_the_chunk(self):
+        # A live receiver's span opens when it starts waiting, here
+        # before the chunk was even compressed.
+        spans = [
+            Span("s", 0, "feed", 0.0, 1.0),
+            Span("s", 0, "compress", 2.0, 4.0),
+            Span("s", 0, "send", 5.0, 6.0),
+            Span("s", 0, "recv", 1.5, 6.5),
+            Span("s", 0, "decompress", 7.0, 8.0),
+        ]
+        r = PipelineReport.from_spans(spans)
+        waits = {
+            stage: agg.queue_wait.mean
+            for stage, agg in r.stages.items() if agg.queue_wait.n
+        }
+        assert waits == {
+            "compress": 1.0, "send": 1.0, "recv": 0.0, "decompress": 0.5,
+        }
+        assert list(r.stages) == [
+            "feed", "compress", "send", "recv", "decompress",
+        ]
+
+    def test_anonymous_spans_are_not_one_chunk(self):
+        spans = [
+            Span("", -1, "plan.validate", 0.0, 1.0),
+            Span("", -1, "plan.normalize", 5.0, 6.0),
+        ]
+        r = PipelineReport.from_spans(spans)
+        assert [agg.queue_wait.n for agg in r.stages.values()] == [0, 0]
+        assert r.stages["plan.normalize"].chunks == 1
+
+    def test_live_report_equals_assembled_handoffs(self):
+        tel = Telemetry()
+        chunks = [
+            Chunk(stream_id="s", index=i, nbytes=4096, payload=bytes(4096))
+            for i in range(12)
+        ]
+        report = LivePipeline(
+            LiveConfig(codec="zlib", trace_sample=1), telemetry=tel
+        ).run(iter(chunks))
+        assert report.ok, report.errors
+        waits = defaultdict(list)
+        for trace in assemble(tel.spans.snapshot()):
+            for handoff in trace.handoffs:
+                waits[handoff.dst].append(handoff.wait)
+        assert {"compress", "send", "wire", "recv", "decompress"} <= set(waits)
+        stages = tel.pipeline_report().stages
+        for stage, samples in waits.items():
+            assert stages[stage].queue_wait.n == len(samples)
+            assert stages[stage].queue_wait.mean == pytest.approx(
+                sum(samples) / len(samples)
+            )
+        assert stages["feed"].queue_wait.n == 0
 
 
 class TestBottleneck:

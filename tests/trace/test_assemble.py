@@ -3,7 +3,7 @@
 import pytest
 
 from repro.telemetry.spans import Span
-from repro.trace import (
+from repro.telemetry import (
     CANONICAL_STAGES,
     ClockAlign,
     assemble,

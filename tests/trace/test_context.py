@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.trace import HeadSampler, TraceContext
+from repro.telemetry import HeadSampler, TraceContext
 
 
 class TestTraceContext:

@@ -2,8 +2,9 @@
 
 import json
 
-from repro.telemetry.spans import Span
-from repro.trace import assemble, chrome_flow_trace, trace_flows, write_flow_trace
+from repro.telemetry import Span, assemble, trace_flows
+from repro.telemetry import chrome_trace as chrome_flow_trace
+from repro.telemetry import write_chrome_trace as write_flow_trace
 
 
 def _span(stage, start, end, *, stream="s", chunk=0, track=None):

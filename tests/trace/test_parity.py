@@ -1,7 +1,7 @@
 """Sim-vs-live trace parity: one assembler, two substrates, one schema.
 
 The simulator records spans on its virtual clock, the live pipeline on
-the wall clock; :func:`repro.trace.assemble` must produce
+the wall clock; :func:`repro.telemetry.assemble` must produce
 schema-identical traces from both — same canonical stage topology over
 the stages the substrates share, same handoff edges — so a trace read
 from a sim what-if run transfers to a live deployment (satellite of
@@ -17,7 +17,7 @@ from repro.data.chunking import Chunk
 from repro.experiments.base import paper_testbed
 from repro.live.runtime import LiveConfig, LivePipeline
 from repro.telemetry import Telemetry
-from repro.trace import assemble, critical_path
+from repro.telemetry import assemble, critical_path
 from repro.util.rng import make_rng
 
 N_CHUNKS = 6
