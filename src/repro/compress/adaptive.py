@@ -373,6 +373,8 @@ class AdaptiveCodec(Codec):
     """
 
     name = "adaptive"
+    #: The wire id is chosen per call, and a frame carries one.
+    splits = False
 
     def __init__(
         self,

@@ -54,6 +54,12 @@ class Codec(ABC):
     #: One-byte id carried in frame headers (set by :func:`register_codec`;
     #: 0 = not wire-addressable, frames fall back to the configured codec).
     wire_id: int = WIRE_ID_DEFAULT
+    #: Whether the live pipeline may cut a large chunk into blocks and
+    #: give each block its own :meth:`compress_with_id` call
+    #: (:mod:`repro.live.blocks`).  That needs every block to decode on
+    #: its own and every call to stamp the same wire id; a codec for
+    #: which either fails, or which has no work to share, says False.
+    splits: bool = True
 
     @abstractmethod
     def compress(self, data: bytes) -> bytes:
@@ -486,6 +492,8 @@ class NullCodec(Codec):
     """Identity codec — the "no compression" ablation."""
 
     name = "null"
+    #: Nothing to compress, so nothing to share between threads.
+    splits = False
 
     def compress(self, data: bytes) -> bytes:
         return data

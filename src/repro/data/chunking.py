@@ -37,6 +37,10 @@ class Chunk:
     #: Wire id of the codec that produced ``wire_payload`` (0 = the
     #: pipeline's configured codec; adaptive compressors set this).
     codec_id: int = 0
+    #: Compressed size of each block when the compress stage cut the
+    #: chunk into blocks (``wire_payload`` then starts with the block
+    #: table, :mod:`repro.live.blocks`); empty when it did not.
+    wire_blocks: tuple[int, ...] = ()
     #: Socket the (uncompressed or received) buffer is homed on — set by
     #: the stage that first touches it (first-touch policy).
     home_socket: int | None = None

@@ -22,6 +22,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.live import workers
+from repro.live.blocks import split_chunk, split_frame
 from repro.live.queues import ClosableQueue
 from repro.live.stageset import Knobs, StageSet
 from repro.live.transport import socket_pipe
@@ -80,6 +81,9 @@ class Assembly:
         #: The ledger (kept when ``cfg.verify``): keys produced / seen.
         self.expected: set[tuple[str, int]] = set()
         self.delivered: dict[tuple[str, int], int] = {}
+        #: The front cuts large chunks into blocks (set by
+        #: :meth:`front_threads`; the process front never does).
+        self.blocked = False
         self.elapsed = self._t0 = 0.0
 
     def queue(self, name: str, producers: int, consumer: str) -> ClosableQueue:
@@ -100,18 +104,24 @@ class Assembly:
             yield chunk
 
     def front_threads(self, source: Iterable["Chunk"]) -> None:
-        """feeder -> rawq -> compressor threads -> sendq."""
+        """feeder -> rawq -> compressor threads -> sendq.
+
+        When the codec splits, the feeder hands the compressors blocks
+        of large chunks (:mod:`repro.live.blocks`) and :attr:`blocked`
+        tells :meth:`link_pairs` to cut the frames again on receipt."""
         cfg, aff, stats, kw = self.cfg, self.cfg.affinity, self.stats, self.kw
         codec, sampler, stoppable = self.codec, self.sampler, self.reconfigurable
         if cfg.verify:
             source = self.tracked(source)
+        self.blocked = codec.splits
+        split = split_chunk if codec.splits else None
         rawq = self.queue("rawq", 1, "compress")
         sendq = self.sendq = self.queue("sendq", cfg.compress_threads, "send")
         self.stages["feed"] = StageSet(
             "feed",
             lambda i, stop: thread(
                 "feeder", workers.feeder, source, rawq, stats["feed"],
-                aff.get("feed"), sampler=sampler, **kw,
+                aff.get("feed"), sampler=sampler, split=split, **kw,
             ),
             count=1,
         )
@@ -131,6 +141,7 @@ class Assembly:
         cfg, aff, stats, kw = self.cfg, self.cfg.affinity, self.stats, self.kw
         tel, sendq = self.tel, self.sendq
         wireq = self.wireq = self.queue("wireq", cfg.connections, "decompress")
+        split = split_frame if self.blocked else None
 
         def pair(i: int, stop: threading.Event) -> list[threading.Thread]:
             tx, rx = socket_pipe(telemetry=tel)
@@ -141,7 +152,7 @@ class Assembly:
                 ),
                 thread(
                     f"recv-{i}", workers.receiver, rx, wireq, stats["recv"],
-                    aff.get("recv"), **kw,
+                    aff.get("recv"), split=split, **kw,
                 ),
             ]
 

@@ -1,6 +1,6 @@
 """Framed chunk transport over sockets — the zeroMQ stand-in.
 
-Wire format v2 of one frame (all integers little-endian)::
+Wire format v2.3 of one frame (all integers little-endian)::
 
     magic     u32   0x52435046 ("RCPF")
     stream    u16   stream id length, followed by that many bytes
@@ -8,9 +8,11 @@ Wire format v2 of one frame (all integers little-endian)::
     flags     u16   bit 0: payload is compressed; bit 1: end-of-stream;
                     bit 2: acknowledgement (v2); bit 3: flow-traced
                     (v2.2 — an 8-byte timestamp trailer follows the
-                    payload); bits 8-15: codec wire id (v2.1; 0 = the
-                    codec the pipeline was configured with, so
-                    static-codec senders emit unchanged bytes)
+                    payload); bit 4: blocked (v2.3 — the payload is a
+                    block table and the blocks it lists); bits 8-15:
+                    codec wire id (v2.1; 0 = the codec the pipeline was
+                    configured with, so static-codec senders emit
+                    unchanged bytes)
     orig_len  u32   uncompressed payload length
     checksum  u32   CRC-32 (zlib) of the (possibly compressed) payload
     length    u32   payload length
@@ -18,6 +20,20 @@ Wire format v2 of one frame (all integers little-endian)::
     trailer   f64   sender wall clock at frame build — present only
                     when bit 3 is set; untraced frames are byte-
                     identical to v2.1
+
+The payload of a blocked frame (bit 4) is one chunk compressed as
+independent blocks (:mod:`repro.live.blocks`)::
+
+    count     u32   number of blocks, at least 2
+    sizes     u32   compressed size of each block, ``count`` of them
+    blocks    bytes the blocks back to back, in chunk order
+
+``length`` and the checksum cover table and blocks together, so a
+blocked frame is still one frame per chunk to everything that handles
+frames (ACK, replay, dedup, the fair-share budget).  The receiver
+refuses a table whose count is below 2 or beyond :data:`MAX_BLOCKS`, or
+whose sizes do not add up to exactly the bytes after it.  Frames
+without bit 4 are byte-identical to v2.2.
 
 The frame checksum is ``zlib.crc32`` — computed in C at memory speed —
 rather than the pure-Python xxhash32 the LZ4 frame format mandates:
@@ -68,9 +84,14 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from repro.util.errors import FrameIntegrityError, TransportError
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+    from repro.faults.spec import LiveFaultSpec
+    from repro.telemetry.facade import Telemetry
 
 MAGIC = 0x52435046
 _HEADER = struct.Struct("<IH")  # magic, stream-id length
@@ -84,6 +105,8 @@ FLAG_ACK = 0x4
 #: never set the bit and never carry the trailer, so they stay
 #: byte-identical to v2.1 — tracing costs zero wire bytes when off.
 FLAG_TRACED = 0x8
+#: Bit 4 (v2.3): the payload is a block table followed by the blocks.
+FLAG_BLOCKS = 0x10
 #: Bits 8-15 of the flags word carry the codec wire id (0 = configured
 #: codec) so adaptive senders can switch codec per frame and the
 #: receiver still picks the right decompressor.
@@ -96,9 +119,13 @@ CODEC_SHIFT = 8
 #: checksum — it is observability metadata, not scientific data.
 TRACE_TRAILER = struct.Struct("<d")
 
+#: One u32 of a blocked frame's table: the block count, then each size.
+_TABLE_WORD = struct.Struct("<I")
+
 #: Refuse absurd frames before allocating for them.
 MAX_FRAME_PAYLOAD = 256 * 1024 * 1024
 MAX_STREAM_ID = 4096
+MAX_BLOCKS = 4096
 
 #: Buffers per ``sendmsg`` call.  POSIX guarantees IOV_MAX >= 16; Linux
 #: allows 1024, but past a few dozen the syscall amortization is flat.
@@ -127,6 +154,10 @@ class Frame:
     #: in a trailer after the payload.
     traced: bool = False
     sent_at: float = 0.0
+    #: Compressed size of each block of a blocked frame (v2.3; empty
+    #: for a frame that carries its chunk as one codec output).  The
+    #: payload then starts with the table :func:`pack_blocks` wrote.
+    blocks: tuple[int, ...] = ()
 
     @classmethod
     def end_of_stream(cls, stream_id: str) -> "Frame":
@@ -147,6 +178,48 @@ class Frame:
     def key(self) -> tuple[str, int, bool]:
         """Identity used for ACK matching and receiver-side dedup."""
         return (self.stream_id, self.index, self.eos)
+
+    def block_views(self) -> list[memoryview]:
+        """The blocks of a blocked frame, as zero-copy views of the
+        payload past its table."""
+        view = memoryview(self.payload)
+        pos = _TABLE_WORD.size * (len(self.blocks) + 1)
+        views: list[memoryview] = []
+        for size in self.blocks:
+            views.append(view[pos : pos + size])
+            pos += size
+        return views
+
+
+def pack_blocks(parts: Sequence[bytes]) -> tuple[bytes, tuple[int, ...]]:
+    """A blocked frame's payload — the table, then ``parts`` — and the
+    block sizes to put in :attr:`Frame.blocks`."""
+    sizes = tuple(len(part) for part in parts)
+    table = struct.pack(f"<{len(sizes) + 1}I", len(sizes), *sizes)
+    return b"".join((table, *parts)), sizes
+
+
+def _block_sizes(payload: bytes, where: str) -> tuple[int, ...]:
+    """The sizes a blocked frame's table lists, checked against the
+    payload that carries it."""
+    have = len(payload)
+    if have < _TABLE_WORD.size:
+        raise FrameIntegrityError(f"{where}: block table truncated")
+    (count,) = _TABLE_WORD.unpack_from(payload)
+    table = _TABLE_WORD.size * (count + 1)
+    if not 2 <= count <= MAX_BLOCKS or table > have:
+        raise FrameIntegrityError(
+            f"{where}: block table lists {count} blocks in {have} bytes"
+        )
+    sizes: tuple[int, ...] = struct.unpack_from(
+        f"<{count}I", payload, _TABLE_WORD.size
+    )
+    if sum(sizes) != have - table:
+        raise FrameIntegrityError(
+            f"{where}: block sizes add up to {sum(sizes)}, "
+            f"not the {have - table} bytes after the table"
+        )
+    return sizes
 
 
 def encode_frame_header(frame: Frame) -> bytes:
@@ -170,6 +243,7 @@ def encode_frame_header(frame: Frame) -> bytes:
         | (FLAG_EOS if frame.eos else 0)
         | (FLAG_ACK if frame.ack else 0)
         | (FLAG_TRACED if frame.traced else 0)
+        | (FLAG_BLOCKS if frame.blocks else 0)
         | (frame.codec_id << CODEC_SHIFT)
     )
     return (
@@ -206,8 +280,8 @@ class FramedSender:
         self,
         sock: socket.socket,
         *,
-        telemetry=None,
-        injector=None,
+        telemetry: Telemetry | None = None,
+        injector: FaultInjector | None = None,
         connection: int = 0,
     ) -> None:
         self.sock = sock
@@ -295,7 +369,7 @@ class FramedSender:
         if self.telemetry is not None:
             self.telemetry.record_frame("tx", len(wire))
 
-    def _sabotage(self, spec, wire: bytes) -> bytes:
+    def _sabotage(self, spec: LiveFaultSpec, wire: bytes) -> bytes:
         """Apply one injected fault; returns the (possibly mangled) wire
         bytes, or raises :class:`TransportError` for connection faults."""
         if spec.kind == "delay":
@@ -357,7 +431,9 @@ class FramedReceiver:
     Mirrors :class:`FramedSender`'s counters on the ``rx`` direction.
     """
 
-    def __init__(self, sock: socket.socket, *, telemetry=None) -> None:
+    def __init__(
+        self, sock: socket.socket, *, telemetry: Telemetry | None = None
+    ) -> None:
         self.sock = sock
         self.telemetry = telemetry
         self._buf = bytearray()
@@ -416,6 +492,8 @@ class FramedReceiver:
 
         Payload and trailer bytes not yet buffered are read from the
         socket; :meth:`next_frame` only calls this once all of them are.
+        The checksum and a blocked frame's table are checked here, the
+        one place a malformed payload is refused.
         """
         size, sid_len, index, flags, orig_len, checksum, length = header
         self._pos += _HEADER.size
@@ -426,6 +504,7 @@ class FramedReceiver:
             raise FrameIntegrityError(
                 f"checksum mismatch on {sid}#{index} ({length} bytes)"
             )
+        blocks = _block_sizes(payload, f"{sid}#{index}") if flags & FLAG_BLOCKS else ()
         traced = bool(flags & FLAG_TRACED)
         sent_at = 0.0
         if traced:
@@ -448,6 +527,7 @@ class FramedReceiver:
             codec_id=flags >> CODEC_SHIFT,
             traced=traced,
             sent_at=sent_at,
+            blocks=blocks,
         )
 
     def next_frame(self) -> Frame | None:
@@ -537,7 +617,9 @@ class FramedReceiver:
             pass
 
 
-def socket_pipe(*, telemetry=None) -> tuple[FramedSender, FramedReceiver]:
+def socket_pipe(
+    *, telemetry: Telemetry | None = None
+) -> tuple[FramedSender, FramedReceiver]:
     """An in-process transport (socketpair) for local pipelines/tests."""
     a, b = socket.socketpair()
     return (

@@ -27,9 +27,10 @@ from repro.compress.codec import Codec, decompressor_for, wire_codec_name
 from repro.data.chunking import Chunk
 from repro.faults.policy import RetryPolicy
 from repro.live.affinity import pin_current_thread
+from repro.live.blocks import Block, split_frame
 from repro.live.queues import ClosableQueue, Closed
 from repro.live.stageset import Knobs
-from repro.live.transport import Frame, FramedReceiver, FramedSender
+from repro.live.transport import Frame, FramedReceiver, FramedSender, pack_blocks
 from repro.telemetry.spans import stage_span
 from repro.util.errors import QueueTimeout, TransportError
 
@@ -99,6 +100,7 @@ def feeder(
     knobs: Knobs,
     telemetry=None,
     sampler=None,
+    split: Callable[[Chunk], list] | None = None,
 ) -> None:
     """Pushes source chunks into the pipeline (the data generator).
 
@@ -111,6 +113,9 @@ def feeder(
     tracing begins: the feeder assigns each head-sampled chunk its
     trace context before the chunk enters the pipeline, and every
     downstream hop merely forwards the mark.
+
+    ``split`` (:func:`repro.live.blocks.split_chunk`, when the codec
+    splits) turns each chunk into the compress stage's work items.
     """
     _maybe_pin(cpus, "feed", telemetry)
     track = threading.current_thread().name
@@ -136,13 +141,14 @@ def feeder(
                     # when it is not the batch head.
                     if chunk.trace is not None and head.trace is None:
                         head = chunk
+            items = batch if split is None else [i for c in batch for i in split(c)]
             with stage_span(
                 telemetry, "feed", stream_id=head.stream_id,
                 chunk_id=head.index, track=track,
             ) as sp:
                 done = 0
-                while done < len(batch):
-                    done += outq.put_many(batch[done:])
+                while done < len(items):
+                    done += outq.put_many(items[done:])
             per_chunk = sp.duration / len(batch)
             for chunk in batch:
                 n = len(chunk.payload)
@@ -167,9 +173,14 @@ def compressor(
 ) -> None:
     """{C}: compress chunk payloads.
 
-    ``knobs.batch_frames > 1`` drains up to that many chunks per queue
-    lock round-trip and forwards them with one :meth:`put_many`; each
-    chunk is still compressed (and accounted) individually.
+    A work item is a chunk or one :class:`~repro.live.blocks.Block` of
+    one; the thread that compresses a chunk's last block packs the
+    chunk's wire payload and forwards the chunk.  Stats and counters
+    book chunks, spans book each codec call.
+
+    ``knobs.batch_frames > 1`` drains up to that many items per queue
+    lock round-trip and forwards the finished chunks with one
+    :meth:`put_many`; each item is still compressed individually.
 
     The knob is hot-swappable (re-read before every drain, lock-free);
     ``stop`` makes the worker stoppable at a batch boundary — set
@@ -186,35 +197,63 @@ def compressor(
             bf = knobs.batch_frames
             try:
                 if stop is not None:
-                    chunks = inq.get_many(bf, timeout=STOP_POLL_SECONDS)
+                    items = inq.get_many(bf, timeout=STOP_POLL_SECONDS)
                 else:
-                    chunks = inq.get_many(bf)
+                    items = inq.get_many(bf)
             except QueueTimeout:
                 continue
             except Closed:
                 break
-            for chunk in chunks:
-                with stage_span(
-                    telemetry, "compress", stream_id=chunk.stream_id,
-                    chunk_id=chunk.index, track=track,
-                ) as sp:
-                    chunk.wire_payload, chunk.codec_id = (
-                        codec.compress_with_id(chunk.payload)
+            chunks = []
+            for item in items:
+                if type(item) is Block:
+                    chunk, busy = _compress_block(
+                        codec, item, telemetry=telemetry, track=track
                     )
+                    if chunk is None:
+                        continue
+                else:
+                    chunk = item
+                    with stage_span(
+                        telemetry, "compress", stream_id=chunk.stream_id,
+                        chunk_id=chunk.index, track=track,
+                    ) as sp:
+                        chunk.wire_payload, chunk.codec_id = (
+                            codec.compress_with_id(chunk.payload)
+                        )
+                    busy = sp.duration
                 _finish(stats, telemetry, "compress", chunk.stream_id,
-                        len(chunk.payload), len(chunk.wire_payload),
-                        sp.duration)
+                        len(chunk.payload), len(chunk.wire_payload), busy)
                 _record_codec(
                     telemetry, "compress", chunk.stream_id,
                     wire_codec_name(chunk.codec_id)
                     if chunk.codec_id
                     else codec.name,
                 )
+                chunks.append(chunk)
             outq.put_many(chunks)
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"compressor: {exc!r}")
     finally:
         outq.close()
+
+
+def _compress_block(
+    codec: Codec, block: "Block[Chunk]", *, telemetry, track: str
+) -> "tuple[Chunk | None, float]":
+    """Compress one block; once it was its chunk's last, pack the
+    chunk's wire payload and return the chunk with its summed codec
+    seconds."""
+    chunk = block.join.owner
+    with stage_span(
+        telemetry, "compress", stream_id=chunk.stream_id,
+        chunk_id=chunk.index, track=track,
+    ) as sp:
+        wire, chunk.codec_id = codec.compress_with_id(block.data)
+    if not block.join.done(block.slot, wire, sp.duration):
+        return None, 0.0
+    chunk.wire_payload, chunk.wire_blocks = pack_blocks(block.join.parts)
+    return chunk, block.join.busy
 
 
 def _chunk_frame(chunk: Chunk, *, compressed: bool) -> Frame:
@@ -233,6 +272,9 @@ def _chunk_frame(chunk: Chunk, *, compressed: bool) -> Frame:
         # (it deliberately includes the send syscall — overlap is
         # documented in repro.telemetry.assemble).
         sent_at=time.perf_counter() if traced else 0.0,
+        # The process front's records (repro.mp.pipeline) stay whole
+        # chunks and have no block sizes to carry.
+        blocks=getattr(chunk, "wire_blocks", ()) if compressed else (),
     )
 
 
@@ -495,6 +537,7 @@ def receiver(
     *,
     knobs: Knobs,
     telemetry=None,
+    split: Callable[[Frame], list] | None = None,
 ) -> None:
     """{R}: one TCP connection's receiving thread.
 
@@ -503,6 +546,10 @@ def receiver(
     join the same ``put_many`` handoff — the downstream mirror of the
     sender's vectored batch, with no extra waiting (buffered frames are
     free).  The knob is re-read before every batch.
+
+    ``split`` (:func:`repro.live.blocks.split_frame`, when the sending
+    side cuts chunks into blocks) hands the decompress stage one job per
+    block, so all its threads decode one chunk.
     """
     _maybe_pin(cpus, "recv", telemetry)
     track = threading.current_thread().name
@@ -544,9 +591,10 @@ def receiver(
             for frame in batch:
                 _finish(stats, telemetry, "recv", frame.stream_id,
                         len(frame.payload), len(frame.payload), per_chunk)
+            jobs = batch if split is None else [j for f in batch for j in split(f)]
             put = 0
-            while put < len(batch):
-                put += outq.put_many(batch[put:])
+            while put < len(jobs):
+                put += outq.put_many(jobs[put:])
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"receiver: {exc!r}")
     finally:
@@ -566,11 +614,17 @@ def decompressor(
 ) -> None:
     """{D}: decompress received frames and deliver to the sink.
 
-    ``knobs.batch_frames > 1`` drains up to that many frames per queue
-    lock round-trip; each frame is still decompressed and delivered
-    individually (sink ordering is unchanged).  ``knobs`` and ``stop``
-    behave as in :func:`compressor` (there is no downstream queue, so
-    stopping is just a clean exit between batches).
+    A work item is a frame or one :class:`~repro.live.blocks.Block` of
+    a blocked frame; the thread that decodes a chunk's last block joins
+    the output and delivers the chunk.  A blocked frame that arrives
+    whole (the event plane enqueues a frame all-or-nothing) has its
+    blocks decoded here, in turn.
+
+    ``knobs.batch_frames > 1`` drains up to that many items per queue
+    lock round-trip; each is still decompressed individually (sink
+    ordering is unchanged).  ``knobs`` and ``stop`` behave as in
+    :func:`compressor` (there is no downstream queue, so stopping is
+    just a clean exit between batches).
     """
     _maybe_pin(cpus, "decompress", telemetry)
     track = threading.current_thread().name
@@ -581,20 +635,39 @@ def decompressor(
             bf = knobs.batch_frames
             try:
                 if stop is not None:
-                    frames = inq.get_many(bf, timeout=STOP_POLL_SECONDS)
+                    items = inq.get_many(bf, timeout=STOP_POLL_SECONDS)
                 else:
-                    frames = inq.get_many(bf)
+                    items = inq.get_many(bf)
             except QueueTimeout:
                 continue
             except Closed:
                 break
-            for frame in frames:
-                _decompress_one(
-                    codec, frame, stats, sink,
-                    telemetry=telemetry, track=track,
-                )
+            for item in items:
+                if type(item) is Block:
+                    _decompress_block(
+                        codec, item, stats, sink,
+                        telemetry=telemetry, track=track,
+                    )
+                elif item.blocks:
+                    for block in split_frame(item):
+                        _decompress_block(
+                            codec, block, stats, sink,
+                            telemetry=telemetry, track=track,
+                        )
+                else:
+                    _decompress_one(
+                        codec, item, stats, sink,
+                        telemetry=telemetry, track=track,
+                    )
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"decompressor: {exc!r}")
+
+
+def _decoder(codec: Codec, frame: Frame) -> Codec:
+    # Frames stamped with a codec wire id decode with *that* codec — how
+    # adaptive senders switch per chunk without renegotiating; id 0
+    # falls back to the configured codec.
+    return decompressor_for(frame.codec_id) if frame.codec_id else codec
 
 
 def _decompress_one(
@@ -613,22 +686,52 @@ def _decompress_one(
         if not frame.compressed:
             data = frame.payload
         else:
-            # Frames stamped with a codec wire id decode with *that*
-            # codec — how adaptive senders switch per chunk without
-            # renegotiating; id 0 falls back to the configured codec.
-            dec = decompressor_for(frame.codec_id) if frame.codec_id else codec
-            data = dec.decompress(frame.payload)
-            _record_codec(
-                telemetry, "decompress", frame.stream_id,
-                wire_codec_name(frame.codec_id)
-                if frame.codec_id
-                else codec.name,
-            )
+            data = _decoder(codec, frame).decompress(frame.payload)
+    _deliver(codec, frame, data, sp.duration, stats, sink, telemetry)
+
+
+def _decompress_block(
+    codec: Codec,
+    block: "Block[Frame]",
+    stats: StageStats,
+    sink: Callable[[str, int, bytes], None],
+    *,
+    telemetry,
+    track: str,
+) -> None:
+    """Decode one block; the thread that decodes a chunk's last block
+    joins the output and delivers the chunk."""
+    frame = block.join.owner
+    with stage_span(
+        telemetry, "decompress", stream_id=frame.stream_id,
+        chunk_id=frame.index, track=track,
+    ) as sp:
+        part = _decoder(codec, frame).decompress(block.data)
+    if block.join.done(block.slot, part, sp.duration):
+        data = b"".join(block.join.parts)
+        _deliver(codec, frame, data, block.join.busy, stats, sink, telemetry)
+
+
+def _deliver(
+    codec: Codec,
+    frame: Frame,
+    data: bytes,
+    busy: float,
+    stats: StageStats,
+    sink: Callable[[str, int, bytes], None],
+    telemetry,
+) -> None:
+    """Check a decoded chunk against its frame, book it, hand it on."""
+    if frame.compressed:
+        _record_codec(
+            telemetry, "decompress", frame.stream_id,
+            wire_codec_name(frame.codec_id) if frame.codec_id else codec.name,
+        )
     if frame.orig_len and len(data) != frame.orig_len:
         raise ValueError(
             f"{frame.stream_id}#{frame.index}: decompressed to "
             f"{len(data)} bytes, expected {frame.orig_len}"
         )
     _finish(stats, telemetry, "decompress", frame.stream_id,
-            len(frame.payload), len(data), sp.duration)
+            len(frame.payload), len(data), busy)
     sink(frame.stream_id, frame.index, data)

@@ -109,7 +109,9 @@ class ProcessFront:
         self.source = source
         self.tel, self.codec, self.knobs = asm.tel, asm.codec, asm.knobs
         self.sampler, self.stats = asm.sampler, asm.stats
-        self.expected, self.fields = asm.expected, asm.fields
+        #: The ledger, kept only when the run verifies (as thread mode).
+        self.expected = asm.expected if cfg.verify else None
+        self.fields = asm.fields
         topology = plan_topology(cfg)
         self.domains = topology.domains
         self.supervisor = DomainSupervisor(
@@ -187,7 +189,8 @@ class ProcessFront:
                     chunk.trace = sampler.sample_chunk(chunk.stream_id, chunk.index)
                 key = (chunk.stream_id, chunk.index)
                 n = len(chunk.payload)
-                expected.add(key)
+                if expected is not None:
+                    expected.add(key)
                 packed = pack_record(
                     ChunkRecord(
                         stream_id=chunk.stream_id,

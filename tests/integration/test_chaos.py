@@ -23,6 +23,7 @@ from repro.faults import (
     RetryPolicy,
     TimeoutPolicy,
 )
+from repro.live.blocks import BLOCK_BYTES
 from repro.live.remote import ReceiverServer, SenderClient
 from repro.telemetry import Telemetry
 from repro.util.rng import make_rng
@@ -117,3 +118,64 @@ def test_chaos_exactly_once_delivery():
     assert tel.counter_value(
         "transport_faults_injected_total", kind="corrupt"
     ) == 1
+
+
+@pytest.mark.chaos
+def test_corrupt_blocked_frame_is_replayed_once():
+    """A zlib chunk above BLOCK_BYTES crosses as one blocked frame; one
+    corrupted on the wire is rejected by its checksum, replayed by the
+    sender and delivered exactly once, byte-identical."""
+    tel = Telemetry()
+    rng = make_rng(7, "chaos-blocks")
+    size = BLOCK_BYTES + 8192
+    payloads = [
+        (rng.integers(0, 64, size // 2, dtype=np.uint16)).tobytes()
+        for _ in range(4)
+    ]
+    received = {}
+    received_lock = threading.Lock()
+
+    def sink(stream_id, index, data):
+        with received_lock:
+            received.setdefault(index, []).append(data)
+
+    sabotaged = []
+
+    class Recording(FaultInjector):
+        def on_send(self, frame, connection=0):
+            spec = super().on_send(frame, connection)
+            if spec is not None:
+                sabotaged.append(frame)
+            return spec
+
+    injector = Recording(
+        [LiveFaultSpec(kind="corrupt", at_frame=1)], telemetry=tel
+    )
+    server = ReceiverServer(
+        codec="zlib", connections=1, decompress_threads=2,
+        timeouts=TimeoutPolicy(accept=20, join=60), telemetry=tel,
+    )
+    host, port = server.address
+    reports = {}
+    t = threading.Thread(
+        target=lambda: reports.setdefault("rx", server.serve(sink=sink)),
+        daemon=True,
+    )
+    t.start()
+    reports["tx"] = SenderClient(
+        host, port, codec="zlib", connections=1,
+        retry=RetryPolicy(max_attempts=6, base_delay=0.02, max_delay=0.5),
+        timeouts=TimeoutPolicy(connect=10, join=60, drain=20),
+        injector=injector, telemetry=tel,
+    ).run(
+        Chunk("chaos-b", i, size, payload=p) for i, p in enumerate(payloads)
+    )
+    t.join(timeout=60)
+    assert not t.is_alive(), "receiver did not finish"
+    assert reports["tx"].ok, reports["tx"].errors
+    assert reports["rx"].ok, reports["rx"].errors
+
+    assert len(sabotaged) == 1 and len(sabotaged[0].blocks) == 2
+    assert received == {i: [p] for i, p in enumerate(payloads)}
+    assert tel.counter_value("transport_frames_rejected_total") >= 1
+    assert tel.counter_value("transport_redeliveries_total") >= 1

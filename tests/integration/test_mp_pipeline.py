@@ -146,6 +146,27 @@ class TestAccounting:
         assert 0 < comp.bytes_out <= comp.bytes_in + NUM_CHUNKS * 64
         assert comp.busy_seconds > 0
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_unverified_run_keeps_no_ledger(self, mode, monkeypatch):
+        """``verify=False`` means no ``(stream, index)`` is held for the
+        life of the run, in either execution mode."""
+        from repro.live import runtime
+
+        built = []
+
+        class Recorded(runtime.Assembly):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runtime, "Assembly", Recorded)
+        report = LivePipeline(config(execution_mode=mode, verify=False)).run(
+            chunks()
+        )
+        assert report.ok, report.errors
+        assert report.chunks == NUM_CHUNKS
+        assert [asm.expected for asm in built] == [set()]
+
     def test_telemetry_names_process_workers_like_threads(self):
         tel = Telemetry()
         report = ProcessPipeline(config(), telemetry=tel).run(chunks())

@@ -3,19 +3,24 @@
 import socket
 import struct
 import threading
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultInjector
 from repro.live.transport import (
     _BODY,
     _HEADER,
+    FLAG_BLOCKS,
+    FLAG_COMPRESSED,
     MAGIC,
     MAX_FRAME_PAYLOAD,
     MAX_STREAM_ID,
     Frame,
     FramedReceiver,
     FramedSender,
+    pack_blocks,
     socket_pipe,
 )
 from repro.util.errors import FrameIntegrityError, TransportError
@@ -383,6 +388,76 @@ class TestTracedFrames:
         rx.feed(wire_a)
         assert rx.next_frame().payload == b"abc"
         assert zlib.crc32(b"abc") == zlib.crc32(b"abc")  # sanity
+
+
+def _blocked_wire(payload: bytes) -> bytes:
+    """A compressed frame with the blocks bit over ``payload`` (table
+    included) and a correct checksum, so only the table can be wrong."""
+    return (
+        _HEADER.pack(MAGIC, 1)
+        + b"s"
+        + _BODY.pack(0, FLAG_COMPRESSED | FLAG_BLOCKS, 0, zlib.crc32(payload),
+                     len(payload))
+        + payload
+    )
+
+
+def _table(count: int, sizes) -> bytes:
+    """A block table declaring ``count`` blocks, listing ``sizes``."""
+    return struct.pack(f"<{len(sizes) + 1}I", count, *sizes)
+
+
+@st.composite
+def _mangled_tables(draw):
+    """A blocked payload whose table must be refused."""
+    case = draw(st.sampled_from(
+        ["count<2", "count beyond payload", "overrun", "underrun", "truncated"]
+    ))
+    if case == "truncated":
+        return draw(st.binary(max_size=3))
+    if case == "count<2":
+        count = draw(st.integers(0, 1))
+        body = draw(st.binary(max_size=64))
+        return _table(count, [len(body)] * count) + body
+    if case == "count beyond payload":
+        count = draw(st.integers(2, 2**32 - 1))
+        words = draw(st.integers(0, min(count - 1, 16)))
+        return _table(count, [0] * words)
+    sizes = draw(st.lists(st.integers(0, 64), min_size=2, max_size=6))
+    delta = draw(st.integers(1, 64))
+    if case == "overrun":  # the sizes run past the payload's end
+        sizes[-1] += delta
+        return _table(len(sizes), sizes) + bytes(sum(sizes) - delta)
+    # "underrun": bytes are left over after the last block
+    return _table(len(sizes), sizes) + bytes(sum(sizes) + delta)
+
+
+class TestBlockTable:
+    """FLAG_BLOCKS (v2.3): the table is checked where the CRC is."""
+
+    def test_blocked_frame_round_trip(self):
+        parts = [b"first block", b"", b"third"]
+        payload, sizes = pack_blocks(parts)
+        assert sizes == (11, 0, 5)
+        tx, rx = socket_pipe()
+        tx.send(Frame("s", 4, payload, compressed=True, orig_len=99,
+                      blocks=sizes))
+        f = rx.recv()
+        assert f.blocks == sizes
+        assert [bytes(v) for v in f.block_views()] == parts
+
+    @given(payload=_mangled_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_mangled_table_is_refused(self, payload):
+        _a, b = socket.socketpair()
+        try:
+            rx = FramedReceiver(b)
+            rx.feed(_blocked_wire(payload))
+            with pytest.raises(FrameIntegrityError, match="block"):
+                rx.next_frame()
+        finally:
+            _a.close()
+            b.close()
 
 
 class TestSendPathParity:
