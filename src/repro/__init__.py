@@ -29,85 +29,76 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured audit of every figure and table.
 """
 
-from repro.core import (
-    ALCF_APS_PATH,
-    APS_LAN_PATH,
-    ConfigGenerator,
-    CostModel,
-    DynamicRebalancer,
-    HardwareKnowledgeBase,
-    PathSpec,
-    PlacementSpec,
-    ScenarioConfig,
-    ScenarioResult,
-    SimRuntime,
-    StageConfig,
-    StageKind,
-    StreamConfig,
-    StreamRequest,
-    StreamResult,
-    TABLE1,
-    TABLE2,
-    TABLE3,
-    Workload,
-    run_scenario,
-)
-from repro.compress import Codec, LZ4Codec, NullCodec, available_codecs, get_codec
-from repro.data import Chunk, SpheresDataset, SpheresPhantom
-from repro.hw import (
-    CoreId,
-    Machine,
-    MachineSpec,
-    NicSpec,
-    SocketSpec,
-    lynxdtn_spec,
-    polaris_spec,
-    updraft_spec,
-)
-from repro.osmodel import AffinityMask, FirstTouchAllocator, OsScheduler
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.compress import (
+        Codec,
+        LZ4Codec,
+        NullCodec,
+        available_codecs,
+        get_codec,
+    )
+    from repro.core import (
+        ALCF_APS_PATH,
+        APS_LAN_PATH,
+        ConfigGenerator,
+        CostModel,
+        DynamicRebalancer,
+        HardwareKnowledgeBase,
+        PathSpec,
+        PlacementSpec,
+        ScenarioConfig,
+        ScenarioResult,
+        SimRuntime,
+        StageConfig,
+        StageKind,
+        StreamConfig,
+        StreamRequest,
+        StreamResult,
+        TABLE1,
+        TABLE2,
+        TABLE3,
+        Workload,
+        run_scenario,
+    )
+    from repro.data import Chunk, SpheresDataset, SpheresPhantom
+    from repro.hw import (
+        CoreId,
+        Machine,
+        MachineSpec,
+        NicSpec,
+        SocketSpec,
+        lynxdtn_spec,
+        polaris_spec,
+        updraft_spec,
+    )
+    from repro.osmodel import AffinityMask, FirstTouchAllocator, OsScheduler
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALCF_APS_PATH",
-    "APS_LAN_PATH",
-    "AffinityMask",
-    "Chunk",
-    "Codec",
-    "ConfigGenerator",
-    "CoreId",
-    "CostModel",
-    "DynamicRebalancer",
-    "FirstTouchAllocator",
-    "HardwareKnowledgeBase",
-    "LZ4Codec",
-    "Machine",
-    "MachineSpec",
-    "NicSpec",
-    "NullCodec",
-    "OsScheduler",
-    "PathSpec",
-    "PlacementSpec",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "SimRuntime",
-    "SocketSpec",
-    "SpheresDataset",
-    "SpheresPhantom",
-    "StageConfig",
-    "StageKind",
-    "StreamConfig",
-    "StreamRequest",
-    "StreamResult",
-    "TABLE1",
-    "TABLE2",
-    "TABLE3",
-    "Workload",
-    "available_codecs",
-    "get_codec",
-    "lynxdtn_spec",
-    "polaris_spec",
-    "run_scenario",
-    "updraft_spec",
-    "__version__",
-]
+# Names load on first access, so importing one submodule — a compressor
+# process importing ``repro.mp.workers`` — does not pay for the planner
+# and the simulator.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.compress": (
+        "Codec", "LZ4Codec", "NullCodec", "available_codecs", "get_codec",
+    ),
+    "repro.core": (
+        "ALCF_APS_PATH", "APS_LAN_PATH", "ConfigGenerator", "CostModel",
+        "DynamicRebalancer", "HardwareKnowledgeBase", "PathSpec",
+        "PlacementSpec", "ScenarioConfig", "ScenarioResult", "SimRuntime",
+        "StageConfig", "StageKind", "StreamConfig", "StreamRequest",
+        "StreamResult", "TABLE1", "TABLE2", "TABLE3", "Workload",
+        "run_scenario",
+    ),
+    "repro.data": ("Chunk", "SpheresDataset", "SpheresPhantom"),
+    "repro.hw": (
+        "CoreId", "Machine", "MachineSpec", "NicSpec", "SocketSpec",
+        "lynxdtn_spec", "polaris_spec", "updraft_spec",
+    ),
+    "repro.osmodel": ("AffinityMask", "FirstTouchAllocator", "OsScheduler"),
+})
+__all__.append("__version__")

@@ -17,61 +17,55 @@ Layers:
 - :mod:`repro.core.dynamic` — §6's future-work dynamic rebalancer.
 """
 
-from repro.core.advisor import CapacityAdvisor, Prediction
-from repro.core.config import (
-    FaultSpec,
-    ScenarioConfig,
-    StageConfig,
-    StageKind,
-    StreamConfig,
-)
-from repro.core.dynamic import DynamicRebalancer
-from repro.core.generator import ConfigGenerator, StreamRequest, Workload
-from repro.core.knowledge import HardwareKnowledgeBase
-from repro.core.params import (
-    ALCF_APS_PATH,
-    APS_LAN_PATH,
-    CostModel,
-    PathSpec,
-)
-from repro.core.placement import PlacementSpec, ThreadHome, resolve_placement
-from repro.core.results import RunResult, result_envelope, write_result_json
-from repro.core.runtime import (
-    ScenarioResult,
-    SimRuntime,
-    StreamResult,
-    run_scenario,
-)
-from repro.core.tables import TABLE1, TABLE2, TABLE3
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ALCF_APS_PATH",
-    "APS_LAN_PATH",
-    "CapacityAdvisor",
-    "ConfigGenerator",
-    "FaultSpec",
-    "CostModel",
-    "DynamicRebalancer",
-    "HardwareKnowledgeBase",
-    "PathSpec",
-    "PlacementSpec",
-    "Prediction",
-    "RunResult",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "SimRuntime",
-    "StageConfig",
-    "StageKind",
-    "StreamConfig",
-    "StreamRequest",
-    "StreamResult",
-    "TABLE1",
-    "TABLE2",
-    "TABLE3",
-    "ThreadHome",
-    "Workload",
-    "resolve_placement",
-    "result_envelope",
-    "run_scenario",
-    "write_result_json",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.advisor import CapacityAdvisor, Prediction
+    from repro.core.config import (
+        FaultSpec,
+        ScenarioConfig,
+        StageConfig,
+        StageKind,
+        StreamConfig,
+    )
+    from repro.core.dynamic import DynamicRebalancer
+    from repro.core.generator import ConfigGenerator, StreamRequest, Workload
+    from repro.core.knowledge import HardwareKnowledgeBase
+    from repro.core.params import (
+        ALCF_APS_PATH,
+        APS_LAN_PATH,
+        CostModel,
+        PathSpec,
+    )
+    from repro.core.placement import PlacementSpec, ThreadHome, resolve_placement
+    from repro.core.results import RunResult, result_envelope, write_result_json
+    from repro.core.runtime import (
+        ScenarioResult,
+        SimRuntime,
+        StreamResult,
+        run_scenario,
+    )
+    from repro.core.tables import TABLE1, TABLE2, TABLE3
+
+# Names load on first access: ``repro.plan.ir`` imports
+# ``repro.core.config``, and an eager package would pull in the
+# generator, which imports ``repro.plan.ir`` back.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.advisor": ("CapacityAdvisor", "Prediction"),
+    "repro.core.config": (
+        "FaultSpec", "ScenarioConfig", "StageConfig", "StageKind",
+        "StreamConfig",
+    ),
+    "repro.core.dynamic": ("DynamicRebalancer",),
+    "repro.core.generator": ("ConfigGenerator", "StreamRequest", "Workload"),
+    "repro.core.knowledge": ("HardwareKnowledgeBase",),
+    "repro.core.params": ("ALCF_APS_PATH", "APS_LAN_PATH", "CostModel", "PathSpec"),
+    "repro.core.placement": ("PlacementSpec", "ThreadHome", "resolve_placement"),
+    "repro.core.results": ("RunResult", "result_envelope", "write_result_json"),
+    "repro.core.runtime": (
+        "ScenarioResult", "SimRuntime", "StreamResult", "run_scenario",
+    ),
+    "repro.core.tables": ("TABLE1", "TABLE2", "TABLE3"),
+})

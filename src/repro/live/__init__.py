@@ -18,27 +18,26 @@ replays unacknowledged frames, the receiver deduplicates and ACKs.
 Chaos-test them by attaching a :class:`~repro.faults.FaultInjector`.
 """
 
-from repro.faults.policy import RetryPolicy, TimeoutPolicy
-from repro.live.affinity import current_affinity, pin_current_thread
-from repro.live.remote import EndpointReport, ReceiverServer, SenderClient
-from repro.live.queues import Closed, ClosableQueue
-from repro.live.runtime import LiveConfig, LivePipeline, LiveReport
-from repro.live.transport import Frame, FramedReceiver, FramedSender
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ClosableQueue",
-    "EndpointReport",
-    "ReceiverServer",
-    "RetryPolicy",
-    "SenderClient",
-    "TimeoutPolicy",
-    "Closed",
-    "Frame",
-    "FramedReceiver",
-    "FramedSender",
-    "LiveConfig",
-    "LivePipeline",
-    "LiveReport",
-    "current_affinity",
-    "pin_current_thread",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.policy import RetryPolicy, TimeoutPolicy
+    from repro.live.affinity import current_affinity, pin_current_thread
+    from repro.live.queues import ClosableQueue, Closed
+    from repro.live.remote import EndpointReport, ReceiverServer, SenderClient
+    from repro.live.runtime import LiveConfig, LivePipeline, LiveReport
+    from repro.live.transport import Frame, FramedReceiver, FramedSender
+
+# Names load on first access, so a compressor process importing
+# ``repro.live.affinity`` or ``repro.live.queues`` does not drag in the
+# sockets and the runtime.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.faults.policy": ("RetryPolicy", "TimeoutPolicy"),
+    "repro.live.affinity": ("current_affinity", "pin_current_thread"),
+    "repro.live.queues": ("ClosableQueue", "Closed"),
+    "repro.live.remote": ("EndpointReport", "ReceiverServer", "SenderClient"),
+    "repro.live.runtime": ("LiveConfig", "LivePipeline", "LiveReport"),
+    "repro.live.transport": ("Frame", "FramedReceiver", "FramedSender"),
+})

@@ -60,8 +60,9 @@ class LiveConfig:
     ring_capacity: int = 8
     #: Slot size of each ring; must fit one packed chunk record.
     ring_slot_bytes: int = 1 << 20
-    #: multiprocessing start method for worker processes ("spawn" is
-    #: the portable default; "fork" starts faster where it is safe).
+    #: multiprocessing start method of the pooled compressor processes
+    #: ("spawn" is the portable default; "fork" starts faster where it
+    #: is safe).
     mp_start_method: str = "spawn"
     #: Reactor shards of a ReceiverServer lowered from this config
     #: (0 = auto: one per core the receiver's NUMA domain offers).
@@ -88,9 +89,10 @@ class LiveConfig:
                 f"execution_mode must be 'thread' or 'process', "
                 f"not {self.execution_mode!r}"
             )
-        if self.mp_start_method not in ("spawn", "fork", "forkserver"):
+        if self.mp_start_method not in ("spawn", "fork"):
             raise ValidationError(
-                f"unknown mp_start_method {self.mp_start_method!r}"
+                f"mp_start_method must be 'spawn' or 'fork', "
+                f"not {self.mp_start_method!r}"
             )
         self.timeouts = self.timeouts or TimeoutPolicy()
 

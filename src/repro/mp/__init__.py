@@ -18,7 +18,10 @@ physical:
 - :mod:`~repro.mp.topology` — worker-process specs (stage role, CPU
   set, ring attachments) lowered from the plan IR's ``execution``
   policy node;
-- :class:`~repro.mp.supervisor.DomainSupervisor` — spawn/monitor/
+- :mod:`~repro.mp.pool` — warm compressor processes, started once per
+  interpreter and re-armed for each run; :func:`shutdown_pool` (also
+  run at exit) stops them;
+- :class:`~repro.mp.supervisor.DomainSupervisor` — arm/monitor/
   restart (under :class:`~repro.faults.RetryPolicy`) with graceful
   SIGTERM drain;
 - :class:`~repro.mp.pipeline.ProcessFront` — the pipeline's front
@@ -31,31 +34,37 @@ physical:
   convenience name for a ``LivePipeline`` in that mode.
 """
 
-from repro.mp.pipeline import ProcessPipeline
-from repro.mp.records import ChunkRecord, pack_record, unpack_record
-from repro.mp.ring import SharedRing
-from repro.mp.stats import StatsBlock, WorkerState
-from repro.mp.supervisor import DomainSupervisor
-from repro.mp.topology import (
-    ProcessTopology,
-    RingSpec,
-    WorkerSpec,
-    domain_cpu_sets,
-    plan_topology,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ChunkRecord",
-    "DomainSupervisor",
-    "ProcessPipeline",
-    "ProcessTopology",
-    "RingSpec",
-    "SharedRing",
-    "StatsBlock",
-    "WorkerSpec",
-    "WorkerState",
-    "domain_cpu_sets",
-    "pack_record",
-    "plan_topology",
-    "unpack_record",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mp.pipeline import ProcessPipeline
+    from repro.mp.pool import shutdown_pool
+    from repro.mp.records import ChunkRecord, pack_record, unpack_record
+    from repro.mp.ring import SharedRing
+    from repro.mp.stats import StatsBlock, WorkerState
+    from repro.mp.supervisor import DomainSupervisor
+    from repro.mp.topology import (
+        ProcessTopology,
+        RingSpec,
+        WorkerSpec,
+        domain_cpu_sets,
+        plan_topology,
+    )
+
+# Names load on first access, so a worker process importing
+# :mod:`repro.mp.workers` does not import the parent-side pipeline (and,
+# through it, the live runtime).
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.mp.pipeline": ("ProcessPipeline",),
+    "repro.mp.pool": ("shutdown_pool",),
+    "repro.mp.records": ("ChunkRecord", "pack_record", "unpack_record"),
+    "repro.mp.ring": ("SharedRing",),
+    "repro.mp.stats": ("StatsBlock", "WorkerState"),
+    "repro.mp.supervisor": ("DomainSupervisor",),
+    "repro.mp.topology": (
+        "ProcessTopology", "RingSpec", "WorkerSpec", "domain_cpu_sets",
+        "plan_topology",
+    ),
+})

@@ -153,11 +153,16 @@ class ProcessFront:
         # slots into the ordinary stage accounting.
         if self.supervisor.stats is not None:
             comp = self.stats["compress"]
+            cpu_us = 0
             for s in self.supervisor.stats.snapshot():
                 comp.chunks += s.chunks
                 comp.bytes_in += s.bytes_in
                 comp.bytes_out += s.bytes_out
                 comp.busy_seconds += s.busy_us / 1e6
+                cpu_us += s.cpu_us
+            # Pooled workers outlive the run, so the OS never books their
+            # CPU to this process's reaped children; they book it here.
+            self.fields["worker_cpu_s"] = cpu_us / 1e6
         return errors
 
     def shutdown(self) -> None:

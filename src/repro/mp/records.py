@@ -10,13 +10,17 @@ records).  Layout, little-endian::
     flags     u16   bit 0: payload is compressed; bit 3: flow-traced;
                     bit 4: timed (a 16-byte stage-timestamp trailer
                     follows the payload); bits 8-15: codec wire id
-                    (0 = the pipeline's configured codec), matching
-                    the transport's flag layout
+                    (0 = the pipeline's configured codec)
     sid_len   u16   stream id length
     orig_len  u32   uncompressed payload length
     <stream id bytes>
     <payload bytes>
     <t0, t1   2×f64 — only when bit 4 is set>
+
+This is not the transport's flag layout.  Bit 3 and bits 8-15 are the
+only ones that forward 1:1 onto the wire frame; bit 0 happens to match
+``FLAG_COMPRESSED`` but the frame sets its own, and bit 4 collides: on
+the wire it is ``FLAG_BLOCKS``.
 
 The trailer is how per-chunk flow tracing crosses the process
 boundary (:mod:`repro.telemetry.context`): the parent marks a sampled
@@ -51,6 +55,7 @@ _FLAG_TRACED = 0x8
 _FLAG_TIMED = 0x10
 #: Bits 8-15 of the flags word carry the codec wire id (same layout as
 #: the transport frame header, so the values forward unchanged).
+#: Bit 4 is *not* shared: the transport's bit 4 is ``FLAG_BLOCKS``.
 _CODEC_SHIFT = 8
 
 #: Stage-work trailer: wall-clock start/end of the compress call.

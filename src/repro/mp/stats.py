@@ -22,6 +22,9 @@ Slot layout (64 bytes, one cache line, single writer)::
     bytes_out  u64   payload bytes produced
     busy_us    u64   microseconds spent inside the codec
     heartbeat  f64   time.time() of the worker's last liveness beat
+    cpu_us     u64   process CPU microseconds the worker spent on its
+                     runs (written after each run by
+                     repro.mp.workers.serve)
 
 Every field is an aligned 4- or 8-byte store, so a concurrent reader
 may see a *stale* value but never a torn one; counters are cumulative
@@ -39,7 +42,7 @@ from repro.util.errors import ValidationError
 
 _MAGIC = 0x52_50_4D_53  # "RPMS"
 _HEADER = struct.Struct("<II")  # magic, worker slot count
-_SLOT = struct.Struct("<IIIIQQQQd")
+_SLOT = struct.Struct("<IIIIQQQQdQ")
 _SLOT_BYTES = 64
 _DATA_OFF = 64
 
@@ -56,6 +59,7 @@ _BYTES_IN_OFF = 24
 _BYTES_OUT_OFF = 32
 _BUSY_US_OFF = 40
 _HEARTBEAT_OFF = 48
+_CPU_US_OFF = 56
 
 
 class WorkerState(enum.IntEnum):
@@ -82,6 +86,7 @@ class WorkerStats:
     bytes_out: int
     busy_us: int
     heartbeat: float
+    cpu_us: int
 
 
 class StatsBlock:
@@ -159,6 +164,7 @@ class StatsBlock:
         bytes_in: int = 0,
         bytes_out: int = 0,
         busy_us: int = 0,
+        cpu_us: int = 0,
     ) -> None:
         """Accumulate work counters (single-writer, so read-modify-write
         of this worker's own slot is race-free)."""
@@ -167,6 +173,7 @@ class StatsBlock:
             (_BYTES_IN_OFF, bytes_in),
             (_BYTES_OUT_OFF, bytes_out),
             (_BUSY_US_OFF, busy_us),
+            (_CPU_US_OFF, cpu_us),
         ):
             if delta:
                 at = self._off(slot, off)
@@ -190,6 +197,7 @@ class StatsBlock:
             bytes_out,
             busy_us,
             heartbeat,
+            cpu_us,
         ) = _SLOT.unpack_from(self._buf, off)
         return WorkerStats(
             pid=pid,
@@ -201,6 +209,7 @@ class StatsBlock:
             bytes_out=bytes_out,
             busy_us=busy_us,
             heartbeat=heartbeat,
+            cpu_us=cpu_us,
         )
 
     def snapshot(self) -> list[WorkerStats]:

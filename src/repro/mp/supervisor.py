@@ -1,11 +1,15 @@
-"""The domain supervisor: spawn, watch, restart, drain.
+"""The domain supervisor: arm, watch, restart, drain.
 
 :class:`DomainSupervisor` owns every shared-memory segment of one
-process-mode run (rings + stats block) and the worker processes
-attached to them.  Three parent-side threads do the watching:
+process-mode run (rings + stats block) and borrows one worker process
+per domain from :mod:`repro.mp.pool` for the run: an idle pooled
+process is re-armed, and one is started only when none is idle.  A
+worker's *run* ends when it replies ``done``; :meth:`shutdown` hands a
+cleanly finished worker back to the pool and kills any other.  Three
+parent-side threads do the watching:
 
-- the **monitor** reaps dead workers.  A worker that exits non-zero is
-  restarted under the existing :class:`~repro.faults.policy.RetryPolicy`
+- the **monitor** watches for workers that die mid-run.  One that does
+  is restarted under the existing :class:`~repro.faults.policy.RetryPolicy`
   (capped backoff, bounded attempts), and every record the parent had
   dispatched to that domain but not yet collected is *replayed* into
   the domain's raw ring — the ring-level analogue of the resilient
@@ -30,10 +34,10 @@ import time
 from collections import OrderedDict
 
 from repro.faults.policy import RetryPolicy
+from repro.mp import pool
 from repro.mp.ring import SharedRing
-from repro.mp.stats import StatsBlock, WorkerState
+from repro.mp.stats import StatsBlock
 from repro.mp.topology import ProcessTopology, WorkerSpec
-from repro.mp.workers import compress_worker
 from repro.util.errors import QueueTimeout, ValidationError
 
 #: How often the monitor checks worker liveness, seconds.
@@ -66,7 +70,7 @@ class DomainSupervisor:
 
         self.rings: dict[str, SharedRing] = {}
         self.stats: StatsBlock | None = None
-        self._procs: dict[int, object] = {}
+        self._procs: dict[int, pool.PooledWorker] = {}
         self._specs: dict[int, WorkerSpec] = {
             w.domain: w for w in topology.workers
         }
@@ -82,6 +86,7 @@ class DomainSupervisor:
         self._attempts: dict[int, int] = {w.domain: 0 for w in topology.workers}
         self._given_up: set[int] = set()
         self._terminating = False
+        self._aborted = False
         self.restarts = 0
         self.errors: list[str] = []
         self._stop = threading.Event()
@@ -91,7 +96,7 @@ class DomainSupervisor:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Materialize segments, spawn every worker, start watchers."""
+        """Materialize segments, arm every worker, start watchers."""
         self.stats = StatsBlock.create(workers=len(self.topology.workers))
         for spec in self.topology.rings:
             self.rings[spec.ring_id] = SharedRing.create(
@@ -107,29 +112,20 @@ class DomainSupervisor:
         self._started = True
 
     def _spawn(self, spec: WorkerSpec) -> None:
-        import multiprocessing
-
         assert self.stats is not None
-        ctx = multiprocessing.get_context(self.start_method)
-        proc = ctx.Process(
-            target=compress_worker,
-            name=spec.name,
-            kwargs=dict(
-                domain=spec.domain,
-                cpus=spec.cpus,
-                codec_spec=self.codec_spec,
-                in_ring=self.rings[spec.in_ring].name,
-                out_ring=self.rings[spec.out_ring].name,
-                stats_name=self.stats.name,
-                stats_slot=spec.stats_slot,
-                batch_frames=self.batch_frames,
-                crash_after=spec.crash_after,
-                timed=self.telemetry is not None,
-            ),
-            daemon=True,
+        self._procs[spec.domain] = pool.arm(
+            self.start_method,
+            domain=spec.domain,
+            cpus=spec.cpus,
+            codec_spec=self.codec_spec,
+            in_ring=self.rings[spec.in_ring].name,
+            out_ring=self.rings[spec.out_ring].name,
+            stats_name=self.stats.name,
+            stats_slot=spec.stats_slot,
+            batch_frames=self.batch_frames,
+            crash_after=spec.crash_after,
+            timed=self.telemetry is not None,
         )
-        proc.start()
-        self._procs[spec.domain] = proc
 
     # -- parent-side data plane ------------------------------------------
 
@@ -178,11 +174,10 @@ class DomainSupervisor:
                 for domain, proc in list(self._procs.items()):
                     if domain in self._given_up or self._terminating:
                         continue
-                    if proc.is_alive() or proc.exitcode is None:  # type: ignore[attr-defined]
-                        continue
-                    if proc.exitcode == 0:  # type: ignore[attr-defined]
-                        continue  # clean exit; join() accounts for it
-                    self._handle_crash(domain, proc.exitcode)  # type: ignore[attr-defined]
+                    code = proc.exitcode
+                    if code is None or code == 0:
+                        continue  # running, or replied done (join() books it)
+                    self._handle_crash(domain, code)
                 self._stop.wait(_MONITOR_TICK)
         except Exception as exc:  # noqa: BLE001 - thread boundary
             # A dead monitor must not become a hung run: record the
@@ -239,6 +234,7 @@ class DomainSupervisor:
             crash_after=None,
         )
         self._specs[domain] = clean
+        pool.release(self._procs[domain], reuse=False)
         self._spawn(clean)
         with self._out_lock:
             replay = list(self._outstanding[domain].values())
@@ -255,7 +251,7 @@ class DomainSupervisor:
                     # Ring still full.  If the replacement died too, stop
                     # here — the next monitor tick re-handles the crash
                     # and replays the (unchanged) outstanding set again.
-                    if not proc.is_alive():  # type: ignore[attr-defined]
+                    if not proc.is_alive():
                         break
 
     def respawn(self, domain: int) -> bool:
@@ -275,12 +271,12 @@ class DomainSupervisor:
         if domain not in self._procs or domain in self._given_up:
             return False
         proc = self._procs[domain]
-        if not proc.is_alive():  # type: ignore[attr-defined]
+        if not proc.is_alive():
             return False
         with self._out_lock:
             # The budget credit: _handle_crash's increment nets to zero.
             self._attempts[domain] -= 1
-        proc.kill()  # type: ignore[attr-defined]
+        proc.kill()
         return True
 
     def _poll(self) -> None:
@@ -303,39 +299,40 @@ class DomainSupervisor:
     # -- shutdown --------------------------------------------------------
 
     def terminate(self) -> None:
-        """Ask every live worker to drain and exit.
+        """Ask every running worker to drain and end its run.
 
-        ``Process.terminate()`` delivers SIGTERM on POSIX, which the
-        worker catches as its graceful-drain signal — published work is
-        flushed downstream before it exits.  From here on the monitor
-        stands down: a worker dying to the signal (e.g. before its
-        handler was installed) is part of shutdown, not a crash to
+        ``terminate()`` delivers SIGTERM on POSIX, which the worker
+        catches as its graceful-drain signal — published work is
+        flushed downstream before it replies done.  From here on the
+        monitor stands down: a worker dying to the signal (e.g. before
+        its handler was installed) is part of shutdown, not a crash to
         restart.
         """
         self._terminating = True
         for proc in self._procs.values():
-            if proc.is_alive():  # type: ignore[attr-defined]
-                proc.terminate()  # type: ignore[attr-defined]
+            if proc.is_alive():
+                proc.terminate()
 
     def join(self, timeout: float) -> list[str]:
-        """Wait for workers to finish; returns accumulated errors."""
+        """Wait for every worker's run to end (its ``done`` reply, or its
+        death); returns accumulated errors."""
         deadline = time.monotonic() + timeout
         for domain, proc in list(self._procs.items()):
             remaining = max(0.0, deadline - time.monotonic())
-            proc.join(remaining)  # type: ignore[attr-defined]
+            proc.join(remaining)
             # The monitor restarts crashed workers; re-check the map in
-            # case this domain's process was replaced while we waited.
+            # case this domain's worker was replaced while we waited.
             current = self._procs[domain]
             if current is not proc:
-                current.join(max(0.0, deadline - time.monotonic()))  # type: ignore[attr-defined]
+                current.join(max(0.0, deadline - time.monotonic()))
                 proc = current
-            # The monitor thread polls the same Process object; when its
-            # waitpid reaps the child first, this thread's join returns
-            # early with the exit code not stored yet.  Settle before
-            # calling a finished worker a straggler.
-            while proc.is_alive() and time.monotonic() < deadline:  # type: ignore[attr-defined]
+            # A dying worker's pipe reads EOF a moment before its exit
+            # code can be reaped, so join() may return with the run's
+            # end not recorded yet.  Settle before calling a finished
+            # worker a straggler.
+            while proc.is_alive() and time.monotonic() < deadline:
                 time.sleep(0.005)
-            if proc.is_alive():  # type: ignore[attr-defined]
+            if proc.is_alive():
                 self.errors.append(
                     f"{self._specs[domain].name} did not finish "
                     f"within {timeout}s"
@@ -345,27 +342,30 @@ class DomainSupervisor:
             # closed its output ring; seal it so collectors unwind
             # instead of waiting on a process that will not return.
             for domain, proc in self._procs.items():
-                if not proc.is_alive():  # type: ignore[attr-defined]
+                if not proc.is_alive():
                     self.comp_ring(domain).close()
         return list(self.errors)
 
     def abort(self) -> None:
         """Force-close every ring so blocked endpoints unwind."""
+        self._aborted = True
         for ring in self.rings.values():
             ring.close()
 
     def shutdown(self) -> None:
-        """Stop watchers, reap workers, release every segment."""
+        """Stop watchers, hand workers back, release every segment.
+
+        A worker returns to the pool only when its run ended with
+        ``done`` and nothing forced it; after :meth:`terminate` or
+        :meth:`abort` every worker is killed, as is one that crashed or
+        is still running.
+        """
         self._stop.set()
         for t in self._threads:
             t.join(timeout=5.0)
+        forced = self._terminating or self._aborted
         for proc in self._procs.values():
-            if proc.is_alive():  # type: ignore[attr-defined]
-                proc.terminate()  # type: ignore[attr-defined]
-                proc.join(timeout=5.0)  # type: ignore[attr-defined]
-            if proc.is_alive():  # type: ignore[attr-defined]
-                proc.kill()  # type: ignore[attr-defined]
-                proc.join(timeout=5.0)  # type: ignore[attr-defined]
+            pool.release(proc, reuse=not forced)
         for ring in self.rings.values():
             ring.unlink()
         self.rings.clear()

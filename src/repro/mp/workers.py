@@ -1,20 +1,27 @@
 """The worker-process body: one compressor domain, ring to ring.
 
-:func:`compress_worker` is the target of one ``multiprocessing``
-``Process`` — the process-mode analogue of
-:func:`repro.live.workers.compressor`.  It attaches its rings and
-stats slot by name (spawn-safe: everything crosses the boundary as
-plain strings and ints), pins the whole process to its domain's CPU
-set, then loops: drain raw records, compress, publish compressed
-records, account into the shared stats slot.
+:func:`compress_worker` is one run of a compressor process — the
+process-mode analogue of :func:`repro.live.workers.compressor`.  It
+attaches its rings and stats slot by name (spawn-safe: everything
+crosses the boundary as plain strings and ints), pins the whole process
+to its domain's CPU set, then loops: drain raw records, compress,
+publish compressed records, account into the shared stats slot.
+
+:func:`serve` is what the process itself runs (:mod:`repro.mp.pool`
+starts it once and re-arms it per run): it waits on a pipe for a run
+command — exactly :func:`compress_worker`'s keyword arguments — runs
+it, books the run's CPU time into the stats slot, replies ``"done"``
+and waits again.  This module is the whole import closure of a worker,
+so it stays clear of the planner, the simulator and the parent-side
+pipeline.
 
 Shutdown has two flavours, both lossless for published work:
 
 - the feeder closes the raw ring → the worker drains what is left,
-  closes its output ring and exits 0 (the normal end of stream);
+  closes its output ring and ends the run (the normal end of stream);
 - SIGTERM → the worker stops *blocking* for new input, takes only
-  records already published, flushes them downstream and exits 0 (the
-  supervisor's graceful drain — acked work is never dropped).
+  records already published, flushes them downstream and ends the run
+  (the supervisor's graceful drain — acked work is never dropped).
 
 A worker never logs and takes no locks shared with the parent, so it
 is safe to start under any start method, including a mid-run ``fork``
@@ -25,7 +32,9 @@ from __future__ import annotations
 
 import os
 import signal
+import stat
 import time
+from multiprocessing.connection import Connection
 
 from repro.compress.codec import resolve_codec
 from repro.live.affinity import current_affinity, pin_current_thread
@@ -38,6 +47,8 @@ from repro.util.errors import QueueTimeout
 #: Idle get() timeout — bounds how stale a heartbeat can go while the
 #: worker waits for input, and how late it notices a SIGTERM.
 _IDLE_TICK = 0.2
+#: How often an idle pooled worker checks that its parent still lives.
+_ORPHAN_TICK = 1.0
 
 
 def compress_worker(
@@ -152,3 +163,68 @@ def compress_worker(
         inr.detach()
         outr.detach()
         stats.detach()
+
+
+def serve(commands: Connection, replies: Connection) -> None:
+    """A pooled worker's life: one :func:`compress_worker` run per command.
+
+    Each run starts as a fresh worker would: on the CPU set this process
+    was started with (the previous run's pinning is undone), with the
+    command's codec, crash hook and rings.  Between runs SIGTERM has its
+    default meaning again.  The process ends on EOF, or when its parent
+    is gone: under ``fork`` a later sibling holds a copy of this pipe's
+    write end, so the parent's death alone need not bring EOF.  An
+    exception in a run ends it too, as a non-zero exit code exactly like
+    a crash.
+    """
+    _release_inherited_sockets()
+    home = current_affinity()
+    parent = os.getppid()
+    while True:
+        if not commands.poll(_ORPHAN_TICK):
+            if os.getppid() != parent:
+                return
+            continue
+        try:
+            command = commands.recv()
+        except EOFError:
+            return
+        if home:
+            pin_current_thread(home)
+        cpu0 = time.process_time()
+        compress_worker(**command)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        stats = StatsBlock.attach(command["stats_name"])
+        stats.add(
+            command["stats_slot"],
+            cpu_us=int((time.process_time() - cpu0) * 1e6),
+        )
+        stats.detach()
+        replies.send("done")
+
+
+def _release_inherited_sockets() -> None:
+    """Point every inherited socket descriptor at ``/dev/null``.
+
+    A forked worker starts with a copy of each of the parent's
+    descriptors, and a pooled one lives on: it would keep the parent's
+    listeners bound and its socketpair ends open, so a peer would never
+    see EOF.  ``dup2`` keeps the numbers taken, so a stale socket object
+    closing one later cannot hit an unrelated descriptor.  Without
+    ``/proc`` nothing is released; a spawned worker, the default,
+    inherits no sockets anyway.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except FileNotFoundError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                pass  # the listing's own descriptor, closed since
+    finally:
+        os.close(null)

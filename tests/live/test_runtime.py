@@ -85,3 +85,8 @@ class TestConfig:
             LiveConfig(compress_threads=0)
         with pytest.raises(ValidationError):
             LiveConfig(connections=0)
+
+    def test_forkserver_is_refused(self):
+        # Only the start methods a test or the benchmark uses are kept.
+        with pytest.raises(ValidationError, match="'spawn' or 'fork'"):
+            LiveConfig(mp_start_method="forkserver")

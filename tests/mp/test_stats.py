@@ -62,6 +62,17 @@ class TestCounters:
         assert block.read(2).restarts == 2
         assert block.read(0).restarts == 0  # neighbours untouched
 
+    def test_worker_cpu_fills_the_slot_tail(self, block):
+        from repro.mp.stats import _SLOT, _SLOT_BYTES
+
+        assert _SLOT.size == _SLOT_BYTES  # cpu_us took the last free 8 bytes
+        block.add(1, cpu_us=1500)
+        block.add(1, cpu_us=500)
+        block.beat(1, 99.0)
+        s = block.read(1)
+        assert (s.cpu_us, s.heartbeat) == (2000, 99.0)
+        assert block.read(0).cpu_us == 0
+
     def test_slots_are_independent(self, block):
         block.add(0, chunks=5)
         block.add(2, chunks=7)

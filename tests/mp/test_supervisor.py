@@ -224,15 +224,15 @@ class TestTelemetry:
 
 class TestJoinRace:
     def test_join_settles_when_the_monitor_reaped_the_child_first(self):
-        """The monitor thread polls the same ``Process`` object that
-        ``join`` waits on; when its ``waitpid`` wins, ``Process.join``
-        returns early and ``is_alive()`` still reads True for an
-        instant.  A worker that did finish must not be reported as a
-        straggler (this showed up as a rare ``did not finish within``
-        on perfectly good runs)."""
+        """A worker's run handle can return from ``join`` before the
+        run's end is recorded (a dying worker's pipe reads EOF before
+        its exit code can be reaped), so ``is_alive()`` still reads
+        True for an instant.  A worker that did finish must not be
+        reported as a straggler (this showed up as a rare ``did not
+        finish within`` on perfectly good runs)."""
 
         class RacedProcess:
-            """join() lost the waitpid race; the exit code lands two
+            """join() returned early; the end of the run lands two
             polls later."""
 
             def __init__(self):
