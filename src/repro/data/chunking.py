@@ -5,7 +5,12 @@ projection, 11.0592 MB).  Two usage modes share the type:
 
 - **simulation**: chunks are metadata (sizes, compression ratio) — the
   fluid simulator moves bytes as numbers;
-- **live**: chunks carry a real payload through real threads/sockets.
+- **live**: chunks carry a real payload into the compress stage.  From
+  there to decompress a chunk is one :class:`~repro.live.transport.Frame`
+  on every plane, so it has no wire fields; a process-mode ring slot is
+  that frame plus an optional stamp (:mod:`repro.mp.records`, where
+  ``ChunkRecord`` is ``Frame`` for perfbench, whose ``mp.records.*``
+  rows now include a CRC-32: 0.05 → 0.12 ms per 256 KiB record).
 
 A :class:`ChunkSource` produces chunks for a stream; the synthetic
 source draws per-chunk compression ratios from a calibrated
@@ -14,11 +19,14 @@ distribution so simulated wire sizes vary like real projections do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from repro.util.errors import ValidationError
 from repro.util.rng import make_rng
+
+if TYPE_CHECKING:
+    from repro.data.spheres import SpheresDataset
 
 
 @dataclass
@@ -28,19 +36,10 @@ class Chunk:
     stream_id: str
     index: int
     nbytes: int
-    #: Expected original/compressed ratio (simulation) or actual (live).
+    #: Expected original/compressed ratio.
     ratio: float = 2.0
     #: Real payload in live mode; None in simulation.
     payload: bytes | None = None
-    #: Compressed payload (live) once the compression stage ran.
-    wire_payload: bytes | None = None
-    #: Wire id of the codec that produced ``wire_payload`` (0 = the
-    #: pipeline's configured codec; adaptive compressors set this).
-    codec_id: int = 0
-    #: Compressed size of each block when the compress stage cut the
-    #: chunk into blocks (``wire_payload`` then starts with the block
-    #: table, :mod:`repro.live.blocks`); empty when it did not.
-    wire_blocks: tuple[int, ...] = ()
     #: Socket the (uncompressed or received) buffer is homed on — set by
     #: the stage that first touches it (first-touch policy).
     home_socket: int | None = None
@@ -57,9 +56,7 @@ class Chunk:
 
     @property
     def wire_bytes(self) -> int:
-        """Bytes that cross the network for this chunk."""
-        if self.wire_payload is not None:
-            return len(self.wire_payload)
+        """Bytes that cross the network for this chunk (simulation)."""
         return max(1, int(round(self.nbytes / self.ratio)))
 
 
@@ -116,11 +113,11 @@ class DatasetChunkSource:
     object exposing ``num_projections`` and ``chunk_payload(i)``."""
 
     stream_id: str
-    dataset: object
+    dataset: SpheresDataset
     limit: int | None = None
 
     def chunks(self) -> Iterator[Chunk]:
-        n = int(getattr(self.dataset, "num_projections"))
+        n = self.dataset.num_projections
         if self.limit is not None:
             n = min(n, self.limit)
         for i in range(n):

@@ -148,7 +148,7 @@ class Assembly:
             return [
                 thread(
                     f"send-{i}", workers.sender, tx, sendq, stats["send"],
-                    compressed=True, cpus=aff.get("send"), **kw,
+                    cpus=aff.get("send"), **kw,
                 ),
                 thread(
                     f"recv-{i}", workers.receiver, rx, wireq, stats["recv"],

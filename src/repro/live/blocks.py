@@ -10,8 +10,8 @@ stages only*, so every thread of the stage can work on it at once:
   ``ceil(n / BLOCK_BYTES)`` page-aligned ``memoryview`` slices of the
   payload, nothing copied;
 - whichever compress thread finishes a chunk's last block (the
-  :class:`Join` tells it) packs the compressed blocks into one frame
-  payload, a block table followed by the blocks
+  :class:`Join` tells it) builds the chunk's frame, whose payload is a
+  block table followed by the blocks
   (:func:`repro.live.transport.pack_blocks`);
 - on the receive side :func:`split_frame` makes one decompress job per
   block, and whichever thread finishes the last one joins the output

@@ -310,8 +310,8 @@ class SenderClient:
             "send",
             lambda i, stop: thread(
                 f"send-{i}", workers.resilient_sender, senders[i],
-                lambda: self._dial(i), sendq, stats["send"], compressed=True,
-                retry=self.retry, drain_timeout=self.timeouts.drain, **kw,
+                lambda: self._dial(i), sendq, stats["send"], retry=self.retry,
+                drain_timeout=self.timeouts.drain, **kw,
             ),
             count=self.connections,
         )

@@ -69,7 +69,10 @@ mismatch or malformed header raises
 :class:`~repro.util.errors.FrameIntegrityError` (fail loudly — a
 corrupted scientific chunk must never be silently delivered), while
 connection failures raise plain
-:class:`~repro.util.errors.TransportError`.
+:class:`~repro.util.errors.TransportError`.  :func:`decode_frame` runs
+the same checks over bytes that arrived whole: a frame is the one
+record of a compressed chunk on every plane, and the process front's
+rings carry its wire encoding (:mod:`repro.mp.records`).
 
 A :class:`~repro.faults.FaultInjector` can be attached to a
 :class:`FramedSender`; it is consulted before every frame goes out and
@@ -266,6 +269,102 @@ def encode_frame_trailer(frame: Frame) -> bytes:
     return TRACE_TRAILER.pack(frame.sent_at)
 
 
+def encode_frame(frame: Frame) -> bytes:
+    """The whole wire encoding of ``frame`` as one buffer: for a fault
+    injector that mangles it, a socket without ``sendmsg``, a ring slot."""
+    return b"".join(
+        (encode_frame_header(frame), frame.payload, encode_frame_trailer(frame))
+    )
+
+
+class _Head(NamedTuple):
+    """A decoded frame header; ``size`` is the whole frame on the wire."""
+
+    size: int
+    sid_len: int
+    index: int
+    flags: int
+    orig_len: int
+    checksum: int
+    length: int
+
+
+def _head_at(buf: bytes | bytearray, pos: int) -> _Head | None:
+    """Decode the header at ``buf[pos:]``; None while it is incomplete.
+    The one place a malformed header (bad magic, oversized stream id or
+    payload) is refused."""
+    have = len(buf) - pos
+    if have < _HEADER.size:
+        return None
+    magic, sid_len = _HEADER.unpack_from(buf, pos)
+    if magic != MAGIC:
+        raise FrameIntegrityError(f"bad frame magic 0x{magic:08X}")
+    if sid_len > MAX_STREAM_ID:
+        raise FrameIntegrityError(f"stream id length {sid_len} exceeds limit")
+    if have < _HEADER.size + sid_len + _BODY.size:
+        return None
+    index, flags, orig_len, checksum, length = _BODY.unpack_from(
+        buf, pos + _HEADER.size + sid_len
+    )
+    if length > MAX_FRAME_PAYLOAD:
+        raise FrameIntegrityError(f"frame payload {length} exceeds limit")
+    tail = TRACE_TRAILER.size if flags & FLAG_TRACED else 0
+    size = _HEADER.size + sid_len + _BODY.size + length + tail
+    return _Head(size, sid_len, index, flags, orig_len, checksum, length)
+
+
+def _checked(head: _Head, sid: bytes, payload: bytes, sent_at: float) -> Frame:
+    """The frame ``head`` opens, built from its stream id, payload and
+    trailer stamp.  The stream id's encoding, the checksum and a blocked
+    frame's table are checked here, the one place a malformed payload is
+    refused."""
+    try:
+        stream_id = sid.decode()
+    except UnicodeDecodeError:
+        raise FrameIntegrityError(f"stream id {sid!r} is not UTF-8") from None
+    if zlib.crc32(payload) != head.checksum:
+        raise FrameIntegrityError(
+            f"checksum mismatch on {stream_id}#{head.index} ({head.length} bytes)"
+        )
+    flags = head.flags
+    return Frame(
+        stream_id=stream_id,
+        index=head.index,
+        payload=payload,
+        compressed=bool(flags & FLAG_COMPRESSED),
+        orig_len=head.orig_len,
+        eos=bool(flags & FLAG_EOS),
+        ack=bool(flags & FLAG_ACK),
+        codec_id=flags >> CODEC_SHIFT,
+        traced=bool(flags & FLAG_TRACED),
+        sent_at=sent_at,
+        blocks=(
+            _block_sizes(payload, f"{stream_id}#{head.index}")
+            if flags & FLAG_BLOCKS
+            else ()
+        ),
+    )
+
+
+def decode_frame(data: bytes) -> tuple[Frame, int]:
+    """The frame at the front of ``data``, and its size on the wire.
+
+    :meth:`FramedReceiver.next_frame` for bytes that arrived whole (a
+    ring slot), with the same checks and one payload copy.  A frame
+    that ``data`` does not hold entirely is refused; bytes past it are
+    the caller's.
+    """
+    head = _head_at(data, 0)
+    if head is None or head.size > len(data):
+        raise FrameIntegrityError(f"frame truncated at {len(data)} bytes")
+    start = _HEADER.size + head.sid_len + _BODY.size
+    end = start + head.length
+    traced = head.flags & FLAG_TRACED
+    sent_at = TRACE_TRAILER.unpack_from(data, end)[0] if traced else 0.0
+    sid = data[_HEADER.size : _HEADER.size + head.sid_len]
+    return _checked(head, sid, data[start:end], sent_at), head.size
+
+
 class FramedSender:
     """Serializes frames onto a connected socket.
 
@@ -314,17 +413,13 @@ class FramedSender:
             buffers: list[bytes] = []
             sizes: list[int] = []
             for frame in frames:
-                head = encode_frame_header(frame)
-                buffers.append(head)
-                size = len(head)
-                if frame.payload:
-                    buffers.append(frame.payload)
-                    size += len(frame.payload)
-                if frame.traced:
-                    tail = encode_frame_trailer(frame)
-                    buffers.append(tail)
-                    size += len(tail)
-                sizes.append(size)
+                parts = (
+                    encode_frame_header(frame),
+                    frame.payload,
+                    encode_frame_trailer(frame),
+                )
+                buffers += parts
+                sizes.append(sum(map(len, parts)))
             self._sendv(buffers)
             if self.telemetry is not None:
                 for size in sizes:
@@ -353,11 +448,7 @@ class FramedSender:
         """Join header + payload and ``sendall`` the copy: the path an
         injector needs to see (and mangle) the contiguous wire bytes,
         and the only one a socket without ``sendmsg`` offers."""
-        wire = (
-            encode_frame_header(frame)
-            + frame.payload
-            + encode_frame_trailer(frame)
-        )
+        wire = encode_frame(frame)
         if self.injector is not None:
             spec = self.injector.on_send(frame, self.connection)
             if spec is not None:
@@ -404,18 +495,6 @@ class FramedSender:
             pass
 
 
-class _Head(NamedTuple):
-    """A decoded frame header; ``size`` is the whole frame on the wire."""
-
-    size: int
-    sid_len: int
-    index: int
-    flags: int
-    orig_len: int
-    checksum: int
-    length: int
-
-
 class FramedReceiver:
     """Parses frames off a connected socket.
 
@@ -460,75 +539,28 @@ class FramedReceiver:
             self._pos = 0
         self._buf += data
 
-    def _header(self) -> _Head | None:
-        """Decode the header at the read position without consuming it;
-        None while it is incomplete.  The one place a malformed header
-        (bad magic, oversized stream id or payload) is refused."""
-        have = len(self._buf) - self._pos
-        if have < _HEADER.size:
-            return None
-        magic, sid_len = _HEADER.unpack_from(self._buf, self._pos)
-        if magic != MAGIC:
-            raise FrameIntegrityError(f"bad frame magic 0x{magic:08X}")
-        if sid_len > MAX_STREAM_ID:
-            raise FrameIntegrityError(
-                f"stream id length {sid_len} exceeds limit"
-            )
-        if have < _HEADER.size + sid_len + _BODY.size:
-            return None
-        index, flags, orig_len, checksum, length = _BODY.unpack_from(
-            self._buf, self._pos + _HEADER.size + sid_len
-        )
-        if length > MAX_FRAME_PAYLOAD:
-            raise FrameIntegrityError(
-                f"frame payload {length} exceeds limit"
-            )
-        tail = TRACE_TRAILER.size if flags & FLAG_TRACED else 0
-        size = _HEADER.size + sid_len + _BODY.size + length + tail
-        return _Head(size, sid_len, index, flags, orig_len, checksum, length)
-
-    def _take(self, header: _Head) -> Frame:
-        """Consume the frame ``header`` opens, verify it and build it.
+    def _take(self, head: _Head) -> Frame:
+        """Consume the frame ``head`` opens and build it (:func:`_checked`).
 
         Payload and trailer bytes not yet buffered are read from the
         socket; :meth:`next_frame` only calls this once all of them are.
-        The checksum and a blocked frame's table are checked here, the
-        one place a malformed payload is refused.
         """
-        size, sid_len, index, flags, orig_len, checksum, length = header
         self._pos += _HEADER.size
-        sid = bytes(self._buf[self._pos : self._pos + sid_len]).decode()
-        self._pos += sid_len + _BODY.size
-        payload = self._read_payload(length) if length else b""
-        if zlib.crc32(payload) != checksum:
-            raise FrameIntegrityError(
-                f"checksum mismatch on {sid}#{index} ({length} bytes)"
-            )
-        blocks = _block_sizes(payload, f"{sid}#{index}") if flags & FLAG_BLOCKS else ()
-        traced = bool(flags & FLAG_TRACED)
+        sid = bytes(self._buf[self._pos : self._pos + head.sid_len])
+        self._pos += head.sid_len + _BODY.size
+        payload = self._read_payload(head.length) if head.length else b""
         sent_at = 0.0
-        if traced:
+        if head.flags & FLAG_TRACED:
             self._fill(TRACE_TRAILER.size)
             (sent_at,) = TRACE_TRAILER.unpack_from(self._buf, self._pos)
             self._pos += TRACE_TRAILER.size
         if self._pos == len(self._buf):
             del self._buf[:]
             self._pos = 0
+        frame = _checked(head, sid, payload, sent_at)
         if self.telemetry is not None:
-            self.telemetry.record_frame("rx", size)
-        return Frame(
-            stream_id=sid,
-            index=index,
-            payload=payload,
-            compressed=bool(flags & FLAG_COMPRESSED),
-            orig_len=orig_len,
-            eos=bool(flags & FLAG_EOS),
-            ack=bool(flags & FLAG_ACK),
-            codec_id=flags >> CODEC_SHIFT,
-            traced=traced,
-            sent_at=sent_at,
-            blocks=blocks,
-        )
+            self.telemetry.record_frame("rx", head.size)
+        return frame
 
     def next_frame(self) -> Frame | None:
         """Parse one frame from buffered bytes, without touching the socket.
@@ -539,10 +571,10 @@ class FramedReceiver:
         :class:`FrameIntegrityError` on a bad magic / oversized header
         or a checksum mismatch, same as :meth:`recv`.
         """
-        header = self._header()
-        if header is None or len(self._buf) - self._pos < header.size:
+        head = _head_at(self._buf, self._pos)
+        if head is None or len(self._buf) - self._pos < head.size:
             return None
-        return self._take(header)
+        return self._take(head)
 
     def _fill(self, need: int, *, eof_ok: bool = False) -> bool:
         """Ensure ``need`` unconsumed bytes are buffered.
@@ -572,13 +604,13 @@ class FramedReceiver:
 
     def recv(self) -> Frame | None:
         """Next frame, or None on clean connection shutdown."""
-        while (header := self._header()) is None:
+        while (head := _head_at(self._buf, self._pos)) is None:
             # Nothing of a frame buffered yet is the one clean place
             # for the peer to have closed.
             buffered = len(self._buf) - self._pos
             if not self._fill(buffered + 1, eof_ok=True):
                 return None
-        return self._take(header)
+        return self._take(head)
 
     def _read_payload(self, length: int) -> bytes:
         """Assemble the payload: buffered bytes first, then read the

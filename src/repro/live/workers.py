@@ -11,6 +11,13 @@ the legacy :class:`StageStats` and — when a
 :class:`~repro.telemetry.Telemetry` is attached — records a wall-clock
 span plus the canonical pipeline counters, so a live run produces the
 same observability surface as a simulated one.
+
+From {C} to {D} a chunk is one :class:`~repro.live.transport.Frame` on
+every plane: :func:`compressor` puts it on ``sendq``, and the senders
+only stamp a traced frame's ``sent_at``.  In process mode a ring slot
+is that frame plus an optional compress stamp (:mod:`repro.mp.records`,
+where ``ChunkRecord`` is ``Frame`` for perfbench and packing now costs a
+CRC-32: 0.05 → 0.12 ms per 256 KiB record).
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ import select
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.compress.codec import Codec, decompressor_for, wire_codec_name
 from repro.data.chunking import Chunk
@@ -33,6 +40,9 @@ from repro.live.stageset import Knobs
 from repro.live.transport import Frame, FramedReceiver, FramedSender, pack_blocks
 from repro.telemetry.spans import stage_span
 from repro.util.errors import QueueTimeout, TransportError
+
+if TYPE_CHECKING:
+    from repro.telemetry.facade import Telemetry
 
 #: How often a stoppable worker wakes from an idle queue to re-check
 #: its stop event (seconds) — bounds scale-down/respawn latency.
@@ -85,10 +95,14 @@ def _finish(
         telemetry.record_chunk(stage, stream_id, bytes_in)
 
 
-def _record_codec(telemetry, stage: str, stream_id: str, name: str) -> None:
-    """Bump the codec-choice counter when telemetry is attached."""
+def record_codec(
+    telemetry: Telemetry | None, stage: str, frame: Frame, codec: Codec
+) -> None:
+    """Bump the codec-choice counter for ``frame``: the codec its wire id
+    names, or the configured ``codec`` for id 0."""
     if telemetry is not None:
-        telemetry.record_codec(stage, stream_id, name)
+        name = wire_codec_name(frame.codec_id) if frame.codec_id else codec.name
+        telemetry.record_codec(stage, frame.stream_id, name)
 
 
 def feeder(
@@ -146,9 +160,7 @@ def feeder(
                 telemetry, "feed", stream_id=head.stream_id,
                 chunk_id=head.index, track=track,
             ) as sp:
-                done = 0
-                while done < len(items):
-                    done += outq.put_many(items[done:])
+                outq.put_many(items)
             per_chunk = sp.duration / len(batch)
             for chunk in batch:
                 n = len(chunk.payload)
@@ -171,15 +183,15 @@ def compressor(
     telemetry=None,
     stop: threading.Event | None = None,
 ) -> None:
-    """{C}: compress chunk payloads.
+    """{C}: compress chunk payloads into wire frames.
 
     A work item is a chunk or one :class:`~repro.live.blocks.Block` of
     one; the thread that compresses a chunk's last block packs the
-    chunk's wire payload and forwards the chunk.  Stats and counters
-    book chunks, spans book each codec call.
+    chunk's frame and forwards it.  Stats and counters book chunks,
+    spans book each codec call.
 
     ``knobs.batch_frames > 1`` drains up to that many items per queue
-    lock round-trip and forwards the finished chunks with one
+    lock round-trip and forwards the finished frames with one
     :meth:`put_many`; each item is still compressed individually.
 
     The knob is hot-swappable (re-read before every drain, lock-free);
@@ -204,88 +216,58 @@ def compressor(
                 continue
             except Closed:
                 break
-            chunks = []
+            frames = []
             for item in items:
                 if type(item) is Block:
-                    chunk, busy = _compress_block(
+                    frame, busy = _compress_block(
                         codec, item, telemetry=telemetry, track=track
                     )
-                    if chunk is None:
+                    if frame is None:
                         continue
                 else:
-                    chunk = item
                     with stage_span(
-                        telemetry, "compress", stream_id=chunk.stream_id,
-                        chunk_id=chunk.index, track=track,
+                        telemetry, "compress", stream_id=item.stream_id,
+                        chunk_id=item.index, track=track,
                     ) as sp:
-                        chunk.wire_payload, chunk.codec_id = (
-                            codec.compress_with_id(chunk.payload)
-                        )
-                    busy = sp.duration
-                _finish(stats, telemetry, "compress", chunk.stream_id,
-                        len(chunk.payload), len(chunk.wire_payload), busy)
-                _record_codec(
-                    telemetry, "compress", chunk.stream_id,
-                    wire_codec_name(chunk.codec_id)
-                    if chunk.codec_id
-                    else codec.name,
-                )
-                chunks.append(chunk)
-            outq.put_many(chunks)
+                        wire, codec_id = codec.compress_with_id(item.payload)
+                    frame, busy = _compressed(item, wire, codec_id), sp.duration
+                _finish(stats, telemetry, "compress", frame.stream_id,
+                        frame.orig_len, len(frame.payload), busy)
+                record_codec(telemetry, "compress", frame, codec)
+                frames.append(frame)
+            outq.put_many(frames)
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"compressor: {exc!r}")
     finally:
         outq.close()
 
 
+def _compressed(
+    chunk: Chunk, payload: bytes, codec_id: int, blocks: tuple[int, ...] = ()
+) -> Frame:
+    """The frame that carries ``chunk`` compressed to ``payload``."""
+    return Frame(
+        chunk.stream_id, chunk.index, payload, compressed=True,
+        orig_len=len(chunk.payload), codec_id=codec_id,
+        traced=chunk.trace is not None, blocks=blocks,
+    )
+
+
 def _compress_block(
     codec: Codec, block: "Block[Chunk]", *, telemetry, track: str
-) -> "tuple[Chunk | None, float]":
+) -> "tuple[Frame | None, float]":
     """Compress one block; once it was its chunk's last, pack the
-    chunk's wire payload and return the chunk with its summed codec
-    seconds."""
+    chunk's frame and return it with the chunk's summed codec seconds."""
     chunk = block.join.owner
     with stage_span(
         telemetry, "compress", stream_id=chunk.stream_id,
         chunk_id=chunk.index, track=track,
     ) as sp:
-        wire, chunk.codec_id = codec.compress_with_id(block.data)
+        wire, codec_id = codec.compress_with_id(block.data)
     if not block.join.done(block.slot, wire, sp.duration):
         return None, 0.0
-    chunk.wire_payload, chunk.wire_blocks = pack_blocks(block.join.parts)
-    return chunk, block.join.busy
-
-
-def _chunk_frame(chunk: Chunk, *, compressed: bool) -> Frame:
-    payload = chunk.wire_payload if compressed else chunk.payload
-    traced = chunk.trace is not None
-    return Frame(
-        stream_id=chunk.stream_id,
-        index=chunk.index,
-        payload=payload,
-        compressed=compressed,
-        orig_len=len(chunk.payload),
-        codec_id=chunk.codec_id if compressed else 0,
-        traced=traced,
-        # Frames are built in the sender thread immediately before
-        # transmit, so this stamp is the start of the wire interval
-        # (it deliberately includes the send syscall — overlap is
-        # documented in repro.telemetry.assemble).
-        sent_at=time.perf_counter() if traced else 0.0,
-        # The process front's records (repro.mp.pipeline) stay whole
-        # chunks and have no block sizes to carry.
-        blocks=getattr(chunk, "wire_blocks", ()) if compressed else (),
-    )
-
-
-def _batch_head(chunks: Sequence) -> "Chunk":
-    """The chunk a batch span is attributed to: the first traced one
-    (so a sampled chunk's journey has no batch-identity holes), else
-    the batch head."""
-    for chunk in chunks:
-        if chunk.trace is not None:
-            return chunk
-    return chunks[0]
+    payload, sizes = pack_blocks(block.join.parts)
+    return _compressed(chunk, payload, codec_id, sizes), block.join.busy
 
 
 def _note_wire(telemetry, frame: Frame, *, arrived: float | None = None) -> None:
@@ -313,36 +295,41 @@ def _pump(
     stats: StageStats,
     knobs: Knobs,
     *,
-    compressed: bool,
     telemetry,
     settle: Callable[[], None] | None = None,
 ) -> set[str]:
     """The send loop both senders share; returns the stream ids seen.
 
-    Until ``inq`` closes: drain up to ``knobs.batch_frames`` chunks in
+    Until ``inq`` closes: drain up to ``knobs.batch_frames`` frames in
     one lock round-trip (lingering ``knobs.batch_linger`` seconds to
     top the batch up; both re-read before every drain, so they are
-    hot-swappable), frame them, hand the batch to ``deliver`` under one
-    ``send`` span and book each chunk.  ``settle`` runs after every
-    batch, outside the span (the resilient sender collects ACKs there).
+    hot-swappable), hand the batch to ``deliver`` under one ``send``
+    span and book each chunk.  ``settle`` runs after every batch,
+    outside the span (the resilient sender collects ACKs there).
     """
     track = threading.current_thread().name
     stream_ids: set[str] = set()
     while True:
         try:
-            chunks = inq.get_many(
-                knobs.batch_frames, linger=knobs.batch_linger
-            )
+            batch = inq.get_many(knobs.batch_frames, linger=knobs.batch_linger)
         except Closed:
             return stream_ids
-        frames = [_chunk_frame(c, compressed=compressed) for c in chunks]
-        head = _batch_head(chunks)
+        # A traced frame is stamped just before transmit: the start of
+        # its wire interval, send syscall included (repro.telemetry.assemble
+        # documents the overlap).
+        frames = [
+            replace(f, sent_at=time.perf_counter()) if f.traced else f
+            for f in batch
+        ]
+        # The batch span goes to the first traced frame, so a sampled
+        # chunk's journey has no batch-identity holes.
+        head = next((f for f in frames if f.traced), frames[0])
         with stage_span(
             telemetry, "send", stream_id=head.stream_id,
             chunk_id=head.index, track=track,
         ) as sp:
             deliver(frames)
-        per_chunk = sp.duration / len(chunks)
+        per_chunk = sp.duration / len(frames)
         for frame in frames:
             stream_ids.add(frame.stream_id)
             _finish(stats, telemetry, "send", frame.stream_id,
@@ -356,7 +343,6 @@ def sender(
     inq: ClosableQueue,
     stats: StageStats,
     *,
-    compressed: bool,
     knobs: Knobs,
     cpus: list[int] | None = None,
     telemetry=None,
@@ -373,8 +359,7 @@ def sender(
     _maybe_pin(cpus, "send", telemetry)
     try:
         stream_ids = _pump(
-            inq, transport.send_many, stats, knobs,
-            compressed=compressed, telemetry=telemetry,
+            inq, transport.send_many, stats, knobs, telemetry=telemetry
         )
         for sid in stream_ids or {"-"}:
             transport.send(Frame.end_of_stream(sid))
@@ -390,7 +375,6 @@ def resilient_sender(
     inq: ClosableQueue,
     stats: StageStats,
     *,
-    compressed: bool,
     retry: RetryPolicy,
     knobs: Knobs,
     drain_timeout: float = 30.0,
@@ -504,8 +488,8 @@ def resilient_sender(
 
     try:
         stream_ids = _pump(
-            inq, _deliver_many, stats, knobs,
-            compressed=compressed, telemetry=telemetry, settle=_settle,
+            inq, _deliver_many, stats, knobs, telemetry=telemetry,
+            settle=_settle,
         )
         for sid in sorted(stream_ids) or ["-"]:
             _deliver_many((Frame.end_of_stream(sid),))
@@ -592,9 +576,7 @@ def receiver(
                 _finish(stats, telemetry, "recv", frame.stream_id,
                         len(frame.payload), len(frame.payload), per_chunk)
             jobs = batch if split is None else [j for f in batch for j in split(f)]
-            put = 0
-            while put < len(jobs):
-                put += outq.put_many(jobs[put:])
+            outq.put_many(jobs)
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"receiver: {exc!r}")
     finally:
@@ -723,10 +705,7 @@ def _deliver(
 ) -> None:
     """Check a decoded chunk against its frame, book it, hand it on."""
     if frame.compressed:
-        _record_codec(
-            telemetry, "decompress", frame.stream_id,
-            wire_codec_name(frame.codec_id) if frame.codec_id else codec.name,
-        )
+        record_codec(telemetry, "decompress", frame, codec)
     if frame.orig_len and len(data) != frame.orig_len:
         raise ValueError(
             f"{frame.stream_id}#{frame.index}: decompressed to "

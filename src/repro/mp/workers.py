@@ -4,8 +4,8 @@
 process-mode analogue of :func:`repro.live.workers.compressor`.  It
 attaches its rings and stats slot by name (spawn-safe: everything
 crosses the boundary as plain strings and ints), pins the whole process
-to its domain's CPU set, then loops: drain raw records, compress,
-publish compressed records, account into the shared stats slot.
+to its domain's CPU set, then loops: drain raw frames, compress,
+publish compressed frames, account into the shared stats slot.
 
 :func:`serve` is what the process itself runs (:mod:`repro.mp.pool`
 starts it once and re-arms it per run): it waits on a pipe for a run
@@ -39,7 +39,8 @@ from multiprocessing.connection import Connection
 from repro.compress.codec import resolve_codec
 from repro.live.affinity import current_affinity, pin_current_thread
 from repro.live.queues import Closed
-from repro.mp.records import ChunkRecord, pack_record, unpack_record
+from repro.live.transport import Frame
+from repro.mp.records import pack_record, unpack_record
 from repro.mp.ring import SharedRing
 from repro.mp.stats import StatsBlock, WorkerState
 from repro.util.errors import QueueTimeout
@@ -66,11 +67,11 @@ def compress_worker(
 ) -> None:
     """Run one compressor domain until its input ring drains.
 
-    ``timed=True`` (set when the parent has telemetry attached) makes
-    the worker stamp its compress interval into every outgoing record's
-    time trailer; the collector turns the stamps into ``compress``
-    spans on the shared timeline (``perf_counter`` is CLOCK_MONOTONIC,
-    shared across processes on one host).
+    A record in is a chunk's uncompressed frame, a record out its
+    compressed frame (:mod:`repro.mp.records`).  ``timed=True`` (set
+    when the parent has telemetry attached) makes the worker stamp its
+    compress interval after every outgoing frame; the collector turns
+    the stamps into ``compress`` spans.
     """
     stats = StatsBlock.attach(stats_name)
     stats.set_pid(stats_slot, os.getpid())
@@ -118,33 +119,20 @@ def compress_worker(
                 t0 = time.perf_counter()
                 comp, codec_id = codec.compress_with_id(rec.payload)
                 t1 = time.perf_counter()
-                busy = t1 - t0
-                out.append(
-                    pack_record(
-                        ChunkRecord(
-                            stream_id=rec.stream_id,
-                            index=rec.index,
-                            payload=comp,
-                            compressed=True,
-                            orig_len=len(rec.payload),
-                            codec_id=codec_id,
-                            traced=rec.traced,
-                            stage_times=(
-                                (t0, t1) if (timed or rec.traced) else None
-                            ),
-                        )
-                    )
+                frame = Frame(
+                    rec.stream_id, rec.index, comp, compressed=True,
+                    orig_len=len(rec.payload), codec_id=codec_id,
+                    traced=rec.traced,
                 )
+                out.append(pack_record(frame, (t0, t1) if timed else None))
                 stats.add(
                     stats_slot,
                     chunks=1,
                     bytes_in=len(rec.payload),
                     bytes_out=len(comp),
-                    busy_us=int(busy * 1e6),
+                    busy_us=int((t1 - t0) * 1e6),
                 )
-            sent = 0
-            while sent < len(out):
-                sent += outr.put_many(out[sent:])
+            outr.put_many(out)
             done += len(raws)
             if crash_after is not None and done >= crash_after:
                 # Fault-injection hook: die the hard way, mid-stream,

@@ -11,8 +11,8 @@ class TestChunk:
         c = Chunk("s", 0, nbytes=1000, ratio=2.0)
         assert c.wire_bytes == 500
 
-    def test_wire_bytes_from_payload(self):
-        c = Chunk("s", 0, nbytes=1000, ratio=2.0, wire_payload=b"x" * 333)
+    def test_wire_bytes_from_a_measured_ratio(self):
+        c = Chunk("s", 0, nbytes=999, ratio=999 / 333)
         assert c.wire_bytes == 333
 
     def test_wire_bytes_at_least_one(self):

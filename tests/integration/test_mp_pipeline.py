@@ -251,6 +251,20 @@ class TestFlowTracing:
         assert "mp-s" in verdicts
         assert verdicts["mp-s"].stage in trace.stage_order()
 
+    def test_untraced_run_times_every_chunk_on_its_worker_track(self):
+        """Timed, not traced: with telemetry attached and sampling off,
+        each chunk's compress interval is stamped by the worker process
+        and recorded once, on that worker's track."""
+        tel = Telemetry()
+        report = ProcessPipeline(config(trace_sample=0), telemetry=tel).run(
+            chunks()
+        )
+        assert report.ok, report.errors
+        spans = [s for s in tel.spans.snapshot() if s.stage == "compress"]
+        assert sorted(s.chunk_id for s in spans) == list(range(NUM_CHUNKS))
+        assert {s.track for s in spans} <= {"mp-compress-0", "mp-compress-1"}
+        assert all(s.start < s.end for s in spans)
+
     def test_untraced_run_records_no_wire_spans(self):
         tel = Telemetry()
         report = ProcessPipeline(config(), telemetry=tel).run(chunks())

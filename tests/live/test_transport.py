@@ -20,6 +20,8 @@ from repro.live.transport import (
     Frame,
     FramedReceiver,
     FramedSender,
+    decode_frame,
+    encode_frame,
     pack_blocks,
     socket_pipe,
 )
@@ -458,6 +460,70 @@ class TestBlockTable:
         finally:
             _a.close()
             b.close()
+
+
+@st.composite
+def _frames(draw):
+    """A frame over the whole flags space: compressed, eos, ack, traced,
+    blocked (with a valid table) and every codec id."""
+    if draw(st.booleans()):
+        payload, blocks = pack_blocks(
+            draw(st.lists(st.binary(max_size=48), min_size=2, max_size=5))
+        )
+    else:
+        payload, blocks = draw(st.binary(max_size=160)), ()
+    traced = draw(st.booleans())
+    return Frame(
+        stream_id=draw(st.text(max_size=12)),
+        index=draw(st.integers(0, 2**32 - 1)),
+        payload=payload,
+        compressed=draw(st.booleans()),
+        orig_len=draw(st.integers(0, 2**32 - 1)),
+        eos=draw(st.booleans()),
+        ack=draw(st.booleans()),
+        codec_id=draw(st.integers(0, 255)),
+        traced=traced,
+        sent_at=draw(st.floats(allow_nan=False)) if traced else 0.0,
+        blocks=blocks,
+    )
+
+
+def _parsed(parse):
+    """What a decoder made of some bytes: a frame, or None if it refused."""
+    try:
+        return parse()
+    except FrameIntegrityError:
+        return None
+
+
+class TestOneParser:
+    """The buffer decoder (ring slots) and the receiver (sockets) are one
+    parser: same checks, same frames."""
+
+    @given(frame=_frames())
+    @settings(max_examples=300, deadline=None)
+    def test_every_flag_combination_round_trips(self, frame):
+        wire = encode_frame(frame)
+        assert decode_frame(wire) == (frame, len(wire))
+
+    @given(frame=_frames(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mangled_bytes_get_one_verdict(self, frame, data):
+        wire = bytearray(encode_frame(frame))
+        for _ in range(data.draw(st.integers(0, 3))):
+            wire[data.draw(st.integers(0, len(wire) - 1))] ^= data.draw(
+                st.integers(1, 255)
+            )
+        wire = bytes(wire[: data.draw(st.integers(0, len(wire)))])
+        a, b = socket.socketpair()
+        try:
+            rx = FramedReceiver(b)
+            rx.feed(wire)
+            fed = _parsed(rx.next_frame)
+        finally:
+            a.close()
+            b.close()
+        assert _parsed(lambda: decode_frame(wire)[0]) == fed
 
 
 class TestSendPathParity:

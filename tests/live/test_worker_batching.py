@@ -148,8 +148,7 @@ class TestReconnectBackoff:
             return FramedSender(a)
 
         inq = ClosableQueue(capacity=4, producers=1)
-        inq.put(Chunk(stream_id="r", index=0, nbytes=4,
-                      payload=b"data", ratio=1.0))
+        inq.put(Frame("r", 0, b"data", orig_len=4))
         inq.close()
         stats = StageStats("send")
         resilient_sender(
@@ -157,7 +156,6 @@ class TestReconnectBackoff:
             reconnect,
             inq,
             stats,
-            compressed=False,
             retry=retry,
             knobs=Knobs(),
             drain_timeout=10.0,

@@ -99,6 +99,28 @@ def test_replayed_records_are_dropped_and_counted():
     assert asm.stats["compress"].errors == []
 
 
+def test_corrupted_record_is_refused_not_forwarded():
+    """A flipped payload byte fails the frame's CRC-32 at the collector,
+    before the sender could checksum the damaged bytes afresh."""
+    tel = Telemetry()
+    bad = bytearray(record("s", 3))
+    bad[-1] ^= 0x01
+    ring = ScriptedRing(
+        [
+            [record("s", 0), record("s", 1)],
+            [record("s", 2), bytes(bad), record("s", 4)],
+        ]
+    )
+    asm, front = make_front(tel, [ring])
+    front._collect(0)
+
+    forwarded = [(f.stream_id, f.index) for f in drain(asm.sendq)]
+    assert forwarded == [("s", 0), ("s", 1), ("s", 2)]
+    [error] = asm.stats["compress"].errors
+    assert error.startswith("collector-0: FrameIntegrityError(")
+    assert "checksum mismatch on s#3" in error
+
+
 def test_in_order_run_leaves_no_reorder_backlog():
     """Round-robin dispatch interleaves a stream's indices across the
     domains' collectors; once all of them drained, the shared dedup
