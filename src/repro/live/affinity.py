@@ -30,6 +30,7 @@ def pin_current_thread(
     *,
     role: str | None = None,
     telemetry: "object | None" = None,
+    task: int = 0,
 ) -> bool:
     """Pin the calling thread to ``cpus``; returns True when applied.
 
@@ -38,7 +39,8 @@ def pin_current_thread(
     ``role`` and ``telemetry`` given, the size of the set *actually
     applied* lands in the ``repro_affinity_cpus{role}`` gauge (0 when
     nothing was applied), so dropped CPUs are observable rather than
-    silent.
+    silent.  A non-zero ``task`` pins that thread id instead — a child
+    process's pid names its main thread.
     """
     wanted = set(int(c) for c in cpus)
 
@@ -55,20 +57,21 @@ def pin_current_thread(
         _report(0)
         return False
     try:
-        os.sched_setaffinity(0, usable)
+        os.sched_setaffinity(task, usable)
     except OSError:
         _report(0)
         return False
-    applied = current_affinity()
+    applied = current_affinity(task)
     _report(len(applied) if applied is not None else len(usable))
     return True
 
 
-def current_affinity() -> set[int] | None:
-    """The calling thread's CPU set, or None when unsupported."""
+def current_affinity(task: int = 0) -> set[int] | None:
+    """The calling thread's CPU set (``task``'s, when given), or None
+    when unsupported."""
     if not hasattr(os, "sched_getaffinity"):
         return None
     try:
-        return set(os.sched_getaffinity(0))
-    except OSError:  # pragma: no cover - platform quirk
+        return set(os.sched_getaffinity(task))
+    except OSError:  # a platform quirk, or a task that is gone
         return None

@@ -11,24 +11,24 @@ physical:
   zero-copy (no pickling) inter-stage frame handoff with backpressure,
   batched ``put_many``/``get_many``, and the same close/drain protocol
   as :class:`~repro.live.queues.ClosableQueue`;
-- :class:`~repro.mp.stats.StatsBlock` — a lightweight shared-memory
-  counter page each worker process writes and the parent snapshots
-  into the ordinary telemetry registry, so ``/metrics``, ``/report``
-  and ``repro top`` keep working across the process boundary;
 - :mod:`~repro.mp.records` — a ring slot: the chunk's wire
   :class:`~repro.live.transport.Frame` (its one record from compress to
-  decompress on every plane) plus an optional compress stamp.
-  ``ChunkRecord`` is ``Frame`` for perfbench, whose ``mp.records.*``
-  rows now include a CRC-32 (0.05 → 0.12 ms per 256 KiB record);
-- :mod:`~repro.mp.topology` — worker-process specs (stage role, CPU
-  set, ring attachments) lowered from the plan IR's ``execution``
-  policy node;
+  decompress on every plane) plus the compress stamp, which a worker
+  always writes and the format still lets a slot omit.  The stamped
+  frame is a worker's one report: the parent's collector books the
+  compress stage, span and heartbeat from it, so ``/metrics``,
+  ``/healthz``, ``/report``, the watchdog and ``repro top`` see process
+  workers like thread workers.  ``ChunkRecord`` is ``Frame`` for
+  perfbench, whose ``mp.records.*`` rows now include a CRC-32 (0.05 →
+  0.12 ms per 256 KiB record);
 - :mod:`~repro.mp.pool` — warm compressor processes, started once per
   interpreter and re-armed for each run; :func:`shutdown_pool` (also
   run at exit) stops them;
-- :class:`~repro.mp.supervisor.DomainSupervisor` — arm/monitor/
-  restart (under :class:`~repro.faults.RetryPolicy`) with graceful
-  SIGTERM drain;
+- :class:`~repro.mp.supervisor.DomainSupervisor` — lays out the
+  domains from the lowered ``LiveConfig`` (count, CPU sets, ring
+  sizes), places and arms one worker per domain, and monitors/restarts
+  them (under :class:`~repro.faults.RetryPolicy`) with graceful SIGTERM
+  drain;
 - :class:`~repro.mp.pipeline.ProcessFront` — the pipeline's front
   half in process mode (``LiveConfig.execution_mode = "process"``,
   ``repro live --mode process``): one compressor process per NUMA
@@ -48,15 +48,7 @@ if TYPE_CHECKING:
     from repro.mp.pool import shutdown_pool
     from repro.mp.records import ChunkRecord, pack_record, unpack_record
     from repro.mp.ring import SharedRing
-    from repro.mp.stats import StatsBlock, WorkerState
     from repro.mp.supervisor import DomainSupervisor
-    from repro.mp.topology import (
-        ProcessTopology,
-        RingSpec,
-        WorkerSpec,
-        domain_cpu_sets,
-        plan_topology,
-    )
 
 # Names load on first access, so a worker process importing
 # :mod:`repro.mp.workers` does not import the parent-side pipeline (and,
@@ -66,10 +58,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.mp.pool": ("shutdown_pool",),
     "repro.mp.records": ("ChunkRecord", "pack_record", "unpack_record"),
     "repro.mp.ring": ("SharedRing",),
-    "repro.mp.stats": ("StatsBlock", "WorkerState"),
     "repro.mp.supervisor": ("DomainSupervisor",),
-    "repro.mp.topology": (
-        "ProcessTopology", "RingSpec", "WorkerSpec", "domain_cpu_sets",
-        "plan_topology",
-    ),
 })

@@ -10,14 +10,17 @@ the thread pipeline verbatim — the same :mod:`repro.live.assembly`
 halves, same socketpairs, same frames — so receiver output is
 byte-identical between modes and every report/metric reads the same.
 What lives here is only what differs: the ring feeder, the collector
-loop, supervisor start/join/shutdown and the ``StatsBlock`` fold.
+loop and supervisor start/join/shutdown.
 
 A chunk crosses each ring as its wire frame, plus the worker's compress
 stamp on the way out (:mod:`repro.mp.records`; ``ChunkRecord`` is
 ``Frame`` for perfbench, whose ``mp.records.*`` rows now include a
 CRC-32: 0.05 → 0.12 ms per 256 KiB record).  The collector decodes it
 with the transport's own checks and forwards the same frame a compress
-thread puts on ``sendq`` in thread mode.
+thread puts on ``sendq`` in thread mode.  The stamp is the worker's one
+report: from it the collector books the compress stage, and with
+telemetry attached the ``compress`` span on the worker's
+``mp-compress-N`` track, whose end is that worker's heartbeat.
 
 Delivery is exactly-once across worker crashes: the supervisor replays
 dispatched-but-uncollected records into the restarted worker's ring
@@ -44,7 +47,6 @@ from repro.live.stageset import StageSet
 from repro.live.transport import Frame
 from repro.mp.records import pack_record, unpack_stamped
 from repro.mp.supervisor import DomainSupervisor
-from repro.mp.topology import plan_topology
 from repro.util.errors import ValidationError
 
 
@@ -74,16 +76,11 @@ class ProcessFront:
         #: The ledger, kept only when the run verifies (as thread mode).
         self.expected = asm.expected if cfg.verify else None
         self.fields = asm.fields
-        topology = plan_topology(cfg)
-        self.domains = topology.domains
         self.supervisor = DomainSupervisor(
-            topology,
-            codec_spec=str(codec_spec(asm.codec)),
-            retry=retry,
-            start_method=cfg.mp_start_method,
+            cfg, codec_spec=str(codec_spec(asm.codec)), retry=retry,
             telemetry=asm.tel,
-            batch_frames=cfg.batch_frames,
         )
+        self.domains = self.supervisor.domains
         #: Replay dedup across all collectors (guarded by the lock).
         self.dedup = StreamDedup()
         self._dedup_lock = threading.Lock()
@@ -111,20 +108,12 @@ class ProcessFront:
     def join(self, timeout: float) -> list[str]:
         errors = self.supervisor.join(timeout)
         self.fields["restarts"] = self.supervisor.restarts
-        # The compress stage ran out-of-process; fold the shared stats
-        # slots into the ordinary stage accounting.
-        if self.supervisor.stats is not None:
-            comp = self.stats["compress"]
-            cpu_us = 0
-            for s in self.supervisor.stats.snapshot():
-                comp.chunks += s.chunks
-                comp.bytes_in += s.bytes_in
-                comp.bytes_out += s.bytes_out
-                comp.busy_seconds += s.busy_us / 1e6
-                cpu_us += s.cpu_us
-            # Pooled workers outlive the run, so the OS never books their
-            # CPU to this process's reaped children; they book it here.
-            self.fields["worker_cpu_s"] = cpu_us / 1e6
+        # Pooled workers outlive the run, so the OS never books their
+        # CPU to this process's reaped children; their done replies do
+        # (a crashed run never replied).
+        self.fields["worker_cpu_s"] = sum(
+            w.cpu_s for w in self.supervisor.workers.values()
+        )
         return errors
 
     def shutdown(self) -> None:
@@ -183,14 +172,15 @@ class ProcessFront:
             supervisor.close_inputs()
 
     def _collect(self, domain: int) -> None:
-        """Decode, ack, dedup and forward one domain's compressed frames.
+        """Decode, ack, dedup and forward one domain's compressed frames,
+        booking each fresh one into the compress stage from its stamp.
 
         A record the decoder refuses fails the run as a compress-stage
         error; the frames collected ahead of it are forwarded first."""
-        supervisor = self.supervisor
+        supervisor, stats = self.supervisor, self.stats["compress"]
         tel, knobs, sendq, codec = self.tel, self.knobs, self.sendq, self.codec
         dedup, dedup_lock = self.dedup, self._dedup_lock
-        ring = supervisor.comp_ring(domain)
+        ring = supervisor.comp[domain]
         track = f"mp-compress-{domain}"
         try:
             while True:
@@ -212,6 +202,10 @@ class ProcessFront:
                             if tel is not None:
                                 tel.record_dedup()
                             continue
+                        stats.record(
+                            frame.orig_len, len(frame.payload),
+                            stamp[1] - stamp[0] if stamp else 0.0,
+                        )
                         if tel is not None:
                             tel.record_chunk("compress", sid, frame.orig_len)
                             workers.record_codec(tel, "compress", frame, codec)
@@ -224,7 +218,7 @@ class ProcessFront:
                 finally:
                     sendq.put_many(batch)
         except Exception as exc:  # noqa: BLE001 - thread boundary
-            self.stats["compress"].fail(f"collector-{domain}: {exc!r}")
+            stats.fail(f"collector-{domain}: {exc!r}")
         finally:
             sendq.close()
 

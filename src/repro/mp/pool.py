@@ -5,16 +5,18 @@ Starting a worker process costs an interpreter, its imports and — under
 milliseconds, paid inside every run when each run started its own.
 This module keeps the processes instead (dgen-rs's "create the pool
 ONCE, reuse", SNIPPETS.md §1.1).  Each runs :func:`repro.mp.workers.serve`
-and idles on a pipe between runs; :func:`arm` hands one a run command
-and returns it as a :class:`PooledWorker`, which the supervisor watches
-like a ``Process`` whose *run* is what starts and ends.
+and idles on a pipe between runs; :func:`arm` places one on the run's
+CPU set — or back on the set it was started with — hands it a run
+command and returns it as a :class:`PooledWorker`, which the supervisor
+watches like a ``Process`` whose *run* is what starts and ends.  The
+run's ``done`` reply carries the CPU seconds it spent.
 
 A worker goes back to the idle list (:func:`release` with
 ``reuse=True``) only after a clean ``done``; anything else — a crash, a
 kill, a run still going — ends the process.  :func:`shutdown_pool`
 kills every process the pool started; it runs at interpreter exit,
-before multiprocessing's own exit hook.  Rings and stats blocks are not
-pooled: each run creates and unlinks its own.
+before multiprocessing's own exit hook.  Rings are not pooled: each run
+creates and unlinks its own.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import threading
 from multiprocessing.connection import wait
 from typing import Any
 
+from repro.live.affinity import current_affinity, pin_current_thread
 from repro.mp.workers import serve
 
 #: Idle processes per start method, ready to be armed.
@@ -56,14 +59,32 @@ class PooledWorker:
         commands.close()
         replies.close()
         self.pid = self.process.pid
+        #: The CPU set the process started with: where an unpinned run goes.
+        self.home = current_affinity(self.pid)
+        #: The size of the CPU set the current run is pinned to (0 = unpinned).
+        self.ncpus = 0
+        #: CPU seconds the last run spent, from its ``done`` reply.
+        self.cpu_s = 0.0
         self._lock = threading.Lock()
         #: None while a run is in progress; 0 after ``done``.
         self._exitcode: int | None = 0
         self._stopped = False
 
-    def _arm(self, command: dict[str, Any]) -> None:
+    def _arm(self, cpus: tuple[int, ...], command: dict[str, Any]) -> None:
+        self.ncpus = self._place(cpus)
+        self.cpu_s = 0.0
         self._exitcode = None
         self._commands.send(command)
+
+    def _place(self, cpus: tuple[int, ...]) -> int:
+        """Pin the process to ``cpus``, or — when they are empty or
+        unusable — put it back on the set it started with; returns the
+        pinned set's size, 0 when unpinned."""
+        if cpus and pin_current_thread(cpus, task=self.pid):
+            return len(current_affinity(self.pid) or cpus)
+        if self.home:
+            pin_current_thread(self.home, task=self.pid)
+        return 0
 
     def _settle(self, timeout: float) -> None:
         """Wait up to ``timeout`` for the run to end; record how it did."""
@@ -75,7 +96,7 @@ class PooledWorker:
                 return
             if self._replies.poll():
                 try:
-                    self._replies.recv()
+                    self.cpu_s = self._replies.recv()
                     self._exitcode = 0
                     return
                 except EOFError:
@@ -126,9 +147,9 @@ class PooledWorker:
             self.process.close()
 
 
-def arm(start_method: str, **command: Any) -> PooledWorker:
-    """A worker running ``compress_worker(**command)``: an idle one
-    re-armed, or — only when none is idle — a new one."""
+def arm(start_method: str, cpus: tuple[int, ...], **command: Any) -> PooledWorker:
+    """A worker placed on ``cpus`` and running ``compress_worker(**command)``:
+    an idle one re-armed, or — only when none is idle — a new one."""
     while True:
         with _lock:
             idle = _idle.get(start_method)
@@ -137,7 +158,7 @@ def arm(start_method: str, **command: Any) -> PooledWorker:
             break
         if worker._reusable():
             try:
-                worker._arm(command)
+                worker._arm(cpus, command)
                 return worker
             except OSError:
                 pass  # it died after the check: the pipe is broken
@@ -145,7 +166,7 @@ def arm(start_method: str, **command: Any) -> PooledWorker:
     worker = PooledWorker(start_method)
     with _lock:
         _live.add(worker)
-    worker._arm(command)
+    worker._arm(cpus, command)
     return worker
 
 

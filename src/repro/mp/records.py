@@ -8,11 +8,15 @@ followed by exactly 16 bytes: the compress worker's wall-clock stamp
 says whether the stamp is there; any other remainder is refused, as is
 anything :func:`~repro.live.transport.decode_frame` refuses.
 
-A pipeline with telemetry attached has its workers stamp every record,
-and the collector records the ``compress`` span on the worker's
-``mp-compress-N`` track (``perf_counter`` is shared by the processes of
-one host).  A traced frame's own trailer (one f64, the sender's clock
-at send) is not reused for it, so traced wire bytes do not change.
+A compress worker stamps every record it writes; the format still
+allows a slot without one (the raw ring's records, perfbench's).  The
+stamp is the worker's one report: the collector books the compress
+stage from it and, with telemetry attached, the ``compress`` span on
+the worker's ``mp-compress-N`` track, whose end is the worker's
+heartbeat (``perf_counter`` is shared by the processes of one host and
+is the telemetry clock).  A traced frame's own trailer (one f64, the
+sender's clock at send) is not reused for it, so traced wire bytes do
+not change.
 
 :data:`ChunkRecord` is :class:`Frame` itself; it, :func:`pack_record`
 and :func:`unpack_record` keep their names because perfbench times them

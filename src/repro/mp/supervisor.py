@@ -1,30 +1,29 @@
 """The domain supervisor: arm, watch, restart, drain.
 
 :class:`DomainSupervisor` owns every shared-memory segment of one
-process-mode run (rings + stats block) and borrows one worker process
-per domain from :mod:`repro.mp.pool` for the run: an idle pooled
-process is re-armed, and one is started only when none is idle.  A
-worker's *run* ends when it replies ``done``; :meth:`shutdown` hands a
-cleanly finished worker back to the pool and kills any other.  Three
-parent-side threads do the watching:
+process-mode run — a raw ring and a compressed ring per domain — and
+borrows one worker process per domain from :mod:`repro.mp.pool` for the
+run: an idle pooled process is re-armed, and one is started only when
+none is idle.  Before a worker's run starts, the parent places it on its
+domain's CPU set (or back on the set it was started with) and records
+the applied size under ``repro_affinity_cpus``.  A worker's *run* ends
+when it replies ``done``; :meth:`shutdown` hands a cleanly finished
+worker back to the pool and kills any other.
 
-- the **monitor** watches for workers that die mid-run.  One that does
-  is restarted under the existing :class:`~repro.faults.policy.RetryPolicy`
-  (capped backoff, bounded attempts), and every record the parent had
-  dispatched to that domain but not yet collected is *replayed* into
-  the domain's raw ring — the ring-level analogue of the resilient
-  sender's unacked-tail replay.  The collector deduplicates on
-  ``(stream, index)``, which turns at-least-once replay into
-  exactly-once delivery;
-- the **poller** folds each worker's shared stats slot into the
-  ordinary telemetry registry — heartbeats under the worker's stable
-  name and the applied CPU set under ``repro_affinity_cpus`` — so
-  ``/metrics``, ``/report``, the watchdog and repro top see process
-  workers exactly like thread workers;
-- callers' own feeder/collector threads, which go through
-  :meth:`dispatch` / :meth:`ack` so the supervisor can track the
-  outstanding set.  Dispatch and replay share a per-domain lock: the
-  ring stays single-producer even when the monitor replays mid-stream.
+One parent-side thread, the **monitor**, watches for workers that die
+mid-run.  One that does is restarted under the existing
+:class:`~repro.faults.policy.RetryPolicy` (capped backoff, bounded
+attempts), and every record the parent had dispatched to that domain
+but not yet collected is *replayed* into the domain's raw ring — the
+ring-level analogue of the resilient sender's unacked-tail replay.  The
+collector deduplicates on ``(stream, index)``, which turns at-least-once
+replay into exactly-once delivery.  Callers' own feeder/collector
+threads go through :meth:`dispatch` / :meth:`ack` so the supervisor can
+track the outstanding set; dispatch and replay share a per-domain lock,
+so the ring stays single-producer even when the monitor replays
+mid-stream.  A worker's heartbeat and compress accounting reach
+telemetry through the collector, from the stamp on each record
+(:mod:`repro.mp.pipeline`).
 """
 
 from __future__ import annotations
@@ -32,108 +31,134 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 from repro.faults.policy import RetryPolicy
 from repro.mp import pool
 from repro.mp.ring import SharedRing
-from repro.mp.stats import StatsBlock
-from repro.mp.topology import ProcessTopology, WorkerSpec
-from repro.util.errors import QueueTimeout, ValidationError
+from repro.util.errors import ConfigurationError, QueueTimeout, ValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.live.runtime import LiveConfig
 
 #: How often the monitor checks worker liveness, seconds.
 _MONITOR_TICK = 0.05
-#: How often the poller publishes stats-block telemetry, seconds.
-_POLL_TICK = 0.1
+
+
+def domain_cpu_sets(
+    cpus: list[int] | None, domains: int
+) -> list[tuple[int, ...]]:
+    """Partition a stage CPU list into per-domain sets.
+
+    Contiguous split (not round-robin): the plan's affinity lists are
+    sorted by global core index, so a contiguous slice keeps each
+    domain's CPUs on the same socket whenever the plan placed them
+    that way.  With fewer CPUs than domains, trailing domains run
+    unpinned; with none, every domain does.
+    """
+    if domains < 1:
+        raise ConfigurationError("domains must be >= 1")
+    if not cpus:
+        return [() for _ in range(domains)]
+    out: list[tuple[int, ...]] = []
+    base, extra = divmod(len(cpus), domains)
+    at = 0
+    for d in range(domains):
+        take = base + (1 if d < extra else 0)
+        out.append(tuple(cpus[at : at + take]))
+        at += take
+    return out
 
 
 class DomainSupervisor:
-    """Owns the processes and shared memory of one process-mode run."""
+    """Owns the processes and shared memory of one process-mode run.
+
+    The layout comes from a lowered :class:`LiveConfig`:
+    ``process_domains`` of 0 means one domain per planned compressor,
+    and each domain's CPU set is its slice of the same ``affinity`` map
+    the thread pipeline pins with, so both modes realize the *same*
+    plan placement.
+    """
 
     def __init__(
         self,
-        topology: ProcessTopology,
+        config: "LiveConfig",
         *,
         codec_spec: str,
         retry: RetryPolicy | None = None,
-        start_method: str = "spawn",
         telemetry: object | None = None,
-        batch_frames: int = 1,
     ) -> None:
-        self.topology = topology
+        self.config = config
+        self.domains = config.process_domains or config.compress_threads
+        self.cpus = domain_cpu_sets(config.affinity.get("compress"), self.domains)
         #: Codec spec *string* — the spawn-safe form every worker
         #: re-resolves (see repro.compress.codec.CodecSpec).
         self.codec_spec = codec_spec
         self.retry = retry or RetryPolicy()
-        self.start_method = start_method
         self.telemetry = telemetry
-        self.batch_frames = batch_frames
 
-        self.rings: dict[str, SharedRing] = {}
-        self.stats: StatsBlock | None = None
-        self._procs: dict[int, pool.PooledWorker] = {}
-        self._specs: dict[int, WorkerSpec] = {
-            w.domain: w for w in topology.workers
-        }
+        #: Per domain: the raw ring the feeder fills, the compressed
+        #: ring its collector drains.
+        self.raw: list[SharedRing] = []
+        self.comp: list[SharedRing] = []
+        #: Each domain's current run handle.
+        self.workers: dict[int, pool.PooledWorker] = {}
+        #: Test hook: a domain's worker calls ``os._exit(1)`` after this
+        #: many chunks; a restart strips it.
+        self.crash_after: dict[int, int] = {}
+        domains = range(self.domains)
         #: Dispatched-but-uncollected records per domain, in order.
         self._outstanding: dict[int, "OrderedDict[tuple[str, int], bytes]"] = {
-            w.domain: OrderedDict() for w in topology.workers
+            d: OrderedDict() for d in domains
         }
         self._out_lock = threading.Lock()
         #: Serializes feeder dispatch vs monitor replay per raw ring.
-        self._produce_locks: dict[int, threading.Lock] = {
-            w.domain: threading.Lock() for w in topology.workers
-        }
-        self._attempts: dict[int, int] = {w.domain: 0 for w in topology.workers}
+        self._produce_locks = {d: threading.Lock() for d in domains}
+        self._attempts = {d: 0 for d in domains}
         self._given_up: set[int] = set()
         self._terminating = False
         self._aborted = False
         self.restarts = 0
         self.errors: list[str] = []
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._monitor_thread: threading.Thread | None = None
         self._started = False
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Materialize segments, arm every worker, start watchers."""
-        self.stats = StatsBlock.create(workers=len(self.topology.workers))
-        for spec in self.topology.rings:
-            self.rings[spec.ring_id] = SharedRing.create(
-                capacity=spec.capacity, slot_bytes=spec.slot_bytes
-            )
-        for w in self.topology.workers:
-            self._spawn(w)
-        for name, target in (("mp-monitor", self._monitor),
-                             ("mp-poller", self._poll)):
-            t = threading.Thread(target=target, name=name, daemon=True)
-            self._threads.append(t)
-            t.start()
+        """Create every ring, arm every worker, start the monitor."""
+        cfg = self.config
+        for _ in range(self.domains):
+            for rings in (self.raw, self.comp):
+                rings.append(SharedRing.create(
+                    capacity=cfg.ring_capacity, slot_bytes=cfg.ring_slot_bytes
+                ))
+        for domain in range(self.domains):
+            self._spawn(domain)
+        self._monitor_thread = threading.Thread(
+            target=self._monitor, name="mp-monitor", daemon=True
+        )
+        self._monitor_thread.start()
         self._started = True
 
-    def _spawn(self, spec: WorkerSpec) -> None:
-        assert self.stats is not None
-        self._procs[spec.domain] = pool.arm(
-            self.start_method,
-            domain=spec.domain,
-            cpus=spec.cpus,
+    def _spawn(self, domain: int) -> None:
+        worker = self.workers[domain] = pool.arm(
+            self.config.mp_start_method,
+            self.cpus[domain],
             codec_spec=self.codec_spec,
-            in_ring=self.rings[spec.in_ring].name,
-            out_ring=self.rings[spec.out_ring].name,
-            stats_name=self.stats.name,
-            stats_slot=spec.stats_slot,
-            batch_frames=self.batch_frames,
-            crash_after=spec.crash_after,
-            timed=self.telemetry is not None,
+            in_ring=self.raw[domain].name,
+            out_ring=self.comp[domain].name,
+            batch_frames=self.config.batch_frames,
+            crash_after=self.crash_after.get(domain),
         )
+        tel = self.telemetry
+        if tel is not None:
+            tel.record_affinity(  # type: ignore[attr-defined]
+                f"mp-compress-{domain}", worker.ncpus
+            )
 
     # -- parent-side data plane ------------------------------------------
-
-    def raw_ring(self, domain: int) -> SharedRing:
-        return self.rings[self._specs[domain].in_ring]
-
-    def comp_ring(self, domain: int) -> SharedRing:
-        return self.rings[self._specs[domain].out_ring]
 
     def dispatch(
         self,
@@ -145,9 +170,8 @@ class DomainSupervisor:
         """Hand one packed record to ``domain``, tracking it for replay."""
         with self._out_lock:
             self._outstanding[domain][key] = packed
-        ring = self.raw_ring(domain)
         with self._produce_locks[domain]:
-            ring.put(packed, timeout=timeout)
+            self.raw[domain].put(packed, timeout=timeout)
 
     def ack(self, domain: int, key: tuple[str, int]) -> None:
         """The collector received ``key``; it no longer needs replay."""
@@ -156,8 +180,8 @@ class DomainSupervisor:
 
     def close_inputs(self) -> None:
         """End of stream: seal every raw ring (workers drain then exit)."""
-        for w in self.topology.workers:
-            self.raw_ring(w.domain).close()
+        for ring in self.raw:
+            ring.close()
 
     # -- watching --------------------------------------------------------
 
@@ -171,10 +195,10 @@ class DomainSupervisor:
     def _monitor(self) -> None:
         try:
             while not self._stop.is_set():
-                for domain, proc in list(self._procs.items()):
+                for domain, worker in list(self.workers.items()):
                     if domain in self._given_up or self._terminating:
                         continue
-                    code = proc.exitcode
+                    code = worker.exitcode
                     if code is None or code == 0:
                         continue  # running, or replied done (join() books it)
                     self._handle_crash(domain, code)
@@ -186,19 +210,19 @@ class DomainSupervisor:
             self.abort()
 
     def _handle_crash(self, domain: int, exitcode: int) -> None:
-        spec = self._specs[domain]
+        name = f"mp-compress-{domain}"
         self._attempts[domain] += 1
         attempt = self._attempts[domain]
         if attempt > self.retry.max_attempts:
             self._given_up.add(domain)
             self.errors.append(
-                f"{spec.name} crashed (exit {exitcode}) and exhausted "
+                f"{name} crashed (exit {exitcode}) and exhausted "
                 f"{self.retry.max_attempts} restart attempts"
             )
             self._emit(
                 "worker_exit",
-                f"{spec.name} gave up after {attempt - 1} restarts",
-                worker=spec.name,
+                f"{name} gave up after {attempt - 1} restarts",
+                worker=name,
                 exitcode=exitcode,
             )
             # Unblock everyone: the run is lost.
@@ -210,36 +234,25 @@ class DomainSupervisor:
             time.sleep(self.retry.backoff(attempt - 1))
         if self._stop.is_set():
             return
-        assert self.stats is not None
-        self.stats.bump_restarts(spec.stats_slot)
         self.restarts += 1
         self._emit(
             "worker_restart",
-            f"{spec.name} crashed (exit {exitcode}); restarting "
+            f"{name} crashed (exit {exitcode}); restarting "
             f"(attempt {attempt}/{self.retry.max_attempts})",
-            worker=spec.name,
+            worker=name,
             exitcode=exitcode,
             attempt=attempt,
         )
         # Restart without the injected fault, then replay the records
         # the dead worker may have consumed but never produced.  The
         # collector dedups, so double-processing is harmless.
-        clean = WorkerSpec(
-            domain=spec.domain,
-            role=spec.role,
-            cpus=spec.cpus,
-            in_ring=spec.in_ring,
-            out_ring=spec.out_ring,
-            stats_slot=spec.stats_slot,
-            crash_after=None,
-        )
-        self._specs[domain] = clean
-        pool.release(self._procs[domain], reuse=False)
-        self._spawn(clean)
+        self.crash_after.pop(domain, None)
+        pool.release(self.workers[domain], reuse=False)
+        self._spawn(domain)
         with self._out_lock:
             replay = list(self._outstanding[domain].values())
-        ring = self.raw_ring(domain)
-        proc = self._procs[domain]
+        ring = self.raw[domain]
+        worker = self.workers[domain]
         with self._produce_locks[domain]:
             sent = 0
             while sent < len(replay) and not ring.closed:
@@ -251,7 +264,7 @@ class DomainSupervisor:
                     # Ring still full.  If the replacement died too, stop
                     # here — the next monitor tick re-handles the crash
                     # and replays the (unchanged) outstanding set again.
-                    if not proc.is_alive():
+                    if not worker.is_alive():
                         break
 
     def respawn(self, domain: int) -> bool:
@@ -268,33 +281,16 @@ class DomainSupervisor:
         """
         if not self._started or self._terminating:
             return False
-        if domain not in self._procs or domain in self._given_up:
+        if domain not in self.workers or domain in self._given_up:
             return False
-        proc = self._procs[domain]
-        if not proc.is_alive():
+        worker = self.workers[domain]
+        if not worker.is_alive():
             return False
         with self._out_lock:
             # The budget credit: _handle_crash's increment nets to zero.
             self._attempts[domain] -= 1
-        proc.kill()
+        worker.kill()
         return True
-
-    def _poll(self) -> None:
-        while True:
-            self._publish_stats()
-            if self._stop.wait(_POLL_TICK):
-                self._publish_stats()  # one final snapshot after stop
-                return
-
-    def _publish_stats(self) -> None:
-        tel = self.telemetry
-        if tel is None or self.stats is None:
-            return
-        for w in self.topology.workers:
-            s = self.stats.read(self._specs[w.domain].stats_slot)
-            if s.heartbeat > 0:
-                tel.heartbeat(w.name, ts=s.heartbeat)  # type: ignore[attr-defined]
-            tel.record_affinity(w.name, s.cpus)  # type: ignore[attr-defined]
 
     # -- shutdown --------------------------------------------------------
 
@@ -309,51 +305,50 @@ class DomainSupervisor:
         restart.
         """
         self._terminating = True
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()
+        for worker in self.workers.values():
+            if worker.is_alive():
+                worker.terminate()
 
     def join(self, timeout: float) -> list[str]:
         """Wait for every worker's run to end (its ``done`` reply, or its
         death); returns accumulated errors."""
         deadline = time.monotonic() + timeout
-        for domain, proc in list(self._procs.items()):
+        for domain, worker in list(self.workers.items()):
             remaining = max(0.0, deadline - time.monotonic())
-            proc.join(remaining)
+            worker.join(remaining)
             # The monitor restarts crashed workers; re-check the map in
             # case this domain's worker was replaced while we waited.
-            current = self._procs[domain]
-            if current is not proc:
+            current = self.workers[domain]
+            if current is not worker:
                 current.join(max(0.0, deadline - time.monotonic()))
-                proc = current
+                worker = current
             # A dying worker's pipe reads EOF a moment before its exit
             # code can be reaped, so join() may return with the run's
             # end not recorded yet.  Settle before calling a finished
             # worker a straggler.
-            while proc.is_alive() and time.monotonic() < deadline:
+            while worker.is_alive() and time.monotonic() < deadline:
                 time.sleep(0.005)
-            if proc.is_alive():
+            if worker.is_alive():
                 self.errors.append(
-                    f"{self._specs[domain].name} did not finish "
-                    f"within {timeout}s"
+                    f"mp-compress-{domain} did not finish within {timeout}s"
                 )
         if self._terminating:
             # A worker the signal killed before its handler was up never
             # closed its output ring; seal it so collectors unwind
             # instead of waiting on a process that will not return.
-            for domain, proc in self._procs.items():
-                if not proc.is_alive():
-                    self.comp_ring(domain).close()
+            for domain, worker in self.workers.items():
+                if not worker.is_alive():
+                    self.comp[domain].close()
         return list(self.errors)
 
     def abort(self) -> None:
         """Force-close every ring so blocked endpoints unwind."""
         self._aborted = True
-        for ring in self.rings.values():
+        for ring in (*self.raw, *self.comp):
             ring.close()
 
     def shutdown(self) -> None:
-        """Stop watchers, hand workers back, release every segment.
+        """Stop the monitor, hand workers back, release every ring.
 
         A worker returns to the pool only when its run ended with
         ``done`` and nothing forced it; after :meth:`terminate` or
@@ -361,14 +356,12 @@ class DomainSupervisor:
         is still running.
         """
         self._stop.set()
-        for t in self._threads:
-            t.join(timeout=5.0)
+        if self._monitor_thread is not None:
+            self._monitor_thread.join(timeout=5.0)
         forced = self._terminating or self._aborted
-        for proc in self._procs.values():
-            pool.release(proc, reuse=not forced)
-        for ring in self.rings.values():
+        for worker in self.workers.values():
+            pool.release(worker, reuse=not forced)
+        for ring in (*self.raw, *self.comp):
             ring.unlink()
-        self.rings.clear()
-        if self.stats is not None:
-            self.stats.unlink()
-            self.stats = None
+        self.raw.clear()
+        self.comp.clear()

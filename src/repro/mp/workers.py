@@ -2,18 +2,19 @@
 
 :func:`compress_worker` is one run of a compressor process — the
 process-mode analogue of :func:`repro.live.workers.compressor`.  It
-attaches its rings and stats slot by name (spawn-safe: everything
-crosses the boundary as plain strings and ints), pins the whole process
-to its domain's CPU set, then loops: drain raw frames, compress,
-publish compressed frames, account into the shared stats slot.
+attaches its rings by name (spawn-safe: everything crosses the
+boundary as plain strings and ints), then loops: drain raw frames,
+compress, publish each compressed frame with its compress stamp.  The
+stamped frame is the worker's one report: the parent's collector books
+the compress stage, the span and the worker's heartbeat from it.
 
 :func:`serve` is what the process itself runs (:mod:`repro.mp.pool`
 starts it once and re-arms it per run): it waits on a pipe for a run
 command — exactly :func:`compress_worker`'s keyword arguments — runs
-it, books the run's CPU time into the stats slot, replies ``"done"``
-and waits again.  This module is the whole import closure of a worker,
-so it stays clear of the planner, the simulator and the parent-side
-pipeline.
+it and replies with the run's CPU seconds, which is its ``done``.  The
+parent places the process on its CPU set before sending the command.
+This module is the whole import closure of a worker, so it stays clear
+of the planner, the simulator and the parent-side pipeline.
 
 Shutdown has two flavours, both lossless for published work:
 
@@ -37,16 +38,14 @@ import time
 from multiprocessing.connection import Connection
 
 from repro.compress.codec import resolve_codec
-from repro.live.affinity import current_affinity, pin_current_thread
 from repro.live.queues import Closed
 from repro.live.transport import Frame
 from repro.mp.records import pack_record, unpack_record
 from repro.mp.ring import SharedRing
-from repro.mp.stats import StatsBlock, WorkerState
 from repro.util.errors import QueueTimeout
 
-#: Idle get() timeout — bounds how stale a heartbeat can go while the
-#: worker waits for input, and how late it notices a SIGTERM.
+#: Idle get() timeout — bounds how late a waiting worker notices a
+#: SIGTERM.
 _IDLE_TICK = 0.2
 #: How often an idle pooled worker checks that its parent still lives.
 _ORPHAN_TICK = 1.0
@@ -54,34 +53,18 @@ _ORPHAN_TICK = 1.0
 
 def compress_worker(
     *,
-    domain: int,
-    cpus: tuple[int, ...],
     codec_spec: str,
     in_ring: str,
     out_ring: str,
-    stats_name: str,
-    stats_slot: int,
     batch_frames: int = 1,
     crash_after: int | None = None,
-    timed: bool = False,
 ) -> None:
     """Run one compressor domain until its input ring drains.
 
     A record in is a chunk's uncompressed frame, a record out its
-    compressed frame (:mod:`repro.mp.records`).  ``timed=True`` (set
-    when the parent has telemetry attached) makes the worker stamp its
-    compress interval after every outgoing frame; the collector turns
-    the stamps into ``compress`` spans.
+    compressed frame followed by the compress call's ``(t0, t1)`` stamp
+    (:mod:`repro.mp.records`).
     """
-    stats = StatsBlock.attach(stats_name)
-    stats.set_pid(stats_slot, os.getpid())
-    stats.set_state(stats_slot, WorkerState.STARTING)
-
-    if cpus:
-        pin_current_thread(cpus)
-    applied = current_affinity()
-    stats.set_cpus(stats_slot, len(applied) if cpus and applied else 0)
-
     draining = False
 
     def _on_term(signum: int, frame: object) -> None:
@@ -97,9 +80,7 @@ def compress_worker(
     outr = SharedRing.attach(out_ring)
     done = 0
     try:
-        stats.set_state(stats_slot, WorkerState.RUNNING)
         while True:
-            stats.beat(stats_slot, time.time())
             try:
                 # While draining, take only already-published records.
                 raws = inr.get_many(
@@ -111,8 +92,6 @@ def compress_worker(
                 if draining:
                     break
                 continue
-            if draining:
-                stats.set_state(stats_slot, WorkerState.DRAINING)
             out: list[bytes] = []
             for raw in raws:
                 rec = unpack_record(raw)
@@ -124,14 +103,7 @@ def compress_worker(
                     orig_len=len(rec.payload), codec_id=codec_id,
                     traced=rec.traced,
                 )
-                out.append(pack_record(frame, (t0, t1) if timed else None))
-                stats.add(
-                    stats_slot,
-                    chunks=1,
-                    bytes_in=len(rec.payload),
-                    bytes_out=len(comp),
-                    busy_us=int((t1 - t0) * 1e6),
-                )
+                out.append(pack_record(frame, (t0, t1)))
             outr.put_many(out)
             done += len(raws)
             if crash_after is not None and done >= crash_after:
@@ -142,31 +114,23 @@ def compress_worker(
         # A crashing worker must NOT close it — its replacement will
         # keep producing into the same ring.
         outr.close()
-        stats.set_state(stats_slot, WorkerState.STOPPED)
-        stats.beat(stats_slot, time.time())
-    except BaseException:
-        stats.set_state(stats_slot, WorkerState.CRASHED)
-        raise
     finally:
         inr.detach()
         outr.detach()
-        stats.detach()
 
 
 def serve(commands: Connection, replies: Connection) -> None:
     """A pooled worker's life: one :func:`compress_worker` run per command.
 
-    Each run starts as a fresh worker would: on the CPU set this process
-    was started with (the previous run's pinning is undone), with the
-    command's codec, crash hook and rings.  Between runs SIGTERM has its
-    default meaning again.  The process ends on EOF, or when its parent
-    is gone: under ``fork`` a later sibling holds a copy of this pipe's
-    write end, so the parent's death alone need not bring EOF.  An
-    exception in a run ends it too, as a non-zero exit code exactly like
-    a crash.
+    Each run starts as a fresh worker would, with the command's codec,
+    crash hook and rings, on the CPU set the parent placed it on.
+    Between runs SIGTERM has its default meaning again.  The process
+    ends on EOF, or when its parent is gone: under ``fork`` a later
+    sibling holds a copy of this pipe's write end, so the parent's death
+    alone need not bring EOF.  An exception in a run ends it too, as a
+    non-zero exit code exactly like a crash.
     """
     _release_inherited_sockets()
-    home = current_affinity()
     parent = os.getppid()
     while True:
         if not commands.poll(_ORPHAN_TICK):
@@ -177,18 +141,10 @@ def serve(commands: Connection, replies: Connection) -> None:
             command = commands.recv()
         except EOFError:
             return
-        if home:
-            pin_current_thread(home)
         cpu0 = time.process_time()
         compress_worker(**command)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        stats = StatsBlock.attach(command["stats_name"])
-        stats.add(
-            command["stats_slot"],
-            cpu_us=int((time.process_time() - cpu0) * 1e6),
-        )
-        stats.detach()
-        replies.send("done")
+        replies.send(time.process_time() - cpu0)
 
 
 def _release_inherited_sockets() -> None:

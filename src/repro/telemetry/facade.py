@@ -249,8 +249,8 @@ class Telemetry:
         """Record the CPU-set size *actually applied* to ``role``.
 
         Thread workers report through :func:`repro.live.affinity.
-        pin_current_thread`; process workers report via their shared
-        stats slot.  A value smaller than the plan asked for means
+        pin_current_thread`; for a process worker the parent reports
+        the set it placed the worker on.  A value smaller than the plan asked for means
         placement drift (out-of-range CPUs were dropped); 0 means the
         worker runs unpinned.
         """

@@ -120,7 +120,7 @@ def test_sink_output_is_the_input_corpus(assembly):
 
 
 @needs_fork
-def test_live_pipeline_honours_process_execution_mode():
+def test_live_pipeline_honours_process_execution_mode(crash_worker):
     """Regression: a config with ``execution_mode="process"`` (what
     ``lower_live`` emits for a plan's ``execution.mode: process``) used
     to run in thread mode, silently, when handed to ``LivePipeline``."""
@@ -139,11 +139,24 @@ def test_live_pipeline_honours_process_execution_mode():
     assert start.fields["mode"] == "process"
     assert start.fields["domains"] == 2
     # The compressors ran out of process: their heartbeats carry the
-    # worker-process names, and the compress stats are the StatsBlock
-    # fold (thread-mode compressors would beat as "compress-N").
+    # worker-process names (thread-mode compressors would beat as
+    # "compress-N"), and the collectors booked the compress stats from
+    # the workers' stamps.
     beats = tel.heartbeats()
     assert {"mp-compress-0", "mp-compress-1"} <= set(beats)
     assert not any(name.startswith("compress-") for name in beats)
     comp = report.stage_stats["compress"]
     assert comp.chunks == len(STREAMS) * PER_STREAM
     assert comp.bytes_in == comp.chunks * CHUNK_SIZE
+
+    # The booking needs no telemetry, and counts each delivered chunk
+    # once even when a crash made the supervisor replay records that
+    # the collectors' dedup then dropped.
+    for crash in (None, 3):
+        crash_worker(crash)
+        report = LivePipeline(cfg).run(iter(corpus()))
+        assert report.ok, report.errors
+        comp = report.stage_stats["compress"]
+        assert comp.chunks == report.chunks == len(STREAMS) * PER_STREAM
+        assert comp.bytes_in == comp.chunks * CHUNK_SIZE
+        assert comp.busy_seconds > 0

@@ -11,7 +11,6 @@ Runs in the CI ``chaos`` job, outside tier-1: it forks real processes
 and sleeps through real restart backoff.
 """
 
-import dataclasses
 import multiprocessing
 import threading
 
@@ -48,22 +47,10 @@ def chunks():
         )
 
 
-def crashy_plan_topology(config):
-    """Plan the normal topology, then arm domain 0 to die mid-stream."""
-    from repro.mp.topology import plan_topology
-
-    topo = plan_topology(config)
-    workers = tuple(
-        dataclasses.replace(w, crash_after=3) if w.domain == 0 else w
-        for w in topo.workers
-    )
-    return dataclasses.replace(topo, workers=workers)
-
-
-def test_chaos_worker_crash_exactly_once(monkeypatch):
+def test_chaos_worker_crash_exactly_once(monkeypatch, crash_worker):
     import repro.mp.pipeline as mp_pipeline
 
-    monkeypatch.setattr(mp_pipeline, "plan_topology", crashy_plan_topology)
+    crash_worker(3)
     fronts = []
 
     class SpyFront(mp_pipeline.ProcessFront):
@@ -116,18 +103,16 @@ def test_chaos_worker_crash_exactly_once(monkeypatch):
     assert any(e.fields.get("restarts", 0) >= 1 for e in ends)
 
 
-def test_controller_respawn_during_crash_replay_is_exactly_once(monkeypatch):
+def test_controller_respawn_during_crash_replay_is_exactly_once(crash_worker):
     """Drain-and-respawn under crash: the autotuning controller cycles
     the compressor domains (a stall diagnosis) while domain 0 is
     *also* dying for real three chunks in.  Both recoveries ride the
     same restart+replay path and the collector dedup, so the sink must
     still see every chunk exactly once."""
-    import repro.mp.pipeline as mp_pipeline
-
     from repro.control import Controller
     from repro.plan.ir import ControlNode
 
-    monkeypatch.setattr(mp_pipeline, "plan_topology", crashy_plan_topology)
+    crash_worker(3)
 
     bus = EventBus(source="live")
     tel = Telemetry()

@@ -9,6 +9,7 @@ the CLI smoke job (``scripts/mp_smoke.py``).
 
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ class TestParity:
 
 
 class TestAccounting:
-    def test_compress_stats_fold_from_the_stats_block(self):
+    def test_compress_stats_are_booked_from_the_stamps(self):
         report = ProcessPipeline(config()).run(chunks())
         assert report.ok, report.errors
         comp = report.stage_stats["compress"]
@@ -180,6 +181,29 @@ class TestAccounting:
         affinity = tel.affinity_cpus()
         assert "mp-compress-0" in affinity
         assert "mp-compress-1" in affinity
+
+    def test_process_workers_beat_on_the_telemetry_clock(self):
+        """A worker's heartbeat is the end of its last compress span, on
+        the clock /healthz and the watchdog read, so a silent compressor
+        process goes stale exactly like a silent thread."""
+        from repro.obs import EventBus
+        from repro.obs.watchdog import Watchdog, WatchdogConfig
+
+        tel = Telemetry()
+        tel.attach_events(EventBus(source="live"))
+        report = ProcessPipeline(
+            config(process_domains=2), telemetry=tel
+        ).run(chunks())
+        assert report.ok, report.errors
+        workers = {"mp-compress-0", "mp-compress-1"}
+        now, beats = tel.clock.now(), tel.heartbeats()
+        for worker in workers:
+            assert 0 <= now - beats[worker] < 60, (worker, now, beats[worker])
+
+        time.sleep(0.2)
+        events = Watchdog(tel, WatchdogConfig(stall_after=0.1)).poll()
+        stalled = {e.fields["worker"] for e in events if e.kind == "stage_stall"}
+        assert workers <= stalled
 
     def test_non_telemetry_object_is_refused_at_the_door(self):
         """as_telemetry is the only door: past it the hot path calls

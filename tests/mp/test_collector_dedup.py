@@ -36,11 +36,8 @@ class ScriptedSupervisor:
     """Just what ``ProcessFront._collect`` touches."""
 
     def __init__(self, rings):
-        self.rings = rings
+        self.comp = rings
         self.acked = []
-
-    def comp_ring(self, domain):
-        return self.rings[domain]
 
     def ack(self, domain, key):
         self.acked.append((domain, key))

@@ -26,7 +26,7 @@ from repro.live.runtime import LiveConfig
 from repro.mp import ProcessPipeline, pool, shutdown_pool
 from repro.mp.records import ChunkRecord, pack_record, unpack_record
 from repro.mp.supervisor import DomainSupervisor
-from repro.mp.topology import plan_topology
+from repro.telemetry import Telemetry
 from repro.util.rng import make_rng
 
 pytestmark = pytest.mark.skipif(
@@ -104,15 +104,15 @@ def fresh_pool():
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Spy on each ProcessFront: the stats-block PIDs and restart count
-    its run ended with (read before the block is unlinked)."""
+    """Spy on each ProcessFront: the worker PIDs, restart count and
+    worker CPU its run ended with."""
     seen = []
 
     class SpyFront(mp_pipeline.ProcessFront):
         def join(self, timeout):
             errors = super().join(timeout)
             seen.append({
-                "pids": sorted(s.pid for s in self.supervisor.stats.snapshot()),
+                "pids": sorted(w.pid for w in self.supervisor.workers.values()),
                 "restarts": self.supervisor.restarts,
                 "worker_cpu_s": self.fields["worker_cpu_s"],
             })
@@ -136,15 +136,6 @@ def starts(monkeypatch):
     return count
 
 
-def crashy_plan_topology(config):
-    topo = plan_topology(config)
-    workers = tuple(
-        dataclasses.replace(w, crash_after=3) if w.domain == 0 else w
-        for w in topo.workers
-    )
-    return dataclasses.replace(topo, workers=workers)
-
-
 def test_consecutive_runs_reuse_the_same_processes(runs, starts):
     chunks = corpus()
     sinks = [Sink(), Sink()]
@@ -160,7 +151,7 @@ def test_consecutive_runs_reuse_the_same_processes(runs, starts):
     assert first["worker_cpu_s"] > 0 and second["worker_cpu_s"] > 0
 
 
-def test_crashed_worker_never_re_enters_the_pool(runs, monkeypatch):
+def test_crashed_worker_never_re_enters_the_pool(runs, monkeypatch, crash_worker):
     chunks = corpus()
     armed = []
     original_arm = pool.arm
@@ -171,7 +162,7 @@ def test_crashed_worker_never_re_enters_the_pool(runs, monkeypatch):
         return worker
 
     monkeypatch.setattr(pool, "arm", recording_arm)
-    monkeypatch.setattr(mp_pipeline, "plan_topology", crashy_plan_topology)
+    crash_worker(3)
     sink = Sink()
     report = ProcessPipeline(config()).run(iter(chunks), sink=sink)
     assert report.ok, report.errors
@@ -182,7 +173,7 @@ def test_crashed_worker_never_re_enters_the_pool(runs, monkeypatch):
     assert crashed not in idle_pids()
     assert len(idle_pids()) == 2
 
-    monkeypatch.setattr(mp_pipeline, "plan_topology", plan_topology)
+    crash_worker(None)
     sink = Sink()
     report = ProcessPipeline(config()).run(iter(chunks), sink=sink)
     assert report.ok, report.errors
@@ -234,10 +225,10 @@ def test_concurrent_runs_never_share_a_worker():
     assert all(alive(p) for p in idle)
 
 
-def supervised(**config_kwargs):
-    topo = plan_topology(config(compress_threads=1, ring_capacity=8,
-                                **config_kwargs))
-    sup = DomainSupervisor(topo, codec_spec="zlib", start_method="fork")
+def supervised():
+    sup = DomainSupervisor(
+        config(compress_threads=1, ring_capacity=8), codec_spec="zlib"
+    )
     sup.start()
     return sup
 
@@ -254,16 +245,16 @@ def test_drained_run_returns_no_worker():
     sup = supervised()
     try:
         got = []
-        collector = threading.Thread(target=drain, args=(sup.comp_ring(0), got))
+        collector = threading.Thread(target=drain, args=(sup.comp[0], got))
         collector.start()
         for i in range(4):
             rec = ChunkRecord("d", i, bytes(512), False, 512)
             sup.dispatch(0, rec.key, pack_record(rec), timeout=10.0)
-        # Wait until the worker took them (counted, not timed).
+        # Wait until the worker compressed them (counted, not timed).
         deadline = time.monotonic() + 15.0
-        while sup.stats.read(0).chunks < 4 and time.monotonic() < deadline:
+        while len(got) < 4 and time.monotonic() < deadline:
             time.sleep(0.01)
-        pid = sup.stats.read(0).pid
+        pid = sup.workers[0].pid
         sup.terminate()
         collector.join(20.0)
         assert not collector.is_alive()
@@ -278,10 +269,7 @@ def test_drained_run_returns_no_worker():
 def test_aborted_run_returns_no_worker():
     sup = supervised()
     try:
-        deadline = time.monotonic() + 15.0
-        while sup.stats.read(0).pid == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        pid = sup.stats.read(0).pid
+        pid = sup.workers[0].pid
         sup.abort()  # the worker sees its closed input and replies done
         assert sup.join(10.0) == []
     finally:
@@ -293,10 +281,7 @@ def test_aborted_run_returns_no_worker():
 def test_late_run_returns_no_worker():
     sup = supervised()
     try:
-        deadline = time.monotonic() + 15.0
-        while sup.stats.read(0).pid == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        pid = sup.stats.read(0).pid
+        pid = sup.workers[0].pid
         # The input never closes, so the run is still going at shutdown.
         assert sup.join(0.2) == ["mp-compress-0 did not finish within 0.2s"]
     finally:
@@ -412,14 +397,21 @@ def test_forked_worker_holds_no_parent_socket(runs):
 def test_a_re_armed_worker_starts_unpinned_again(runs):
     home = os.sched_getaffinity(0)
     pinned = config(compress_threads=1, affinity={"compress": [min(home)]})
-    assert ProcessPipeline(pinned).run(iter(corpus())).ok
+    tel = Telemetry()
+    assert ProcessPipeline(pinned, telemetry=tel).run(iter(corpus())).ok
     (pid,) = runs[0]["pids"]
     assert os.sched_getaffinity(pid) == {min(home)}
-    assert ProcessPipeline(config(compress_threads=1)).run(iter(corpus())).ok
+    # The parent placed the worker, and records what it applied.
+    assert tel.affinity_cpus()["mp-compress-0"] == 1
+    tel = Telemetry()
+    assert ProcessPipeline(config(compress_threads=1), telemetry=tel).run(
+        iter(corpus())
+    ).ok
     assert runs[1]["pids"] == [pid]
     # Between runs the worker sits where the previous run left it; the
     # next run first moves it back to the set it was started with.
     assert os.sched_getaffinity(pid) == home
+    assert tel.affinity_cpus()["mp-compress-0"] == 0
 
 
 def test_worker_import_closure_stays_small():

@@ -8,7 +8,6 @@ background thread, like the pipeline's does: with bounded rings, a
 dispatch-everything-then-collect test would deadlock by design.
 """
 
-import dataclasses
 import multiprocessing
 import threading
 import time
@@ -19,10 +18,8 @@ import pytest
 from repro.faults.policy import RetryPolicy
 from repro.live.queues import Closed
 from repro.live.runtime import LiveConfig
-from repro.mp.records import ChunkRecord, pack_record, unpack_record
-from repro.mp.stats import WorkerState
+from repro.mp.records import ChunkRecord, pack_record, unpack_stamped
 from repro.mp.supervisor import DomainSupervisor
-from repro.mp.topology import plan_topology
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -45,19 +42,21 @@ class Collector:
         self.supervisor = supervisor
         self.domain = domain
         self.got = []
+        self.stamps = []
         self.error = None
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
     def _run(self):
-        ring = self.supervisor.comp_ring(self.domain)
+        ring = self.supervisor.comp[self.domain]
         try:
             while True:
                 try:
                     for raw in ring.get_many(16, timeout=15.0):
-                        rec = unpack_record(raw)
+                        rec, stamp = unpack_stamped(raw)
                         self.supervisor.ack(self.domain, rec.key)
                         self.got.append(rec)
+                        self.stamps.append(stamp)
                 except Closed:
                     return
         except Exception as exc:  # pragma: no cover - surfaced in join()
@@ -71,22 +70,18 @@ class Collector:
         return self.got
 
 
-def make_supervisor(topo, **kwargs):
+def make_supervisor(ring_capacity=4, **kwargs):
     kwargs.setdefault("codec_spec", "zlib")
-    kwargs.setdefault("start_method", "fork")
-    return DomainSupervisor(topo, **kwargs)
-
-
-def small_topology(**config_kwargs):
-    config_kwargs.setdefault("codec", "zlib")
-    config_kwargs.setdefault("compress_threads", 1)
-    config_kwargs.setdefault("ring_capacity", 4)
-    return plan_topology(LiveConfig(**config_kwargs))
+    config = LiveConfig(
+        codec="zlib", compress_threads=1, ring_capacity=ring_capacity,
+        mp_start_method="fork",
+    )
+    return DomainSupervisor(config, **kwargs)
 
 
 class TestCleanRun:
     def test_dispatch_compress_collect(self):
-        sup = make_supervisor(small_topology())
+        sup = make_supervisor()
         sup.start()
         try:
             collector = Collector(sup)
@@ -100,17 +95,16 @@ class TestCleanRun:
                 assert compressed.compressed
                 assert compressed.orig_len == len(original.payload)
                 assert zlib.decompress(compressed.payload) == original.payload
+            # Every record out carries the worker's compress stamp.
+            assert all(t0 <= t1 for t0, t1 in collector.stamps)
             assert sup.join(10.0) == []
             assert sup.restarts == 0
-            stats = sup.stats.read(0)
-            assert stats.state is WorkerState.STOPPED
-            assert stats.chunks == 10
-            assert stats.heartbeat > 0
+            assert sup.workers[0].cpu_s > 0  # from the run's done reply
         finally:
             sup.shutdown()
 
     def test_outstanding_set_empties_on_ack(self):
-        sup = make_supervisor(small_topology())
+        sup = make_supervisor()
         sup.start()
         try:
             collector = Collector(sup)
@@ -124,17 +118,9 @@ class TestCleanRun:
 
 
 class TestCrashRecovery:
-    def crashy_topology(self, crash_after=3):
-        topo = small_topology()
-        workers = tuple(
-            dataclasses.replace(w, crash_after=crash_after)
-            for w in topo.workers
-        )
-        return dataclasses.replace(topo, workers=workers)
-
-    def test_crash_mid_stream_restarts_and_replays(self):
+    def test_crash_mid_stream_restarts_and_replays(self, crash_worker):
+        crash_worker(3)
         sup = make_supervisor(
-            self.crashy_topology(crash_after=3),
             retry=RetryPolicy(max_attempts=3, base_delay=0.01),
         )
         sup.start()
@@ -151,21 +137,15 @@ class TestCrashRecovery:
             assert {r.key for r in got} == {r.key for r in sent}
             assert sup.restarts >= 1
             assert sup.join(10.0) == []
-            assert sup.stats.read(0).restarts == sup.restarts
+            assert sup.crash_after == {}  # the replacement ran clean
         finally:
             sup.shutdown()
 
-    def test_retry_exhaustion_gives_up_and_aborts(self, monkeypatch):
+    def test_retry_exhaustion_gives_up_and_aborts(self, crash_worker):
+        crash_worker(1, every_restart=True)
         sup = make_supervisor(
-            small_topology(),
             retry=RetryPolicy(max_attempts=2, base_delay=0.01),
         )
-        original = sup._spawn
-
-        def always_crashy(spec):
-            original(dataclasses.replace(spec, crash_after=1))
-
-        monkeypatch.setattr(sup, "_spawn", always_crashy)
         sup.start()
         try:
             collector = Collector(sup)
@@ -178,14 +158,14 @@ class TestCrashRecovery:
             collector.join()
             errors = sup.join(5.0)
             assert any("exhausted" in e for e in errors)
-            assert all(ring.closed for ring in sup.rings.values())
+            assert all(ring.closed for ring in (*sup.raw, *sup.comp))
         finally:
             sup.shutdown()
 
 
 class TestGracefulDrain:
     def test_sigterm_flushes_published_records(self):
-        sup = make_supervisor(small_topology(ring_capacity=8))
+        sup = make_supervisor(ring_capacity=8)
         sup.start()
         try:
             collector = Collector(sup)
@@ -204,10 +184,13 @@ class TestGracefulDrain:
 
 class TestTelemetry:
     def test_stats_fold_into_registry(self):
+        """The parent records the CPU set it placed each worker on (0:
+        unpinned).  Heartbeats come from the pipeline's collector, which
+        this test's Collector stands in for."""
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
-        sup = make_supervisor(small_topology(), telemetry=tel)
+        sup = make_supervisor(telemetry=tel)
         sup.start()
         try:
             collector = Collector(sup)
@@ -218,7 +201,6 @@ class TestTelemetry:
             assert sup.join(10.0) == []
         finally:
             sup.shutdown()
-        assert "mp-compress-0" in tel.heartbeats()
         assert tel.affinity_cpus().get("mp-compress-0") == 0.0
 
 
@@ -245,9 +227,9 @@ class TestJoinRace:
                 self.polls += 1
                 return self.polls <= 2
 
-        sup = make_supervisor(small_topology())
+        sup = make_supervisor()
         proc = RacedProcess()
-        sup._procs[0] = proc
+        sup.workers[0] = proc
         assert sup.join(5.0) == []
         assert proc.polls >= 3
 
@@ -259,6 +241,6 @@ class TestJoinRace:
             def is_alive(self):
                 return True
 
-        sup = make_supervisor(small_topology())
-        sup._procs[0] = StuckProcess()
+        sup = make_supervisor()
+        sup.workers[0] = StuckProcess()
         assert sup.join(0.05) == ["mp-compress-0 did not finish within 0.05s"]

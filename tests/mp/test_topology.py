@@ -1,9 +1,12 @@
-"""ProcessTopology: CPU partitioning and plan-derived layouts."""
+"""The process topology: per-domain CPU sets and the supervisor's layout."""
+
+import multiprocessing
+import os
 
 import pytest
 
 from repro.live.runtime import LiveConfig
-from repro.mp.topology import domain_cpu_sets, plan_topology
+from repro.mp.supervisor import DomainSupervisor, domain_cpu_sets
 from repro.util.errors import ConfigurationError
 
 
@@ -27,52 +30,52 @@ class TestDomainCpuSets:
             domain_cpu_sets([0], 0)
 
 
+def shm_segments():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
 class TestPlanTopology:
+    """The supervisor lays the domains out from the lowered config."""
+
+    def supervisor(self, **config_kwargs):
+        return DomainSupervisor(
+            LiveConfig(codec="zlib", mp_start_method="fork", **config_kwargs),
+            codec_spec="zlib",
+        )
+
     def test_domains_default_to_compress_threads(self):
-        cfg = LiveConfig(codec="zlib", compress_threads=3)
-        topo = plan_topology(cfg)
-        assert topo.domains == 3
-        assert len(topo.workers) == 3
-        assert len(topo.rings) == 6  # raw + comp per domain
+        assert self.supervisor(compress_threads=3).domains == 3
 
     def test_explicit_domain_count_wins(self):
-        cfg = LiveConfig(codec="zlib", compress_threads=4, process_domains=2)
-        assert plan_topology(cfg).domains == 2
+        sup = self.supervisor(compress_threads=4, process_domains=2)
+        assert sup.domains == 2
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="starting a supervisor here needs the fork start method",
+    )
     def test_ring_geometry_comes_from_config(self):
-        cfg = LiveConfig(
-            codec="zlib", compress_threads=1,
-            ring_capacity=16, ring_slot_bytes=1 << 16,
+        sup = self.supervisor(
+            compress_threads=2, ring_capacity=16, ring_slot_bytes=1 << 16,
         )
-        topo = plan_topology(cfg)
-        for spec in topo.rings:
-            assert spec.capacity == 16
-            assert spec.slot_bytes == 1 << 16
-
-    def test_workers_wire_their_own_ring_pair(self):
-        topo = plan_topology(LiveConfig(codec="zlib", compress_threads=2))
-        for d in range(2):
-            w = topo.worker(d)
-            assert w.in_ring == f"raw{d}"
-            assert w.out_ring == f"comp{d}"
-            assert w.stats_slot == d
-            assert w.name == f"mp-compress-{d}"
-            assert w.crash_after is None
-        with pytest.raises(KeyError):
-            topo.worker(5)
+        before = shm_segments()
+        sup.start()
+        try:
+            rings = [*sup.raw, *sup.comp]
+            assert len(rings) == 4  # raw + comp per domain
+            # ...and a run's only segments are its rings.
+            if os.path.isdir("/dev/shm"):
+                assert len(shm_segments() - before) == 4
+            for ring in rings:
+                assert ring.capacity == 16
+                assert ring.slot_bytes == 1 << 16
+        finally:
+            sup.close_inputs()
+            sup.join(10.0)
+            sup.shutdown()
 
     def test_affinity_map_partitions_into_domains(self):
-        cfg = LiveConfig(
-            codec="zlib", compress_threads=2,
-            affinity={"compress": [0, 1, 2, 3]},
+        sup = self.supervisor(
+            compress_threads=2, affinity={"compress": [0, 1, 2, 3]},
         )
-        topo = plan_topology(cfg)
-        assert topo.worker(0).cpus == (0, 1)
-        assert topo.worker(1).cpus == (2, 3)
-
-    def test_describe_names_placements(self):
-        topo = plan_topology(LiveConfig(codec="zlib", compress_threads=1))
-        text = topo.describe()
-        assert "process topology: 1 domains" in text
-        assert "mp-compress-0" in text
-        assert "unpinned" in text
+        assert sup.cpus == [(0, 1), (2, 3)]
