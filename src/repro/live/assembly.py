@@ -161,7 +161,7 @@ class Assembly:
 
     def back(
         self,
-        sink: Callable[[str, int, bytes], None] | None,
+        sink: Callable[[str, int, bytes | bytearray], None] | None,
         after: Callable[[str, int], None] | None = None,
     ) -> None:
         """wireq -> decompressor threads -> sink wrapper.
@@ -174,7 +174,7 @@ class Assembly:
         stats, stoppable = self.stats["decompress"], self.reconfigurable
         lock, delivered, ledger = threading.Lock(), self.delivered, cfg.verify
 
-        def ledger_sink(stream_id: str, index: int, data: bytes) -> None:
+        def ledger_sink(stream_id: str, index: int, data: bytes | bytearray) -> None:
             if ledger:
                 key = (stream_id, index)
                 with lock:

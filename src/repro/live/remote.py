@@ -166,7 +166,7 @@ class ReceiverServer:
         self.close()
 
     def serve(
-        self, sink: Callable[[str, int, bytes], None] | None = None
+        self, sink: Callable[[str, int, bytes | bytearray], None] | None = None
     ) -> EndpointReport:
         """Accept connections (and re-connections) to end-of-stream."""
         asm = Assembly(

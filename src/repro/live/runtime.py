@@ -200,11 +200,16 @@ class LivePipeline:
     def run(
         self,
         source: Iterable[Chunk],
-        sink: Callable[[str, int, bytes], None] | None = None,
+        sink: Callable[[str, int, bytes | bytearray], None] | None = None,
         *,
         telemetry: "bool | object | None" = None,
     ) -> LiveReport:
         """Stream every chunk of ``source`` through the full pipeline.
+
+        ``sink(stream_id, index, data)`` gets each chunk once.  ``data``
+        is ``bytes`` or ``bytearray`` (an uncompressed payload is the
+        buffer it was received into); the pipeline never writes to it
+        after delivery, so the sink may keep it.
 
         ``telemetry`` follows the blessed shape (``docs/telemetry.md``):
         ``True`` builds a fresh :class:`~repro.telemetry.Telemetry`,

@@ -59,10 +59,11 @@ joined wire string (:meth:`FramedSender.send_many`).  The
 join-and-``sendall`` path survives for fault injection, which must
 mangle contiguous wire bytes (and for sockets without ``sendmsg``);
 ``tests/live/test_transport.py`` pins both paths to the same wire
-bytes.  The receive side parses out of a reusable buffer with
-``memoryview``/``unpack_from`` — header fields are decoded in place and
-large payload tails are read straight into their destination
-``bytearray`` via ``recv_into`` (no per-read chunk list, no join).
+bytes.  The receive side parses headers in place with
+``unpack_from``, and a payload lands in memory once: ``recv_into``
+fills a fresh per-frame ``bytearray`` that becomes
+:attr:`Frame.payload` itself, and a large frame fed whole takes the
+read buffer over (:meth:`FramedReceiver._read_payload`).
 
 The receiver verifies the checksum before handing the frame up; a
 mismatch or malformed header raises
@@ -144,7 +145,10 @@ class Frame:
 
     stream_id: str
     index: int
-    payload: bytes
+    #: A received payload is the ``bytearray`` it was received into
+    #: whenever it was at least one read long; nothing writes to it
+    #: after the frame is built.
+    payload: bytes | bytearray
     compressed: bool = False
     orig_len: int = 0
     eos: bool = False
@@ -202,7 +206,7 @@ def pack_blocks(parts: Sequence[bytes]) -> tuple[bytes, tuple[int, ...]]:
     return b"".join((table, *parts)), sizes
 
 
-def _block_sizes(payload: bytes, where: str) -> tuple[int, ...]:
+def _block_sizes(payload: bytes | bytearray, where: str) -> tuple[int, ...]:
     """The sizes a blocked frame's table lists, checked against the
     payload that carries it."""
     have = len(payload)
@@ -313,7 +317,9 @@ def _head_at(buf: bytes | bytearray, pos: int) -> _Head | None:
     return _Head(size, sid_len, index, flags, orig_len, checksum, length)
 
 
-def _checked(head: _Head, sid: bytes, payload: bytes, sent_at: float) -> Frame:
+def _checked(
+    head: _Head, sid: bytes, payload: bytes | bytearray, sent_at: float
+) -> Frame:
     """The frame ``head`` opens, built from its stream id, payload and
     trailer stamp.  The stream id's encoding, the checksum and a blocked
     frame's table are checked here, the one place a malformed payload is
@@ -410,7 +416,7 @@ class FramedSender:
             for frame in frames:
                 self._send_copy(frame)
         else:
-            buffers: list[bytes] = []
+            buffers: list[bytes | bytearray] = []
             sizes: list[int] = []
             for frame in frames:
                 parts = (
@@ -427,7 +433,7 @@ class FramedSender:
         if self.telemetry is not None and len(frames) > 1:
             self.telemetry.record_batch("wire.tx", len(frames))
 
-    def _sendv(self, buffers: list[bytes]) -> None:
+    def _sendv(self, buffers: list[bytes | bytearray]) -> None:
         """Vectored transmit with partial-send recovery."""
         pending = [memoryview(b) for b in buffers if b]
         try:
@@ -498,10 +504,11 @@ class FramedSender:
 class FramedReceiver:
     """Parses frames off a connected socket.
 
-    Maintains a reusable receive buffer: header fields are decoded in
-    place with ``unpack_from`` (no per-field allocations) and payload
-    bytes beyond what is already buffered are read directly into their
-    destination buffer with ``recv_into``.  Because the buffer may hold
+    Maintains a read buffer: header fields are decoded in place with
+    ``unpack_from`` (no per-field allocations), and a payload of at
+    least one read is never copied after it lands — the bytes beyond
+    what is already buffered are read directly into the payload with
+    ``recv_into`` (:meth:`_read_payload`).  Because the buffer may hold
     read-ahead bytes, callers multiplexing on the raw socket (e.g. the
     resilient sender's ACK collection) must consult :attr:`pending`
     before trusting ``select`` — a whole frame may already be buffered
@@ -612,22 +619,37 @@ class FramedReceiver:
                 return None
         return self._take(head)
 
-    def _read_payload(self, length: int) -> bytes:
-        """Assemble the payload: buffered bytes first, then read the
-        remainder straight into the destination (no chunk list/join)."""
-        buffered = len(self._buf) - self._pos
-        if buffered >= length:
+    def _read_payload(self, length: int) -> bytes | bytearray:
+        """The payload at the read position, landed in memory once.
+
+        A payload shorter than one read that is already buffered is
+        sliced out.  A longer one whose frame is whole in the buffer
+        (the :meth:`feed` path) takes the buffer over: the bytes before
+        it go (O(1) at a ``bytearray``'s front), the read-ahead after it
+        (at most one read) moves to a fresh buffer, and the tail is
+        cut.  Otherwise the buffered part is copied into a fresh
+        ``bytearray`` and ``recv_into`` fills the rest in place.  Either
+        buffer belongs to this frame alone: it is never reused, so a
+        decompress thread or the sink may hold it as long as it likes.
+        """
+        pos = self._pos
+        buffered = len(self._buf) - pos
+        if buffered >= length and length < _READ_SIZE:
             with memoryview(self._buf) as mv:
-                payload = bytes(mv[self._pos : self._pos + length])
+                payload = bytes(mv[pos : pos + length])
             self._pos += length
             return payload
+        if buffered >= length:
+            dest = self._buf
+            del dest[:pos]
+            self._buf = dest[length:]
+            self._pos = 0
+            del dest[length:]
+            return dest
         dest = bytearray(length)
         with memoryview(dest) as mv:
-            if buffered:
-                mv[:buffered] = memoryview(self._buf)[
-                    self._pos : self._pos + buffered
-                ]
-                self._pos += buffered
+            mv[:buffered] = memoryview(self._buf)[pos:]
+            self._pos += buffered
             filled = buffered
             while filled < length:
                 try:
@@ -640,7 +662,7 @@ class FramedReceiver:
                         f"({length - filled} of {length} bytes missing)"
                     )
                 filled += n
-        return bytes(dest)
+        return dest
 
     def close(self) -> None:
         try:

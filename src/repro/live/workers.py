@@ -361,8 +361,11 @@ def sender(
         stream_ids = _pump(
             inq, transport.send_many, stats, knobs, telemetry=telemetry
         )
-        for sid in stream_ids or {"-"}:
-            transport.send(Frame.end_of_stream(sid))
+        # One write for every EOS: the receiver stops at the first one
+        # and drops the socket, so a second write could meet EPIPE.
+        transport.send_many(
+            [Frame.end_of_stream(sid) for sid in sorted(stream_ids or {"-"})]
+        )
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"sender: {exc!r}")
     finally:
@@ -587,7 +590,7 @@ def decompressor(
     codec: Codec,
     inq: ClosableQueue,
     stats: StageStats,
-    sink: Callable[[str, int, bytes], None],
+    sink: Callable[[str, int, bytes | bytearray], None],
     cpus: list[int] | None = None,
     *,
     knobs: Knobs,
@@ -656,7 +659,7 @@ def _decompress_one(
     codec: Codec,
     frame: Frame,
     stats: StageStats,
-    sink: Callable[[str, int, bytes], None],
+    sink: Callable[[str, int, bytes | bytearray], None],
     *,
     telemetry,
     track: str,
@@ -676,7 +679,7 @@ def _decompress_block(
     codec: Codec,
     block: "Block[Frame]",
     stats: StageStats,
-    sink: Callable[[str, int, bytes], None],
+    sink: Callable[[str, int, bytes | bytearray], None],
     *,
     telemetry,
     track: str,
@@ -697,10 +700,10 @@ def _decompress_block(
 def _deliver(
     codec: Codec,
     frame: Frame,
-    data: bytes,
+    data: bytes | bytearray,
     busy: float,
     stats: StageStats,
-    sink: Callable[[str, int, bytes], None],
+    sink: Callable[[str, int, bytes | bytearray], None],
     telemetry,
 ) -> None:
     """Check a decoded chunk against its frame, book it, hand it on."""

@@ -10,6 +10,7 @@ the bug this module's refactor fixed: ``LivePipeline`` used to ignore
 
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.data.chunking import Chunk
 from repro.live.remote import ReceiverServer, SenderClient
 from repro.live.runtime import LiveConfig, LivePipeline
+from repro.live.transport import FramedSender
 from repro.obs import EventBus
 from repro.telemetry import Telemetry
 from repro.util.rng import make_rng
@@ -117,6 +119,30 @@ def test_sink_output_is_the_input_corpus(assembly):
         "process": {"ProcessPipeline"},
         "tcp": {"SenderClient", "ReceiverServer"},
     }[assembly]
+
+
+def test_eos_tail_survives_a_receiver_that_stops_at_the_first_eos(
+    monkeypatch,
+):
+    """Regression: the loopback sender wrote one EOS per stream with its
+    own ``send``, while the receiver stops at the first EOS and drops
+    its socket — so the second write could meet EPIPE and fail a run
+    whose chunks were all delivered.  A pause after every batch that
+    holds an EOS makes that race certain; the EOS tail must go out in
+    one write."""
+    send_many = FramedSender.send_many
+
+    def slow_after_eos(self, frames):
+        send_many(self, frames)
+        if any(f.eos for f in frames):
+            time.sleep(0.05)
+
+    monkeypatch.setattr(FramedSender, "send_many", slow_after_eos)
+    chunks = corpus()
+    sink = CapturingSink()
+    (report,) = run_pipeline("thread", iter(chunks), sink, Telemetry())
+    assert report.ok, report.errors
+    assert sink.by_key == {(c.stream_id, c.index): c.payload for c in chunks}
 
 
 @needs_fork

@@ -1,8 +1,10 @@
 """Framed socket transport."""
 
+import random
 import socket
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import pytest
@@ -565,3 +567,147 @@ class TestSendPathParity:
         batched = self._bytes_sent(lambda tx: tx.send_many(self.FRAMES))
         expected = b"".join(TestTracedFrames._wire(f) for f in self.FRAMES)
         assert copied == vectored == batched == expected
+
+
+#: A payload several reads long, as received in one frame.
+_BIG = 8 << 20
+#: What ``feed`` is handed per call: one event-plane read.
+_FEED = 256 << 10
+
+
+def _noise(n: int, seed: int) -> bytes:
+    return random.Random(seed).randbytes(n)
+
+
+def _peak_ratio(receive, size: int):
+    """Run ``receive()`` under ``tracemalloc``; its result and the peak
+    traced allocation as a multiple of ``size``."""
+    tracemalloc.start()
+    try:
+        out = receive()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak / size
+
+
+def _fed(wire: bytes, cuts) -> list[Frame]:
+    """Every frame ``feed`` + ``next_frame`` parse from ``wire`` handed
+    over in the pieces ``cuts`` marks, drained after each piece as the
+    reactor shards do."""
+    a, b = socket.socketpair()
+    try:
+        rx = FramedReceiver(b)
+        frames = []
+        view = memoryview(wire)
+        edges = [0, *cuts, len(wire)]
+        for lo, hi in zip(edges, edges[1:]):
+            rx.feed(view[lo:hi])
+            while (frame := rx.next_frame()) is not None:
+                frames.append(frame)
+        assert not rx.pending
+        return frames
+    finally:
+        a.close()
+        b.close()
+
+
+def _received(wire: bytes) -> list[Frame]:
+    """Every frame the blocking ``recv`` parses from ``wire``."""
+    a, b = socket.socketpair()
+    rx = FramedReceiver(b)
+    writer = threading.Thread(
+        target=lambda: (a.sendall(wire), a.shutdown(socket.SHUT_WR))
+    )
+    writer.start()
+    try:
+        frames = []
+        while (frame := rx.recv()) is not None:
+            frames.append(frame)
+        return frames
+    finally:
+        writer.join()
+        a.close()
+        b.close()
+
+
+class TestPayloadLandsOnce:
+    """A payload of at least one read is the buffer it was received
+    into: one payload-sized allocation per frame on both receive paths,
+    never shared between frames, and checked before it is handed up."""
+
+    def test_blocking_receive_peaks_at_one_payload(self):
+        payload = _noise(_BIG, 1)
+        tx, rx = socket_pipe()
+        sender = threading.Thread(target=tx.send, args=(Frame("s", 0, payload),))
+
+        def receive():
+            sender.start()
+            return rx.recv()
+
+        try:
+            frame, ratio = _peak_ratio(receive, _BIG)
+        finally:
+            sender.join()
+            tx.sock.close()
+            rx.close()
+        assert frame.payload == payload
+        assert ratio <= 1.1
+
+    def test_feed_peaks_at_one_payload(self):
+        big = _noise(_BIG, 2)
+        small = _noise(2048, 3)
+        wire = encode_frame(Frame("s", 0, big)) + encode_frame(Frame("s", 1, small))
+        cuts = range(_FEED, len(wire), _FEED)
+        frames, ratio = _peak_ratio(lambda: _fed(wire, cuts), _BIG)
+        assert [f.payload for f in frames] == [big, small]
+        assert ratio <= 1.1
+
+    @pytest.mark.parametrize("path", ["recv", "feed"])
+    def test_back_to_back_large_frames_do_not_alias(self, path):
+        first, second = _noise(300_000, 4), _noise(300_000, 5)
+        wire = encode_frame(Frame("s", 0, first)) + encode_frame(
+            Frame("s", 1, second)
+        )
+        got = _received(wire) if path == "recv" else _fed(wire, [len(wire)])
+        assert [f.payload for f in got] == [first, second]
+        assert got[0].payload is not got[1].payload
+
+    @pytest.mark.parametrize("path", ["recv", "feed"])
+    def test_flipped_payload_byte_is_refused(self, path):
+        payload = _noise(300_000, 6)
+        wire = bytearray(encode_frame(Frame("s", 0, payload)))
+        wire[len(wire) // 2] ^= 0x01
+        with pytest.raises(FrameIntegrityError, match="checksum"):
+            if path == "recv":
+                _received(bytes(wire))
+            else:
+                _fed(bytes(wire), [1000])
+
+    @given(
+        big_traced=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_yields_the_decoded_frames(self, big_traced, data):
+        parts, blocks = pack_blocks([b"block one", b"", b"block three"])
+        frames = [
+            Frame("big", 0, _noise(96 << 10, 7), traced=big_traced,
+                  sent_at=1.25 if big_traced else 0.0),
+            Frame("t", 1, b"traced", traced=True, sent_at=2.5),
+            Frame("b", 2, parts, compressed=True, orig_len=20, blocks=blocks),
+            Frame("s", 3, _noise(2048, 8)),
+        ]
+        wire = b"".join(map(encode_frame, frames))
+        cuts = sorted(set(data.draw(
+            st.lists(st.integers(1, len(wire) - 1), max_size=12)
+        )))
+        decoded, pos = [], 0
+        while pos < len(wire):
+            frame, size = decode_frame(wire[pos:])
+            decoded.append(frame)
+            pos += size
+        assert decoded == frames
+        got = _fed(wire, cuts)
+        assert got == decoded
+        assert all(type(f.payload) in (bytes, bytearray) for f in got)
