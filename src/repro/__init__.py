@@ -75,7 +75,7 @@ if TYPE_CHECKING:
         polaris_spec,
         updraft_spec,
     )
-    from repro.osmodel import AffinityMask, FirstTouchAllocator, OsScheduler
+    from repro.osmodel import AffinityMask, OsScheduler
 
 __version__ = "1.0.0"
 
@@ -99,6 +99,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CoreId", "Machine", "MachineSpec", "NicSpec", "SocketSpec",
         "lynxdtn_spec", "polaris_spec", "updraft_spec",
     ),
-    "repro.osmodel": ("AffinityMask", "FirstTouchAllocator", "OsScheduler"),
+    "repro.osmodel": ("AffinityMask", "OsScheduler"),
 })
 __all__.append("__version__")

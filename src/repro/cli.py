@@ -268,8 +268,8 @@ def _add_live(sub) -> None:
     parser.add_argument("--chunks", type=int, default=12)
     parser.add_argument(
         "--codec", metavar="SPEC",
-        help="codec spec: a name, preset, or 'name:k=v,...' string "
-        "(e.g. zlib:level=1, bz2, adaptive:allowed=zlib|null) "
+        help="codec spec: a name or 'name:k=v,...' string "
+        "(e.g. zlib:level=6, shuffle-lz4, adaptive:allowed=zlib|null) "
         "(default: the plan's codec policy, else zlib)",
     )
     parser.add_argument(
@@ -367,6 +367,7 @@ def _add_live(sub) -> None:
 
 
 def _live(args) -> int:
+    from repro.compress.codec import resolve_codec
     from repro.faults import FaultInjector, parse_fault
     from repro.live import LiveConfig, LivePipeline
     from repro.util.errors import ValidationError
@@ -420,6 +421,7 @@ def _live(args) -> int:
     }
     try:
         config = dataclasses.replace(base, **given)
+        resolve_codec(config.codec)  # fail fast, before any worker starts
     except ValidationError as exc:
         parser.error(str(exc))
     if config.trace_per_stream_cap and not config.trace_sample:
@@ -732,8 +734,8 @@ def _add_plan(sub) -> None:
     )
     generate.add_argument(
         "--codec", metavar="SPEC",
-        help="codec policy for the plan: a name, preset, or "
-        "'name:k=v,...' spec string (e.g. zlib:level=1, bz2, "
+        help="codec policy for the plan: a name or "
+        "'name:k=v,...' spec string (e.g. zlib:level=6, shuffle-lz4, "
         "adaptive:allowed=zlib|null,probe_interval=8); omitted = the "
         "default (zlib), which keeps plan files byte-identical to "
         "pre-codec-policy writers",

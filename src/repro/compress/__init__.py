@@ -14,7 +14,7 @@ projections).  This package provides:
 - :mod:`repro.compress.codec` — the codec registry the runtime uses:
   a :func:`register_codec` decorator, the serializable
   :class:`CodecSpec`, and :func:`resolve_codec` — with LZ4, the
-  shuffle/delta filter stacks, zlib, bz2, and a null codec built in;
+  shuffle/delta filter stacks, zlib, and a null codec built in;
 - :mod:`repro.compress.adaptive` — per-chunk codec selection from a
   byte-entropy probe plus EWMA throughput/ratio feedback.
 
@@ -28,7 +28,6 @@ from repro.compress.adaptive import (
     byte_entropy,
 )
 from repro.compress.codec import (
-    Bz2Codec,
     Codec,
     CodecSpec,
     LZ4Codec,
@@ -38,7 +37,6 @@ from repro.compress.codec import (
     codec_spec,
     decompressor_for,
     get_codec,
-    presets,
     register_codec,
     resolve_codec,
     wire_codec_name,
@@ -49,7 +47,6 @@ from repro.compress.xxhash import xxhash32
 
 __all__ = [
     "AdaptiveCodec",
-    "Bz2Codec",
     "Codec",
     "CodecSelector",
     "CodecSpec",
@@ -65,7 +62,6 @@ __all__ = [
     "decompress_frame",
     "decompressor_for",
     "get_codec",
-    "presets",
     "register_codec",
     "resolve_codec",
     "wire_codec_name",

@@ -25,7 +25,6 @@ kwargs — used by plan files, CLI flags, and the process-mode boundary
 
 from __future__ import annotations
 
-import bz2
 import threading
 import zlib
 from abc import ABC, abstractmethod
@@ -44,6 +43,10 @@ from repro.util.errors import CodecError, ValidationError
 #: Wire id meaning "the codec the pipeline was configured with" — the
 #: value legacy frames carry, so static-codec runs stay byte-identical.
 WIRE_ID_DEFAULT = 0
+
+#: Wire ids of codecs that were removed.  Frames that carry one may
+#: still exist, so no other codec may ever take the id.
+_RETIRED_WIRE_IDS: dict[int, str] = {6: "bz2", 7: "zstd"}
 
 
 class Codec(ABC):
@@ -113,9 +116,10 @@ def register_codec(*, wire_id: int) -> Callable[[C], C]:
 
     ``wire_id`` must be unique in ``[1, 255]`` (0 is reserved for "the
     configured codec") and is stamped onto the class.  The class must
-    set a non-empty ``name``.  Registering a duplicate name or wire id
-    raises :class:`ValidationError` — ids are part of the wire format
-    and must never be recycled.
+    set a non-empty ``name``.  Registering a duplicate name, a taken
+    wire id or a retired one (6 and 7, once bz2 and zstd) raises
+    :class:`ValidationError` — ids are part of the wire format and must
+    never be recycled.
     """
 
     def _register(cls: C) -> C:
@@ -131,6 +135,11 @@ def register_codec(*, wire_id: int) -> Callable[[C], C]:
         existing = _REGISTRY.get(name)
         if existing is not None and existing is not cls:
             raise ValidationError(f"codec name {name!r} already registered")
+        if wire_id in _RETIRED_WIRE_IDS:
+            raise ValidationError(
+                f"codec wire id {wire_id} is retired "
+                f"(was {_RETIRED_WIRE_IDS[wire_id]!r}) and never reused"
+            )
         if wire_id != WIRE_ID_DEFAULT:
             holder = _WIRE_IDS.get(wire_id)
             if holder is not None and holder != name:
@@ -146,13 +155,8 @@ def register_codec(*, wire_id: int) -> Callable[[C], C]:
 
 
 def available_codecs() -> list[str]:
-    """Registered codec names (presets not included; see ``presets()``)."""
+    """Registered codec names."""
     return sorted(_REGISTRY)
-
-
-def presets() -> dict[str, "CodecSpec"]:
-    """Preset aliases resolvable anywhere a codec name is accepted."""
-    return dict(_PRESETS)
 
 
 def codec_class(name: str) -> type[Codec]:
@@ -180,7 +184,7 @@ def wire_codec_name(wire_id: int) -> str:
 
 
 def get_codec(name: str, **kwargs: Any) -> Codec:
-    """Instantiate a codec by registry name (presets allowed)."""
+    """Instantiate a codec by registry name."""
     return CodecSpec.parse(name).with_params(**kwargs).create()
 
 
@@ -297,16 +301,14 @@ class CodecSpec:
 
     @classmethod
     def parse(cls, text: str) -> "CodecSpec":
-        """Parse the string form, expanding preset aliases."""
+        """Parse the string form."""
         text = text.strip()
         if not text:
             raise ValidationError("empty codec spec")
         name, _, tail = text.partition(":")
-        preset = _PRESETS.get(name)
-        base = preset if preset is not None else cls(name)
         if not tail:
-            return base
-        params: dict[str, Any] = dict(base.params)
+            return cls(name)
+        params: dict[str, Any] = {}
         for item in tail.split(","):
             key, sep, raw = item.partition("=")
             key = key.strip()
@@ -316,7 +318,7 @@ class CodecSpec:
                     "(expected key=value)"
                 )
             params[key] = _coerce(raw.strip())
-        return cls(base.name, params)
+        return cls(name, params)
 
 
 def _coerce(raw: str) -> Any:
@@ -437,7 +439,7 @@ class DeltaShuffleLZ4Codec(Codec):
     On smooth uint16 projections the delta high-byte plane is almost all
     zeros, so the achieved ratio is dominated by the (noisy) low-byte
     plane — landing at the ~2:1 the paper reports for its tomographic
-    chunks.  This codec is the repo default for projection payloads.
+    chunks.  Opt-in: the live pipeline's default codec is ``zlib``.
     """
 
     name = "delta-shuffle-lz4"
@@ -500,82 +502,3 @@ class NullCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         return data
-
-
-@register_codec(wire_id=6)
-class Bz2Codec(Codec):
-    """stdlib bz2 — high-ratio, low-throughput end of the frontier."""
-
-    name = "bz2"
-
-    def __init__(self, level: int = 9) -> None:
-        if not 1 <= level <= 9:
-            raise ValidationError("bz2 level must be in [1, 9]")
-        self.level = level
-
-    def compress(self, data: bytes) -> bytes:
-        return bz2.compress(data, self.level)
-
-    def decompress(self, data: bytes) -> bytes:
-        try:
-            return bz2.decompress(data)
-        except (OSError, ValueError) as exc:
-            raise CodecError(f"bz2 decompression failed: {exc}") from exc
-
-
-def _register_zstd() -> bool:
-    """Register a real zstd codec when the stdlib has one (3.14+)."""
-    try:
-        from compression import zstd  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-
-    try:
-        _LEVEL_MIN, _LEVEL_MAX = (
-            zstd.CompressionParameter.compression_level.bounds()
-        )
-    except AttributeError:
-        _LEVEL_MIN, _LEVEL_MAX = -131072, 22  # upstream zstd limits
-
-    @register_codec(wire_id=7)
-    class ZstdCodec(Codec):
-        """stdlib zstd (``compression.zstd``, Python 3.14+)."""
-
-        name = "zstd"
-
-        def __init__(self, level: int = 3) -> None:
-            if not _LEVEL_MIN <= level <= _LEVEL_MAX:
-                raise ValidationError(
-                    f"zstd level must be in [{_LEVEL_MIN}, {_LEVEL_MAX}]"
-                )
-            self.level = level
-
-        def compress(self, data: bytes) -> bytes:
-            return zstd.compress(data, self.level)  # type: ignore[no-any-return]
-
-        def decompress(self, data: bytes) -> bytes:
-            try:
-                return zstd.decompress(data)  # type: ignore[no-any-return]
-            except Exception as exc:
-                raise CodecError(f"zstd decompression failed: {exc}") from exc
-
-    return True
-
-
-HAS_STDLIB_ZSTD = _register_zstd()
-
-#: Preset aliases: spec strings users can pass wherever a codec name
-#: goes.  Until the stdlib ships zstd everywhere (3.14+), the ``zstd-*``
-#: presets map onto zlib levels with roughly matching speed/ratio
-#: trade-offs — the wire carries plain zlib, so receivers need nothing.
-_PRESETS: dict[str, CodecSpec] = {
-    "zstd-fast": CodecSpec("zlib", {"level": 1}),
-    "zstd-default": CodecSpec("zlib", {"level": 6}),
-    "zstd-high": CodecSpec("zlib", {"level": 9}),
-}
-if HAS_STDLIB_ZSTD:  # pragma: no cover - Python 3.14+ only
-    _PRESETS = {
-        "zstd-fast": CodecSpec("zstd", {"level": 1}),
-        "zstd-default": CodecSpec("zstd", {"level": 3}),
-        "zstd-high": CodecSpec("zstd", {"level": 17}),
-    }

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.core.advisor import CapacityAdvisor, Prediction
     from repro.core.config import (
         FaultSpec,
         ScenarioConfig,
@@ -53,7 +52,6 @@ if TYPE_CHECKING:
 # ``repro.core.config``, and an eager package would pull in the
 # generator, which imports ``repro.plan.ir`` back.
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.core.advisor": ("CapacityAdvisor", "Prediction"),
     "repro.core.config": (
         "FaultSpec", "ScenarioConfig", "StageConfig", "StageKind",
         "StreamConfig",

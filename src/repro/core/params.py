@@ -68,7 +68,6 @@ CODEC_COST_FACTORS: dict[str, tuple[float, float]] = {
     "shuffle-lz4": (0.90, 0.90),
     "delta-shuffle-lz4": (0.85, 0.85),
     "zlib": (0.08, 0.35),
-    "bz2": (0.015, 0.06),
     "null": (12.0, 12.0),
     "adaptive": (1.0, 1.0),
 }

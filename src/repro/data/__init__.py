@@ -9,13 +9,10 @@ matrix) in chunks of 11.0592 MB — exactly one X-ray projection
 - :mod:`repro.data.spheres` — the phantom and analytic projection
   generator (line integrals through spheres; vectorized numpy);
 - :mod:`repro.data.chunking` — the :class:`Chunk` unit of streaming work
-  and helpers to cut a dataset into projection-sized chunks;
-- :mod:`repro.data.container` — a minimal chunked-array container file
-  (the HDF5 stand-in; see DESIGN.md §2).
+  and helpers to cut a dataset into projection-sized chunks.
 """
 
 from repro.data.chunking import Chunk, ChunkSource, SyntheticChunkSource
-from repro.data.container import ChunkedContainer
 from repro.data.spheres import (
     PAPER_CHUNK_BYTES,
     PAPER_DETECTOR_SHAPE,
@@ -26,7 +23,6 @@ from repro.data.spheres import (
 __all__ = [
     "Chunk",
     "ChunkSource",
-    "ChunkedContainer",
     "PAPER_CHUNK_BYTES",
     "PAPER_DETECTOR_SHAPE",
     "SpheresDataset",

@@ -495,10 +495,13 @@ class FramedSender:
             pass
 
     def close(self) -> None:
+        """Half-close, so the peer reads what is buffered and then EOF,
+        and release the socket."""
         try:
             self.sock.shutdown(socket.SHUT_WR)
         except OSError:
             pass
+        self._abort()
 
 
 class FramedReceiver:

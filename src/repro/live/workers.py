@@ -583,6 +583,7 @@ def receiver(
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"receiver: {exc!r}")
     finally:
+        transport.close()
         outq.close()
 
 

@@ -181,10 +181,6 @@ class FlowNetwork:
 
     # -- public API ------------------------------------------------------
 
-    @property
-    def active_flows(self) -> tuple[Flow, ...]:
-        return tuple(self._flows)
-
     def add_observer(self, fn: IntervalObserver) -> None:
         """Register a metrics observer called on every rate interval."""
         self._observers.append(fn)

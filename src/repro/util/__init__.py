@@ -19,12 +19,7 @@ from repro.util.units import (
     Gbps,
     KiB,
     MiB,
-    bits,
-    bytes_to_bits,
-    fmt_bytes,
-    fmt_rate_bps,
     gbps_to_bytes_per_s,
-    parse_size,
 )
 
 __all__ = [
@@ -40,13 +35,8 @@ __all__ = [
     "TimeSeries",
     "ValidationError",
     "WindowStats",
-    "bits",
-    "bytes_to_bits",
     "derive_seed",
-    "fmt_bytes",
-    "fmt_rate_bps",
     "format_table",
     "gbps_to_bytes_per_s",
     "make_rng",
-    "parse_size",
 ]

@@ -5,63 +5,22 @@ Conventions used throughout the library:
 - **sizes** are plain ``int`` byte counts;
 - **rates** are ``float`` and explicitly suffixed: ``_bps`` (bits per
   second) for network quantities, ``_Bps`` (bytes per second) for memory
-  and codec quantities.  The paper reports network numbers in Gbps, so
-  formatting helpers default to Gbps.
+  and codec quantities.  The paper reports network numbers in Gbps.
 
-Binary prefixes (KiB/MiB/GiB) are used for memory sizes to match how the
-paper sizes chunks (11.0592 MB = one X-ray projection, a decimal-MB
-quantity) and DIMMs; decimal helpers are provided for that chunk size.
+Binary prefixes (KiB/MiB/GiB) are used for memory sizes (DIMMs,
+buffers); the paper's chunk size (11.0592 MB = one X-ray projection) is
+a decimal-MB quantity and is spelled out where it is used.
 """
 
 from __future__ import annotations
-
-import re
-
-from repro.util.errors import ValidationError
 
 #: Binary size multipliers (bytes).
 KiB: int = 1024
 MiB: int = 1024 * KiB
 GiB: int = 1024 * MiB
-TiB: int = 1024 * GiB
 
-#: Decimal size multipliers (bytes) — network and instrument vendors use these.
-KB: int = 1000
-MB: int = 1000 * KB
-GB: int = 1000 * MB
-
-#: Rate multipliers (bits per second).
-Kbps: float = 1e3
-Mbps: float = 1e6
+#: Rate multiplier (bits per second).
 Gbps: float = 1e9
-Tbps: float = 1e12
-
-_SIZE_RE = re.compile(
-    r"^\s*(?P<num>\d+(?:\.\d+)?)\s*(?P<unit>[KMGT]i?B|B)?\s*$",
-    re.IGNORECASE,
-)
-
-_SIZE_UNITS = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": 1000 * GB,
-    "kib": KiB,
-    "mib": MiB,
-    "gib": GiB,
-    "tib": TiB,
-}
-
-
-def bits(nbytes: int | float) -> float:
-    """Return the number of bits in ``nbytes`` bytes."""
-    return float(nbytes) * 8.0
-
-
-def bytes_to_bits(nbytes: int | float) -> float:
-    """Alias of :func:`bits`, reads better at call sites converting totals."""
-    return bits(nbytes)
 
 
 def gbps_to_bytes_per_s(rate_gbps: float) -> float:
@@ -72,48 +31,3 @@ def gbps_to_bytes_per_s(rate_gbps: float) -> float:
 def bytes_per_s_to_gbps(rate_Bps: float) -> float:
     """Convert a rate in bytes/second to Gbps."""
     return rate_Bps * 8.0 / Gbps
-
-
-def parse_size(text: str | int) -> int:
-    """Parse a human size string (``"11.0592MB"``, ``"16 GiB"``) to bytes.
-
-    Integers pass through unchanged.  A bare number is taken as bytes.
-    Raises :class:`ValidationError` for unparseable input or a negative
-    value.
-    """
-    if isinstance(text, int):
-        if text < 0:
-            raise ValidationError(f"size must be non-negative, got {text}")
-        return text
-    m = _SIZE_RE.match(str(text))
-    if not m:
-        raise ValidationError(f"unparseable size: {text!r}")
-    num = float(m.group("num"))
-    unit = (m.group("unit") or "B").lower()
-    try:
-        mult = _SIZE_UNITS[unit]
-    except KeyError as exc:  # pragma: no cover - regex restricts units
-        raise ValidationError(f"unknown size unit in {text!r}") from exc
-    return int(round(num * mult))
-
-
-def fmt_bytes(nbytes: int | float) -> str:
-    """Format a byte count with a binary prefix (``"10.5 MiB"``)."""
-    n = float(nbytes)
-    for unit, mult in (("TiB", TiB), ("GiB", GiB), ("MiB", MiB), ("KiB", KiB)):
-        if abs(n) >= mult:
-            return f"{n / mult:.2f} {unit}"
-    return f"{int(n)} B"
-
-
-def fmt_rate_bps(rate_bps: float) -> str:
-    """Format a bit rate (``"105.41 Gbps"``)."""
-    for unit, mult in (("Tbps", Tbps), ("Gbps", Gbps), ("Mbps", Mbps), ("Kbps", Kbps)):
-        if abs(rate_bps) >= mult:
-            return f"{rate_bps / mult:.2f} {unit}"
-    return f"{rate_bps:.0f} bps"
-
-
-def fmt_rate_Bps(rate_Bps: float) -> str:
-    """Format a byte rate (``"1.20 GiB/s"``)."""
-    return fmt_bytes(rate_Bps) + "/s"

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compress.adaptive import AdaptiveCodec
 from repro.compress.codec import (
-    Bz2Codec,
     Codec,
     CodecSpec,
     DeltaShuffleLZ4Codec,
-    HAS_STDLIB_ZSTD,
     LZ4Codec,
     NullCodec,
     ShuffleLZ4Codec,
@@ -21,7 +19,6 @@ from repro.compress.codec import (
     codec_spec,
     decompressor_for,
     get_codec,
-    presets,
     register_codec,
     resolve_codec,
     wire_codec_name,
@@ -32,7 +29,6 @@ from repro.util.errors import CodecError, ValidationError
 #: payload codec (it delegates), so the static lists exclude it.
 ALL = [
     "adaptive",
-    "bz2",
     "delta-shuffle-lz4",
     "lz4",
     "null",
@@ -53,7 +49,6 @@ class TestRegistry:
         assert isinstance(get_codec("lz4"), LZ4Codec)
         assert isinstance(get_codec("zlib"), ZlibCodec)
         assert isinstance(get_codec("null"), NullCodec)
-        assert isinstance(get_codec("bz2"), Bz2Codec)
         assert isinstance(get_codec("shuffle-lz4"), ShuffleLZ4Codec)
         assert isinstance(get_codec("delta-shuffle-lz4"), DeltaShuffleLZ4Codec)
         assert isinstance(get_codec("adaptive"), AdaptiveCodec)
@@ -74,7 +69,6 @@ class TestRegistry:
             "delta-shuffle-lz4": 3,
             "zlib": 4,
             "null": 5,
-            "bz2": 6,
             "adaptive": 0,  # never on the wire; frames carry the choice
         }
         for name, wid in expected.items():
@@ -93,8 +87,19 @@ class TestRegistry:
         assert decompressor_for(4) is decompressor_for(4)
 
     def test_decompressor_for_unknown_id(self):
-        with pytest.raises(CodecError, match="unknown codec wire id"):
-            decompressor_for(251)
+        # 6 and 7 are the retired bz2 and zstd ids: no decoder, a clean
+        # CodecError rather than a KeyError from the registry.
+        for wire_id in (251, 6, 7):
+            with pytest.raises(CodecError, match="unknown codec wire id"):
+                decompressor_for(wire_id)
+
+    @pytest.mark.parametrize("wire_id,holder", [(6, "bz2"), (7, "zstd")])
+    def test_register_retired_wire_id_rejected(self, wire_id, holder):
+        with pytest.raises(ValidationError, match=f"retired.*{holder}"):
+
+            @register_codec(wire_id=wire_id)
+            class Recycled(NullCodec):
+                name = "recycled"
 
     def test_register_duplicate_name_rejected(self):
         with pytest.raises(ValidationError, match="already registered"):
@@ -190,17 +195,6 @@ class TestCodecSpec:
     def test_bad_params_rejected_at_create(self):
         with pytest.raises(ValidationError, match="rejected params"):
             CodecSpec("zlib", {"bogus_knob": 1}).create()
-
-    def test_presets_resolve(self):
-        assert set(presets()) >= {"zstd-fast", "zstd-default", "zstd-high"}
-        c = resolve_codec("zstd-default")
-        assert isinstance(c, ZlibCodec)
-        data = b"payload " * 512
-        assert c.decompress(c.compress(data)) == data
-
-    def test_preset_params_can_be_overridden(self):
-        c = resolve_codec("zstd-fast:level=4")
-        assert c.level == 4
 
 
 class TestResolveCodec:
@@ -341,30 +335,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ZlibCodec(level=10)
 
-    def test_bz2_level(self):
-        with pytest.raises(ValidationError):
-            Bz2Codec(level=0)
-
     def test_shuffle_itemsize(self):
         with pytest.raises(ValidationError):
             ShuffleLZ4Codec(itemsize=0)
         with pytest.raises(ValidationError):
             DeltaShuffleLZ4Codec(itemsize=3)
 
-    @pytest.mark.skipif(
-        not HAS_STDLIB_ZSTD, reason="needs Python 3.14+ stdlib zstd"
-    )
-    def test_zstd_level(self):  # pragma: no cover - Python 3.14+ only
-        with pytest.raises(ValidationError):
-            get_codec("zstd", level=99_999)
-
     def test_zlib_garbage_raises_codec_error(self):
         with pytest.raises(CodecError):
             get_codec("zlib").decompress(b"not zlib data")
-
-    def test_bz2_garbage_raises_codec_error(self):
-        with pytest.raises(CodecError):
-            get_codec("bz2").decompress(b"not bz2 data")
 
     def test_lz4_garbage_raises_codec_error(self):
         with pytest.raises(CodecError):

@@ -27,8 +27,21 @@ class TestLiveCli:
         assert rc == 0
         assert "chunks=3" in out
 
-    def test_bad_codec(self):
-        from repro.util.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            main(["live", "--chunks", "1", "--detector", "60x64", "--codec", "nope"])
+    def test_bad_codec(self, capsys):
+        """An unknown codec (the retired bz2 and zstd-* names among them)
+        is a usage error in every mode, caught before any worker, socket
+        or process starts: exit 2 and one error line naming it."""
+        modes = ([], ["--mode", "process"], ["--listen", "127.0.0.1:0"],
+                 ["--connect", "127.0.0.1:9"])
+        for codec in ("gzip9000", "bz2", "zstd-fast"):
+            for mode in modes:
+                with pytest.raises(SystemExit) as info:
+                    main(["live", "--chunks", "1", "--detector", "60x64",
+                          "--codec", codec, *mode])
+                assert info.value.code == 2
+                err = capsys.readouterr().err
+                errors = [ln for ln in err.splitlines() if "error:" in ln]
+                assert len(errors) == 1, err
+                assert errors[0].startswith(
+                    f"repro live: error: unknown codec {codec!r}"
+                )

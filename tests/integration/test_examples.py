@@ -29,12 +29,6 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "4/4 projections bit-exact" in out
 
-    def test_staged_dataset(self, capsys):
-        load_example("staged_dataset").main()
-        out = capsys.readouterr().out
-        assert "8/8 projections bit-exact" in out
-        assert "on disk" in out
-
     @pytest.mark.slow
     def test_bottleneck_analysis(self, capsys):
         load_example("bottleneck_analysis").main()

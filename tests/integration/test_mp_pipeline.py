@@ -98,7 +98,7 @@ class TestParity:
     @pytest.mark.parametrize(
         "codec",
         [
-            "bz2:level=1",
+            "zlib:level=6",
             "adaptive:allowed=zlib|null,probe_interval=4",
         ],
     )

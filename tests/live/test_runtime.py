@@ -1,5 +1,8 @@
 """Live pipeline end-to-end on this host."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,19 @@ class TestEndToEnd:
         report = LivePipeline(LiveConfig(codec="zlib")).run(iter([]))
         assert report.ok
         assert report.chunks == 0
+
+    def test_run_closes_every_socket(self):
+        """Each connection's sending end is closed by its worker, not
+        left to the garbage collector (a ResourceWarning per socket)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = LivePipeline(
+                LiveConfig(codec="zlib", connections=2)
+            ).run(payload_chunks(6))
+            gc.collect()
+        assert report.ok, report.errors
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_summary_renders(self):
         report = LivePipeline(LiveConfig(codec="zlib")).run(payload_chunks(3))

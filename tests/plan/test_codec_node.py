@@ -30,11 +30,11 @@ class TestCodecNodeSpec:
         assert str(node.spec()) == "zlib"
 
     def test_from_spec_string_with_params(self):
-        node = CodecNode.from_spec("bz2:level=1")
+        node = CodecNode.from_spec("zlib:level=6")
         assert not node.is_default
-        assert node.name == "bz2"
-        assert node.params == (("level", 1),)
-        assert str(node.spec()) == "bz2:level=1"
+        assert node.name == "zlib"
+        assert node.params == (("level", 6),)
+        assert str(node.spec()) == "zlib:level=6"
 
     def test_from_spec_object(self):
         node = CodecNode.from_spec(CodecSpec.parse("zlib:level=9"))
@@ -55,7 +55,7 @@ class TestCodecNodeSpec:
         assert "adaptive over zlib|null" in CodecNode.from_spec(
             "adaptive:allowed=zlib|null,probe_interval=8"
         ).describe()
-        assert CodecNode.from_spec("bz2:level=1").describe() == "bz2:level=1"
+        assert CodecNode.from_spec("zlib:level=6").describe() == "zlib:level=6"
 
 
 class TestSerialization:
@@ -75,7 +75,7 @@ class TestSerialization:
 
     def test_unknown_codec_keys_rejected(self, generated_plan):
         plan = dataclasses.replace(
-            generated_plan, codec=CodecNode.from_spec("bz2")
+            generated_plan, codec=CodecNode.from_spec("shuffle-lz4")
         )
         doc = plan_to_dict(plan)
         doc["codec"]["surprise"] = 1
@@ -138,9 +138,9 @@ class TestLowering:
 
     def test_non_default_codec_scales_cost_model(self, generated_plan):
         plan = dataclasses.replace(
-            generated_plan, codec=CodecNode.from_spec("bz2")
+            generated_plan, codec=CodecNode.from_spec("shuffle-lz4")
         )
-        fc, fd = CODEC_COST_FACTORS["bz2"]
+        fc, fd = CODEC_COST_FACTORS["shuffle-lz4"]
         cost = lower_sim(plan).cost
         assert cost.compress_rate == pytest.approx(
             generated_plan.cost.compress_rate * fc
@@ -161,7 +161,7 @@ class TestLowering:
 
     def test_lower_live_explicit_codec_wins(self, generated_plan):
         plan = dataclasses.replace(
-            generated_plan, codec=CodecNode.from_spec("bz2")
+            generated_plan, codec=CodecNode.from_spec("shuffle-lz4")
         )
         config = lower_live(plan, codec="null").config
         assert config.codec == "null"

@@ -77,9 +77,9 @@ class TestApply:
 
     def test_set_codec(self, plan):
         result = apply_delta(plan, PlanDelta(
-            ops=(SetCodec("bz2:level=1"),)
+            ops=(SetCodec("zlib:level=6"),)
         ))
-        assert str(result.plan.codec.spec()) == "bz2:level=1"
+        assert str(result.plan.codec.spec()) == "zlib:level=6"
 
     def test_ops_apply_in_order(self, plan):
         result = apply_delta(plan, PlanDelta(ops=(
@@ -200,7 +200,7 @@ class TestPlanDiffDerivation:
             ScaleStage("s", "compress", 6),
             MoveStage("s", "decompress", (1,)),
             SetBatchFrames("s", 4),
-            SetCodec("bz2:level=1"),
+            SetCodec("zlib:level=6"),
         ))).plan
         delta = plan_delta(plan, target)
         kinds = {op.op for op in delta.ops}

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.util.errors import ValidationError
 from repro.util.units import (
     GiB,
     Gbps,
     KiB,
     MiB,
-    bits,
     bytes_per_s_to_gbps,
-    bytes_to_bits,
-    fmt_bytes,
-    fmt_rate_Bps,
-    fmt_rate_bps,
     gbps_to_bytes_per_s,
-    parse_size,
 )
 
 
@@ -29,17 +22,6 @@ class TestConstants:
         assert Gbps == 1e9
 
 
-class TestBits:
-    def test_bits(self):
-        assert bits(1) == 8.0
-
-    def test_bits_float(self):
-        assert bits(0.5) == 4.0
-
-    def test_bytes_to_bits_alias(self):
-        assert bytes_to_bits(125) == bits(125)
-
-
 class TestRateConversions:
     def test_gbps_to_bytes(self):
         assert gbps_to_bytes_per_s(8.0) == 1e9
@@ -49,58 +31,3 @@ class TestRateConversions:
 
     def test_roundtrip(self):
         assert bytes_per_s_to_gbps(gbps_to_bytes_per_s(105.41)) == pytest.approx(105.41)
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("0", 0),
-            ("123", 123),
-            ("1KB", 1000),
-            ("1KiB", 1024),
-            ("11.0592MB", 11_059_200),
-            ("16 GiB", 16 * GiB),
-            ("2gb", 2_000_000_000),
-            ("512B", 512),
-            ("1.5 MiB", int(1.5 * MiB)),
-        ],
-    )
-    def test_valid(self, text, expected):
-        assert parse_size(text) == expected
-
-    def test_int_passthrough(self):
-        assert parse_size(4096) == 4096
-
-    def test_negative_int_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_size(-1)
-
-    @pytest.mark.parametrize("text", ["", "abc", "12XB", "1.2.3MB", "MB"])
-    def test_invalid(self, text):
-        with pytest.raises(ValidationError):
-            parse_size(text)
-
-    def test_paper_chunk_size(self):
-        # One X-ray projection: 2304 x 2400 x 2 bytes = 11.0592 MB.
-        assert parse_size("11.0592MB") == 2304 * 2400 * 2
-
-
-class TestFormatting:
-    def test_fmt_bytes_bytes(self):
-        assert fmt_bytes(512) == "512 B"
-
-    def test_fmt_bytes_mib(self):
-        assert fmt_bytes(10 * MiB) == "10.00 MiB"
-
-    def test_fmt_bytes_gib(self):
-        assert "GiB" in fmt_bytes(3 * GiB)
-
-    def test_fmt_rate_gbps(self):
-        assert fmt_rate_bps(105.41e9) == "105.41 Gbps"
-
-    def test_fmt_rate_small(self):
-        assert fmt_rate_bps(500) == "500 bps"
-
-    def test_fmt_rate_Bps(self):
-        assert fmt_rate_Bps(1.2 * GiB).endswith("/s")
