@@ -251,7 +251,7 @@ def _experiment(args) -> int:
 _LIVE_SIZING = (
     "codec", "compress_threads", "decompress_threads", "connections",
     "receiver_shards", "execution_mode", "process_domains", "batch_frames",
-    "batch_linger", "trace_sample", "trace_per_stream_cap",
+    "trace_sample", "trace_per_stream_cap",
 )
 #: What `repro live` runs with no plan and no flags.
 _LIVE_DEFAULTS = {"codec": "zlib", "connections": 2}
@@ -269,7 +269,7 @@ def _add_live(sub) -> None:
     parser.add_argument(
         "--codec", metavar="SPEC",
         help="codec spec: a name or 'name:k=v,...' string "
-        "(e.g. zlib:level=6, shuffle-lz4, adaptive:allowed=zlib|null) "
+        "(e.g. zlib:level=6, shuffle-lz4, null) "
         "(default: the plan's codec policy, else zlib)",
     )
     parser.add_argument(
@@ -305,11 +305,6 @@ def _add_live(sub) -> None:
         "--batch-frames", type=int,
         help="frames coalesced per queue drain / vectored send "
         "(default: the plan's batch_frames, else 1)",
-    )
-    parser.add_argument(
-        "--batch-linger", type=float, metavar="SECONDS",
-        help="extra time a sender waits to top a partial batch up "
-        "before flushing (default 0)",
     )
     parser.add_argument(
         "--detector", default="240x256",
@@ -493,7 +488,6 @@ def _live(args) -> int:
             connections=config.connections,
             compress_threads=config.compress_threads,
             batch_frames=config.batch_frames,
-            batch_linger=config.batch_linger,
             telemetry=telemetry,
             injector=injector,
             trace_sample=config.trace_sample,
@@ -736,9 +730,8 @@ def _add_plan(sub) -> None:
         "--codec", metavar="SPEC",
         help="codec policy for the plan: a name or "
         "'name:k=v,...' spec string (e.g. zlib:level=6, shuffle-lz4, "
-        "adaptive:allowed=zlib|null,probe_interval=8); omitted = the "
-        "default (zlib), which keeps plan files byte-identical to "
-        "pre-codec-policy writers",
+        "null); omitted = the default (zlib), which keeps plan files "
+        "byte-identical to pre-codec-policy writers",
     )
     generate.add_argument(
         "--os-baseline", action="store_true",

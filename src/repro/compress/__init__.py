@@ -14,19 +14,12 @@ projections).  This package provides:
 - :mod:`repro.compress.codec` — the codec registry the runtime uses:
   a :func:`register_codec` decorator, the serializable
   :class:`CodecSpec`, and :func:`resolve_codec` — with LZ4, the
-  shuffle/delta filter stacks, zlib, and a null codec built in;
-- :mod:`repro.compress.adaptive` — per-chunk codec selection from a
-  byte-entropy probe plus EWMA throughput/ratio feedback.
+  shuffle/delta filter stacks, zlib, and a null codec built in.
 
 Simulation never runs a codec on the hot path — it uses calibrated
 throughput constants (:mod:`repro.core.params`) and measured ratios.
 """
 
-from repro.compress.adaptive import (
-    AdaptiveCodec,
-    CodecSelector,
-    byte_entropy,
-)
 from repro.compress.codec import (
     Codec,
     CodecSpec,
@@ -39,22 +32,18 @@ from repro.compress.codec import (
     get_codec,
     register_codec,
     resolve_codec,
-    wire_codec_name,
 )
 from repro.compress.lz4_block import compress_block, decompress_block
 from repro.compress.lz4_frame import compress_frame, decompress_frame
 from repro.compress.xxhash import xxhash32
 
 __all__ = [
-    "AdaptiveCodec",
     "Codec",
-    "CodecSelector",
     "CodecSpec",
     "LZ4Codec",
     "NullCodec",
     "ZlibCodec",
     "available_codecs",
-    "byte_entropy",
     "codec_spec",
     "compress_block",
     "compress_frame",
@@ -64,6 +53,5 @@ __all__ = [
     "get_codec",
     "register_codec",
     "resolve_codec",
-    "wire_codec_name",
     "xxhash32",
 ]

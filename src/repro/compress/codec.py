@@ -63,6 +63,10 @@ class Codec(ABC):
     #: its own and every call to stamp the same wire id; a codec for
     #: which either fails, or which has no work to share, says False.
     splits: bool = True
+    #: The spec this instance was built from (set by
+    #: :meth:`CodecSpec.create`); None for an instance constructed
+    #: directly, whose params nothing records.
+    spec: "CodecSpec | None" = None
 
     @abstractmethod
     def compress(self, data: bytes) -> bytes:
@@ -78,9 +82,9 @@ class Codec(ABC):
         Static codecs return :data:`WIRE_ID_DEFAULT` (0): the receiver
         decompresses with the codec *it* was configured with — which
         preserves constructor kwargs (e.g. a shuffle itemsize) and
-        keeps the wire bytes identical to pre-codec-id senders.
-        Adaptive codecs override this to return the id of the
-        per-chunk choice so the receiver auto-selects a decompressor.
+        keeps the wire bytes identical to pre-codec-id senders.  A
+        codec that returns its own id instead has the receiver pick
+        the decompressor from the frame header.
         """
         return self.compress(data), WIRE_ID_DEFAULT
 
@@ -159,28 +163,25 @@ def available_codecs() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def refuse_removed_codec(name: object) -> None:
+    """Refuse a codec name that was removed, saying what to name instead
+    (spec strings, CLI flags and plan files all come through here)."""
+    if name == "adaptive":
+        raise ValidationError(
+            "codec 'adaptive' was removed: on a ~1 GB/s link it never "
+            "beat the best static codec; name one, e.g. 'null' or 'zlib'"
+        )
+
+
 def codec_class(name: str) -> type[Codec]:
     """Look up a registered codec class by name."""
+    refuse_removed_codec(name)
     cls = _REGISTRY.get(name)
-    if cls is None and name == "adaptive":
-        # The adaptive codec lives in its own module and registers on
-        # import; pull it in lazily so ``resolve_codec("adaptive")``
-        # works no matter which module the caller imported first.
-        import repro.compress.adaptive  # noqa: F401
-
-        cls = _REGISTRY.get(name)
     if cls is None:
         raise ValidationError(
             f"unknown codec {name!r}; available: {available_codecs()}"
         )
     return cls
-
-
-def wire_codec_name(wire_id: int) -> str:
-    """The registry name behind a frame's wire id (telemetry labels)."""
-    if wire_id == WIRE_ID_DEFAULT:
-        return "default"
-    return _WIRE_IDS.get(wire_id, f"unknown-{wire_id}")
 
 
 def get_codec(name: str, **kwargs: Any) -> Codec:
@@ -191,9 +192,9 @@ def get_codec(name: str, **kwargs: Any) -> Codec:
 def decompressor_for(wire_id: int) -> Codec:
     """The cached decompressor instance for a frame's wire id.
 
-    Instances are constructed with default kwargs: codecs whose
-    *decompression* depends on constructor parameters (e.g. the shuffle
-    itemsize) must only appear in adaptive sets with those defaults.
+    Instances are constructed with default kwargs, so a frame that names
+    a codec whose *decompression* depends on constructor parameters
+    (e.g. the shuffle itemsize) decodes with those defaults.
     """
     codec = _DECOMPRESSORS.get(wire_id)  # lock-free: runs per frame
     if codec is not None:
@@ -216,18 +217,14 @@ def decompressor_for(wire_id: int) -> Codec:
 # the serializable spec
 # ---------------------------------------------------------------------------
 
-#: Parameter values a spec may carry — everything JSON round-trips.
-ParamValue = "bool | int | float | str | tuple[str, ...]"
-
-
 @dataclass(frozen=True)
 class CodecSpec:
     """A codec by name plus constructor kwargs — the serializable form.
 
     Specs cross every boundary instances cannot: plan files, CLI flags,
     the spawn'd process-mode workers.  The string form is
-    ``name`` or ``name:key=value,key=value`` with ``|``-separated
-    lists (``adaptive:allowed=zlib|null,probe_interval=16``).
+    ``name`` or ``name:key=value,key=value`` (``zlib:level=6``), each
+    value a bool, an int, a float or a string.
     """
 
     name: str
@@ -248,22 +245,21 @@ class CodecSpec:
         """Instantiate, raising :class:`ValidationError` on bad specs."""
         cls = codec_class(self.name)
         try:
-            return cls(**dict(self.params))
+            codec = cls(**dict(self.params))
         except TypeError as exc:
             raise ValidationError(
                 f"codec {self.name!r} rejected params "
                 f"{sorted(self.params)}: {exc}"
             ) from exc
+        codec.spec = self
+        return codec
 
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"name": self.name}
         if self.params:
-            doc["params"] = {
-                k: list(v) if isinstance(v, tuple) else v
-                for k, v in sorted(self.params.items())
-            }
+            doc["params"] = dict(sorted(self.params.items()))
         return doc
 
     @classmethod
@@ -279,24 +275,12 @@ class CodecSpec:
         params = doc.get("params", {})
         if not isinstance(params, Mapping):
             raise ValidationError("codec spec 'params' must be a mapping")
-        return cls(
-            name,
-            {
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in params.items()
-            },
-        )
+        return cls(name, dict(params))
 
     def __str__(self) -> str:
         if not self.params:
             return self.name
-        parts = []
-        for key, value in sorted(self.params.items()):
-            if isinstance(value, tuple):
-                rendered = "|".join(str(v) for v in value)
-            else:
-                rendered = str(value)
-            parts.append(f"{key}={rendered}")
+        parts = (f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}:{','.join(parts)}"
 
     @classmethod
@@ -323,8 +307,6 @@ class CodecSpec:
 
 def _coerce(raw: str) -> Any:
     """Best-effort typing for spec-string values."""
-    if "|" in raw:
-        return tuple(part.strip() for part in raw.split("|") if part.strip())
     lowered = raw.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
@@ -342,9 +324,9 @@ def _coerce(raw: str) -> Any:
 def resolve_codec(spec: "str | CodecSpec | Codec") -> Codec:
     """The one way to turn any codec reference into an instance.
 
-    Accepts a name / spec string (``"zlib"``, ``"zlib:level=6"``,
-    ``"adaptive:allowed=zlib|null"``), a :class:`CodecSpec`, or an
-    already-built :class:`Codec` (returned as-is).
+    Accepts a name / spec string (``"zlib"``, ``"zlib:level=6"``), a
+    :class:`CodecSpec`, or an already-built :class:`Codec` (returned
+    as-is).
     """
     if isinstance(spec, Codec):
         return spec
@@ -360,18 +342,22 @@ def resolve_codec(spec: "str | CodecSpec | Codec") -> Codec:
 def codec_spec(codec: "str | CodecSpec | Codec") -> CodecSpec:
     """The serializable spec for a codec reference.
 
-    Instances report their construction spec when they expose one
-    (:meth:`AdaptiveCodec.spec` does); otherwise the bare name — good
-    enough for every registered codec whose defaults round-trip.
+    An instance reports the spec :meth:`CodecSpec.create` built it from.
+    One constructed directly has no record of its params, so it is
+    refused rather than described by its bare name: a process that
+    rebuilt it from that name could compress with other params than
+    the parent decompresses with.
     """
     if isinstance(codec, CodecSpec):
         return codec
     if isinstance(codec, str):
         return CodecSpec.parse(codec)
-    spec = getattr(codec, "spec", None)
-    if isinstance(spec, CodecSpec):
-        return spec
-    return CodecSpec(codec.name)
+    if codec.spec is None:
+        raise ValidationError(
+            f"codec instance {codec.name!r} was not built from a spec, so "
+            "its params are unknown; pass a spec string or CodecSpec"
+        )
+    return codec.spec
 
 
 # ---------------------------------------------------------------------------

@@ -60,16 +60,13 @@ from repro.util.errors import ValidationError
 #: calibrated LZ4 micro rates — rough single-core ratios for 3:1-ish
 #: scientific payloads.  Used by :meth:`CostModel.for_codec` when a
 #: plan's codec policy names a non-default codec, so the simulator's
-#: stage costs track the live substrate's codec choice.  The adaptive
-#: policy costs as its fastest common member (the selector converges
-#: there per entropy band).
+#: stage costs track the live substrate's codec choice.
 CODEC_COST_FACTORS: dict[str, tuple[float, float]] = {
     "lz4": (1.0, 1.0),
     "shuffle-lz4": (0.90, 0.90),
     "delta-shuffle-lz4": (0.85, 0.85),
     "zlib": (0.08, 0.35),
     "null": (12.0, 12.0),
-    "adaptive": (1.0, 1.0),
 }
 
 

@@ -60,7 +60,7 @@ class Assembly:
         self.cfg, self.codec, self.tel, self.runner = cfg, codec, tel, runner
         self.reconfigurable = reconfigurable
         self.stats = {name: workers.StageStats(name) for name in STAGES}
-        self.knobs = Knobs(cfg.batch_frames, cfg.batch_linger)
+        self.knobs = Knobs(cfg.batch_frames)
         #: What every :mod:`~repro.live.workers` body takes by keyword.
         self.kw: dict[str, Any] = {"telemetry": tel, "knobs": self.knobs}
         self.sampler: HeadSampler | None = None

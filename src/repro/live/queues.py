@@ -236,20 +236,13 @@ class ClosableQueue:
             return item
 
     def get_many(
-        self,
-        max_items: int,
-        timeout: float | None = None,
-        *,
-        linger: float = 0.0,
+        self, max_items: int, timeout: float | None = None
     ) -> list[Any]:
         """Dequeue up to ``max_items`` under one lock round-trip.
 
         Blocks for the *first* item exactly as :meth:`get` does, then
-        greedily drains whatever else is buffered.  With ``linger > 0``
-        the call keeps waiting up to that many extra seconds to top the
-        batch up to ``max_items`` (it returns early when the queue
-        closes).  Always returns at least one item; raises
-        :class:`Closed` once drained and closed.
+        greedily drains whatever else is buffered.  Always returns at
+        least one item; raises :class:`Closed` once drained and closed.
         """
         if max_items < 1:
             raise ValidationError("max_items must be >= 1")
@@ -258,14 +251,6 @@ class ClosableQueue:
             batch = [self._items.popleft()]
             while len(batch) < max_items and self._items:
                 batch.append(self._items.popleft())
-            if linger > 0.0:
-                deadline = monotonic() + linger
-                while len(batch) < max_items and not self._sealed:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0 or not self._not_empty.wait(remaining):
-                        break
-                    while len(batch) < max_items and self._items:
-                        batch.append(self._items.popleft())
             self._not_full.notify(len(batch))
             self._observe_depth_locked()
             self._record_batch(f"{self.name}.get", len(batch))

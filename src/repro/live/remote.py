@@ -237,7 +237,6 @@ class SenderClient:
         compress_threads: int = 2,
         queue_capacity: int = 8,
         batch_frames: int = 1,
-        batch_linger: float = 0.0,
         timeouts: TimeoutPolicy | None = None,
         retry: RetryPolicy | None = None,
         injector=None,
@@ -255,7 +254,6 @@ class SenderClient:
             compress_threads=compress_threads,
             queue_capacity=queue_capacity,
             batch_frames=batch_frames,
-            batch_linger=batch_linger,
             timeouts=timeouts,
             trace_sample=trace_sample,
             trace_per_stream_cap=trace_per_stream_cap,

@@ -28,9 +28,8 @@ from repro.util.errors import ValidationError
 class LiveConfig:
     """Thread counts and codec for a live run."""
 
-    #: Codec spec string: a registry name (``"zlib"``), a parameterized
-    #: spec (``"zlib:level=6"``), or the adaptive selector
-    #: (``"adaptive:allowed=zlib|null"``) — see docs/compression.md.
+    #: Codec spec string: a registry name (``"zlib"``) or a
+    #: parameterized spec (``"zlib:level=6"``) — see docs/compression.md.
     codec: str = "zlib"
     compress_threads: int = 2
     decompress_threads: int = 2
@@ -41,9 +40,6 @@ class LiveConfig:
     #: Frames coalesced per queue drain / vectored send (1 = today's
     #: one-at-a-time behaviour; wire bytes are identical either way).
     batch_frames: int = 1
-    #: Extra seconds a sender waits to top a partial batch up before
-    #: flushing (0 = flush whatever one drain returned).
-    batch_linger: float = 0.0
     #: Fail the run if any chunk is missing or duplicated at the sink.
     verify: bool = True
     #: All timeout knobs in one place (see repro.faults.TimeoutPolicy).
@@ -78,7 +74,7 @@ class LiveConfig:
         for minimum, names in (
             (1, ("compress_threads", "decompress_threads", "connections",
                  "batch_frames", "ring_capacity")),
-            (0, ("batch_linger", "process_domains", "receiver_shards",
+            (0, ("process_domains", "receiver_shards",
                  "trace_sample", "trace_per_stream_cap")),
         ):
             for name in names:

@@ -7,7 +7,7 @@ unit, so nothing can scale them or respawn them mid-run.  This module
 extracts the lifecycle into two small objects:
 
 - :class:`Knobs` — the scalar knobs workers re-read every loop
-  iteration (``batch_frames``, ``batch_linger``).  Plain attribute
+  iteration (``batch_frames``).  Plain attribute
   reads/writes are atomic under the GIL, so the controller hot-swaps
   them lock-free while workers run.
 - :class:`StageSet` — one stage's worker threads plus the factory that
@@ -46,13 +46,10 @@ class Knobs:
     reconfiguration protocol.
     """
 
-    __slots__ = ("batch_frames", "batch_linger")
+    __slots__ = ("batch_frames",)
 
-    def __init__(
-        self, batch_frames: int = 1, batch_linger: float = 0.0
-    ) -> None:
+    def __init__(self, batch_frames: int = 1) -> None:
         self.batch_frames = batch_frames
-        self.batch_linger = batch_linger
 
 
 #: factory(index, stop) -> the worker thread(s) for one logical worker.

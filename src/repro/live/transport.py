@@ -112,8 +112,8 @@ FLAG_TRACED = 0x8
 #: Bit 4 (v2.3): the payload is a block table followed by the blocks.
 FLAG_BLOCKS = 0x10
 #: Bits 8-15 of the flags word carry the codec wire id (0 = configured
-#: codec) so adaptive senders can switch codec per frame and the
-#: receiver still picks the right decompressor.
+#: codec), so a frame can name its own codec and the receiver still
+#: picks the right decompressor: the wire format stays self-describing.
 CODEC_SHIFT = 8
 
 #: Trailer of a traced frame: the sender's wall clock when the frame

@@ -28,9 +28,9 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.compress.codec import Codec, decompressor_for, wire_codec_name
+from repro.compress.codec import Codec, decompressor_for
 from repro.data.chunking import Chunk
 from repro.faults.policy import RetryPolicy
 from repro.live.affinity import pin_current_thread
@@ -40,9 +40,6 @@ from repro.live.stageset import Knobs
 from repro.live.transport import Frame, FramedReceiver, FramedSender, pack_blocks
 from repro.telemetry.spans import stage_span
 from repro.util.errors import QueueTimeout, TransportError
-
-if TYPE_CHECKING:
-    from repro.telemetry.facade import Telemetry
 
 #: How often a stoppable worker wakes from an idle queue to re-check
 #: its stop event (seconds) — bounds scale-down/respawn latency.
@@ -93,16 +90,6 @@ def _finish(
     stats.record(bytes_in, bytes_out, elapsed)
     if telemetry is not None:
         telemetry.record_chunk(stage, stream_id, bytes_in)
-
-
-def record_codec(
-    telemetry: Telemetry | None, stage: str, frame: Frame, codec: Codec
-) -> None:
-    """Bump the codec-choice counter for ``frame``: the codec its wire id
-    names, or the configured ``codec`` for id 0."""
-    if telemetry is not None:
-        name = wire_codec_name(frame.codec_id) if frame.codec_id else codec.name
-        telemetry.record_codec(stage, frame.stream_id, name)
 
 
 def feeder(
@@ -233,7 +220,6 @@ def compressor(
                     frame, busy = _compressed(item, wire, codec_id), sp.duration
                 _finish(stats, telemetry, "compress", frame.stream_id,
                         frame.orig_len, len(frame.payload), busy)
-                record_codec(telemetry, "compress", frame, codec)
                 frames.append(frame)
             outq.put_many(frames)
     except Exception as exc:  # noqa: BLE001
@@ -301,8 +287,7 @@ def _pump(
     """The send loop both senders share; returns the stream ids seen.
 
     Until ``inq`` closes: drain up to ``knobs.batch_frames`` frames in
-    one lock round-trip (lingering ``knobs.batch_linger`` seconds to
-    top the batch up; both re-read before every drain, so they are
+    one lock round-trip (re-read before every drain, so it is
     hot-swappable), hand the batch to ``deliver`` under one ``send``
     span and book each chunk.  ``settle`` runs after every batch,
     outside the span (the resilient sender collects ACKs there).
@@ -311,7 +296,7 @@ def _pump(
     stream_ids: set[str] = set()
     while True:
         try:
-            batch = inq.get_many(knobs.batch_frames, linger=knobs.batch_linger)
+            batch = inq.get_many(knobs.batch_frames)
         except Closed:
             return stream_ids
         # A traced frame is stamped just before transmit: the start of
@@ -352,9 +337,8 @@ def sender(
     Each batch :func:`_pump` drains goes out with one vectored
     :meth:`~repro.live.transport.FramedSender.send_many`.  The wire
     bytes are identical at any ``knobs.batch_frames``; only the syscall
-    and lock counts change.  The batch flushes on size, on the linger
-    timeout, and on queue close (the final partial batch is sent before
-    the EOS frames).
+    and lock counts change.  A batch is whatever one drain returned; the
+    final partial batch is sent before the EOS frames.
     """
     _maybe_pin(cpus, "send", telemetry)
     try:
@@ -650,9 +634,10 @@ def decompressor(
 
 
 def _decoder(codec: Codec, frame: Frame) -> Codec:
-    # Frames stamped with a codec wire id decode with *that* codec — how
-    # adaptive senders switch per chunk without renegotiating; id 0
-    # falls back to the configured codec.
+    # The frame header names its codec (the wire format stays
+    # self-describing, so a receiver can decode a codec it was not
+    # configured with); id 0, what every static sender stamps, falls
+    # back to the configured codec.
     return decompressor_for(frame.codec_id) if frame.codec_id else codec
 
 
@@ -673,7 +658,7 @@ def _decompress_one(
             data = frame.payload
         else:
             data = _decoder(codec, frame).decompress(frame.payload)
-    _deliver(codec, frame, data, sp.duration, stats, sink, telemetry)
+    _deliver(frame, data, sp.duration, stats, sink, telemetry)
 
 
 def _decompress_block(
@@ -695,11 +680,10 @@ def _decompress_block(
         part = _decoder(codec, frame).decompress(block.data)
     if block.join.done(block.slot, part, sp.duration):
         data = b"".join(block.join.parts)
-        _deliver(codec, frame, data, block.join.busy, stats, sink, telemetry)
+        _deliver(frame, data, block.join.busy, stats, sink, telemetry)
 
 
 def _deliver(
-    codec: Codec,
     frame: Frame,
     data: bytes | bytearray,
     busy: float,
@@ -708,8 +692,6 @@ def _deliver(
     telemetry,
 ) -> None:
     """Check a decoded chunk against its frame, book it, hand it on."""
-    if frame.compressed:
-        record_codec(telemetry, "decompress", frame, codec)
     if frame.orig_len and len(data) != frame.orig_len:
         raise ValueError(
             f"{frame.stream_id}#{frame.index}: decompressed to "

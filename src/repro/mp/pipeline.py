@@ -71,7 +71,7 @@ class ProcessFront:
     ) -> None:
         cfg = asm.cfg
         self.source = source
-        self.tel, self.codec, self.knobs = asm.tel, asm.codec, asm.knobs
+        self.tel, self.knobs = asm.tel, asm.knobs
         self.sampler, self.stats = asm.sampler, asm.stats
         #: The ledger, kept only when the run verifies (as thread mode).
         self.expected = asm.expected if cfg.verify else None
@@ -178,7 +178,7 @@ class ProcessFront:
         A record the decoder refuses fails the run as a compress-stage
         error; the frames collected ahead of it are forwarded first."""
         supervisor, stats = self.supervisor, self.stats["compress"]
-        tel, knobs, sendq, codec = self.tel, self.knobs, self.sendq, self.codec
+        tel, knobs, sendq = self.tel, self.knobs, self.sendq
         dedup, dedup_lock = self.dedup, self._dedup_lock
         ring = supervisor.comp[domain]
         track = f"mp-compress-{domain}"
@@ -208,7 +208,6 @@ class ProcessFront:
                         )
                         if tel is not None:
                             tel.record_chunk("compress", sid, frame.orig_len)
-                            workers.record_codec(tel, "compress", frame, codec)
                             if stamp is not None:
                                 tel.record_span(
                                     "compress", *stamp, stream_id=sid,

@@ -74,7 +74,7 @@ def compress_worker(
     signal.signal(signal.SIGTERM, _on_term)
 
     # A spec *string* crosses the spawn boundary (instances never
-    # pickle); adaptive sets re-build their selector per process.
+    # pickle), carrying the params the parent's codec was built with.
     codec = resolve_codec(codec_spec)
     inr = SharedRing.attach(in_ring)
     outr = SharedRing.attach(out_ring)

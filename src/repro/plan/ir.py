@@ -151,60 +151,27 @@ def stream_shard(stream_id: str, shards: int) -> int:
 class CodecNode(PolicyNode):
     """Which codec compresses payloads — a policy node, not a placement.
 
-    A static policy names one registered codec (plus constructor
-    params); the ``adaptive`` policy carries the candidate set and the
-    re-probe cadence for per-chunk selection
-    (:class:`repro.compress.adaptive.AdaptiveCodec`).  The default is
-    static zlib with no params.
+    Names one registered codec plus its constructor params.  The
+    default is zlib with no params.
     """
 
     name: str = "zlib"
-    #: Static-codec constructor params as sorted ``(key, value)`` pairs
-    #: (e.g. ``(("level", 9),)``) — a tuple so the node stays hashable.
+    #: Constructor params as sorted ``(key, value)`` pairs (e.g.
+    #: ``(("level", 9),)``) — a tuple so the node stays hashable.
     params: tuple[tuple[str, Any], ...] = ()
-    #: Adaptive only: candidate codec names; () = the codec's default.
-    allowed: tuple[str, ...] = ()
-    #: Adaptive only: re-probe cadence in chunks; 0 = the codec default.
-    probe_interval: int = 0
-
-    @property
-    def is_adaptive(self) -> bool:
-        return self.name == "adaptive"
 
     @classmethod
     def from_spec(cls, spec: "CodecSpec | str") -> "CodecNode":
         """Lift a codec spec (or spec string) into the IR node."""
         if isinstance(spec, str):
             spec = CodecSpec.parse(spec)
-        params = dict(spec.params)
-        allowed: tuple[str, ...] = ()
-        probe = 0
-        if spec.name == "adaptive":
-            raw = params.pop("allowed", ())
-            allowed = (raw,) if isinstance(raw, str) else tuple(raw)
-            probe = int(params.pop("probe_interval", 0))
-        return cls(
-            name=spec.name,
-            params=tuple(sorted(params.items())),
-            allowed=allowed,
-            probe_interval=probe,
-        )
+        return cls(name=spec.name, params=tuple(sorted(spec.params.items())))
 
     def spec(self) -> CodecSpec:
         """The :class:`CodecSpec` this node lowers to."""
-        params: dict[str, Any] = dict(self.params)
-        if self.is_adaptive:
-            if self.allowed:
-                params["allowed"] = self.allowed
-            if self.probe_interval:
-                params["probe_interval"] = self.probe_interval
-        return CodecSpec(self.name, params)
+        return CodecSpec(self.name, dict(self.params))
 
     def describe(self) -> str:
-        if self.is_adaptive:
-            pool = "|".join(self.allowed) if self.allowed else "default set"
-            probe = self.probe_interval or "default"
-            return f"adaptive over {pool} (probe every {probe})"
         return str(self.spec())
 
 
@@ -329,7 +296,7 @@ class PipelinePlan(RunFields):
     policy: str = "manual"
     #: How the live substrate executes the plan (thread vs process).
     execution: ExecutionNode = field(default_factory=ExecutionNode)
-    #: Which codec compresses payloads (static name or adaptive policy).
+    #: Which codec compresses payloads.
     codec: CodecNode = field(default_factory=CodecNode)
     #: Closed-loop autotuning policy (disabled unless opted into).
     control: ControlNode = field(default_factory=ControlNode)

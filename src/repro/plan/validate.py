@@ -61,18 +61,10 @@ def _validate_execution(plan: PipelinePlan, diags: Diagnostics) -> None:
 
 
 def _validate_codec(plan: PipelinePlan, diags: Diagnostics) -> None:
-    """The codec policy node: name, params, and adaptive knobs must
-    resolve to a constructible codec (the IR itself is permissive)."""
-    node = plan.codec
-    if not node.is_adaptive and (node.allowed or node.probe_interval):
-        diags.error(
-            "bad-codec",
-            "allowed/probe_interval only apply to the adaptive codec, "
-            f"not {node.name!r}",
-        )
-        return
+    """The codec policy node: name and params must resolve to a
+    constructible codec (the IR itself is permissive)."""
     try:
-        node.spec().create()
+        plan.codec.spec().create()
     except ValidationError as exc:
         diags.error("bad-codec", f"codec policy: {exc}")
 

@@ -13,7 +13,6 @@ family                                type       labels
 ``pipeline_stage_seconds``            histogram  stage
 ``pipeline_queue_depth``              gauge      queue
 ``pipeline_batch_size``               histogram  site
-``pipeline_codec_chunks_total``       counter    stage, stream, codec
 ``transport_frames_total``            counter    direction
 ``transport_bytes_total``             counter    direction
 ``transport_retries_total``           counter    —
@@ -25,9 +24,8 @@ family                                type       labels
 ``repro_spans_dropped_total``         counter    —
 ====================================  =========  ==========================
 
-The two per-stream families that grow with tenant count
-(``repro_receiver_deferred_total`` and
-``pipeline_codec_chunks_total``) are cardinality-capped: after
+The per-stream family that grows with tenant count
+(``repro_receiver_deferred_total``) is cardinality-capped: after
 ``stream_label_top_k`` distinct streams, further streams fold onto
 ``stream="_other"``.  The span store is likewise bounded (drop-oldest)
 with evictions counted in ``repro_spans_dropped_total``.
@@ -125,11 +123,6 @@ class Telemetry:
             ("site",),
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
         )
-        self._codec_chunks = self.registry.counter(
-            "pipeline_codec_chunks_total",
-            "Chunks processed per codec choice (adaptive selection ledger)",
-            ("stage", "stream", "codec"),
-        )
         self._frames = self.registry.counter(
             "transport_frames_total",
             "Frames moved over the transport",
@@ -167,14 +160,11 @@ class Telemetry:
             "in-flight budget exceeded, or the decompress queue full)",
             ("stream",),
         )
-        # The two per-stream families that scale with tenant count are
-        # capped: past top-K distinct streams, increments fold onto
+        # The per-stream family that scales with tenant count is capped:
+        # past top-K distinct streams, increments fold onto
         # stream="_other" (see MetricFamily.limit_cardinality).
         if stream_label_top_k > 0:
             self._deferred.limit_cardinality("stream", stream_label_top_k)
-            self._codec_chunks.limit_cardinality(
-                "stream", stream_label_top_k
-            )
         self._heartbeats = self.registry.gauge(
             "worker_heartbeat_seconds",
             "Per-worker liveness: clock time of the last completed span",
@@ -314,13 +304,6 @@ class Telemetry:
         """One batched operation moved ``size`` items at ``site``
         (e.g. ``sendq.get``, ``wire.tx``)."""
         self._batch_size.labels(site=site).observe(size)
-
-    def record_codec(self, stage: str, stream_id: str, codec: str) -> None:
-        """One chunk went through ``codec`` at ``stage`` — the ledger
-        that makes per-chunk adaptive selection observable."""
-        self._codec_chunks.labels(
-            stage=stage, stream=stream_id, codec=codec
-        ).inc()
 
     def queue_gauge(self, queue: str) -> GaugeSeries:
         """The occupancy gauge series for one named queue."""

@@ -5,7 +5,6 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress.adaptive import AdaptiveCodec
 from repro.compress.codec import (
     Codec,
     CodecSpec,
@@ -21,21 +20,11 @@ from repro.compress.codec import (
     get_codec,
     register_codec,
     resolve_codec,
-    wire_codec_name,
 )
 from repro.util.errors import CodecError, ValidationError
 
-#: Every registered codec; "adaptive" is registered but not a static
-#: payload codec (it delegates), so the static lists exclude it.
-ALL = [
-    "adaptive",
-    "delta-shuffle-lz4",
-    "lz4",
-    "null",
-    "shuffle-lz4",
-    "zlib",
-]
-STATIC = [n for n in ALL if n != "adaptive"]
+#: Every registered codec.
+ALL = ["delta-shuffle-lz4", "lz4", "null", "shuffle-lz4", "zlib"]
 
 #: Codecs whose itemsize constraint requires even-length payloads.
 EVEN_ONLY = {"shuffle-lz4", "delta-shuffle-lz4"}
@@ -51,7 +40,6 @@ class TestRegistry:
         assert isinstance(get_codec("null"), NullCodec)
         assert isinstance(get_codec("shuffle-lz4"), ShuffleLZ4Codec)
         assert isinstance(get_codec("delta-shuffle-lz4"), DeltaShuffleLZ4Codec)
-        assert isinstance(get_codec("adaptive"), AdaptiveCodec)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError, match="unknown codec"):
@@ -69,15 +57,9 @@ class TestRegistry:
             "delta-shuffle-lz4": 3,
             "zlib": 4,
             "null": 5,
-            "adaptive": 0,  # never on the wire; frames carry the choice
         }
         for name, wid in expected.items():
             assert codec_class(name).wire_id == wid
-
-    def test_wire_codec_name(self):
-        assert wire_codec_name(4) == "zlib"
-        assert wire_codec_name(0) == "default"
-        assert wire_codec_name(250) == "unknown-250"
 
     def test_decompressor_for(self):
         z = get_codec("zlib")
@@ -157,25 +139,16 @@ class TestCodecSpec:
         assert spec == CodecSpec("zlib", {"level": 6})
         assert spec.create().level == 6
 
-    def test_parse_list_param(self):
-        spec = CodecSpec.parse("adaptive:allowed=zlib|null,probe_interval=8")
-        assert spec.params["allowed"] == ("zlib", "null")
-        assert spec.params["probe_interval"] == 8
-
     def test_parse_bool_and_float(self):
         spec = CodecSpec.parse("x:flag=true,rate=2.5,name=tag")
         assert spec.params == {"flag": True, "rate": 2.5, "name": "tag"}
 
     def test_str_round_trip(self):
-        for text in (
-            "zlib",
-            "zlib:level=6",
-            "adaptive:allowed=zlib|null,probe_interval=8",
-        ):
+        for text in ("zlib", "zlib:level=6", "x:flag=True,name=tag,rate=2.5"):
             assert str(CodecSpec.parse(text)) == text
 
     def test_dict_round_trip(self):
-        spec = CodecSpec.parse("adaptive:allowed=zlib|null,sample_bytes=2048")
+        spec = CodecSpec.parse("x:flag=true,rate=2.5,name=tag")
         assert CodecSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -214,29 +187,51 @@ class TestResolveCodec:
 
     def test_codec_spec_inverse(self):
         assert codec_spec("zlib:level=6") == CodecSpec("zlib", {"level": 6})
-        assert codec_spec(ZlibCodec()) == CodecSpec("zlib")
-        a = resolve_codec("adaptive:allowed=zlib|null")
-        assert codec_spec(a).params["allowed"] == ("zlib", "null")
-        # The spec string survives a parse round-trip (the mp boundary).
-        assert resolve_codec(str(codec_spec(a))).selector.allowed == (
-            "zlib",
-            "null",
-        )
+        # An instance reports the spec it was built from, params and
+        # all, and the string survives a parse (the mp boundary).
+        for text in ("zlib:level=9", "shuffle-lz4:itemsize=4"):
+            built = codec_spec(resolve_codec(text))
+            assert str(built) == text
+            assert codec_spec(str(built)) == built
+        # One constructed directly has no record of its params.
+        with pytest.raises(ValidationError, match="not built from a spec"):
+            codec_spec(ZlibCodec(level=9))
+
+
+class TestRemovedAdaptive:
+    """The adaptive codec and its ``|``-list grammar were removed."""
+
+    @pytest.mark.parametrize(
+        "text", ["adaptive", "adaptive:allowed=zlib|null,probe_interval=8"]
+    )
+    def test_name_is_refused_saying_so(self, text):
+        with pytest.raises(ValidationError, match="'adaptive' was removed"):
+            resolve_codec(text)
+
+    @pytest.mark.parametrize(
+        "text", ["zlib:allowed=zlib|null", "null:probe_interval=8"]
+    )
+    def test_its_params_are_refused(self, text):
+        with pytest.raises(ValidationError, match="rejected params"):
+            resolve_codec(text)
+
+    def test_bar_is_not_a_list(self):
+        assert CodecSpec.parse("x:allowed=a|b").params == {"allowed": "a|b"}
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("name", STATIC)
+    @pytest.mark.parametrize("name", ALL)
     def test_roundtrip(self, name):
         data = b"projection row " * 1000  # multiple of 2 for shuffle codecs
         codec = get_codec(name)
         assert codec.decompress(codec.compress(data)) == data
 
-    @pytest.mark.parametrize("name", STATIC)
+    @pytest.mark.parametrize("name", ALL)
     def test_empty(self, name):
         codec = get_codec(name)
         assert codec.decompress(codec.compress(b"")) == b""
 
-    @pytest.mark.parametrize("name", sorted(set(STATIC) - EVEN_ONLY))
+    @pytest.mark.parametrize("name", sorted(set(ALL) - EVEN_ONLY))
     @given(data=st.binary(max_size=4096))
     @settings(max_examples=25, deadline=None)
     def test_hostile_round_trip(self, name, data):
@@ -264,14 +259,31 @@ class TestRoundTrips:
         codec = get_codec("delta-shuffle-lz4")
         assert codec.decompress(codec.compress(data)) == data
 
-    @given(data=st.binary(max_size=4096))
-    @settings(max_examples=25, deadline=None)
-    def test_adaptive_round_trip_via_wire_id(self, data):
-        """Adaptive output is decodable from the stamped wire id alone."""
-        codec = AdaptiveCodec(allowed=("zlib", "null"), probe_interval=4)
-        wire, wid = codec.compress_with_id(data)
-        assert wid != 0
-        assert decompressor_for(wid).decompress(wire) == data
+    def test_frame_wire_id_picks_the_decoder(self, spheres_chunk):
+        """A frame that names its codec decodes with that codec, not the
+        configured one: the wire format stays self-describing."""
+        from repro.data.chunking import Chunk
+        from repro.live.runtime import LiveConfig, LivePipeline
+
+        class NamesZlib(ZlibCodec):
+            def compress_with_id(self, data):
+                return self.compress(data), ZlibCodec.wire_id
+
+            def decompress(self, data):
+                raise AssertionError("decoded by the configured codec")
+
+        payload = spheres_chunk((64, 128))
+        got = {}
+        report = LivePipeline(
+            LiveConfig(compress_threads=1, decompress_threads=1),
+            codec=NamesZlib(),
+        ).run(
+            iter([Chunk("s", 0, len(payload), payload=payload)]),
+            sink=lambda sid, i, data: got.update({i: bytes(data)}),
+        )
+        assert report.ok, report.errors
+        assert report.wire_bytes < len(payload)
+        assert got == {0: payload}
 
 
 class TestBlockSlices:
@@ -289,9 +301,9 @@ class TestBlockSlices:
         out = decoder.decompress(memoryview(carrier)[4096 : 4096 + len(wire)])
         assert bytes(out) == bytes(block)
 
-    def test_every_codec_splits_but_null_and_adaptive(self):
+    def test_every_codec_splits_but_null(self):
         keep_whole = {n for n in available_codecs() if not codec_class(n).splits}
-        assert keep_whole == {"null", "adaptive"}
+        assert keep_whole == {"null"}
 
 
 class TestRatio:

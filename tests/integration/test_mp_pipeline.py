@@ -40,7 +40,7 @@ def chunks(n=NUM_CHUNKS, stream="mp-s"):
 
 
 def mixed_chunks(n=NUM_CHUNKS, stream="mp-s"):
-    """Alternating noise / smooth payloads so adaptive actually switches."""
+    """Alternating noise / smooth payloads (4096 bytes: whole uint32s)."""
     rng = make_rng(7, "mp-integration")
     smooth = (np.arange(CHUNK_SIZE // 2, dtype=np.uint16) >> 4).tobytes()
     for i in range(n):
@@ -99,13 +99,16 @@ class TestParity:
         "codec",
         [
             "zlib:level=6",
-            "adaptive:allowed=zlib|null,probe_interval=4",
+            "zlib:level=9",
+            "shuffle-lz4:itemsize=4",
+            "delta-shuffle-lz4:itemsize=4",
         ],
     )
     def test_parity_holds_for_non_default_codecs(self, codec):
-        """The codec spec crosses the process boundary intact, and the
-        per-frame wire ids (adaptive stamps the *chosen* codec) decode
-        to the same bytes in both substrates."""
+        """The codec spec crosses the process boundary with its params:
+        the workers compress with exactly the codec the parent
+        decompresses with, so the wire bytes match thread mode and the
+        sink gets the input back."""
         source = list(mixed_chunks())
         thread_sink = CapturingSink()
         thread_report = LivePipeline(
@@ -119,11 +122,21 @@ class TestParity:
         )
         assert process_report.ok, process_report.errors
 
-        assert process_sink.by_key == thread_sink.by_key
         expected = {
             (c.stream_id, c.index): bytes(c.payload) for c in source
         }
         assert thread_sink.by_key == expected
+        assert process_sink.by_key == expected
+        assert process_report.wire_bytes == thread_report.wire_bytes
+
+    def test_codec_instance_without_a_spec_is_refused(self):
+        """Each worker rebuilds the codec from its spec; an instance
+        constructed directly has none, so the run is refused rather
+        than run with guessed params."""
+        from repro.compress.codec import ZlibCodec
+
+        with pytest.raises(ValidationError, match="not built from a spec"):
+            ProcessPipeline(config(), codec=ZlibCodec(level=9)).run(chunks(2))
 
     def test_multiple_streams_round_robin_across_domains(self):
         def two_streams():

@@ -171,7 +171,6 @@ class TestThreadPipeline:
         [
             ("zlib", BLOCK_BYTES),
             ("null", 11_059_200),
-            ("adaptive:allowed=zlib|null", 11_059_200),
         ],
     )
     def test_frames_without_the_bit(self, projection, codec, size):

@@ -199,18 +199,6 @@ class TestBatchedOps:
         threading.Thread(target=late_put, daemon=True).start()
         assert q.get_many(8, timeout=2.0) == [1, 2]
 
-    def test_get_many_linger_tops_up_batch(self):
-        q = ClosableQueue(capacity=8, producers=1)
-        q.put(1)
-
-        def late_put():
-            time.sleep(0.02)
-            q.put(2)
-
-        threading.Thread(target=late_put, daemon=True).start()
-        got = q.get_many(2, timeout=1.0, linger=0.5)
-        assert got == [1, 2]
-
     def test_get_many_without_linger_returns_what_is_there(self):
         q = ClosableQueue(capacity=8, producers=1)
         q.put(1)
@@ -224,20 +212,6 @@ class TestBatchedOps:
         assert q.get_many(2) == [3]
         with pytest.raises(Closed):
             q.get_many(2)
-
-    def test_get_many_linger_cut_short_by_close(self):
-        q = ClosableQueue(capacity=8, producers=1)
-        q.put(1)
-
-        def closer():
-            time.sleep(0.02)
-            q.close()
-
-        threading.Thread(target=closer, daemon=True).start()
-        start = time.perf_counter()
-        got = q.get_many(8, timeout=1.0, linger=5.0)
-        assert got == [1]
-        assert time.perf_counter() - start < 1.0  # close ended the linger
 
     def test_get_many_rejects_bad_max(self):
         q = ClosableQueue(capacity=8, producers=1)

@@ -66,7 +66,6 @@ class TestKnobs:
     def test_defaults_and_slots(self):
         knobs = Knobs()
         assert knobs.batch_frames == 1
-        assert knobs.batch_linger == 0.0
         with pytest.raises(AttributeError):
             knobs.surprise = 1  # __slots__: no accidental new knobs
 

@@ -68,7 +68,6 @@ class TestBatchedPipeline:
                 decompress_threads=2,
                 connections=2,
                 batch_frames=batch_frames,
-                batch_linger=0.005,
             )
             return LivePipeline(cfg).run(chunks(20, seed=9))
 
@@ -84,8 +83,7 @@ class TestBatchedPipeline:
         )
         tx, rx = run_pair(
             server,
-            dict(codec="zlib", connections=2, batch_frames=4,
-                 batch_linger=0.005),
+            dict(codec="zlib", connections=2, batch_frames=4),
             chunks(12),
         )
         assert tx.ok, tx.errors

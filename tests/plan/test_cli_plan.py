@@ -158,9 +158,11 @@ class TestRunPlanFlag:
         ["run", "--plan", "PLAN"],
         ["run", "PLAN", "--plan", "PLAN"],
         ["live", "--chunks", "1", "--flow-out", "OUT"],
+        ["live", "--chunks", "1", "--batch-linger", "0.005"],
     ],
     ids=["telemetry", "bare-plan", "codec-adaptive", "probe-interval",
-         "scenario", "run-plan-flag", "run-both-forms", "flow-out"],
+         "scenario", "run-plan-flag", "run-both-forms", "flow-out",
+         "batch-linger"],
 )
 def test_old_spelling_exits_2(argv, plan_file, tmp_path, capsys):
     """Removed spellings are rejected by argparse, not aliased."""
@@ -172,14 +174,28 @@ def test_old_spelling_exits_2(argv, plan_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_adaptive_codec_is_one_spec_string(tmp_path):
-    """The adaptive pool and probe interval ride ``--codec`` as one
-    spec string (they once had flags of their own)."""
-    from repro.plan.ir import CodecNode
-
-    out = tmp_path / "adaptive.json"
-    assert main(["plan", "generate", "--stream", STREAM, "-o", str(out),
-                 "--codec", "adaptive:allowed=zlib|null,probe_interval=8"]) == 0
-    assert load_plan(str(out)).codec == CodecNode(
-        name="adaptive", allowed=("zlib", "null"), probe_interval=8
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["live", "--chunks", "1", "--detector", "60x64"],
+        ["live", "--chunks", "1", "--detector", "60x64", "--mode", "process"],
+        ["plan", "generate", "--stream", STREAM, "-o", "OUT"],
+    ],
+    ids=["live", "live-process", "plan-generate"],
+)
+@pytest.mark.parametrize(
+    "codec", ["adaptive", "adaptive:allowed=zlib|null,probe_interval=8"]
+)
+def test_removed_adaptive_codec_exits_2(argv, codec, tmp_path, capsys):
+    """The removed adaptive codec is refused by name before anything
+    starts or is written: exit 2 and one error line saying so."""
+    out = tmp_path / "out.json"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--codec", codec])
+    assert info.value.code == 2
+    errors = [
+        ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln
+    ]
+    assert len(errors) == 1 and "'adaptive' was removed" in errors[0]
+    assert not out.exists()

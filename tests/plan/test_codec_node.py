@@ -26,7 +26,6 @@ class TestCodecNodeSpec:
     def test_default_node(self):
         node = CodecNode()
         assert node.is_default
-        assert not node.is_adaptive
         assert str(node.spec()) == "zlib"
 
     def test_from_spec_string_with_params(self):
@@ -40,21 +39,7 @@ class TestCodecNodeSpec:
         node = CodecNode.from_spec(CodecSpec.parse("zlib:level=9"))
         assert node.params == (("level", 9),)
 
-    def test_adaptive_extracts_policy_fields(self):
-        node = CodecNode.from_spec(
-            "adaptive:allowed=zlib|null,probe_interval=8"
-        )
-        assert node.is_adaptive
-        assert node.allowed == ("zlib", "null")
-        assert node.probe_interval == 8
-        spec = node.spec()
-        back = CodecNode.from_spec(spec)
-        assert back == node
-
     def test_describe(self):
-        assert "adaptive over zlib|null" in CodecNode.from_spec(
-            "adaptive:allowed=zlib|null,probe_interval=8"
-        ).describe()
         assert CodecNode.from_spec("zlib:level=6").describe() == "zlib:level=6"
 
 
@@ -66,10 +51,10 @@ class TestSerialization:
     def test_non_default_codec_round_trips(self, generated_plan):
         plan = dataclasses.replace(
             generated_plan,
-            codec=CodecNode.from_spec("adaptive:allowed=zlib|null"),
+            codec=CodecNode.from_spec("shuffle-lz4:itemsize=4"),
         )
         doc = plan_to_dict(plan)
-        assert doc["codec"]["name"] == "adaptive"
+        assert doc["codec"] == {"name": "shuffle-lz4", "params": {"itemsize": 4}}
         back = plan_from_dict(doc)
         assert back.codec == plan.codec
 
@@ -103,19 +88,10 @@ class TestFixtures:
 
     def test_codec_fixture_carries_the_policy(self):
         plan = load_plan(str(FIXTURES / "plan_v3_codec.json"))
-        assert plan.codec.is_adaptive
-        assert plan.codec.allowed == ("zlib", "null")
-        assert plan.codec.probe_interval == 8
+        assert plan.codec == CodecNode.from_spec("zlib:level=6")
 
 
 class TestValidation:
-    def test_adaptive_policy_validates_clean(self, generated_plan):
-        plan = dataclasses.replace(
-            generated_plan,
-            codec=CodecNode.from_spec("adaptive:allowed=zlib|null"),
-        )
-        assert not validate_plan(plan).errors
-
     def test_unknown_codec_name_is_a_diagnostic(self, generated_plan):
         plan = dataclasses.replace(
             generated_plan, codec=CodecNode(name="nope")
@@ -126,7 +102,7 @@ class TestValidation:
     def test_policy_fields_on_static_codec_rejected(self, generated_plan):
         plan = dataclasses.replace(
             generated_plan,
-            codec=CodecNode(name="zlib", allowed=("zlib", "null")),
+            codec=CodecNode.from_spec("zlib:allowed=zlib|null"),
         )
         diags = validate_plan(plan)
         assert any(d.code == "bad-codec" for d in diags.errors)
@@ -152,12 +128,9 @@ class TestLowering:
     def test_lower_live_routes_plan_codec(self, generated_plan):
         plan = dataclasses.replace(
             generated_plan,
-            codec=CodecNode.from_spec(
-                "adaptive:allowed=zlib|null,probe_interval=8"
-            ),
+            codec=CodecNode.from_spec("zlib:level=9"),
         )
-        config = lower_live(plan).config
-        assert config.codec == "adaptive:allowed=zlib|null,probe_interval=8"
+        assert lower_live(plan).config.codec == "zlib:level=9"
 
     def test_lower_live_explicit_codec_wins(self, generated_plan):
         plan = dataclasses.replace(
@@ -168,3 +141,45 @@ class TestLowering:
 
     def test_lower_live_default_is_zlib(self, generated_plan):
         assert lower_live(generated_plan).config.codec == "zlib"
+
+
+class TestRemovedAdaptive:
+    """The adaptive codec was removed; plan files naming it, or carrying
+    its policy keys, fail to load and say why."""
+
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            {"name": "adaptive"},
+            {"name": "adaptive", "allowed": ["zlib", "null"],
+             "probe_interval": 8},
+        ],
+        ids=["bare", "with-policy-keys"],
+    )
+    def test_adaptive_document_names_adaptive(self, codec, tmp_path):
+        doc = json.loads((FIXTURES / "plan_v3_codec.json").read_text())
+        doc["codec"] = codec
+        path = tmp_path / "adaptive.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="'adaptive' was removed"):
+            load_plan(str(path))
+
+    @pytest.mark.parametrize("key", ["allowed", "probe_interval"])
+    def test_policy_key_on_a_static_codec_is_named(self, key):
+        doc = json.loads((FIXTURES / "plan_v3_codec.json").read_text())
+        doc["codec"][key] = 8
+        with pytest.raises(ValidationError, match=f"unknown codec keys.*{key}"):
+            plan_from_dict(doc)
+
+    def test_list_params_are_refused(self):
+        doc = json.loads((FIXTURES / "plan_v3_codec.json").read_text())
+        doc["codec"]["params"] = {"level": [6]}
+        with pytest.raises(ValidationError, match="must be scalars"):
+            plan_from_dict(doc)
+
+    def test_adaptive_node_is_a_diagnostic(self, generated_plan):
+        plan = dataclasses.replace(
+            generated_plan, codec=CodecNode(name="adaptive")
+        )
+        [error] = validate_plan(plan).errors
+        assert error.code == "bad-codec" and "was removed" in error.message

@@ -66,7 +66,7 @@ def _full_plan() -> PipelinePlan:
         plan,
         streams=[stream],
         execution=ExecutionNode(mode="process", domains=2),
-        codec=CodecNode.from_spec("adaptive:allowed=zlib|null"),
+        codec=CodecNode.from_spec("zlib:level=6"),
         control=ControlNode(enabled=True),
         trace=TraceNode(sample=8),
     )
@@ -87,7 +87,6 @@ _OTHER = {
     ("MachineSpec", "extra"): {"rack": "b2"},
     ("PipelinePlan", "metadata"): {"workload": "other"},
     ("CodecNode", "params"): (("level", 9),),
-    ("CodecNode", "allowed"): ("zlib",),
 }
 
 

@@ -154,13 +154,12 @@ class TestCardinalityCap:
 
 
 class TestFacadeStreamCaps:
-    def test_deferred_and_codec_families_fold_past_top_k(self):
+    def test_deferred_family_folds_past_top_k(self):
         from repro.telemetry import Telemetry
 
         tel = Telemetry(stream_label_top_k=2)
         for stream in ("a", "b", "c", "d"):
             tel.record_deferred(stream)
-            tel.record_codec("compress", stream, "zlib")
         deferred = tel.registry.get("repro_receiver_deferred_total")
         assert {s.labels[0] for s in deferred.series()} == {
             "a", "b", "_other",
@@ -168,12 +167,10 @@ class TestFacadeStreamCaps:
         assert tel.counter_value(
             "repro_receiver_deferred_total", stream="_other"
         ) == 2
-        codec = tel.registry.get("pipeline_codec_chunks_total")
-        assert {s.labels[1] for s in codec.series()} == {"a", "b", "_other"}
 
     def test_per_stage_chunk_counters_are_not_capped(self):
         # pipeline_chunks_total drives the parity tests and rate panes;
-        # the cap applies only to the tenant-scaling families.
+        # the cap applies only to the tenant-scaling family.
         from repro.telemetry import Telemetry
 
         tel = Telemetry(stream_label_top_k=1)
