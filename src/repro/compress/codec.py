@@ -31,7 +31,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, TypeVar
 
-from repro.compress.lz4_frame import compress_frame, decompress_frame
+from repro.compress.lz4_frame import (
+    BLOCK_MAX_SIZES,
+    compress_frame,
+    decompress_frame,
+)
 from repro.compress.shuffle import (
     delta_decode,
     delta_encode,
@@ -367,7 +371,15 @@ def codec_spec(codec: "str | CodecSpec | Codec") -> CodecSpec:
 
 @register_codec(wire_id=1)
 class LZ4Codec(Codec):
-    """The paper's codec: LZ4 frames over from-scratch LZ4 blocks."""
+    """The paper's codec: LZ4 frames over from-scratch LZ4 blocks.
+
+    Frames carry no content checksum (LZ4F's own default): every hop a
+    compressed chunk takes, ring slot or socket, already checks the
+    transport frame's CRC-32 over these bytes, and an xxHash32 of the
+    whole chunk cost as much as compressing it and ten times as much as
+    decompressing it.
+    Frames that set the flag still decode and are verified.
+    """
 
     name = "lz4"
 
@@ -376,6 +388,11 @@ class LZ4Codec(Codec):
     ) -> None:
         if acceleration < 1:
             raise ValidationError("acceleration must be >= 1")
+        sizes = sorted(BLOCK_MAX_SIZES.values())
+        if not isinstance(block_max_size, int) or block_max_size not in sizes:
+            raise ValidationError(
+                f"block_max_size must be one of {sizes}, got {block_max_size!r}"
+            )
         self.acceleration = acceleration
         self.block_max_size = block_max_size
 
@@ -384,6 +401,7 @@ class LZ4Codec(Codec):
             data,
             acceleration=self.acceleration,
             block_max_size=self.block_max_size,
+            content_checksum=False,
         )
 
     def decompress(self, data: bytes) -> bytes:

@@ -6,6 +6,12 @@ blocks with 4-byte size headers (high bit ⇒ stored uncompressed),
 optional per-block checksums, EndMark, and optional content checksum —
 all checksums via :func:`repro.compress.xxhash.xxhash32`.
 
+Written: :func:`compress_frame` sets the content-checksum flag unless
+told not to; :class:`repro.compress.codec.LZ4Codec` tells it not to, as
+LZ4F does by default, so the codec's frames carry only the HC byte.
+Read: :func:`decompress_frame` verifies every checksum a frame's flags
+announce, whoever wrote it.
+
 Unsupported (rejected on read, never written): linked blocks,
 dictionaries, skippable frames.
 """
@@ -20,14 +26,14 @@ MAGIC = 0x184D2204
 _VERSION = 0b01
 
 #: BD byte "block maximum size" codes -> bytes.
-_BLOCK_MAX_SIZES = {4: 64 * 1024, 5: 256 * 1024, 6: 1024 * 1024, 7: 4 * 1024 * 1024}
+BLOCK_MAX_SIZES = {4: 64 * 1024, 5: 256 * 1024, 6: 1024 * 1024, 7: 4 * 1024 * 1024}
 _DEFAULT_BD_CODE = 7
 
 
 def compress_frame(
     data: bytes | bytearray | memoryview,
     *,
-    block_max_size: int = _BLOCK_MAX_SIZES[_DEFAULT_BD_CODE],
+    block_max_size: int = BLOCK_MAX_SIZES[_DEFAULT_BD_CODE],
     block_checksums: bool = False,
     content_checksum: bool = True,
     store_content_size: bool = True,
@@ -35,12 +41,12 @@ def compress_frame(
 ) -> bytes:
     """Wrap ``data`` in an LZ4 frame, compressing block by block."""
     bd_code = None
-    for code, size in _BLOCK_MAX_SIZES.items():
+    for code, size in BLOCK_MAX_SIZES.items():
         if size == block_max_size:
             bd_code = code
     if bd_code is None:
         raise CodecError(
-            f"block_max_size must be one of {sorted(_BLOCK_MAX_SIZES.values())}"
+            f"block_max_size must be one of {sorted(BLOCK_MAX_SIZES.values())}"
         )
     src = as_byte_view(data)
     out = bytearray()
@@ -109,7 +115,7 @@ def decompress_frame(data: bytes | bytearray | memoryview) -> bytes:
     if bd & 0b10001111:
         raise CodecError("reserved BD bits set")
     try:
-        block_max = _BLOCK_MAX_SIZES[bd_code]
+        block_max = BLOCK_MAX_SIZES[bd_code]
     except KeyError as exc:
         raise CodecError(f"invalid block-max-size code {bd_code}") from exc
     content_size = None

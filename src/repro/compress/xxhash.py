@@ -4,14 +4,20 @@ Implemented from the published algorithm specification (XXH32) and
 verified against the reference test vectors and a scalar transcription
 of the spec in ``tests/compress/test_xxhash.py``.
 
-Every LZ4 frame is checksummed on both ends, so the 16-byte stripe loop
-is the cost that matters.  The four accumulators of XXH32 never mix
-until the final merge, so they are kept side by side in *one* Python
-integer, each lane in its own 64-bit slot: numpy multiplies every input
-word by PRIME2 (mod 2³²) ahead of time and widens it to 64 bits, and the
-interpreter then runs one add / rotate / multiply per stripe instead of
-four.  A 32×32-bit product fits its 64-bit slot, so lanes never carry
-into each other.  The input is never copied — ``bytes``, ``bytearray``
+Written: the LZ4 frame writer hashes the frame descriptor (its HC
+byte) and whatever checksums the caller asks for; the ``lz4`` codecs
+ask for none, since the transport frame's CRC-32 already covers every
+hop.  Read: the frame reader verifies every checksum a frame carries,
+so a frame with a content checksum (the ``lz4`` command-line tool
+writes one by default, and so did this codec once) runs the 16-byte
+stripe loop over the whole chunk, and that loop is the cost that
+matters.  The four accumulators of XXH32 never mix until the final
+merge, so they are kept side by side in *one* Python integer, each
+lane in its own 64-bit slot: numpy multiplies every input word by PRIME2
+(mod 2³²) ahead of time and widens it to 64 bits, and the interpreter
+then runs one add / rotate / multiply per stripe instead of four.  A
+32×32-bit product fits its 64-bit slot, so lanes never carry into each
+other.  The input is never copied — ``bytes``, ``bytearray``
 and contiguous ``memoryview`` are read in place.
 """
 

@@ -36,10 +36,11 @@ whose sizes do not add up to exactly the bytes after it.  Frames
 without bit 4 are byte-identical to v2.2.
 
 The frame checksum is ``zlib.crc32`` — computed in C at memory speed —
-rather than the pure-Python xxhash32 the LZ4 frame format mandates:
+rather than the pure-Python xxhash32 the LZ4 frame format offers:
 checksumming every payload twice per hop must not be the pipeline
-bottleneck, and the transport owns its own format.  (LZ4 frames keep
-xxHash32; that is part of *their* spec.)
+bottleneck, and the transport owns its own format.  It is the only
+check over a compressed chunk: the ``lz4`` codecs write LZ4 frames
+without their optional xxHash32 content checksum.
 
 End-of-stream frames carry an empty payload.  v2 adds the ACK frame
 (bit 2): an empty-payload frame the *receiver* sends back on the same

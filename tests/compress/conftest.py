@@ -1,5 +1,6 @@
 """Shared fixtures for the codec tests."""
 
+import os
 import sys
 
 import pytest
@@ -20,11 +21,14 @@ def spheres_chunk():
 @pytest.fixture
 def count_lines():
     """``count_lines(module, call)``: Python ``line`` events executed in
-    ``module``'s file during ``call()``.  The count repeats exactly, so
-    it can gate interpreter work in tier-1 where a timing cannot."""
+    ``module``'s file (every file of a package) during ``call()``.  The
+    count repeats exactly, so it can gate interpreter work in tier-1
+    where a timing cannot."""
 
     def count(module, call) -> int:
         filename = module.__file__
+        if hasattr(module, "__path__"):
+            filename = os.path.dirname(filename) + os.sep
         lines = 0
 
         def local_trace(frame, event, arg):
@@ -34,7 +38,8 @@ def count_lines():
             return local_trace
 
         def global_trace(frame, event, arg):
-            return local_trace if frame.f_code.co_filename == filename else None
+            inside = frame.f_code.co_filename.startswith(filename)
+            return local_trace if inside else None
 
         previous = sys.gettrace()
         sys.settrace(global_trace)

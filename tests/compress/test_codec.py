@@ -5,6 +5,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.compress
+from repro.compress import xxhash
 from repro.compress.codec import (
     Codec,
     CodecSpec,
@@ -22,6 +24,7 @@ from repro.compress.codec import (
     resolve_codec,
 )
 from repro.util.errors import CodecError, ValidationError
+from tests.compress import test_lz4_frame as lz4_frame_tests
 
 #: Every registered codec.
 ALL = ["delta-shuffle-lz4", "lz4", "null", "shuffle-lz4", "zlib"]
@@ -364,3 +367,72 @@ class TestValidation:
     def test_shuffle_codec_misaligned_payload(self):
         with pytest.raises(CodecError):
             get_codec("shuffle-lz4").compress(b"abc")
+
+
+class TestBlockMaxSizeValidation:
+    """An LZ4 block size outside the frame format's four is refused when
+    the codec is built, like a bad acceleration, instead of failing
+    every chunk in the compressor."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "lz4:block_max_size=12345",
+            "shuffle-lz4:block_max_size=100",
+            "delta-shuffle-lz4:block_max_size=65537",
+            "lz4:block_max_size=65536.0",
+        ],
+    )
+    def test_refused_at_spec(self, spec):
+        with pytest.raises(ValidationError, match="block_max_size"):
+            resolve_codec(spec)
+
+    @pytest.mark.parametrize("size", [65536, 262144, 1048576, 4194304])
+    def test_frame_sizes_accepted(self, size):
+        codec = resolve_codec(f"lz4:block_max_size={size}")
+        data = bytes(range(256)) * 300
+        assert codec.decompress(codec.compress(data)) == data
+
+
+class TestLZ4FrameCost:
+    """The ``lz4`` codec writes frames without the xxHash32 content
+    checksum: the transport frame's CRC-32 covers every hop a compressed
+    chunk takes.  One round trip of a 256 KiB spheres chunk, counted."""
+
+    def test_frame_has_no_content_checksum(self, spheres_chunk):
+        data = spheres_chunk((256, 512))
+        wire = get_codec("lz4").compress(data)
+        assert not wire[4] & 0b100  # FLG content-checksum bit
+        assert wire[-4:] == b"\x00\x00\x00\x00"  # ends at its EndMark
+
+    def test_no_stripe_loop_on_a_round_trip(self, spheres_chunk, monkeypatch):
+        calls = []
+        stripes = xxhash._stripes
+
+        def counting(*args):
+            calls.append(args)
+            return stripes(*args)
+
+        monkeypatch.setattr(xxhash, "_stripes", counting)
+        data = spheres_chunk((256, 512))
+        codec = get_codec("lz4")
+        assert codec.decompress(codec.compress(data)) == data
+        assert len(calls) == 0  # 2 with the content checksum on
+
+    def test_round_trip_line_events(self, spheres_chunk, count_lines):
+        data = spheres_chunk((256, 512))
+        codec = get_codec("lz4")
+        lines = count_lines(
+            repro.compress, lambda: codec.decompress(codec.compress(data))
+        )
+        # 44 683 now; 143 083 with the content checksum on.
+        assert 0 < lines <= 60_000
+
+    def test_checksummed_frame_still_decodes_and_verifies(self):
+        old = lz4_frame_tests.TestCompatibility
+        codec = get_codec("lz4")
+        assert codec.decompress(old._OLD_FRAME) == old._OLD_INPUT
+        flipped = bytearray(old._OLD_FRAME)
+        flipped[-1] ^= 0x01  # the content-checksum trailer
+        with pytest.raises(CodecError, match="content checksum"):
+            codec.decompress(bytes(flipped))

@@ -45,3 +45,18 @@ class TestLiveCli:
                 assert errors[0].startswith(
                     f"repro live: error: unknown codec {codec!r}"
                 )
+
+    @pytest.mark.parametrize(
+        "codec", ["lz4:block_max_size=12345", "shuffle-lz4:block_max_size=100"]
+    )
+    def test_bad_lz4_block_size(self, codec, capsys):
+        """A block size the LZ4 frame cannot carry is a usage error
+        before anything starts, not a CodecError on every chunk."""
+        with pytest.raises(SystemExit) as info:
+            main(["live", "--chunks", "2", "--detector", "64x64",
+                  "--codec", codec])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1, err
+        assert errors[0].startswith("repro live: error: block_max_size")

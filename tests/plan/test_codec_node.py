@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.compress.codec import CodecSpec
 from repro.core.params import CODEC_COST_FACTORS
 from repro.plan.ir import CodecNode
@@ -183,3 +184,39 @@ class TestRemovedAdaptive:
         )
         [error] = validate_plan(plan).errors
         assert error.code == "bad-codec" and "was removed" in error.message
+
+
+class TestCodecParamsAtLoad:
+    """Params a registered codec refuses fail the plan file's load, as
+    they fail ``--codec``, instead of every chunk's compressor."""
+
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            {"name": "lz4", "params": {"block_max_size": 12345}},
+            {"name": "shuffle-lz4", "params": {"block_max_size": 100}},
+            {"name": "lz4", "params": {"acceleration": 0}},
+        ],
+        ids=["lz4-block", "shuffle-lz4-block", "lz4-acceleration"],
+    )
+    def test_refused_at_load(self, codec, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "plan_v3_codec.json").read_text())
+        doc["codec"] = codec
+        path = tmp_path / "bad-codec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError):
+            load_plan(str(path))
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(path)])
+        assert info.value.code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro: {path}: ")
+
+    def test_valid_block_size_loads(self, tmp_path):
+        doc = json.loads((FIXTURES / "plan_v3_codec.json").read_text())
+        doc["codec"] = {"name": "lz4", "params": {"block_max_size": 65536}}
+        path = tmp_path / "lz4.json"
+        path.write_text(json.dumps(doc))
+        assert load_plan(str(path)).codec == CodecNode.from_spec(
+            "lz4:block_max_size=65536"
+        )
