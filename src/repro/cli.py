@@ -100,6 +100,19 @@ def _load_plan(path: str):
         raise SystemExit(1) from None
 
 
+def _lower_plan(path: str, build, *args, **kwargs):
+    """Lower a loaded plan with ``build`` (``build_scenario`` or
+    ``build_live``); a plan that loads but fails validation is one line
+    on stderr and exit 1, as in :func:`_load_plan`."""
+    from repro.util.errors import ConfigurationError
+
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        print(f"repro: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _telemetry_for(args: argparse.Namespace, autotune: bool, *also):
     """A fresh Telemetry when an observation option (or anything in
     ``also``) reads one; None for an unobserved run."""
@@ -407,7 +420,10 @@ def _live(args) -> int:
         from repro.plan.passes import build_live
 
         plan_obj = _load_plan(args.plan)
-        lowered = build_live(plan_obj, args.stream, host_cpus=args.host_cpus)
+        lowered = _lower_plan(
+            args.plan, build_live, plan_obj, args.stream,
+            host_cpus=args.host_cpus,
+        )
         base = lowered.config
     given = {
         field: getattr(args, field)
@@ -669,14 +685,16 @@ def _plan_lower(args) -> int:
     if args.target == "sim":
         from repro.plan.serialize import save_scenario, scenario_to_json
 
-        scenario = build_scenario(plan)
+        scenario = _lower_plan(args.plan, build_scenario, plan)
         if args.output:
             save_scenario(scenario, args.output)
             print(f"wrote scenario {scenario.name!r} to {args.output}")
         else:
             print(scenario_to_json(scenario))
         return 0
-    lowered = build_live(plan, args.stream, host_cpus=args.host_cpus)
+    lowered = _lower_plan(
+        args.plan, build_live, plan, args.stream, host_cpus=args.host_cpus
+    )
     doc = {
         "stream_id": lowered.stream_id,
         "codec": lowered.config.codec,
@@ -811,7 +829,7 @@ def _run(args) -> int:
     from repro.util.tables import Table
 
     plan_obj = _load_plan(args.plan)
-    scenario = build_scenario(plan_obj)
+    scenario = _lower_plan(args.plan, build_scenario, plan_obj)
     autotune = args.autotune or plan_obj.control.enabled
     telemetry = _telemetry_for(args, autotune)
     with _observed(telemetry, "sim", args, autotune, plan_obj) as obs:

@@ -32,11 +32,15 @@ from typing import Any
 
 from repro.util.errors import SimulationError
 
+#: Priority for events that must run before ordinary ones at the same time
+#: (process starts, interrupts and flow completions).
+URGENT = 0
 #: Priority for ordinary events.
 NORMAL = 1
-#: Priority for events that must run before ordinary ones at the same time
-#: (used by the flow network to settle allocations before observers run).
-URGENT = 0
+#: Priority for events that must run after every ordinary event at the
+#: same time: the flow network's settle, which solves rates once for the
+#: instant's final flow population.
+SETTLE = 2
 
 
 class Event:

@@ -18,9 +18,14 @@ the classic fluid approximation used by flow-level network simulators,
 and it is exact for the steady-state questions the paper's evaluation
 asks (sustained Gbps under contention).
 
-Rates are recomputed only when the flow population changes (arrival,
-completion, cancellation), so the cost is ``O(events × flows ×
-resources)`` — trivially fast for pipeline-scale populations.
+Rates are solved once per simulated instant at which the active set
+changed.  An arrival, completion or cancellation only advances the
+network and schedules one *settle* event at the current time, at
+:data:`~repro.sim.engine.SETTLE` priority, so it runs after every
+ordinary event at that instant and sees the instant's final population.
+No simulated time passes between a population change and its settle,
+so the rates an intermediate solve would have produced were never
+integrated: the results are bit-identical to solving on every change.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.sim.engine import Engine, Event, URGENT
+from repro.sim.engine import SETTLE, URGENT, Engine, Event
 from repro.util.errors import SimulationError, ValidationError
 
 #: Relative slack used to decide a flow has finished (floating point).
@@ -171,6 +176,7 @@ class FlowNetwork:
         self._flows: list[Flow] = []
         self._last_t = engine.now
         self._version = 0
+        self._settle_pending = False
         self._observers: list[IntervalObserver] = []
         # Allocator caches: a stable column index per resource and
         # per-resource capacity/penalty arrays (grown on first sighting).
@@ -196,7 +202,8 @@ class FlowNetwork:
         flow._active = True
         self._register_columns(flow)
         self._flows.append(flow)
-        self._reallocate()
+        self._advance()
+        self._changed()
         return flow.completion
 
     def cancel(self, flow: Flow) -> None:
@@ -206,7 +213,7 @@ class FlowNetwork:
         self._advance()
         flow._active = False
         self._flows.remove(flow)
-        self._reallocate(advanced=True)
+        self._changed()
 
     # -- allocation ------------------------------------------------------
 
@@ -224,91 +231,21 @@ class FlowNetwork:
                     f.remaining = max(0.0, f.remaining - f.rate * dt)
         self._last_t = now
 
-    def _reallocate(self, *, advanced: bool = False) -> None:
-        if not advanced:
-            self._advance()
-        self._compute_rates()
+    def _changed(self) -> None:
+        """The active set changed at ``now``: supersede the pending
+        completion timer and settle once, after this instant's ordinary
+        events."""
         self._version += 1
-        self._schedule_next_completion()
+        if not self._settle_pending:
+            self._settle_pending = True
+            settle = self.engine.event()
+            settle.callbacks.append(self._settle)
+            settle.trigger(priority=SETTLE)
 
-    def _compute_rates_scalar(self) -> None:
-        """Progressive filling in plain Python: the oracle
-        ``tests/sim/test_flows.py::test_paths_agree`` holds
-        :meth:`_compute_rates` to.  Nothing else calls it."""
-        flows = self._flows
-        # Per-resource flow population (for load-dependent capacities).
-        users: dict[Resource, int] = {}
-        for f in flows:
-            for r in f.demands:
-                users[r] = users.get(r, 0) + 1
-        residual: dict[Resource, float] = {
-            r: r.effective_capacity(n) for r, n in users.items()
-        }
-        unfrozen = set(range(len(flows)))
-        rates = [0.0] * len(flows)
-        # Progressive filling: grow all unfrozen rates by a common alpha
-        # (weighted) until a resource saturates or a flow hits its cap.
-        for _ in range(len(flows) + len(residual) + 1):
-            if not unfrozen:
-                break
-            load: dict[Resource, float] = {}
-            for i in unfrozen:
-                f = flows[i]
-                for r, d in f.demands.items():
-                    load[r] = load.get(r, 0.0) + f.weight * d
-            alpha = math.inf
-            bottleneck: Resource | None = None
-            for r, ld in load.items():
-                if ld <= 0.0:
-                    continue
-                a = residual[r] / ld
-                if a < alpha:
-                    alpha, bottleneck = a, r
-            capped: list[int] = []
-            for i in unfrozen:
-                f = flows[i]
-                if f.max_rate is not None:
-                    a = (f.max_rate - rates[i]) / f.weight
-                    if a < alpha:
-                        alpha = a
-                        bottleneck = None
-            if not math.isfinite(alpha):
-                raise SimulationError(
-                    "unbounded flow rate: a flow has neither resource demands "
-                    "nor a max_rate"
-                )
-            alpha = max(alpha, 0.0)
-            for i in unfrozen:
-                f = flows[i]
-                rates[i] += f.weight * alpha
-                for r, d in f.demands.items():
-                    residual[r] -= f.weight * d * alpha
-                if f.max_rate is not None and rates[i] >= f.max_rate - _REL_EPS * f.max_rate:
-                    capped.append(i)
-            # Freeze flows on saturated resources and capped flows.
-            saturated = {
-                r for r, res in residual.items() if res <= _REL_EPS * r.capacity
-            }
-            frozen = {
-                i
-                for i in unfrozen
-                if any(r in saturated for r in flows[i].demands)
-            }
-            frozen.update(capped)
-            if not frozen:
-                # Defensive: progressive filling must freeze someone each
-                # round; bail out rather than loop forever.
-                if bottleneck is not None:
-                    frozen = {
-                        i
-                        for i in unfrozen
-                        if bottleneck in flows[i].demands
-                    }
-                else:  # pragma: no cover - cap handling above catches this
-                    break
-            unfrozen -= frozen
-        for f, r in zip(flows, rates):
-            f.rate = r
+    def _settle(self, _ev: Event) -> None:
+        self._settle_pending = False
+        self._compute_rates()
+        self._schedule_next_completion()
 
     def _register_columns(self, flow: Flow) -> None:
         """Assign stable matrix columns to a flow's resources (cached)."""
@@ -332,26 +269,25 @@ class FlowNetwork:
         flow._vals = np.asarray(vals, dtype=float)
 
     def _compute_rates(self) -> None:
-        """Progressive filling over dense arrays (numpy), at every
-        population size.
+        """Progressive filling over dense arrays (numpy).
 
-        Identical semantics to :meth:`_compute_rates_scalar` — a
-        differential property test pins the two against each other.
-        Profiling shows rate allocation dominates large scenarios
-        (Figure 5 with 128 streams; on a fig14 pair nine in ten calls
-        see 24 flows or more, median 64); cached per-flow demand
-        columns amortize it.
+        ``tests/sim/test_flows.py`` holds it to a plain-Python oracle
+        with a differential property test.  The per-call arrays are
+        built without per-flow loops (a bincount and one scatter from
+        the cached demand columns), and the cap arithmetic is skipped
+        when no flow has a ``max_rate``: neither changes a floating-point
+        operation that feeds a rate.
         """
         flows = self._flows
         if not flows:
             return
         n = len(flows)
         m = len(self._res_index)
+        cols = [f._cols for f in flows]
+        flat_cols = np.concatenate(cols)
         # Per-resource flow population -> effective capacities
         # (CoreResource context-switch model, vectorized).
-        users = np.zeros(m)
-        for f in flows:
-            users[f._cols] += 1.0
+        users = np.bincount(flat_cols, minlength=m)
         caps_arr = np.asarray(self._res_caps)
         penalty = np.asarray(self._res_penalty)
         min_eff = np.asarray(self._res_min_eff)
@@ -360,18 +296,20 @@ class FlowNetwork:
         sat_eps = _REL_EPS * caps_arr
 
         weights = np.array([f.weight for f in flows])
-        flow_caps = np.array(
-            [math.inf if f.max_rate is None else f.max_rate for f in flows]
-        )
+        capped = any(f.max_rate is not None for f in flows)
+        if capped:
+            flow_caps = np.array(
+                [math.inf if f.max_rate is None else f.max_rate for f in flows]
+            )
         rates = np.zeros(n)
         active = np.ones(n, dtype=bool)
-        # Dense demand matrix built once per reallocation from cached
-        # column indices; loads are then exact matmuls each round (an
+        # Dense demand matrix built once per solve from cached column
+        # indices; loads are then exact matmuls each round (an
         # incremental-update variant accumulated floating-point dust
         # that poisoned the saturation test).
         demand = np.zeros((n, m))
-        for i, f in enumerate(flows):
-            demand[i, f._cols] = f._vals
+        rows = np.repeat(np.arange(n), [c.size for c in cols])
+        demand[rows, flat_cols] = np.concatenate([f._vals for f in flows])
         touches = demand > 0.0
 
         for _ in range(n + m + 1):
@@ -383,8 +321,8 @@ class FlowNetwork:
             alpha = math.inf
             if used.any():
                 alpha = float(np.min(residual[used] / load[used]))
-            headroom = (flow_caps[active] - rates[active]) / weights[active]
-            if headroom.size:
+            if capped:
+                headroom = (flow_caps[active] - rates[active]) / weights[active]
                 alpha = min(alpha, float(np.min(headroom)))
             if not math.isfinite(alpha):
                 raise SimulationError(
@@ -395,15 +333,14 @@ class FlowNetwork:
             rates += w_eff * alpha
             residual -= load * alpha
             saturated = residual <= sat_eps
-            at_cap = np.isfinite(flow_caps) & (
-                rates >= flow_caps * (1.0 - _REL_EPS)
-            )
-            frozen = active & at_cap
-            if saturated.any():
-                frozen |= active & touches[:, saturated].any(axis=1)
+            frozen = active & touches[:, saturated].any(axis=1)
+            if capped:
+                frozen |= active & np.isfinite(flow_caps) & (
+                    rates >= flow_caps * (1.0 - _REL_EPS)
+                )
             if not frozen.any():
                 # Guarantee progress: freeze flows on the bottleneck
-                # resource (mirrors the scalar fallback).
+                # resource (mirrors the oracle's fallback).
                 if used.any():
                     ratios = np.where(
                         used, residual / np.where(used, load, 1.0), math.inf
@@ -413,8 +350,8 @@ class FlowNetwork:
                 if not frozen.any():  # pragma: no cover - cap handling
                     break
             active &= ~frozen
-        for f, r in zip(flows, rates):
-            f.rate = float(r)
+        for f, r in zip(flows, rates.tolist()):
+            f.rate = r
 
     def _schedule_next_completion(self) -> None:
         next_dt = math.inf
@@ -455,4 +392,4 @@ class FlowNetwork:
         for f in finished:
             assert f.completion is not None
             f.completion.trigger(f, priority=URGENT)
-        self._reallocate(advanced=True)
+        self._changed()

@@ -1,5 +1,8 @@
 """CLI entry points."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -60,3 +63,38 @@ class TestLiveCli:
         errors = [ln for ln in err.splitlines() if "error:" in ln]
         assert len(errors) == 1, err
         assert errors[0].startswith("repro live: error: block_max_size")
+
+
+class TestPlanThatFailsValidation:
+    """A plan file that loads but names an unknown codec is refused by
+    the lowering, not the loader: one line on stderr and exit 1, the
+    way a file that does not load is reported, not a traceback."""
+
+    @pytest.fixture
+    def nope_plan(self, tmp_path):
+        fixtures = Path(__file__).parents[1] / "plan" / "fixtures"
+        doc = json.loads((fixtures / "plan_v3_codec.json").read_text())
+        doc["codec"] = {"name": "nope"}
+        path = tmp_path / "nope.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["plan", "lower", "--target", "sim"],
+            ["live", "--chunks", "1", "--detector", "64x64", "--plan"],
+        ],
+        ids=["run", "plan-lower-sim", "live-plan"],
+    )
+    def test_one_line_and_exit_1(self, argv, nope_plan, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, str(nope_plan)])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(
+            f"repro: {nope_plan}: codec policy: unknown codec 'nope'"
+        )
