@@ -25,7 +25,15 @@ network and schedules one *settle* event at the current time, at
 ordinary event at that instant and sees the instant's final population.
 No simulated time passes between a population change and its settle,
 so the rates an intermediate solve would have produced were never
-integrated: the results are bit-identical to solving on every change.
+integrated.  The one order that moves is an exact tie: the completion
+timer is scheduled by the settle, so it now runs after, not before, a
+timeout scheduled later in the same instant for the very same time
+(``tests/sim/test_settle.py`` pins it).  Without such a tie the results
+are bit-identical to solving on every change.
+
+A completion event carries its flow as its value; the flow drops its
+reference to the event when it fires, so a finished flow is freed by
+reference counting instead of waiting in a cycle for the collector.
 """
 
 from __future__ import annotations
@@ -147,6 +155,7 @@ class Flow:
         self.max_rate = max_rate
         self.tags: dict[str, Any] = dict(tags or {})
         self.rate = 0.0
+        #: Pending completion event: None before the start and once it fired.
         self.completion: Event | None = None
         self._active = False
 
@@ -193,7 +202,7 @@ class FlowNetwork:
 
     def run(self, flow: Flow) -> Event:
         """Start ``flow``; returns the event fired (with the flow) on completion."""
-        if flow._active or flow.completion is not None:
+        if flow._active or flow.completion is not None or flow.remaining < flow.work:
             raise SimulationError("flow started twice")
         flow.completion = self.engine.event()
         if flow.work <= 0.0:
@@ -274,8 +283,7 @@ class FlowNetwork:
         ``tests/sim/test_flows.py`` holds it to a plain-Python oracle
         with a differential property test.  The per-call arrays are
         built without per-flow loops (a bincount and one scatter from
-        the cached demand columns), and the cap arithmetic is skipped
-        when no flow has a ``max_rate``: neither changes a floating-point
+        the cached demand columns), which changes no floating-point
         operation that feeds a rate.
         """
         flows = self._flows
@@ -296,11 +304,9 @@ class FlowNetwork:
         sat_eps = _REL_EPS * caps_arr
 
         weights = np.array([f.weight for f in flows])
-        capped = any(f.max_rate is not None for f in flows)
-        if capped:
-            flow_caps = np.array(
-                [math.inf if f.max_rate is None else f.max_rate for f in flows]
-            )
+        flow_caps = np.array(
+            [math.inf if f.max_rate is None else f.max_rate for f in flows]
+        )
         rates = np.zeros(n)
         active = np.ones(n, dtype=bool)
         # Dense demand matrix built once per solve from cached column
@@ -321,8 +327,8 @@ class FlowNetwork:
             alpha = math.inf
             if used.any():
                 alpha = float(np.min(residual[used] / load[used]))
-            if capped:
-                headroom = (flow_caps[active] - rates[active]) / weights[active]
+            headroom = (flow_caps[active] - rates[active]) / weights[active]
+            if headroom.size:
                 alpha = min(alpha, float(np.min(headroom)))
             if not math.isfinite(alpha):
                 raise SimulationError(
@@ -333,11 +339,12 @@ class FlowNetwork:
             rates += w_eff * alpha
             residual -= load * alpha
             saturated = residual <= sat_eps
-            frozen = active & touches[:, saturated].any(axis=1)
-            if capped:
-                frozen |= active & np.isfinite(flow_caps) & (
-                    rates >= flow_caps * (1.0 - _REL_EPS)
-                )
+            at_cap = np.isfinite(flow_caps) & (
+                rates >= flow_caps * (1.0 - _REL_EPS)
+            )
+            frozen = active & at_cap
+            if saturated.any():
+                frozen |= active & touches[:, saturated].any(axis=1)
             if not frozen.any():
                 # Guarantee progress: freeze flows on the bottleneck
                 # resource (mirrors the oracle's fallback).
@@ -390,6 +397,7 @@ class FlowNetwork:
         # Trigger completions *before* new arrivals can run (URGENT), so
         # pipeline processes observe a consistent order.
         for f in finished:
-            assert f.completion is not None
-            f.completion.trigger(f, priority=URGENT)
+            done, f.completion = f.completion, None
+            assert done is not None
+            done.trigger(f, priority=URGENT)
         self._changed()

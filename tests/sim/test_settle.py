@@ -6,6 +6,7 @@ settle event after the instant's ordinary events; these tests count
 would not.
 """
 
+import gc
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from repro.core.runtime import run_scenario
 from repro.experiments.fig14 import multi_stream_scenario
 from repro.sim.engine import Engine
 from repro.sim.flows import Flow, FlowNetwork, Resource
+from repro.util.errors import SimulationError
 
 
 @pytest.fixture
@@ -83,6 +85,59 @@ class TestOneSolvePerInstant:
         assert solves == [0.0, 1.0]
         assert f2.rate == pytest.approx(5.0)
         assert f3.rate == pytest.approx(5.0)
+
+
+class TestSameTimeTie:
+    def test_timeout_set_later_in_the_instant_runs_first(self):
+        """The settle schedules the completion timer, so a timeout set
+        later in the same instant for the same time runs before the
+        flow's waiter (solving on every change ran the waiter first)."""
+        eng, net = make_net()
+        r = Resource("r", 1.0)
+        order = []
+
+        def worker():
+            yield net.run(Flow(1.0, {r: 1.0}))  # done at exactly t=1
+            order.append("flow")
+
+        def sleeper():
+            yield eng.timeout(1.0)
+            order.append("timeout")
+
+        eng.process(worker())
+        eng.process(sleeper())
+        eng.run()
+        assert order == ["timeout", "flow"]
+
+
+class TestFinishedFlows:
+    def test_freed_without_the_cycle_collector(self):
+        def live_flows():
+            return sum(isinstance(o, Flow) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_flows()
+            eng, net = make_net()
+            r = Resource("r", 10.0)
+
+            def worker():
+                for _ in range(3):
+                    yield net.run(Flow(10.0, {r: 1.0}))
+
+            eng.process(worker())
+            eng.run()
+            assert live_flows() == before
+        finally:
+            gc.enable()
+
+    def test_finished_flow_cannot_restart(self):
+        eng, net = make_net()
+        f = Flow(10.0, {Resource("r", 10.0): 1.0})
+        eng.run(net.run(f))
+        with pytest.raises(SimulationError, match="started twice"):
+            net.run(f)
 
 
 class TestFig14Pair:
