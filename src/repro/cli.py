@@ -316,8 +316,8 @@ def _add_live(sub) -> None:
     )
     parser.add_argument(
         "--batch-frames", type=int,
-        help="frames coalesced per queue drain / vectored send "
-        "(default: the plan's batch_frames, else 1)",
+        help="items per queue drain of the feed, compress and decompress "
+        "stages (default: the plan's batch_frames, else 1)",
     )
     parser.add_argument(
         "--detector", default="240x256",
@@ -741,7 +741,7 @@ def _add_plan(sub) -> None:
     generate.add_argument("--seed", type=int, default=7)
     generate.add_argument(
         "--batch-frames", type=int, default=1,
-        help="frames coalesced per queue handoff / vectored send — a "
+        help="frames coalesced per queue handoff — a "
         "plan policy knob lowered to both substrates (default 1)",
     )
     generate.add_argument(

@@ -61,7 +61,8 @@ class Assembly:
         self.reconfigurable = reconfigurable
         self.stats = {name: workers.StageStats(name) for name in STAGES}
         self.knobs = Knobs(cfg.batch_frames)
-        #: What every :mod:`~repro.live.workers` body takes by keyword.
+        #: What the feed and codec bodies of :mod:`~repro.live.workers`
+        #: take by keyword (the transport bodies read no knob).
         self.kw: dict[str, Any] = {"telemetry": tel, "knobs": self.knobs}
         self.sampler: HeadSampler | None = None
         # Without telemetry a trace has nowhere to land.
@@ -138,7 +139,7 @@ class Assembly:
 
     def link_pairs(self) -> None:
         """sendq -> a socketpair sender/receiver per connection -> wireq."""
-        cfg, aff, stats, kw = self.cfg, self.cfg.affinity, self.stats, self.kw
+        cfg, aff, stats = self.cfg, self.cfg.affinity, self.stats
         tel, sendq = self.tel, self.sendq
         wireq = self.wireq = self.queue("wireq", cfg.connections, "decompress")
         split = split_frame if self.blocked else None
@@ -148,11 +149,11 @@ class Assembly:
             return [
                 thread(
                     f"send-{i}", workers.sender, tx, sendq, stats["send"],
-                    cpus=aff.get("send"), **kw,
+                    cpus=aff.get("send"), telemetry=tel,
                 ),
                 thread(
                     f"recv-{i}", workers.receiver, rx, wireq, stats["recv"],
-                    aff.get("recv"), split=split, **kw,
+                    aff.get("recv"), split=split, telemetry=tel,
                 ),
             ]
 

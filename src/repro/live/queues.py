@@ -16,7 +16,9 @@ variables rather than ``queue.Queue`` so that:
 * :meth:`put_many`/:meth:`get_many` move a whole batch under a single
   lock round-trip, which is the queue-side half of the pipeline's frame
   batching (the transport-side half lives in
-  :meth:`repro.live.transport.FramedSender.send_many`).
+  :meth:`repro.live.transport.FramedSender.send_many`); ``get_many``
+  can also stop at a byte bound, which is how the send stage coalesces
+  small frames without ever grouping large ones.
 
 Timeouts raise :class:`repro.util.errors.QueueTimeout` (never stdlib
 ``queue.Empty``/``queue.Full``), and ``timeout=0`` means "try once,
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from time import monotonic
 from typing import Any
 
@@ -236,21 +238,36 @@ class ClosableQueue:
             return item
 
     def get_many(
-        self, max_items: int, timeout: float | None = None
+        self,
+        max_items: int,
+        timeout: float | None = None,
+        *,
+        max_bytes: int | None = None,
+        size: Callable[[Any], int] = len,
     ) -> list[Any]:
         """Dequeue up to ``max_items`` under one lock round-trip.
 
         Blocks for the *first* item exactly as :meth:`get` does, then
-        greedily drains whatever else is buffered.  Always returns at
-        least one item; raises :class:`Closed` once drained and closed.
+        greedily drains whatever else is buffered.  With ``max_bytes``
+        the drain also stops before the item whose ``size`` would take
+        the batch past that many bytes; the first item comes whatever
+        its size, so an item larger than the bound travels alone.
+        Always returns at least one item; raises :class:`Closed` once
+        drained and closed.
         """
         if max_items < 1:
             raise ValidationError("max_items must be >= 1")
         with self._not_empty:
             self._wait_for_item_locked(timeout, self._deadline(timeout))
-            batch = [self._items.popleft()]
-            while len(batch) < max_items and self._items:
-                batch.append(self._items.popleft())
+            items = self._items
+            batch = [items.popleft()]
+            room = None if max_bytes is None else max_bytes - size(batch[0])
+            while len(batch) < max_items and items:
+                if room is not None:
+                    room -= size(items[0])
+                    if room < 0:
+                        break
+                batch.append(items.popleft())
             self._not_full.notify(len(batch))
             self._observe_depth_locked()
             self._record_batch(f"{self.name}.get", len(batch))

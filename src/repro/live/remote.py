@@ -303,13 +303,13 @@ class SenderClient:
             ) from exc
         asm.front_threads(source)
         # The link: one at-least-once sender per dialed connection.
-        sendq, stats, kw = asm.sendq, asm.stats, asm.kw
+        sendq, stats = asm.sendq, asm.stats
         asm.stages["send"] = StageSet(
             "send",
             lambda i, stop: thread(
                 f"send-{i}", workers.resilient_sender, senders[i],
                 lambda: self._dial(i), sendq, stats["send"], retry=self.retry,
-                drain_timeout=self.timeouts.drain, **kw,
+                drain_timeout=self.timeouts.drain, telemetry=self.telemetry,
             ),
             count=self.connections,
         )

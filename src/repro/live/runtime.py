@@ -37,8 +37,10 @@ class LiveConfig:
     queue_capacity: int = 8
     #: Optional stage -> CPU list affinity hints (best-effort).
     affinity: dict[str, list[int]] = field(default_factory=dict)
-    #: Frames coalesced per queue drain / vectored send (1 = today's
-    #: one-at-a-time behaviour; wire bytes are identical either way).
+    #: Items per queue drain of the feed, compress and decompress stages
+    #: (1 = one at a time).  The send and receive threads coalesce the
+    #: small frames already waiting whatever it says; wire bytes are
+    #: identical either way.
     batch_frames: int = 1
     #: Fail the run if any chunk is missing or duplicated at the sink.
     verify: bool = True

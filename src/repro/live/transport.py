@@ -133,8 +133,10 @@ MAX_STREAM_ID = 4096
 MAX_BLOCKS = 4096
 
 #: Buffers per ``sendmsg`` call.  POSIX guarantees IOV_MAX >= 16; Linux
-#: allows 1024, but past a few dozen the syscall amortization is flat.
-_IOV_GROUP = 64
+#: allows 1024, but past a few dozen the syscall amortization is flat —
+#: which is why it also caps the frames one send or receive handoff
+#: coalesces (:data:`repro.live.workers.COALESCE_BYTES`).
+IOV_GROUP = 64
 
 #: Read-ahead granularity of the receiver's reusable buffer.
 _READ_SIZE = 1 << 16
@@ -439,7 +441,7 @@ class FramedSender:
         pending = [memoryview(b) for b in buffers if b]
         try:
             while pending:
-                sent = self.sock.sendmsg(pending[:_IOV_GROUP])
+                sent = self.sock.sendmsg(pending[:IOV_GROUP])
                 while sent:
                     head = pending[0]
                     if sent >= len(head):

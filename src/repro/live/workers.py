@@ -37,13 +37,27 @@ from repro.live.affinity import pin_current_thread
 from repro.live.blocks import Block, split_frame
 from repro.live.queues import ClosableQueue, Closed
 from repro.live.stageset import Knobs
-from repro.live.transport import Frame, FramedReceiver, FramedSender, pack_blocks
-from repro.telemetry.spans import stage_span
+from repro.live.transport import (
+    IOV_GROUP,
+    Frame,
+    FramedReceiver,
+    FramedSender,
+    pack_blocks,
+)
+from repro.telemetry.spans import ActiveSpan, stage_span
 from repro.util.errors import QueueTimeout, TransportError
 
 #: How often a stoppable worker wakes from an idle queue to re-check
 #: its stop event (seconds) — bounds scale-down/respawn latency.
 STOP_POLL_SECONDS = 0.1
+
+#: What one send or receive handoff coalesces: only frames already
+#: waiting (queued for the sender, whole in the receiver's buffer), at
+#: most :data:`~repro.live.transport.IOV_GROUP` of them and no more
+#: payload bytes than this.  The frame that would cross the bound waits
+#: for the next handoff, and a frame as large travels alone, so only
+#: small frames ever share a ``sendmsg``.
+COALESCE_BYTES = 256 * 1024
 
 
 @dataclass
@@ -106,7 +120,8 @@ def feeder(
     """Pushes source chunks into the pipeline (the data generator).
 
     ``knobs.batch_frames > 1`` groups chunks into one ``put_many``
-    handoff (one lock round-trip, one span); 1 keeps the historical
+    handoff (one lock round-trip, one span — a slice of it for each
+    traced chunk, :func:`_share_span`); 1 keeps the historical
     chunk-at-a-time behaviour.  The knob is re-read before every batch,
     so the controller can hot-swap it.
 
@@ -126,7 +141,6 @@ def feeder(
             batch = list(islice(it, knobs.batch_frames))
             if not batch:
                 break
-            head = batch[0]
             for chunk in batch:
                 if chunk.payload is None:
                     raise ValueError(
@@ -137,17 +151,15 @@ def feeder(
                     chunk.trace = sampler.sample_chunk(
                         chunk.stream_id, chunk.index
                     )
-                    # Attribute the batch span to the sampled chunk, so
-                    # a traced chunk's journey starts at the feeder even
-                    # when it is not the batch head.
-                    if chunk.trace is not None and head.trace is None:
-                        head = chunk
+            traced = [c for c in batch if c.trace is not None]
             items = batch if split is None else [i for c in batch for i in split(c)]
             with stage_span(
-                telemetry, "feed", stream_id=head.stream_id,
-                chunk_id=head.index, track=track,
+                telemetry, "feed", stream_id=batch[0].stream_id,
+                chunk_id=batch[0].index, track=track,
             ) as sp:
+                sp.discard = bool(traced)
                 outq.put_many(items)
+            _share_span(telemetry, sp, traced)
             per_chunk = sp.duration / len(batch)
             for chunk in batch:
                 n = len(chunk.payload)
@@ -275,28 +287,54 @@ def _note_wire(telemetry, frame: Frame, *, arrived: float | None = None) -> None
     )
 
 
+def _payload_bytes(frame: Frame) -> int:
+    return len(frame.payload)
+
+
+def _share_span(
+    telemetry, sp: ActiveSpan, traced: "Sequence[Frame | Chunk]"
+) -> None:
+    """Give every traced chunk of a batch its own span of ``sp``'s stage.
+
+    The batch interval is cut into equal consecutive slices, one per
+    traced chunk (or its frame) in batch order, so each sampled chunk's
+    journey has the stage and the stage's summed seconds stay the
+    batch's.  The caller discards ``sp`` itself whenever ``traced`` is
+    not empty.
+    """
+    if telemetry is None or not traced:
+        return
+    step = sp.duration / len(traced)
+    for i, item in enumerate(traced):
+        telemetry.record_span(
+            sp.stage, sp.start + i * step, sp.start + (i + 1) * step,
+            stream_id=item.stream_id, chunk_id=item.index, track=sp.track,
+        )
+
+
 def _pump(
     inq: ClosableQueue,
     deliver: Callable[[Sequence[Frame]], None],
     stats: StageStats,
-    knobs: Knobs,
     *,
     telemetry,
     settle: Callable[[], None] | None = None,
 ) -> set[str]:
     """The send loop both senders share; returns the stream ids seen.
 
-    Until ``inq`` closes: drain up to ``knobs.batch_frames`` frames in
-    one lock round-trip (re-read before every drain, so it is
-    hot-swappable), hand the batch to ``deliver`` under one ``send``
-    span and book each chunk.  ``settle`` runs after every batch,
-    outside the span (the resilient sender collects ACKs there).
+    Until ``inq`` closes: drain the frames already queued, up to
+    :data:`COALESCE_BYTES`, in one lock round-trip, hand the batch to
+    ``deliver`` under one ``send`` span and book each chunk.  ``settle``
+    runs after every batch, outside the span (the resilient sender
+    collects ACKs there).
     """
     track = threading.current_thread().name
     stream_ids: set[str] = set()
     while True:
         try:
-            batch = inq.get_many(knobs.batch_frames)
+            batch = inq.get_many(
+                IOV_GROUP, max_bytes=COALESCE_BYTES, size=_payload_bytes
+            )
         except Closed:
             return stream_ids
         # A traced frame is stamped just before transmit: the start of
@@ -306,14 +344,14 @@ def _pump(
             replace(f, sent_at=time.perf_counter()) if f.traced else f
             for f in batch
         ]
-        # The batch span goes to the first traced frame, so a sampled
-        # chunk's journey has no batch-identity holes.
-        head = next((f for f in frames if f.traced), frames[0])
+        traced = [f for f in frames if f.traced]
         with stage_span(
-            telemetry, "send", stream_id=head.stream_id,
-            chunk_id=head.index, track=track,
+            telemetry, "send", stream_id=frames[0].stream_id,
+            chunk_id=frames[0].index, track=track,
         ) as sp:
+            sp.discard = bool(traced)
             deliver(frames)
+        _share_span(telemetry, sp, traced)
         per_chunk = sp.duration / len(frames)
         for frame in frames:
             stream_ids.add(frame.stream_id)
@@ -328,23 +366,21 @@ def sender(
     inq: ClosableQueue,
     stats: StageStats,
     *,
-    knobs: Knobs,
     cpus: list[int] | None = None,
     telemetry=None,
 ) -> None:
     """{S}: one TCP connection's sending thread.
 
-    Each batch :func:`_pump` drains goes out with one vectored
-    :meth:`~repro.live.transport.FramedSender.send_many`.  The wire
-    bytes are identical at any ``knobs.batch_frames``; only the syscall
-    and lock counts change.  A batch is whatever one drain returned; the
-    final partial batch is sent before the EOS frames.
+    Each batch :func:`_pump` drains (the small frames already queued,
+    up to :data:`COALESCE_BYTES`; a large frame alone) goes out with one
+    vectored :meth:`~repro.live.transport.FramedSender.send_many`.
+    Frames are self-delimiting, so the wire bytes are those of sending
+    each frame on its own; only the syscall and lock counts change.
+    The last batch is sent before the EOS frames.
     """
     _maybe_pin(cpus, "send", telemetry)
     try:
-        stream_ids = _pump(
-            inq, transport.send_many, stats, knobs, telemetry=telemetry
-        )
+        stream_ids = _pump(inq, transport.send_many, stats, telemetry=telemetry)
         # One write for every EOS: the receiver stops at the first one
         # and drops the socket, so a second write could meet EPIPE.
         transport.send_many(
@@ -363,7 +399,6 @@ def resilient_sender(
     stats: StageStats,
     *,
     retry: RetryPolicy,
-    knobs: Knobs,
     drain_timeout: float = 30.0,
     cpus: list[int] | None = None,
     telemetry=None,
@@ -380,7 +415,8 @@ def resilient_sender(
     ``reconnect`` must return a fresh connected :class:`FramedSender`
     (same telemetry/injector wiring as ``transport``); it is only
     called after the initial connection dies.  When no faults fire the
-    hot path is one ``send`` plus a zero-timeout ``select`` per chunk.
+    hot path is one ``send_many`` plus a zero-timeout ``select`` per
+    batch :func:`_pump` drains.
     """
     _maybe_pin(cpus, "send", telemetry)
     track = threading.current_thread().name
@@ -475,8 +511,7 @@ def resilient_sender(
 
     try:
         stream_ids = _pump(
-            inq, _deliver_many, stats, knobs, telemetry=telemetry,
-            settle=_settle,
+            inq, _deliver_many, stats, telemetry=telemetry, settle=_settle,
         )
         for sid in sorted(stream_ids) or ["-"]:
             _deliver_many((Frame.end_of_stream(sid),))
@@ -506,17 +541,17 @@ def receiver(
     stats: StageStats,
     cpus: list[int] | None = None,
     *,
-    knobs: Knobs,
     telemetry=None,
     split: Callable[[Frame], list] | None = None,
 ) -> None:
     """{R}: one TCP connection's receiving thread.
 
-    With ``knobs.batch_frames > 1``, after each blocking ``recv`` any
-    whole frames already sitting in the receiver's userspace buffer
-    join the same ``put_many`` handoff — the downstream mirror of the
-    sender's vectored batch, with no extra waiting (buffered frames are
-    free).  The knob is re-read before every batch.
+    After each blocking ``recv``, the frames already *whole* in the
+    receiver's userspace buffer (:meth:`FramedReceiver.next_frame`, up
+    to :data:`COALESCE_BYTES`) join the same ``put_many`` handoff — the
+    downstream mirror of the sender's vectored batch, with no extra
+    waiting: a partial frame behind them stays buffered for the next
+    ``recv``.
 
     ``split`` (:func:`repro.live.blocks.split_frame`, when the sending
     side cuts chunks into blocks) hands the decompress stage one job per
@@ -527,8 +562,8 @@ def receiver(
     try:
         done = False
         while not done:
-            bf = knobs.batch_frames
             batch: list[Frame] = []
+            traced: list[Frame] = []
             with stage_span(telemetry, "recv", track=track) as sp:
                 frame = transport.recv()
                 if frame is None or frame.eos:
@@ -538,26 +573,27 @@ def receiver(
                     sp.stream_id = frame.stream_id
                     sp.chunk_id = frame.index
                     batch.append(frame)
-                    while len(batch) < bf and transport.pending:
-                        nxt = transport.recv()
-                        if nxt is None or nxt.eos:
+                    nbytes = len(frame.payload)
+                    while len(batch) < IOV_GROUP and nbytes < COALESCE_BYTES:
+                        nxt = transport.next_frame()
+                        if nxt is None:
+                            break
+                        if nxt.eos:
                             done = True
                             break
                         batch.append(nxt)
+                        nbytes += len(nxt.payload)
                     # The wire interval ends when the frame came off
                     # the socket — not at sp.start, which is when this
                     # thread began *waiting* for it.
                     arrived = time.perf_counter()
-                    tagged = False
-                    for f in batch:
-                        if f.traced:
-                            if not tagged:
-                                sp.stream_id = f.stream_id
-                                sp.chunk_id = f.index
-                                tagged = True
-                            _note_wire(telemetry, f, arrived=arrived)
+                    traced = [f for f in batch if f.traced]
+                    for f in traced:
+                        _note_wire(telemetry, f, arrived=arrived)
+                    sp.discard = bool(traced)
             if not batch:
                 break
+            _share_span(telemetry, sp, traced)
             per_chunk = sp.duration / len(batch)
             for frame in batch:
                 _finish(stats, telemetry, "recv", frame.stream_id,

@@ -223,3 +223,50 @@ class TestBatchedOps:
         q.close()
         with pytest.raises(ValidationError):
             q.put_many([1])
+
+
+class TestByteBoundedDrain:
+    """``get_many(max_bytes=...)``: the drain the transport stages use."""
+
+    def test_drain_stops_before_the_item_that_crosses_the_bound(self):
+        q = ClosableQueue(capacity=16, producers=1)
+        q.put_many([b"a" * 4, b"b" * 4, b"c" * 4, b"d" * 4])
+        assert q.get_many(16, max_bytes=10) == [b"a" * 4, b"b" * 4]
+        assert q.get_many(16, max_bytes=8) == [b"c" * 4, b"d" * 4]
+
+    def test_first_item_comes_even_past_the_bound(self):
+        q = ClosableQueue(capacity=16, producers=1)
+        q.put_many([b"x" * 100, b"y", b"z"])
+        assert q.get_many(16, max_bytes=10) == [b"x" * 100]
+        assert q.get_many(16, max_bytes=10) == [b"y", b"z"]
+
+    def test_order_preserved_with_a_size_function(self):
+        q = ClosableQueue(capacity=32, producers=1)
+        q.put_many(list(range(20)))
+        got = []
+        while len(got) < 20:
+            got += q.get_many(8, max_bytes=30, size=lambda i: 10)
+        assert got == list(range(20))
+
+    def test_item_cap_still_applies(self):
+        q = ClosableQueue(capacity=16, producers=1)
+        q.put_many([b"."] * 10)
+        assert len(q.get_many(4, max_bytes=1 << 20)) == 4
+
+    def test_closed_after_drain(self):
+        q = ClosableQueue(capacity=8, producers=1)
+        q.put_many([b"ab", b"cd"])
+        q.close()
+        assert q.get_many(8, max_bytes=2) == [b"ab"]
+        assert q.get_many(8, max_bytes=2) == [b"cd"]
+        with pytest.raises(Closed):
+            q.get_many(8, max_bytes=2)
+
+    def test_timeouts_unchanged(self):
+        q = ClosableQueue(capacity=8, producers=1)
+        with pytest.raises(QueueTimeout):
+            q.get_many(8, timeout=0, max_bytes=16)
+        t0 = time.perf_counter()
+        with pytest.raises(QueueTimeout):
+            q.get_many(8, timeout=0.05, max_bytes=16)
+        assert time.perf_counter() - t0 >= 0.04
