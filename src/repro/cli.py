@@ -80,8 +80,8 @@ def _add_observation_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--autotune", action="store_true",
         help="run the closed-loop controller: watchdog signals become "
-        "plan deltas (scale workers, respawn a stage, retune "
-        "batch_frames) applied to the running pipeline without restart "
+        "plan deltas (scale workers, respawn a stage) applied to the "
+        "running pipeline without restart "
         "— on `run`, on the virtual clock and deterministic under the "
         "scenario seed (see docs/autotuning.md)",
     )
@@ -263,7 +263,7 @@ def _experiment(args) -> int:
 #: otherwise the plan, otherwise ``_LIVE_DEFAULTS``.
 _LIVE_SIZING = (
     "codec", "compress_threads", "decompress_threads", "connections",
-    "receiver_shards", "execution_mode", "process_domains", "batch_frames",
+    "receiver_shards", "execution_mode", "process_domains",
     "trace_sample", "trace_per_stream_cap",
 )
 #: What `repro live` runs with no plan and no flags.
@@ -313,11 +313,6 @@ def _add_live(sub) -> None:
         "--domains", dest="process_domains", type=int, metavar="N",
         help="compressor domains with --mode process "
         "(default: one per compress thread)",
-    )
-    parser.add_argument(
-        "--batch-frames", type=int,
-        help="items per queue drain of the feed, compress and decompress "
-        "stages (default: the plan's batch_frames, else 1)",
     )
     parser.add_argument(
         "--detector", default="240x256",
@@ -489,7 +484,6 @@ def _live(args) -> int:
             codec=config.codec,
             connections=config.connections,
             decompress_threads=config.decompress_threads,
-            batch_frames=config.batch_frames,
             shards=config.receiver_shards,
             telemetry=telemetry,
         )
@@ -503,7 +497,6 @@ def _live(args) -> int:
             codec=config.codec,
             connections=config.connections,
             compress_threads=config.compress_threads,
-            batch_frames=config.batch_frames,
             telemetry=telemetry,
             injector=injector,
             trace_sample=config.trace_sample,
@@ -597,14 +590,6 @@ def _plan_generate(args) -> int:
         if args.os_baseline
         else generator.generate_plan(workload)
     )
-    if args.batch_frames != 1:
-        plan = dataclasses.replace(
-            plan,
-            streams=tuple(
-                dataclasses.replace(s, batch_frames=args.batch_frames)
-                for s in plan.streams
-            ),
-        )
     if args.codec:
         try:
             codec_node = CodecNode.from_spec(args.codec)
@@ -702,7 +687,6 @@ def _plan_lower(args) -> int:
         "decompress_threads": lowered.config.decompress_threads,
         "connections": lowered.config.connections,
         "queue_capacity": lowered.config.queue_capacity,
-        "batch_frames": lowered.config.batch_frames,
         "affinity": lowered.affinity,
         "stage_counts": lowered.stage_counts,
     }
@@ -739,11 +723,6 @@ def _add_plan(sub) -> None:
     )
     generate.add_argument("--chunks", type=int, default=250)
     generate.add_argument("--seed", type=int, default=7)
-    generate.add_argument(
-        "--batch-frames", type=int, default=1,
-        help="frames coalesced per queue handoff — a "
-        "plan policy knob lowered to both substrates (default 1)",
-    )
     generate.add_argument(
         "--codec", metavar="SPEC",
         help="codec policy for the plan: a name or "

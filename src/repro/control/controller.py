@@ -11,8 +11,8 @@ Diagnosis priority (most specific signal wins, one action per cycle):
 1. ``stage_stall`` — a worker stopped beating: drain-and-respawn its
    stage (exactly-once holds; see docs/autotuning.md).
 2. ``backpressure`` — a queue pinned at depth: scale the consuming
-   stage up one worker, or — when that stage can't scale — double
-   ``batch_frames`` so each handoff moves more per lock round-trip.
+   stage up one worker.  A consumer that cannot scale, or is already
+   at ``max_workers``, gets no action: the watchdog's event reports it.
 3. ``bottleneck_shift`` — the busiest stage changed: scale the new
    bottleneck up one worker.
 4. Quiet streak — ``scale_down_after`` consecutive signal-free polls:
@@ -41,7 +41,6 @@ from repro.obs.events import Event
 from repro.plan.delta import (
     PlanDelta,
     ScaleStage,
-    SetBatchFrames,
     apply_delta,
     delta_to_dict,
 )
@@ -68,7 +67,7 @@ PINNED_CLEAR_RATIO = 0.5
 class Action:
     """One decided control action (the executor-facing half)."""
 
-    kind: str  # "respawn" | "scale" | "batch"
+    kind: str  # "respawn" | "scale"
     stream: str
     stage: str
     value: int = 0
@@ -79,9 +78,7 @@ class Action:
     def describe(self) -> str:
         if self.kind == "respawn":
             return f"respawn {self.stage} workers"
-        if self.kind == "scale":
-            return f"scale {self.stage} -> x{self.value}"
-        return f"batch_frames -> {self.value}"
+        return f"scale {self.stage} -> x{self.value}"
 
 
 class Controller:
@@ -258,17 +255,15 @@ class Controller:
                     notes=(f"respawn {stage} workers",),
                 ),
             )
-        # 2. Backpressure: grow the consumer, or batch up if it can't.
+        # 2. Backpressure: grow the consumer, when it can grow.
         for queue, _ in sorted(signals["backpressure"]):
             target = ex.queue_consumer(queue)
             if target is None:
                 continue
             stream, stage = target
-            reason = f"backpressure: queue {queue!r} pinned"
-            action = self._grow(stream, stage, reason)
-            if action is not None:
-                return action
-            action = self._batch_up(stream, reason)
+            action = self._grow(
+                stream, stage, f"backpressure: queue {queue!r} pinned"
+            )
             if action is not None:
                 return action
         # 3. The bottleneck moved: give the new bottleneck a worker.
@@ -325,24 +320,6 @@ class Controller:
             grow=True,
             delta=PlanDelta(
                 ops=(ScaleStage(self._plan_stream(stream), stage, current + 1),),
-                reason=reason,
-            ),
-        )
-
-    def _batch_up(self, stream: str, reason: str) -> Action | None:
-        ex = self.executor
-        assert ex is not None
-        current = ex.batch_frames(stream)
-        if current >= self.config.max_batch_frames:
-            return None
-        value = min(current * 2, self.config.max_batch_frames)
-        return Action(
-            kind="batch",
-            stream=stream,
-            value=value,
-            stage="",
-            delta=PlanDelta(
-                ops=(SetBatchFrames(self._plan_stream(stream), value),),
                 reason=reason,
             ),
         )
@@ -432,11 +409,7 @@ class Controller:
         assert ex is not None
         if action.kind == "respawn":
             return ex.respawn_stage(action.stream, action.stage)
-        if action.kind == "scale":
-            return ex.scale_stage(action.stream, action.stage, action.value)
-        if action.kind == "batch":
-            return ex.set_batch_frames(action.stream, action.value)
-        return False  # pragma: no cover - kinds are closed above
+        return ex.scale_stage(action.stream, action.stage, action.value)
 
     def _emit(
         self, kind: str, message: str, *, severity: str = "info",

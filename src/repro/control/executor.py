@@ -5,23 +5,23 @@ controller to act on it — a handful of narrow methods, all safe to
 call from another thread (or, in the simulator, from a virtual-clock
 process between events).  Every mutator returns a bool: False means
 "refused, pipeline unchanged" (stage not scalable, stream already
-draining, value out of range), which the controller reports as a
-``replan_rejected`` rather than an error.
+draining), which the controller reports as a ``replan_rejected``
+rather than an error.
 
 :class:`StageSetExecutor` is the shared thread-substrate
 implementation: a bag of named :class:`~repro.live.stageset.StageSet`
-objects plus the shared :class:`~repro.live.stageset.Knobs`, with a
-queue-name → consumer-stage map so backpressure signals resolve to the
-stage that should absorb them.  :class:`~repro.live.assembly.Assembly`
-builds one for whichever pipeline it wired; the simulator implements
-the protocol directly on its DES state.
+objects with a queue-name → consumer-stage map so backpressure signals
+resolve to the stage that should absorb them.
+:class:`~repro.live.assembly.Assembly` builds one for whichever
+pipeline it wired; the simulator implements the protocol directly on
+its DES state.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.live.stageset import Knobs, StageSet
+from repro.live.stageset import StageSet
 
 
 @runtime_checkable
@@ -51,17 +51,9 @@ class Reconfigurable(Protocol):
         """Drain-and-respawn a stage's workers; False = refused."""
         ...
 
-    def batch_frames(self, stream: str) -> int:
-        """The current ``batch_frames`` knob value."""
-        ...
-
-    def set_batch_frames(self, stream: str, value: int) -> bool:
-        """Hot-swap ``batch_frames``; False = refused, unchanged."""
-        ...
-
 
 class StageSetExecutor:
-    """The thread-substrate :class:`Reconfigurable`: StageSets + Knobs.
+    """The thread-substrate :class:`Reconfigurable` over StageSets.
 
     ``queue_map`` routes a backpressured queue name to the stage that
     drains it (``{"rawq": "compress", "wireq": "decompress", ...}``).
@@ -73,13 +65,11 @@ class StageSetExecutor:
     def __init__(
         self,
         stages: dict[str, StageSet],
-        knobs: Knobs,
         *,
         queue_map: dict[str, str],
         respawn_hooks: dict[str, Callable[[], bool]] | None = None,
     ) -> None:
         self.stages = stages
-        self.knobs = knobs
         self.queue_map = queue_map
         self.respawn_hooks = respawn_hooks or {}
 
@@ -105,12 +95,3 @@ class StageSetExecutor:
             return hook()
         ss = self.stages.get(stage)
         return ss is not None and ss.respawn()
-
-    def batch_frames(self, stream: str) -> int:
-        return self.knobs.batch_frames
-
-    def set_batch_frames(self, stream: str, value: int) -> bool:
-        if value < 1:
-            return False
-        self.knobs.batch_frames = value
-        return True

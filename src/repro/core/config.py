@@ -132,12 +132,6 @@ class StreamFields:
     #: Bounded inter-stage queue depth (chunks) — the paper's
     #: thread-safe queues; small values give tight backpressure.
     queue_capacity: int = 4
-    #: Chunks moved per queue handoff (the live runtime's batched
-    #: drain/vectored send) — a plan *policy* knob: lowered to
-    #: ``LiveConfig.batch_frames``, and amortizing
-    #: ``CostModel.queue_handoff_seconds`` in the sim, so both
-    #: substrates model the same batched cost.
-    batch_frames: int = 1
     #: True for the §3.2/§3.3 standalone microbenchmarks (no pipeline
     #: overhead on compute rates); False for full streaming pipelines.
     micro: bool = False
@@ -155,7 +149,6 @@ class StreamFields:
             (self.chunk_bytes < 1, "chunk_bytes must be >= 1"),
             (self.ratio_mean <= 0, "ratio_mean must be > 0"),
             (self.queue_capacity < 1, "queue_capacity must be >= 1"),
-            (self.batch_frames < 1, "batch_frames must be >= 1"),
         )
         return [message for violated, message in checks if violated]
 

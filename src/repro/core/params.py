@@ -111,15 +111,7 @@ class CostModel:
     #: the plain output write (LLC-missing re-reads).
     decompress_mc_factor: float = 1.8
 
-    #: Fixed CPU seconds one queue handoff costs a stage (lock + wake).
-    #: Amortized across ``StreamConfig.batch_frames`` when the live
-    #: pipeline drains in batches; 0 keeps the historical behaviour of
-    #: folding handoff cost into ``pipeline_efficiency``.
-    queue_handoff_seconds: float = 0.0
-
     def __post_init__(self) -> None:
-        if self.queue_handoff_seconds < 0:
-            raise ValidationError("queue_handoff_seconds must be >= 0")
         for name in (
             "ingest_rate",
             "compress_rate",

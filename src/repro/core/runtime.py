@@ -648,8 +648,8 @@ class _SimStageSet:
     two workers per distinct core its spec enumerates (the paper's
     Obs 2 oversubscription rule, the same bound plan validation warns
     about).  Past that, added workers only split the same cores'
-    capacity — the controller's batch_frames fallback is the right
-    next move, not another thread.
+    capacity, so the controller reports the backpressure and acts on
+    nothing.
     """
 
     runtime: "SimRuntime"
@@ -776,18 +776,6 @@ class SimReconfigurator:
         # to drain.  Refuse; the controller reports replan_rejected.
         return False
 
-    def batch_frames(self, stream: str) -> int:
-        ctx = self.runtime.stream_contexts.get(self._stream(stream))
-        return ctx.config.batch_frames if ctx is not None else 1
-
-    def set_batch_frames(self, stream: str, value: int) -> bool:
-        ctx = self.runtime.stream_contexts.get(self._stream(stream))
-        if ctx is None or value < 1:
-            return False
-        # StreamConfig is mutable by design; handoff_delay re-reads it
-        # per chunk, so the new amortization applies immediately.
-        ctx.config.batch_frames = value
-        return True
 
 
 def run_scenario(

@@ -144,17 +144,6 @@ class StreamContext:
     #: *current* socket for remote penalties).
     recv_homes: list[ThreadHome] = field(default_factory=list)
 
-    @property
-    def handoff_delay(self) -> float:
-        """Per-chunk queue-handoff cost, amortized over the batch.
-
-        The live runtime drains ``batch_frames`` chunks per lock
-        round-trip, so the fixed handoff cost
-        (``CostModel.queue_handoff_seconds``) is paid once per batch —
-        the sim charges each chunk its amortized share so both
-        substrates model the same batched handoff economics.
-        """
-        return self.cost.queue_handoff_seconds / self.config.batch_frames
     meters: dict[StageKind, StageMeters] = field(default_factory=dict)
     #: Optional unified telemetry (see :mod:`repro.telemetry`); spans,
     #: counters and frame totals are emitted on the engine's virtual
@@ -457,8 +446,6 @@ def stage_worker_proc(
             chunk = yield inq.get()
             if chunk is END:
                 break
-            if ctx.handoff_delay > 0.0:
-                yield ctx.engine.timeout(ctx.handoff_delay)
             delay, redo = _fault_plan(ctx, kind.value, index, processed)
             processed += 1
             for fault_kind in redo:
@@ -509,8 +496,6 @@ def send_worker_proc(
             if chunk is END:
                 sockq.force_put(END)
                 break
-            if ctx.handoff_delay > 0.0:
-                yield ctx.engine.timeout(ctx.handoff_delay)
             delay, redo = _fault_plan(ctx, "send", index, processed)
             processed += 1
             for fault_kind in redo:

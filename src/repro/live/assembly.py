@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from repro.live import workers
 from repro.live.blocks import split_chunk, split_frame
 from repro.live.queues import ClosableQueue
-from repro.live.stageset import Knobs, StageSet
+from repro.live.stageset import StageSet
 from repro.live.transport import socket_pipe
 from repro.telemetry.context import HeadSampler
 
@@ -60,10 +60,6 @@ class Assembly:
         self.cfg, self.codec, self.tel, self.runner = cfg, codec, tel, runner
         self.reconfigurable = reconfigurable
         self.stats = {name: workers.StageStats(name) for name in STAGES}
-        self.knobs = Knobs(cfg.batch_frames)
-        #: What the feed and codec bodies of :mod:`~repro.live.workers`
-        #: take by keyword (the transport bodies read no knob).
-        self.kw: dict[str, Any] = {"telemetry": tel, "knobs": self.knobs}
         self.sampler: HeadSampler | None = None
         # Without telemetry a trace has nowhere to land.
         if cfg.trace_sample > 0 and tel is not None:
@@ -110,7 +106,7 @@ class Assembly:
         When the codec splits, the feeder hands the compressors blocks
         of large chunks (:mod:`repro.live.blocks`) and :attr:`blocked`
         tells :meth:`link_pairs` to cut the frames again on receipt."""
-        cfg, aff, stats, kw = self.cfg, self.cfg.affinity, self.stats, self.kw
+        cfg, aff, stats, tel = self.cfg, self.cfg.affinity, self.stats, self.tel
         codec, sampler, stoppable = self.codec, self.sampler, self.reconfigurable
         if cfg.verify:
             source = self.tracked(source)
@@ -122,7 +118,7 @@ class Assembly:
             "feed",
             lambda i, stop: thread(
                 "feeder", workers.feeder, source, rawq, stats["feed"],
-                aff.get("feed"), sampler=sampler, split=split, **kw,
+                aff.get("feed"), sampler=sampler, split=split, telemetry=tel,
             ),
             count=1,
         )
@@ -131,7 +127,7 @@ class Assembly:
             lambda i, stop: thread(
                 f"compress-{i}", workers.compressor, codec, rawq, sendq,
                 stats["compress"], aff.get("compress"),
-                stop=stop if stoppable else None, **kw,
+                stop=stop if stoppable else None, telemetry=tel,
             ),
             count=cfg.compress_threads, downstream=sendq, scalable=stoppable,
         )
@@ -171,7 +167,7 @@ class Assembly:
         asks to verify, then calls ``sink`` and ``after`` (the event
         plane's budget release); the decompress stats count deliveries.
         """
-        cfg, codec, wireq, kw = self.cfg, self.codec, self.wireq, self.kw
+        cfg, codec, wireq, tel = self.cfg, self.codec, self.wireq, self.tel
         stats, stoppable = self.stats["decompress"], self.reconfigurable
         lock, delivered, ledger = threading.Lock(), self.delivered, cfg.verify
 
@@ -190,7 +186,7 @@ class Assembly:
             lambda i, stop: thread(
                 f"decompress-{i}", workers.decompressor, codec, wireq, stats,
                 ledger_sink, cfg.affinity.get("decompress"),
-                stop=stop if stoppable else None, **kw,
+                stop=stop if stoppable else None, telemetry=tel,
             ),
             count=cfg.decompress_threads, scalable=stoppable,
         )
@@ -216,7 +212,7 @@ class Assembly:
 
             controller.bind(
                 StageSetExecutor(
-                    self.stages, self.knobs, queue_map=self.queue_map,
+                    self.stages, queue_map=self.queue_map,
                     respawn_hooks=self.respawn_hooks,
                 )
             )

@@ -110,7 +110,6 @@ class ReceiverServer:
         connections: int = 1,
         decompress_threads: int = 2,
         queue_capacity: int = 8,
-        batch_frames: int = 1,
         mode: str = "eventloop",
         shards: int = 0,
         stream_budget_bytes: int = DEFAULT_STREAM_BUDGET,
@@ -130,7 +129,6 @@ class ReceiverServer:
             connections=connections,
             decompress_threads=decompress_threads,
             queue_capacity=queue_capacity,
-            batch_frames=batch_frames,
             receiver_shards=shards,
             timeouts=timeouts,
             verify=False,
@@ -236,7 +234,6 @@ class SenderClient:
         connections: int = 1,
         compress_threads: int = 2,
         queue_capacity: int = 8,
-        batch_frames: int = 1,
         timeouts: TimeoutPolicy | None = None,
         retry: RetryPolicy | None = None,
         injector=None,
@@ -253,7 +250,6 @@ class SenderClient:
             connections=connections,
             compress_threads=compress_threads,
             queue_capacity=queue_capacity,
-            batch_frames=batch_frames,
             timeouts=timeouts,
             trace_sample=trace_sample,
             trace_per_stream_cap=trace_per_stream_cap,

@@ -37,11 +37,6 @@ class LiveConfig:
     queue_capacity: int = 8
     #: Optional stage -> CPU list affinity hints (best-effort).
     affinity: dict[str, list[int]] = field(default_factory=dict)
-    #: Items per queue drain of the feed, compress and decompress stages
-    #: (1 = one at a time).  The send and receive threads coalesce the
-    #: small frames already waiting whatever it says; wire bytes are
-    #: identical either way.
-    batch_frames: int = 1
     #: Fail the run if any chunk is missing or duplicated at the sink.
     verify: bool = True
     #: All timeout knobs in one place (see repro.faults.TimeoutPolicy).
@@ -75,7 +70,7 @@ class LiveConfig:
     def __post_init__(self) -> None:
         for minimum, names in (
             (1, ("compress_threads", "decompress_threads", "connections",
-                 "batch_frames", "ring_capacity")),
+                 "ring_capacity")),
             (0, ("process_domains", "receiver_shards",
                  "trace_sample", "trace_per_stream_cap")),
         ):

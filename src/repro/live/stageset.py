@@ -4,20 +4,15 @@ Historically each pipeline inlined its spawn/join logic — a list of
 ``threading.Thread`` built in ``run()`` and joined at the end.  That
 shape can't be reconfigured: nothing owns "the compress workers" as a
 unit, so nothing can scale them or respawn them mid-run.  This module
-extracts the lifecycle into two small objects:
-
-- :class:`Knobs` — the scalar knobs workers re-read every loop
-  iteration (``batch_frames``).  Plain attribute
-  reads/writes are atomic under the GIL, so the controller hot-swaps
-  them lock-free while workers run.
-- :class:`StageSet` — one stage's worker threads plus the factory that
-  makes more.  ``scale_to(n)`` grows the set (registering the new
-  producers on the downstream queue *before* they spawn) or shrinks it
-  (signalling per-worker stop events; the worker's ``finally``-close
-  balances the producer count at its next batch boundary).
-  ``respawn()`` is drain-and-respawn: spawn a full replacement
-  generation, then stop the old one — the queue serializes the
-  handoff, so no chunk is lost and exactly-once accounting holds.
+extracts the lifecycle into one small object, :class:`StageSet`: one
+stage's worker threads plus the factory that makes more.
+``scale_to(n)`` grows the set (registering the new producers on the
+downstream queue *before* they spawn) or shrinks it (signalling
+per-worker stop events; the worker's ``finally``-close balances the
+producer count after the item in hand).  ``respawn()`` is
+drain-and-respawn: spawn a full replacement generation, then stop the
+old one — the queue serializes the handoff, so no chunk is lost and
+exactly-once accounting holds.
 
 The invariant that makes scaling safe: a downstream
 :class:`~repro.live.queues.ClosableQueue` seals when close-count ==
@@ -35,21 +30,6 @@ from typing import Callable, Sequence
 
 from repro.live.queues import ClosableQueue
 from repro.util.errors import ValidationError
-
-
-class Knobs:
-    """Hot-swappable scalar knobs, shared by reference with workers.
-
-    Attribute reads and writes are single bytecode operations —
-    GIL-atomic — so no lock is needed: workers see the new value at
-    their next loop iteration, the lock-free half of the
-    reconfiguration protocol.
-    """
-
-    __slots__ = ("batch_frames",)
-
-    def __init__(self, batch_frames: int = 1) -> None:
-        self.batch_frames = batch_frames
 
 
 #: factory(index, stop) -> the worker thread(s) for one logical worker.
@@ -157,8 +137,8 @@ class StageSet:
         Scale-up registers the new producers on the downstream queue
         *first*, then spawns fresh workers.  Scale-down flags the
         newest workers' stop events and moves them to the retired list
-        — their exit (and ``finally``-close) happens at their next
-        batch boundary, so in-flight chunks drain normally.  Returns
+        — their exit (and ``finally``-close) happens once the item in
+        hand is done, so in-flight chunks drain normally.  Returns
         False (no change) when the set is not scalable, ``n`` is the
         current count, or the downstream queue already sealed.
         """

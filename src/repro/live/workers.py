@@ -27,7 +27,6 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from repro.compress.codec import Codec, decompressor_for
@@ -36,7 +35,6 @@ from repro.faults.policy import RetryPolicy
 from repro.live.affinity import pin_current_thread
 from repro.live.blocks import Block, split_frame
 from repro.live.queues import ClosableQueue, Closed
-from repro.live.stageset import Knobs
 from repro.live.transport import (
     IOV_GROUP,
     Frame,
@@ -112,59 +110,40 @@ def feeder(
     stats: StageStats,
     cpus: list[int] | None = None,
     *,
-    knobs: Knobs,
     telemetry=None,
     sampler=None,
     split: Callable[[Chunk], list] | None = None,
 ) -> None:
     """Pushes source chunks into the pipeline (the data generator).
 
-    ``knobs.batch_frames > 1`` groups chunks into one ``put_many``
-    handoff (one lock round-trip, one span — a slice of it for each
-    traced chunk, :func:`_share_span`); 1 keeps the historical
-    chunk-at-a-time behaviour.  The knob is re-read before every batch,
-    so the controller can hot-swap it.
+    One chunk per ``put_many`` handoff: the chunk itself, or all of its
+    blocks when ``split`` (:func:`repro.live.blocks.split_chunk`, when
+    the codec splits) turns it into several of the compress stage's
+    work items.
 
     ``sampler`` (a :class:`repro.telemetry.HeadSampler`) is where flow
     tracing begins: the feeder assigns each head-sampled chunk its
     trace context before the chunk enters the pipeline, and every
     downstream hop merely forwards the mark.
-
-    ``split`` (:func:`repro.live.blocks.split_chunk`, when the codec
-    splits) turns each chunk into the compress stage's work items.
     """
     _maybe_pin(cpus, "feed", telemetry)
     track = threading.current_thread().name
-    it = iter(source)
     try:
-        while True:
-            batch = list(islice(it, knobs.batch_frames))
-            if not batch:
-                break
-            for chunk in batch:
-                if chunk.payload is None:
-                    raise ValueError(
-                        f"live chunks need payloads "
-                        f"({chunk.stream_id}#{chunk.index})"
-                    )
-                if sampler is not None and chunk.trace is None:
-                    chunk.trace = sampler.sample_chunk(
-                        chunk.stream_id, chunk.index
-                    )
-            traced = [c for c in batch if c.trace is not None]
-            items = batch if split is None else [i for c in batch for i in split(c)]
+        for chunk in source:
+            if chunk.payload is None:
+                raise ValueError(
+                    f"live chunks need payloads "
+                    f"({chunk.stream_id}#{chunk.index})"
+                )
+            if sampler is not None and chunk.trace is None:
+                chunk.trace = sampler.sample_chunk(chunk.stream_id, chunk.index)
             with stage_span(
-                telemetry, "feed", stream_id=batch[0].stream_id,
-                chunk_id=batch[0].index, track=track,
+                telemetry, "feed", stream_id=chunk.stream_id,
+                chunk_id=chunk.index, track=track,
             ) as sp:
-                sp.discard = bool(traced)
-                outq.put_many(items)
-            _share_span(telemetry, sp, traced)
-            per_chunk = sp.duration / len(batch)
-            for chunk in batch:
-                n = len(chunk.payload)
-                _finish(stats, telemetry, "feed", chunk.stream_id,
-                        n, n, per_chunk)
+                outq.put_many([chunk] if split is None else split(chunk))
+            n = len(chunk.payload)
+            _finish(stats, telemetry, "feed", chunk.stream_id, n, n, sp.duration)
     except Exception as exc:  # noqa: BLE001 - thread boundary
         stats.fail(f"feeder: {exc!r}")
     finally:
@@ -178,62 +157,48 @@ def compressor(
     stats: StageStats,
     cpus: list[int] | None = None,
     *,
-    knobs: Knobs,
     telemetry=None,
     stop: threading.Event | None = None,
 ) -> None:
     """{C}: compress chunk payloads into wire frames.
 
     A work item is a chunk or one :class:`~repro.live.blocks.Block` of
-    one; the thread that compresses a chunk's last block packs the
-    chunk's frame and forwards it.  Stats and counters book chunks,
-    spans book each codec call.
+    one, taken one per handoff; the thread that compresses a chunk's
+    last block packs the chunk's frame and forwards it.  Stats and
+    counters book chunks, spans book each codec call.
 
-    ``knobs.batch_frames > 1`` drains up to that many items per queue
-    lock round-trip and forwards the finished frames with one
-    :meth:`put_many`; each item is still compressed individually.
-
-    The knob is hot-swappable (re-read before every drain, lock-free);
-    ``stop`` makes the worker stoppable at a batch boundary — set
-    between drains, it exits cleanly and its
+    ``stop`` makes the worker stoppable between items — set while it
+    waits, it exits cleanly within :data:`STOP_POLL_SECONDS` and its
     ``finally``-close balances the downstream producer count, which is
     how the controller scales this stage down without losing chunks.
     """
     _maybe_pin(cpus, "compress", telemetry)
     track = threading.current_thread().name
+    timeout = None if stop is None else STOP_POLL_SECONDS
     try:
-        while True:
-            if stop is not None and stop.is_set():
-                break
-            bf = knobs.batch_frames
+        while stop is None or not stop.is_set():
             try:
-                if stop is not None:
-                    items = inq.get_many(bf, timeout=STOP_POLL_SECONDS)
-                else:
-                    items = inq.get_many(bf)
+                item = inq.get(timeout)
             except QueueTimeout:
                 continue
             except Closed:
                 break
-            frames = []
-            for item in items:
-                if type(item) is Block:
-                    frame, busy = _compress_block(
-                        codec, item, telemetry=telemetry, track=track
-                    )
-                    if frame is None:
-                        continue
-                else:
-                    with stage_span(
-                        telemetry, "compress", stream_id=item.stream_id,
-                        chunk_id=item.index, track=track,
-                    ) as sp:
-                        wire, codec_id = codec.compress_with_id(item.payload)
-                    frame, busy = _compressed(item, wire, codec_id), sp.duration
-                _finish(stats, telemetry, "compress", frame.stream_id,
-                        frame.orig_len, len(frame.payload), busy)
-                frames.append(frame)
-            outq.put_many(frames)
+            if type(item) is Block:
+                frame, busy = _compress_block(
+                    codec, item, telemetry=telemetry, track=track
+                )
+                if frame is None:
+                    continue
+            else:
+                with stage_span(
+                    telemetry, "compress", stream_id=item.stream_id,
+                    chunk_id=item.index, track=track,
+                ) as sp:
+                    wire, codec_id = codec.compress_with_id(item.payload)
+                frame, busy = _compressed(item, wire, codec_id), sp.duration
+            _finish(stats, telemetry, "compress", frame.stream_id,
+                    frame.orig_len, len(frame.payload), busy)
+            outq.put(frame)
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"compressor: {exc!r}")
     finally:
@@ -614,57 +579,44 @@ def decompressor(
     sink: Callable[[str, int, bytes | bytearray], None],
     cpus: list[int] | None = None,
     *,
-    knobs: Knobs,
     telemetry=None,
     stop: threading.Event | None = None,
 ) -> None:
     """{D}: decompress received frames and deliver to the sink.
 
     A work item is a frame or one :class:`~repro.live.blocks.Block` of
-    a blocked frame; the thread that decodes a chunk's last block joins
-    the output and delivers the chunk.  A blocked frame that arrives
-    whole (the event plane enqueues a frame all-or-nothing) has its
-    blocks decoded here, in turn.
-
-    ``knobs.batch_frames > 1`` drains up to that many items per queue
-    lock round-trip; each is still decompressed individually (sink
-    ordering is unchanged).  ``knobs`` and ``stop`` behave as in
-    :func:`compressor` (there is no downstream queue, so stopping is
-    just a clean exit between batches).
+    a blocked frame, taken one per handoff; the thread that decodes a
+    chunk's last block joins the output and delivers the chunk.  A
+    blocked frame that arrives whole (the event plane enqueues a frame
+    all-or-nothing) has its blocks decoded here, in turn.  ``stop``
+    behaves as in :func:`compressor` (there is no downstream queue, so
+    stopping is just a clean exit between items).
     """
     _maybe_pin(cpus, "decompress", telemetry)
     track = threading.current_thread().name
+    timeout = None if stop is None else STOP_POLL_SECONDS
     try:
-        while True:
-            if stop is not None and stop.is_set():
-                break
-            bf = knobs.batch_frames
+        while stop is None or not stop.is_set():
             try:
-                if stop is not None:
-                    items = inq.get_many(bf, timeout=STOP_POLL_SECONDS)
-                else:
-                    items = inq.get_many(bf)
+                item = inq.get(timeout)
             except QueueTimeout:
                 continue
             except Closed:
                 break
-            for item in items:
-                if type(item) is Block:
+            if type(item) is Block:
+                _decompress_block(
+                    codec, item, stats, sink, telemetry=telemetry, track=track
+                )
+            elif item.blocks:
+                for block in split_frame(item):
                     _decompress_block(
-                        codec, item, stats, sink,
+                        codec, block, stats, sink,
                         telemetry=telemetry, track=track,
                     )
-                elif item.blocks:
-                    for block in split_frame(item):
-                        _decompress_block(
-                            codec, block, stats, sink,
-                            telemetry=telemetry, track=track,
-                        )
-                else:
-                    _decompress_one(
-                        codec, item, stats, sink,
-                        telemetry=telemetry, track=track,
-                    )
+            else:
+                _decompress_one(
+                    codec, item, stats, sink, telemetry=telemetry, track=track
+                )
     except Exception as exc:  # noqa: BLE001
         stats.fail(f"decompressor: {exc!r}")
 

@@ -71,7 +71,7 @@ class ProcessFront:
     ) -> None:
         cfg = asm.cfg
         self.source = source
-        self.tel, self.knobs = asm.tel, asm.knobs
+        self.tel = asm.tel
         self.sampler, self.stats = asm.sampler, asm.stats
         #: The ledger, kept only when the run verifies (as thread mode).
         self.expected = asm.expected if cfg.verify else None
@@ -173,49 +173,45 @@ class ProcessFront:
 
     def _collect(self, domain: int) -> None:
         """Decode, ack, dedup and forward one domain's compressed frames,
-        booking each fresh one into the compress stage from its stamp.
+        one ring record per handoff, booking each fresh one into the
+        compress stage from its stamp.
 
         A record the decoder refuses fails the run as a compress-stage
-        error; the frames collected ahead of it are forwarded first."""
+        error."""
         supervisor, stats = self.supervisor, self.stats["compress"]
-        tel, knobs, sendq = self.tel, self.knobs, self.sendq
+        tel, sendq = self.tel, self.sendq
         dedup, dedup_lock = self.dedup, self._dedup_lock
         ring = supervisor.comp[domain]
         track = f"mp-compress-{domain}"
         try:
             while True:
                 try:
-                    raws = ring.get_many(max(1, knobs.batch_frames))
+                    raw = ring.get()
                 except Closed:
                     break
-                batch: list[Frame] = []
-                try:
-                    for raw in raws:
-                        frame, stamp = unpack_stamped(raw)
-                        sid, index = frame.stream_id, frame.index
-                        supervisor.ack(domain, (sid, index))
-                        with dedup_lock:
-                            fresh = dedup.claim(sid, index)
-                        if not fresh:
-                            # A restart replayed work the dead worker
-                            # had already finished.
-                            if tel is not None:
-                                tel.record_dedup()
-                            continue
-                        stats.record(
-                            frame.orig_len, len(frame.payload),
-                            stamp[1] - stamp[0] if stamp else 0.0,
+                frame, stamp = unpack_stamped(raw)
+                sid, index = frame.stream_id, frame.index
+                supervisor.ack(domain, (sid, index))
+                with dedup_lock:
+                    fresh = dedup.claim(sid, index)
+                if not fresh:
+                    # A restart replayed work the dead worker had
+                    # already finished.
+                    if tel is not None:
+                        tel.record_dedup()
+                    continue
+                stats.record(
+                    frame.orig_len, len(frame.payload),
+                    stamp[1] - stamp[0] if stamp else 0.0,
+                )
+                if tel is not None:
+                    tel.record_chunk("compress", sid, frame.orig_len)
+                    if stamp is not None:
+                        tel.record_span(
+                            "compress", *stamp, stream_id=sid,
+                            chunk_id=index, track=track,
                         )
-                        if tel is not None:
-                            tel.record_chunk("compress", sid, frame.orig_len)
-                            if stamp is not None:
-                                tel.record_span(
-                                    "compress", *stamp, stream_id=sid,
-                                    chunk_id=index, track=track,
-                                )
-                        batch.append(frame)
-                finally:
-                    sendq.put_many(batch)
+                sendq.put(frame)
         except Exception as exc:  # noqa: BLE001 - thread boundary
             stats.fail(f"collector-{domain}: {exc!r}")
         finally:

@@ -35,8 +35,7 @@ Blocking semantics mirror :class:`~repro.live.queues.ClosableQueue`:
 :class:`~repro.live.queues.Closed`, and a put on a closed ring raises
 :class:`~repro.util.errors.ValidationError`.  Waiting is a short spin
 followed by micro-sleeps (50µs growing to 1ms) — no OS futex exists
-for shared memory in pure Python, and with batched handoff the poll
-cost is amortized below measurement noise.
+for shared memory in pure Python.
 
 Rings are name-addressable: any process may :meth:`SharedRing.attach`
 by name, including after the writer closed (the header carries the

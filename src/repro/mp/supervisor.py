@@ -149,7 +149,6 @@ class DomainSupervisor:
             codec_spec=self.codec_spec,
             in_ring=self.raw[domain].name,
             out_ring=self.comp[domain].name,
-            batch_frames=self.config.batch_frames,
             crash_after=self.crash_after.get(domain),
         )
         tel = self.telemetry

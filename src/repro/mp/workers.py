@@ -56,14 +56,13 @@ def compress_worker(
     codec_spec: str,
     in_ring: str,
     out_ring: str,
-    batch_frames: int = 1,
     crash_after: int | None = None,
 ) -> None:
     """Run one compressor domain until its input ring drains.
 
-    A record in is a chunk's uncompressed frame, a record out its
-    compressed frame followed by the compress call's ``(t0, t1)`` stamp
-    (:mod:`repro.mp.records`).
+    One record per handoff: a record in is a chunk's uncompressed frame,
+    a record out its compressed frame followed by the compress call's
+    ``(t0, t1)`` stamp (:mod:`repro.mp.records`).
     """
     draining = False
 
@@ -83,29 +82,24 @@ def compress_worker(
         while True:
             try:
                 # While draining, take only already-published records.
-                raws = inr.get_many(
-                    batch_frames, timeout=0 if draining else _IDLE_TICK
-                )
+                raw = inr.get(timeout=0 if draining else _IDLE_TICK)
             except Closed:
                 break
             except QueueTimeout:
                 if draining:
                     break
                 continue
-            out: list[bytes] = []
-            for raw in raws:
-                rec = unpack_record(raw)
-                t0 = time.perf_counter()
-                comp, codec_id = codec.compress_with_id(rec.payload)
-                t1 = time.perf_counter()
-                frame = Frame(
-                    rec.stream_id, rec.index, comp, compressed=True,
-                    orig_len=len(rec.payload), codec_id=codec_id,
-                    traced=rec.traced,
-                )
-                out.append(pack_record(frame, (t0, t1)))
-            outr.put_many(out)
-            done += len(raws)
+            rec = unpack_record(raw)
+            t0 = time.perf_counter()
+            comp, codec_id = codec.compress_with_id(rec.payload)
+            t1 = time.perf_counter()
+            frame = Frame(
+                rec.stream_id, rec.index, comp, compressed=True,
+                orig_len=len(rec.payload), codec_id=codec_id,
+                traced=rec.traced,
+            )
+            outr.put(pack_record(frame, (t0, t1)))
+            done += 1
             if crash_after is not None and done >= crash_after:
                 # Fault-injection hook: die the hard way, mid-stream,
                 # without flushing anything or running handlers.

@@ -58,7 +58,6 @@ _EXPORTS = {
     "PlanDelta": "repro.plan.delta",
     "ScaleStage": "repro.plan.delta",
     "MoveStage": "repro.plan.delta",
-    "SetBatchFrames": "repro.plan.delta",
     "SetCodec": "repro.plan.delta",
     "apply_delta": "repro.plan.delta",
     "plan_delta": "repro.plan.delta",

@@ -14,7 +14,6 @@ restart:
 
 - :class:`ScaleStage` — change a stage's worker count;
 - :class:`MoveStage` — re-home a stage onto different NUMA domains;
-- :class:`SetBatchFrames` — retune the chunks-per-handoff batch knob;
 - :class:`SetCodec` — swap the codec policy node.
 
 Drift the grammar cannot express (workload shape, machine sets, fault
@@ -40,7 +39,6 @@ __all__ = [
     "MoveStage",
     "PlanDelta",
     "ScaleStage",
-    "SetBatchFrames",
     "SetCodec",
     "apply_delta",
     "delta_from_dict",
@@ -85,19 +83,6 @@ class MoveStage:
 
 
 @dataclass(frozen=True)
-class SetBatchFrames:
-    """Set stream ``stream``'s ``batch_frames`` knob."""
-
-    stream: str
-    batch_frames: int
-
-    op = "set_batch_frames"
-
-    def describe(self) -> str:
-        return f"batch_frames {self.stream} -> {self.batch_frames}"
-
-
-@dataclass(frozen=True)
 class SetCodec:
     """Swap the plan's codec policy node (spec-string form)."""
 
@@ -109,10 +94,10 @@ class SetCodec:
         return f"codec -> {self.codec}"
 
 
-DeltaOp = ScaleStage | MoveStage | SetBatchFrames | SetCodec
+DeltaOp = ScaleStage | MoveStage | SetCodec
 
 _OP_TYPES: dict[str, type] = {
-    t.op: t for t in (ScaleStage, MoveStage, SetBatchFrames, SetCodec)
+    t.op: t for t in (ScaleStage, MoveStage, SetCodec)
 }
 
 
@@ -191,16 +176,6 @@ def _apply_op(plan: PipelinePlan, op: DeltaOp) -> PipelinePlan:
             op.stage,
             lambda n: replace(n, placement=spec, rationale="controller move"),
         )
-    if isinstance(op, SetBatchFrames):
-        if op.stream not in plan.stream_ids():
-            raise KeyError(f"no stream {op.stream!r} in plan {plan.name!r}")
-        streams = [
-            replace(s, batch_frames=op.batch_frames)
-            if s.stream_id == op.stream
-            else s
-            for s in plan.streams
-        ]
-        return plan.with_streams(streams)
     if isinstance(op, SetCodec):
         return replace(plan, codec=CodecNode.from_spec(op.codec))
     raise ValidationError(f"unknown delta op {op!r}")  # pragma: no cover
@@ -355,11 +330,6 @@ def _stream_drift(a: StreamNode, b: StreamNode) -> Iterator[Drift]:
             continue
         if f.name == "stages":
             yield from _stage_drift(sid, av, bv)
-        elif f.name == "batch_frames":
-            yield (
-                f"stream {sid!r} batch_frames: {av!r} != {bv!r}",
-                SetBatchFrames(sid, bv),
-            )
         elif f.name == "faults":
             yield f"stream {sid!r}: fault specs differ", None
         else:
@@ -401,8 +371,8 @@ def plan_delta(
 ) -> PlanDelta:
     """The structured delta taking plan ``a`` toward plan ``b``.
 
-    Expressible drift (stage counts, socket placements, batch_frames,
-    codec node) becomes ops; everything else becomes notes.  An empty
+    Expressible drift (stage counts, socket placements, codec node)
+    becomes ops; everything else becomes notes.  An empty
     delta (no ops, no notes) means the plans agree on every field.
     """
     drift = list(plan_drift(a, b))

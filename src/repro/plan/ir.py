@@ -182,8 +182,8 @@ class ControlNode(PolicyNode):
     When ``enabled``, the runtime starts a
     :class:`repro.control.Controller` that watches the event bus
     (backpressure, stalls, bottleneck shifts) and applies plan deltas
-    to the *running* pipeline: scaling worker sets, retuning
-    ``batch_frames``, respawning stalled workers.  The same node drives
+    to the *running* pipeline: scaling worker sets and respawning
+    stalled workers.  The same node drives
     both substrates — a daemon thread on wall time, a simulated process
     on the virtual clock.
     """
@@ -196,8 +196,6 @@ class ControlNode(PolicyNode):
     #: Worker-count bounds for scalable stages (compress/decompress).
     min_workers: int = 1
     max_workers: int = 8
-    #: Largest ``batch_frames`` the controller may set.
-    max_batch_frames: int = 8
     #: Consecutive quiet polls before scaling a stage back down
     #: (0 disables scale-down).
     scale_down_after: int = 0
@@ -212,8 +210,7 @@ class ControlNode(PolicyNode):
         )
         return (
             f"every {self.interval:g}s (cooldown {self.cooldown:g}s, "
-            f"workers {self.min_workers}..{self.max_workers}, "
-            f"batch <= {self.max_batch_frames}{down})"
+            f"workers {self.min_workers}..{self.max_workers}{down})"
         )
 
 

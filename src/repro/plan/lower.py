@@ -155,7 +155,6 @@ def lower_live(
         decompress_threads=count(StageKind.DECOMPRESS),
         connections=count(StageKind.SEND),
         queue_capacity=stream.queue_capacity,
-        batch_frames=stream.batch_frames,
         affinity=affinity,
         execution_mode=execution.mode,
         process_domains=execution.domains,

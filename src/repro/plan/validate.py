@@ -83,8 +83,6 @@ def _validate_control(plan: PipelinePlan, diags: Diagnostics) -> None:
             "bad-control",
             "control max_workers must be >= min_workers",
         )
-    if c.max_batch_frames < 1:
-        diags.error("bad-control", "control max_batch_frames must be >= 1")
     if c.scale_down_after < 0:
         diags.error("bad-control", "control scale_down_after must be >= 0")
 

@@ -21,7 +21,6 @@ class FakeExecutor:
 
     def __init__(self):
         self.counts = {("", "compress"): 2, ("", "decompress"): 2}
-        self.batch = {"": 1}
         self.consumers = {"sendq": ("", "compress"), "wireq": ("", "decompress")}
         self.scalable = {("", "compress"), ("", "decompress")}
         self.respawned: list[tuple[str, str]] = []
@@ -47,13 +46,6 @@ class FakeExecutor:
         if self.refuse_respawn:
             return False
         self.respawned.append((stream, stage))
-        return True
-
-    def batch_frames(self, stream):
-        return self.batch.get(stream, 1)
-
-    def set_batch_frames(self, stream, value):
-        self.batch[stream] = value
         return True
 
 
@@ -121,32 +113,20 @@ class TestDiagnosisPriority:
         assert ctl.poll() == []
 
 
-class TestBatchFallback:
-    def test_unscalable_consumer_doubles_batch_frames(self):
-        tel, clock, bus, ctl, ex = make(max_batch_frames=8)
-        ex.scalable.clear()  # nothing can scale
+class TestBackpressureWithoutALever:
+    def test_unscalable_or_capped_consumer_gets_no_action(self):
+        """Backpressure on a consumer that cannot scale, or is already
+        at ``max_workers``, is the watchdog's report alone: nothing is
+        proposed, nothing changes."""
+        tel, clock, bus, ctl, ex = make(max_workers=2)
+        ex.scalable.discard(("", "decompress"))  # wireq's consumer
+        # sendq's consumer, compress, already runs max_workers=2.
         bus.emit("backpressure", queue="sendq")
-        ctl.poll()
-        assert ex.batch[""] == 2
-        assert ctl.decisions == ["batch_frames -> 2"]
-
-    def test_batch_frames_capped(self):
-        tel, clock, bus, ctl, ex = make(max_batch_frames=3)
-        ex.scalable.clear()
-        ex.batch[""] = 2
-        bus.emit("backpressure", queue="sendq")
-        ctl.poll()
-        assert ex.batch[""] == 3  # min(2*2, cap)
-        bus.emit("backpressure", queue="sendq")
-        assert ctl.poll() == []  # at the cap: nothing to propose
-
-    def test_max_workers_then_batch(self):
-        tel, clock, bus, ctl, ex = make(max_workers=2, max_batch_frames=8)
-        # compress already at max_workers=2 -> falls through to batch.
-        bus.emit("backpressure", queue="sendq")
-        ctl.poll()
-        assert ex.counts[("", "compress")] == 2
-        assert ex.batch[""] == 2
+        bus.emit("backpressure", queue="wireq")
+        assert ctl.poll() == []
+        assert ex.counts == {("", "compress"): 2, ("", "decompress"): 2}
+        assert ctl.decisions == []
+        assert not bus.recent(kind="replan_proposed")
 
 
 class TestCooldown:

@@ -182,6 +182,6 @@ class TestLiveSizing:
 
     def test_out_of_range_sizing_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main([*LIVE, "--batch-frames", "0"])
+            main([*LIVE, "--compress-threads", "0"])
         assert info.value.code == 2
-        assert "batch_frames must be >= 1" in capsys.readouterr().err
+        assert "compress_threads must be >= 1" in capsys.readouterr().err

@@ -278,8 +278,8 @@ class TestJoinUnderContention:
             assert join.busy == slots * 0.5
 
     def test_many_threads_many_blocked_chunks(self):
-        """Four compress and four decompress threads, batched drains,
-        six chunks of four blocks: every chunk once, byte-identical."""
+        """Four compress and four decompress threads, six chunks of
+        four blocks: every chunk once, byte-identical."""
         rng = np.random.default_rng(5)
         size = 3 * BLOCK_BYTES + 4096
         chunks = [
@@ -289,7 +289,7 @@ class TestJoinUnderContention:
         ]
         expected = {("s", c.index): c.payload for c in chunks}
         report, sink, _tel, log = run_live(
-            chunks, compress_threads=4, decompress_threads=4, batch_frames=3,
+            chunks, compress_threads=4, decompress_threads=4,
         )
         assert sink.calls == 6 and sink.got == expected
         assert report.stage_stats["compress"].chunks == 6

@@ -1,10 +1,10 @@
-"""StageSet + Knobs: the live reconfiguration protocol, in isolation.
+"""StageSet: the live reconfiguration protocol, in isolation.
 
 A passthrough worker (pull from inq, tag, push to outq, close on exit)
 stands in for the real stage bodies — what's under test is the
 lifecycle algebra: producer-count bookkeeping across scale-up,
 scale-down and drain-and-respawn, exactly-once delivery through the
-churn, monotonic worker indices, and lock-free knob hot-swap.
+churn, and monotonic worker indices.
 """
 
 import threading
@@ -13,11 +13,11 @@ import time
 import pytest
 
 from repro.live.queues import ClosableQueue, Closed
-from repro.live.stageset import Knobs, StageSet
+from repro.live.stageset import StageSet
 from repro.util.errors import QueueTimeout, ValidationError
 
 
-def passthrough(inq, outq, stop, knobs=None, seen=None):
+def passthrough(inq, outq, stop, seen=None):
     """A stoppable stage body with the same contract as the real ones."""
     try:
         while not stop.is_set():
@@ -27,10 +27,10 @@ def passthrough(inq, outq, stop, knobs=None, seen=None):
                 continue
             except Closed:
                 break
+            name = threading.current_thread().name
             if seen is not None:
-                seen.append(threading.current_thread().name)
-            bf = knobs.batch_frames if knobs is not None else 0
-            outq.put((item, bf))
+                seen.append(name)
+            outq.put((item, name))
     finally:
         outq.close()
 
@@ -44,14 +44,14 @@ def drain(q):
             return out
 
 
-def make_set(count=1, *, scalable=True, knobs=None, seen=None, capacity=64):
+def make_set(count=1, *, scalable=True, seen=None, capacity=64):
     inq = ClosableQueue(capacity, producers=1, name="inq")
     outq = ClosableQueue(capacity, producers=count, name="outq")
 
     def factory(index, stop):
         return threading.Thread(
             target=passthrough,
-            args=(inq, outq, stop, knobs, seen),
+            args=(inq, outq, stop, seen),
             name=f"pt-{index}",
             daemon=True,
         )
@@ -60,28 +60,6 @@ def make_set(count=1, *, scalable=True, knobs=None, seen=None, capacity=64):
         "pt", factory, count=count, downstream=outq, scalable=scalable
     )
     return inq, outq, stage
-
-
-class TestKnobs:
-    def test_defaults_and_slots(self):
-        knobs = Knobs()
-        assert knobs.batch_frames == 1
-        with pytest.raises(AttributeError):
-            knobs.surprise = 1  # __slots__: no accidental new knobs
-
-    def test_hot_swap_is_seen_by_running_workers(self):
-        knobs = Knobs(batch_frames=1)
-        inq, outq, stage = make_set(count=1, knobs=knobs)
-        stage.start()
-        inq.put("a")
-        item, bf = outq.get(timeout=5.0)
-        assert bf == 1
-        knobs.batch_frames = 4  # lock-free swap mid-run
-        inq.put("b")
-        item, bf = outq.get(timeout=5.0)
-        assert bf == 4
-        inq.close()
-        assert stage.join(5.0) == []
 
 
 class TestLifecycle:

@@ -2,9 +2,6 @@
 
 Covers the behavioural commitments of the hot-path rewrite:
 
-- batching is a pure throughput knob — ``batch_frames > 1`` delivers
-  exactly the same chunks (and payload bytes) as today's
-  frame-at-a-time pipeline, locally and over TCP;
 - the transport stages coalesce only frames that are already waiting,
   bounded by :data:`~repro.live.workers.COALESCE_BYTES`: small frames
   share a ``sendmsg`` and a handoff, large frames travel alone, and a
@@ -19,15 +16,11 @@ import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.data.chunking import Chunk
 from repro.faults import RetryPolicy
 from repro.live import workers
 from repro.live.queues import ClosableQueue
-from repro.live.remote import ReceiverServer
-from repro.live.runtime import LiveConfig, LivePipeline
 from repro.live.transport import (
     Frame,
     FramedReceiver,
@@ -36,71 +29,8 @@ from repro.live.transport import (
     socket_pipe,
 )
 from repro.live.workers import StageStats, receiver, resilient_sender, sender
-from repro.live.stageset import Knobs
-from repro.telemetry import HeadSampler, Telemetry
+from repro.telemetry import Telemetry
 from repro.util.errors import QueueTimeout, TransportError
-from repro.util.rng import make_rng
-
-from tests.live.test_remote import run_pair
-
-
-def chunks(n=8, size=1024, stream="batch-s", seed=3):
-    rng = make_rng(seed, "batch-test")
-    for i in range(n):
-        yield Chunk(
-            stream_id=stream,
-            index=i,
-            nbytes=size,
-            payload=rng.integers(0, 256, size, dtype=np.uint8).tobytes(),
-        )
-
-
-class TestBatchedPipeline:
-    @pytest.mark.parametrize("batch_frames", [2, 4, 16])
-    def test_batched_loopback_delivers_everything(self, batch_frames):
-        cfg = LiveConfig(
-            codec="null",
-            compress_threads=1,
-            decompress_threads=1,
-            connections=1,
-            batch_frames=batch_frames,
-        )
-        report = LivePipeline(cfg).run(chunks(24))
-        assert report.ok, report.errors
-        assert report.chunks == 24
-
-    def test_batch_of_one_matches_batched_bytes(self):
-        """batch_frames is invisible to the data: same chunks, bytes."""
-
-        def run(batch_frames):
-            cfg = LiveConfig(
-                codec="zlib",
-                compress_threads=2,
-                decompress_threads=2,
-                connections=2,
-                batch_frames=batch_frames,
-            )
-            return LivePipeline(cfg).run(chunks(20, seed=9))
-
-        base, batched = run(1), run(8)
-        assert base.ok and batched.ok
-        assert base.chunks == batched.chunks == 20
-        assert base.bytes_in == batched.bytes_in
-        assert base.bytes_out == batched.bytes_out
-
-    def test_batched_remote_round_trip(self):
-        server = ReceiverServer(
-            codec="zlib", connections=2, batch_frames=4
-        )
-        tx, rx = run_pair(
-            server,
-            dict(codec="zlib", connections=2, batch_frames=4),
-            chunks(12),
-        )
-        assert tx.ok, tx.errors
-        assert rx.ok, rx.errors
-        assert rx.chunks == 12
-        assert tx.wire_bytes == rx.wire_bytes
 
 
 def _ack_echo(sock):
@@ -341,23 +271,3 @@ class TestTracedBatch:
             assert sum(s.duration for s in mine) == pytest.approx(
                 stats.busy_seconds
             )
-
-    def test_each_traced_chunk_keeps_its_feed_span(self):
-        """The feeder's batch at ``batch_frames > 1`` is cut the same
-        way: every sampled chunk of a 4-chunk handoff gets a feed span."""
-        tel = Telemetry()
-        stats = StageStats("feed")
-        outq = ClosableQueue(capacity=8, producers=1)
-        workers.feeder(
-            chunks(4), outq, stats, knobs=Knobs(4), telemetry=tel,
-            sampler=HeadSampler(1),
-        )
-        assert stats.errors == []
-        feed = sorted(
-            (s for s in tel.spans.snapshot() if s.stage == "feed"),
-            key=lambda s: s.start,
-        )
-        assert [s.chunk_id for s in feed] == [0, 1, 2, 3]
-        assert sum(s.duration for s in feed) == pytest.approx(
-            stats.busy_seconds
-        )

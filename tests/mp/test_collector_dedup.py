@@ -21,15 +21,17 @@ from repro.telemetry import Telemetry
 
 
 class ScriptedRing:
-    """A comp ring that hands out pre-packed batches, then closes."""
+    """A comp ring that hands out pre-packed records one per ``get``, as
+    the collector takes them, then closes.  The script groups them in
+    batches only to show where a restart's replay starts."""
 
     def __init__(self, batches):
-        self.batches = list(batches)
+        self.records = [rec for batch in batches for rec in batch]
 
-    def get_many(self, n):
-        if not self.batches:
+    def get(self):
+        if not self.records:
             raise Closed()
-        return self.batches.pop(0)
+        return self.records.pop(0)
 
 
 class ScriptedSupervisor:

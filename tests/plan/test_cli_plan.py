@@ -159,10 +159,13 @@ class TestRunPlanFlag:
         ["run", "PLAN", "--plan", "PLAN"],
         ["live", "--chunks", "1", "--flow-out", "OUT"],
         ["live", "--chunks", "1", "--batch-linger", "0.005"],
+        ["live", "--chunks", "1", "--batch-frames", "8", "--json-out", "OUT"],
+        ["plan", "generate", "--stream", STREAM, "-o", "OUT",
+         "--batch-frames", "8"],
     ],
     ids=["telemetry", "bare-plan", "codec-adaptive", "probe-interval",
          "scenario", "run-plan-flag", "run-both-forms", "flow-out",
-         "batch-linger"],
+         "batch-linger", "live-batch-frames", "plan-batch-frames"],
 )
 def test_old_spelling_exits_2(argv, plan_file, tmp_path, capsys):
     """Removed spellings are rejected by argparse, not aliased."""

@@ -37,6 +37,7 @@ from repro.plan.ir import (
     StreamNode,
     TraceNode,
 )
+from repro.plan.lower import lower_sim
 from repro.plan.passes import run_passes
 from repro.plan.serialize import (
     load_plan,
@@ -49,7 +50,7 @@ from repro.plan.serialize import (
     scenario_to_dict,
     scenario_to_json,
 )
-from repro.util.errors import ValidationError
+from repro.util.errors import ConfigurationError, ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -251,7 +252,7 @@ class TestUnknownKeysRefusedEverywhere:
     def test_key_with_a_default_may_be_absent(self):
         """How files older than a field keep loading."""
         doc = json.loads(plan_to_json(PLAN))
-        for key in ("faults", "batch_frames", "micro"):
+        for key in ("faults", "micro"):
             del doc["streams"][0][key]
         del doc["machines"]["lynxdtn"]["kernel"]
         back = plan_from_dict(doc)
@@ -273,6 +274,48 @@ class TestBytesHeld:
         golden = (FIXTURES / "scenario_v2_lowered.json").read_text()
         assert scenario_to_json(scenario) + "\n" == golden
         assert scenario_to_dict(scenario)["version"] == 2
+
+
+class TestRemovedKnob:
+    """``batch_frames`` left the format.  Every document written while
+    it existed carries the stream default, which loads and is not
+    re-emitted; a key only a file that set it on purpose has is refused
+    by name."""
+
+    @pytest.mark.parametrize(
+        "name, load, dump",
+        [("plan_v3.json", load_plan, plan_to_json),
+         ("plan_v3_codec.json", load_plan, plan_to_json),
+         ("scenario_v2_lowered.json", load_scenario, scenario_to_json)],
+    )
+    def test_old_document_re_saves_as_the_edited_fixture(
+        self, name, load, dump, tmp_path
+    ):
+        edited = (FIXTURES / name).read_text()
+        line = '      "queue_capacity": 4,\n'
+        old = tmp_path / name
+        old.write_text(edited.replace(line, line + '      "batch_frames": 1,\n'))
+        assert old.read_text().count('"batch_frames": 1,') == 1
+        assert dump(load(str(old))) + "\n" == edited
+
+    @pytest.mark.parametrize(
+        "form, level, key, value",
+        [("plan", "stream", "batch_frames", 8),
+         ("scenario", "stream", "batch_frames", 8),
+         ("plan", "control", "max_batch_frames", 8),
+         ("plan", "cost", "queue_handoff_seconds", 2e-6),
+         ("scenario", "cost", "queue_handoff_seconds", 2e-6)],
+    )
+    def test_removed_key_is_refused_by_name(self, form, level, key, value):
+        if form == "plan":
+            doc, load = plan_to_dict(PLAN), plan_from_dict
+        else:
+            doc, load = scenario_to_dict(lower_sim(PLAN)), scenario_from_dict
+        LEVELS[level](doc)[key] = value
+        with pytest.raises(
+            ConfigurationError, match=rf"{key} {value!r} .*knob was removed"
+        ):
+            load(doc)
 
 
 class TestSharedDeclarations:

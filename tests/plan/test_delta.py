@@ -9,7 +9,6 @@ from repro.plan.delta import (
     MoveStage,
     PlanDelta,
     ScaleStage,
-    SetBatchFrames,
     SetCodec,
     apply_delta,
     delta_from_dict,
@@ -31,7 +30,6 @@ class TestOps:
             "scale s/compress -> x6"
         assert MoveStage("s", "send", (0, 1)).describe() == \
             "move s/send -> N0&1"
-        assert SetBatchFrames("s", 4).describe() == "batch_frames s -> 4"
         assert SetCodec("zlib:level=1").describe() == "codec -> zlib:level=1"
 
     def test_delta_truthiness(self):
@@ -69,12 +67,6 @@ class TestApply:
         assert node.placement.kind == "socket"
         assert node.placement.sockets == (1,)
 
-    def test_set_batch_frames(self, plan):
-        result = apply_delta(plan, PlanDelta(
-            ops=(SetBatchFrames("s", 4),)
-        ))
-        assert result.plan.stream("s").batch_frames == 4
-
     def test_set_codec(self, plan):
         result = apply_delta(plan, PlanDelta(
             ops=(SetCodec("zlib:level=6"),)
@@ -93,8 +85,6 @@ class TestApply:
             apply_delta(plan, PlanDelta(
                 ops=(ScaleStage("nope", "compress", 2),)
             ))
-        with pytest.raises(ValidationError, match="delta references"):
-            apply_delta(plan, PlanDelta(ops=(SetBatchFrames("nope", 2),)))
 
     def test_unknown_stage_kind_raises(self, plan):
         with pytest.raises(ValidationError, match="unknown stage kind"):
@@ -148,7 +138,6 @@ class TestSerialization:
             ops=(
                 ScaleStage("s1", "compress", 6),
                 MoveStage("s1", "send", (0, 1)),
-                SetBatchFrames("s1", 4),
                 SetCodec("zlib:level=1"),
             ),
             reason="backpressure",
@@ -175,6 +164,10 @@ class TestSerialization:
             delta_from_dict({"ops": [{"op": "teleport"}]})
         with pytest.raises(ValidationError, match="unknown delta op"):
             delta_from_dict({"ops": [{}]})
+        # The batch knob's op went with the knob.
+        with pytest.raises(ValidationError, match="'set_batch_frames'"):
+            delta_from_dict({"ops": [{"op": "set_batch_frames",
+                                      "stream": "s", "batch_frames": 4}]})
 
     def test_malformed_op_fields_rejected(self):
         with pytest.raises(ValidationError, match="bad scale_stage op"):
@@ -199,14 +192,11 @@ class TestPlanDiffDerivation:
         target = apply_delta(plan, PlanDelta(ops=(
             ScaleStage("s", "compress", 6),
             MoveStage("s", "decompress", (1,)),
-            SetBatchFrames("s", 4),
             SetCodec("zlib:level=6"),
         ))).plan
         delta = plan_delta(plan, target)
         kinds = {op.op for op in delta.ops}
-        assert kinds == {
-            "scale_stage", "move_stage", "set_batch_frames", "set_codec"
-        }
+        assert kinds == {"scale_stage", "move_stage", "set_codec"}
         again = apply_delta(plan, delta).plan
         assert not plan_delta(again, target)
 

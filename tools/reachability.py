@@ -27,8 +27,8 @@ The entry points:
 - ``repro experiment all --quick``;
 - the documented command-line flows: ``plan generate/explain/diff/lower``,
   ``run`` with every observation option, ``live`` with zlib and lz4,
-  ``--fault``, ``--batch-frames``, ``--plan``, ``--mode process
-  --domains 2``, ``--listen``/``--connect`` with an injected drop,
+  ``--fault``, ``--plan``, ``--mode process --domains 2``,
+  ``--listen``/``--connect`` with an injected drop,
   ``--obs-port`` read on all five endpoints plus ``repro top --once``,
   and ``--autotune`` on both substrates.
 
@@ -118,7 +118,6 @@ FLOWS: list[tuple[str, list[str]]] = [
     ("live --fault", ["live", "--chunks", "6", "--detector", "64x64",
                       "--fault", "drop:at=3", "--fault", "corrupt:at=7",
                       "--json-out", "fault.json"]),
-    ("live --batch-frames", ["live", *LIVE_SMALL, "--batch-frames", "8"]),
     ("live --plan", ["live", "--plan", "plan.json", "--compress-threads",
                      "1", "--chunks", "3", "--detector", "64x64"]),
     ("live --mode process", ["live", "--mode", "process", "--domains", "2",
