@@ -14,7 +14,7 @@ file (format v3; v1/v2 scenarios load too) drives either substrate::
 
 ``run`` and ``live`` take the same observation options
 (``--trace-out --metrics-out --json-out --obs-port --events-out
---profile --autotune``); ``top`` watches an ``--obs-port``::
+--profile``); ``top`` watches an ``--obs-port``::
 
     repro live --chunks 12 --trace-out trace.json   # Chrome/Perfetto trace
     repro run plan.json --metrics-out metrics.prom
@@ -77,14 +77,6 @@ def _add_observation_arguments(parser: argparse.ArgumentParser) -> None:
         "per-stage self-time into the pipeline report (on `run` it "
         "samples the simulator itself, not the modeled stages)",
     )
-    parser.add_argument(
-        "--autotune", action="store_true",
-        help="run the closed-loop controller: watchdog signals become "
-        "plan deltas (scale workers, respawn a stage) applied to the "
-        "running pipeline without restart "
-        "— on `run`, on the virtual clock and deterministic under the "
-        "scenario seed (see docs/autotuning.md)",
-    )
 
 
 def _load_plan(path: str):
@@ -113,7 +105,7 @@ def _lower_plan(path: str, build, *args, **kwargs):
         raise SystemExit(1) from None
 
 
-def _telemetry_for(args: argparse.Namespace, autotune: bool, *also):
+def _telemetry_for(args: argparse.Namespace, *also):
     """A fresh Telemetry when an observation option (or anything in
     ``also``) reads one; None for an unobserved run."""
     if (
@@ -122,7 +114,6 @@ def _telemetry_for(args: argparse.Namespace, autotune: bool, *also):
         or args.obs_port is not None
         or args.events_out
         or args.profile
-        or autotune
         or any(also)
     ):
         return Telemetry()
@@ -130,7 +121,7 @@ def _telemetry_for(args: argparse.Namespace, autotune: bool, *also):
 
 
 @contextmanager
-def _observed(telemetry, substrate: str, args, autotune: bool, plan):
+def _observed(telemetry, substrate: str, args):
     """The run's :func:`repro.obs.session.observe` session, announced.
 
     Without telemetry nothing observes and the handles are all None.
@@ -144,18 +135,7 @@ def _observed(telemetry, substrate: str, args, autotune: bool, plan):
         port=args.obs_port,
         events_out=args.events_out,
         profile=args.profile,
-        autotune=autotune,
-        plan=plan,
     ) as obs:
-        if obs.controller is not None:
-            node = obs.controller.config
-            pacing = f"interval={node.interval:g}s cooldown={node.cooldown:g}s"
-            if substrate == "live":
-                print("autotune: controller armed "
-                      f"({pacing} max_workers={node.max_workers})")
-            else:
-                print("autotune: controller armed on the virtual clock "
-                      f"({pacing})")
         if obs.server is not None:
             print(f"observability endpoints at {obs.server.url} "
                   "(/metrics /healthz /report /events /trace)")
@@ -166,8 +146,8 @@ def _write_observations(
     args, telemetry, obs, *, streams=(None,), trace_sample: int = 0
 ) -> None:
     """After the session closed: every artefact an option asked for,
-    the controller's decisions, and one pipeline report per ``streams``
-    entry (None = the whole run)."""
+    and one pipeline report per ``streams`` entry (None = the whole
+    run)."""
     if obs.profiler is not None:
         print(obs.profiler.render())
         if args.profile_out:
@@ -190,12 +170,6 @@ def _write_observations(
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
                 fh.write(telemetry.prometheus_text())
             print(f"wrote metrics to {args.metrics_out}")
-        if obs.controller is not None:
-            if obs.controller.decisions:
-                print("autotune decisions: "
-                      + "; ".join(obs.controller.decisions))
-            else:
-                print("autotune: no re-plan needed")
         for stream_id in streams:
             report = telemetry.pipeline_report(stream_id)
             if obs.profiler is not None:
@@ -389,12 +363,6 @@ def _live(args) -> int:
                      "process-mode fault testing lives in the chaos suite")
     if args.process_domains is not None and args.process_domains < 1:
         parser.error("--domains must be >= 1")
-    if args.autotune and remote:
-        parser.error("--autotune drives the in-process pipelines; the "
-                     "remote endpoints have no reconfiguration surface yet")
-    if args.autotune and args.fault:
-        parser.error("--fault runs over the remote endpoints, which "
-                     "--autotune does not drive yet")
     if args.listen and args.fault:
         parser.error("--fault is sender-side; use it with --connect or "
                      "the in-process loopback, not --listen")
@@ -409,14 +377,12 @@ def _live(args) -> int:
     except ValidationError as exc:
         parser.error(str(exc))
 
-    plan_obj = None
     base = LiveConfig(**_LIVE_DEFAULTS)
     if args.plan:
         from repro.plan.passes import build_live
 
-        plan_obj = _load_plan(args.plan)
         lowered = _lower_plan(
-            args.plan, build_live, plan_obj, args.stream,
+            args.plan, build_live, _load_plan(args.plan), args.stream,
             host_cpus=args.host_cpus,
         )
         base = lowered.config
@@ -445,13 +411,7 @@ def _live(args) -> int:
             f"codec={config.codec}"
         )
 
-    # The plan's ControlNode can turn the loop on without the flag.
-    autotune = args.autotune or (
-        plan_obj is not None and plan_obj.control.enabled
-    )
-    telemetry = _telemetry_for(
-        args, autotune, fault_specs, config.trace_sample
-    )
+    telemetry = _telemetry_for(args, fault_specs, config.trace_sample)
     injector = (
         FaultInjector(fault_specs, telemetry=telemetry)
         if fault_specs
@@ -503,7 +463,7 @@ def _live(args) -> int:
             trace_per_stream_cap=config.trace_per_stream_cap,
         )
 
-    with _observed(telemetry, "live", args, autotune, plan_obj) as obs:
+    with _observed(telemetry, "live", args) as obs:
         if remote:
             host, port = remote.rsplit(":", 1)
             if args.listen:
@@ -553,9 +513,9 @@ def _live(args) -> int:
                 domains = config.process_domains or config.compress_threads
                 print(f"process mode: {domains} compressor domain(s) over "
                       "shared-memory rings")
-            report = LivePipeline(
-                config, telemetry=telemetry, controller=obs.controller
-            ).run(make_source())
+            report = LivePipeline(config, telemetry=telemetry).run(
+                make_source()
+            )
             print(report.summary())
             ok = report.ok
     _write_observations(
@@ -642,8 +602,8 @@ def _plan_diff(args) -> int:
         parser.error("diff needs a second plan (or --substrates)")
     other = _load_plan(args.other)
     if args.format == "json":
-        # The same delta schema the autotuning controller emits on
-        # replan_* events (repro.plan.delta) — machine-checkable drift.
+        # The structured delta (repro.plan.delta) — machine-checkable
+        # drift.
         import json
 
         from repro.plan.delta import delta_to_dict, plan_delta
@@ -761,8 +721,8 @@ def _add_plan(sub) -> None:
     )
     diff.add_argument(
         "--format", choices=["text", "json"], default="text",
-        help="json = the structured PlanDelta document (ops + notes) "
-        "the autotuning controller uses; exit 1 on a non-empty delta",
+        help="json = the structured PlanDelta document (ops + notes); "
+        "exit 1 on a non-empty delta",
     )
     diff.set_defaults(handler=_plan_diff, parser=diff)
 
@@ -809,14 +769,10 @@ def _run(args) -> int:
 
     plan_obj = _load_plan(args.plan)
     scenario = _lower_plan(args.plan, build_scenario, plan_obj)
-    autotune = args.autotune or plan_obj.control.enabled
-    telemetry = _telemetry_for(args, autotune)
-    with _observed(telemetry, "sim", args, autotune, plan_obj) as obs:
+    telemetry = _telemetry_for(args)
+    with _observed(telemetry, "sim", args) as obs:
         result = SimRuntime(
-            scenario,
-            telemetry=telemetry,
-            watchdog=obs.watchdog_config,
-            controller=obs.controller,
+            scenario, telemetry=telemetry, watchdog=obs.watchdog_config
         ).run()
     table = Table(
         headers=["stream", "chunks", "network Gbps", "end-to-end Gbps"],

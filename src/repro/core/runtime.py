@@ -12,14 +12,12 @@ throughputs plus per-core utilization / remote-access maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.config import ScenarioConfig, StageKind, StreamConfig
 from repro.core.placement import ThreadHome, resolve_placement
 from repro.core.tasks import (
     END,
     StageGate,
-    StageMeters,
     StreamContext,
     WIRE,
     compress_flow,
@@ -162,7 +160,6 @@ class SimRuntime:
         *,
         telemetry: "bool | object" = False,
         watchdog: "object | None" = None,
-        controller: "object | None" = None,
     ) -> None:
         scenario.validate()
         self.scenario = scenario
@@ -175,17 +172,6 @@ class SimRuntime:
         if watchdog is not None and not telemetry:
             raise ConfigurationError(
                 "SimRuntime(watchdog=...) requires telemetry"
-            )
-        #: Autotuning controller (:class:`repro.control.Controller`) to
-        #: run on the virtual clock; requires telemetry (its signals
-        #: come from the shared event bus).  It is bound to a
-        #: :class:`SimReconfigurator` over this runtime when :meth:`run`
-        #: starts — same controller code as the live pipelines, so the
-        #: decision trace is deterministic under a fixed seed.
-        self.controller = controller
-        if controller is not None and not telemetry:
-            raise ConfigurationError(
-                "SimRuntime(controller=...) requires telemetry"
             )
         self.network = FlowNetwork(self.engine)
         #: Unified metrics/span layer (None when disabled).
@@ -219,12 +205,6 @@ class SimRuntime:
         #: All inter-stage stores, for queue-occupancy reporting when
         #: telemetry is attached.
         self.queues: list[Store] = []
-        #: (stream_id, stage value) -> reconfigurable stage entry; the
-        #: controller scales these through :class:`SimReconfigurator`.
-        self.sim_stages: dict[tuple[str, str], _SimStageSet] = {}
-        #: queue name -> (stream_id, consumer stage value), the sim's
-        #: answer to ``Reconfigurable.queue_consumer``.
-        self.queue_consumers: dict[str, tuple[str, str]] = {}
         self._done_events = []
         for stream in scenario.streams:
             self._build_stream(stream)
@@ -315,18 +295,11 @@ class SimRuntime:
             self.queues.append(store)
             return store
 
-        # Input queue of the first stage, fed by the dispatcher.  The
-        # END count resolves at close time — the controller may have
-        # grown the first stage by then.
+        # Input queue of the first stage, fed by the dispatcher.
         first_q = make_store(cap, f"{cfg.stream_id}/q0")
-        first_count = cfg.stages()[order[0]].count
-        self.queue_consumers[first_q.name] = (
-            cfg.stream_id, order[0].value
-        )
         self.engine.process(
             dispatcher_proc(
-                ctx, source, first_q,
-                self._close_count(cfg.stream_id, order[0], first_count),
+                ctx, source, first_q, cfg.stages()[order[0]].count
             ),
             name=f"{cfg.stream_id}.dispatcher",
         )
@@ -346,26 +319,16 @@ class SimRuntime:
                 recv_outq: Store | None = None
                 if after_recv:
                     recv_outq = make_store(cap, f"{cfg.stream_id}/q-recv")
-                    self.queue_consumers[recv_outq.name] = (
-                        cfg.stream_id, after_recv[0].value
-                    )
                 recv_gate = self._make_gate(
                     ctx,
                     recv_stage.count,
                     recv_outq,
-                    self._close_count(
-                        cfg.stream_id,
-                        after_recv[0] if after_recv else None,
-                        cfg.stages()[after_recv[0]].count if after_recv else 0,
-                    ),
+                    cfg.stages()[after_recv[0]].count if after_recv else 0,
                     done if not after_recv else None,
                 )
                 for i in range(n):
                     sockq = make_store(2, f"{cfg.stream_id}/sock{i}")
                     arrq = make_store(2, f"{cfg.stream_id}/arr{i}")
-                    self.queue_consumers[arrq.name] = (
-                        cfg.stream_id, StageKind.RECV.value
-                    )
                     s_home = homes[StageKind.SEND][i]
                     send_gate_noop = StageGate(1, lambda: None)
                     self.engine.process(
@@ -405,14 +368,11 @@ class SimRuntime:
             if next_kind is not None:
                 outq = make_store(cap, f"{cfg.stream_id}/q-{kind.value}")
                 next_count = cfg.stages()[next_kind].count
-                self.queue_consumers[outq.name] = (
-                    cfg.stream_id, next_kind.value
-                )
             gate = self._make_gate(
                 ctx,
                 stage.count,
                 outq,
-                self._close_count(cfg.stream_id, next_kind, next_count),
+                next_count,
                 done if is_last else None,
             )
             for i in range(stage.count):
@@ -430,26 +390,6 @@ class SimRuntime:
                     ),
                     name=f"{cfg.stream_id}.{kind.value}.{i}",
                 )
-            # Shared-queue stages are the reconfigurable units: the
-            # controller can grow compress/decompress mid-run.
-            self.sim_stages[(cfg.stream_id, kind.value)] = _SimStageSet(
-                runtime=self,
-                ctx=ctx,
-                kind=kind,
-                stage=stage,
-                machine=sender if kind.sender_side else receiver,
-                scheduler=self.schedulers[
-                    cfg.sender if kind.sender_side else cfg.receiver
-                ],
-                inq=inq,
-                outq=outq,
-                gate=gate,
-                flow_builder=flow_builder,
-                first_touch=first_touch,
-                count=stage.count,
-                next_index=stage.count,
-                scalable=kind.value in ("compress", "decompress"),
-            )
             inq = outq
 
     def _make_gate(
@@ -457,43 +397,17 @@ class SimRuntime:
         ctx: StreamContext,
         count: int,
         outq: Store | None,
-        next_count: Callable[[], int],
+        next_count: int,
         done_event,
     ) -> StageGate:
         def close() -> None:
             if outq is not None:
-                for _ in range(next_count()):
+                for _ in range(next_count):
                     outq.force_put(END)
             if done_event is not None:
                 done_event.trigger(ctx.config.stream_id)
 
         return StageGate(count, close)
-
-    def _close_count(
-        self, stream_id: str, kind: "StageKind | None", static: int
-    ) -> Callable[[], int]:
-        """END-sentinel count for a downstream stage, resolved at close.
-
-        The controller may have grown the stage since build time, so the
-        count is read from the live registry when the upstream gate
-        closes; resolving also latches ``inputs_closed`` on the entry so
-        no further scale-up can add a worker that would never see an
-        END.  Stages outside the registry (send/recv legs) fall back to
-        their static count.
-        """
-
-        def resolve() -> int:
-            entry = (
-                self.sim_stages.get((stream_id, kind.value))
-                if kind is not None
-                else None
-            )
-            if entry is None:
-                return static
-            entry.inputs_closed = True
-            return entry.count
-
-        return resolve
 
     # -- inspection -------------------------------------------------------
 
@@ -537,15 +451,6 @@ class SimRuntime:
                 self.engine.process(
                     self.watchdog.sim_process(self.engine, until=horizon),
                     name="watchdog",
-                )
-            if self.controller is not None:
-                # Same Controller class as the live pipelines, bound to
-                # the DES state; single-threaded engine + virtual clock
-                # make the whole control loop deterministic.
-                self.controller.bind(SimReconfigurator(self))
-                self.engine.process(
-                    self.controller.sim_process(self.engine, until=horizon),
-                    name="controller",
                 )
         while not done.processed:
             if not self.engine._heap:
@@ -630,152 +535,6 @@ class SimRuntime:
             remote_access=remote,
             telemetry=self.telemetry,
         )
-
-
-@dataclass
-class _SimStageSet:
-    """One shared-queue sim stage as a reconfigurable unit.
-
-    The DES analogue of :class:`repro.live.stageset.StageSet`: it owns
-    everything needed to mint another worker process mid-run — context,
-    queues, gate, flow builder, and the placement inputs.  Scaling is
-    grow-only (a generator process can't be stopped cleanly mid-`get`
-    without racing the END protocol; the controller's scale-down
-    surfaces as a ``replan_rejected`` in the sim) and refuses once the
-    upstream stage has closed this stage's input queue.
-
-    Growth is bounded by the placement itself: a stage may not exceed
-    two workers per distinct core its spec enumerates (the paper's
-    Obs 2 oversubscription rule, the same bound plan validation warns
-    about).  Past that, added workers only split the same cores'
-    capacity, so the controller reports the backpressure and acts on
-    nothing.
-    """
-
-    runtime: "SimRuntime"
-    ctx: StreamContext
-    kind: StageKind
-    stage: object  # StageConfig — placement + static count
-    machine: Machine
-    scheduler: OsScheduler
-    inq: Store
-    outq: Store | None
-    gate: StageGate
-    flow_builder: object
-    first_touch: bool
-    count: int
-    next_index: int
-    scalable: bool = False
-    inputs_closed: bool = False
-
-    def placement_slots(self) -> int:
-        """Distinct cores this stage's placement can schedule onto."""
-        spec = self.stage.placement
-        machine = self.machine.spec
-        if spec.kind == "cores":
-            return len(set(spec.cores))
-        if spec.kind in ("socket", "sockets"):
-            return sum(
-                len(machine.cores_of(s)) for s in set(spec.sockets)
-            )
-        return machine.total_cores
-
-    def scale_to(self, n: int) -> bool:
-        if (
-            not self.scalable
-            or self.inputs_closed
-            or self.gate.closed
-            or n <= self.count
-            or n > 2 * self.placement_slots()
-        ):
-            return False
-        sid = self.ctx.config.stream_id
-        while self.count < n:
-            i = self.next_index
-            self.next_index += 1
-            # Resolve as thread i of an (i+1)-wide group so worker i
-            # lands on the core static placement would have given it —
-            # resolving count=1 would pin every new worker to the
-            # group's first core, adding contention instead of capacity.
-            home = resolve_placement(
-                self.stage.placement,
-                self.machine.spec,
-                i + 1,
-                self.scheduler,
-                group=f"{sid}.{self.kind.value}.x{i}",
-            )[i]
-            # Gate first: the worker must be counted before it can run.
-            self.gate.add_worker()
-            self.runtime.engine.process(
-                stage_worker_proc(
-                    self.ctx,
-                    self.kind,
-                    home,
-                    self.inq,
-                    self.outq,
-                    self.gate,
-                    self.flow_builder,
-                    first_touch=self.first_touch,
-                    index=i,
-                ),
-                name=f"{sid}.{self.kind.value}.{i}",
-            )
-            self.count += 1
-            tel = self.ctx.telemetry
-            if tel is not None:
-                for counts in (
-                    tel.thread_counts, tel.stream_thread_counts[sid]
-                ):
-                    counts[self.kind.value] = counts.get(self.kind.value, 0) + 1
-        return True
-
-
-class SimReconfigurator:
-    """:class:`~repro.control.Reconfigurable` over the DES state.
-
-    Stream ids are explicit here (sim scenarios are multi-stream); a
-    blank stream id resolves to the single stream when there is exactly
-    one, matching the controller's live-runtime convention.
-    """
-
-    def __init__(self, runtime: "SimRuntime") -> None:
-        self.runtime = runtime
-
-    def _stream(self, stream: str) -> str:
-        if not stream and len(self.runtime.scenario.streams) == 1:
-            return self.runtime.scenario.streams[0].stream_id
-        return stream
-
-    def _entry(self, stream: str, stage: str) -> "_SimStageSet | None":
-        return self.runtime.sim_stages.get((self._stream(stream), stage))
-
-    def queue_consumer(self, queue: str) -> tuple[str, str] | None:
-        return self.runtime.queue_consumers.get(queue)
-
-    def stage_count(self, stream: str, stage: str) -> int | None:
-        entry = self._entry(stream, stage)
-        return entry.count if entry is not None else None
-
-    def can_scale(self, stream: str, stage: str) -> bool:
-        entry = self._entry(stream, stage)
-        return (
-            entry is not None
-            and entry.scalable
-            and not entry.inputs_closed
-            and not entry.gate.closed
-            and entry.count < 2 * entry.placement_slots()
-        )
-
-    def scale_stage(self, stream: str, stage: str, count: int) -> bool:
-        entry = self._entry(stream, stage)
-        return entry is not None and entry.scale_to(count)
-
-    def respawn_stage(self, stream: str, stage: str) -> bool:
-        # Sim workers are generator processes on a virtual clock — they
-        # cannot wedge the way a real thread can, and there is nothing
-        # to drain.  Refuse; the controller reports replan_rejected.
-        return False
-
 
 
 def run_scenario(

@@ -100,24 +100,6 @@ class StageGate:
         self._remaining = count
         self._close = close
 
-    @property
-    def closed(self) -> bool:
-        """True once the last worker exited and downstream was closed."""
-        return self._remaining <= 0
-
-    def add_worker(self) -> None:
-        """Admit one more live worker (controller scale-up).
-
-        Must happen before the new worker's process is registered, and
-        only while the stage is still open — growing a finished stage
-        would leave a worker waiting on a queue that never closes.
-        """
-        if self._remaining <= 0:
-            raise ConfigurationError(
-                "cannot add a worker to a closed stage gate"
-            )
-        self._remaining += 1
-
     def worker_done(self) -> None:
         self._remaining -= 1
         if self._remaining == 0:
@@ -350,21 +332,15 @@ def dispatcher_proc(
     ctx: StreamContext,
     source: Iterator[Chunk],
     outq: Store,
-    downstream_count: "int | Callable[[], int]",
+    downstream_count: int,
 ):
-    """Feeds the first queue from the chunk source (zero sim cost).
-
-    ``downstream_count`` may be a callable resolved *at close time*:
-    the autotuning controller can grow the first stage mid-run, and the
-    number of END sentinels must match the worker count at the moment
-    the source drains, not at build time.
-    """
+    """Feeds the first queue from the chunk source (zero sim cost),
+    then one END per worker of the first stage."""
     for chunk in source:
         if ctx.config.source_socket is not None:
             chunk.home_socket = ctx.config.source_socket
         yield outq.put(chunk)
-    n = downstream_count() if callable(downstream_count) else downstream_count
-    for _ in range(n):
+    for _ in range(downstream_count):
         outq.force_put(END)
 
 

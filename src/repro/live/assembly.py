@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from repro.live import workers
 from repro.live.blocks import split_chunk, split_frame
 from repro.live.queues import ClosableQueue
-from repro.live.stageset import StageSet
 from repro.live.transport import socket_pipe
 from repro.telemetry.context import HeadSampler
 
@@ -46,32 +45,25 @@ def thread(
 
 
 class Assembly:
-    """One run's wiring.  ``reconfigurable`` makes the compress and
-    decompress sets scalable and their workers stoppable (the in-process
-    pipelines, which a controller may drive); the TCP endpoints run
-    fixed sets of plain blocking workers.  Stage factories close over
-    the parts, never over this object, so a finished run is freed by
-    refcount rather than waiting for the cycle collector."""
+    """One run's wiring.  A stage is the list of its worker threads;
+    every entry point runs the same plain blocking workers.  The threads
+    close over the parts, never over this object, so a finished run is
+    freed by refcount rather than waiting for the cycle collector."""
 
     def __init__(
-        self, cfg: "LiveConfig", codec: "Codec", tel: Any, *, runner: str,
-        reconfigurable: bool,
+        self, cfg: "LiveConfig", codec: "Codec", tel: Any, *, runner: str
     ) -> None:
         self.cfg, self.codec, self.tel, self.runner = cfg, codec, tel, runner
-        self.reconfigurable = reconfigurable
         self.stats = {name: workers.StageStats(name) for name in STAGES}
         self.sampler: HeadSampler | None = None
         # Without telemetry a trace has nowhere to land.
         if cfg.trace_sample > 0 and tel is not None:
             self.sampler = HeadSampler(cfg.trace_sample, cfg.trace_per_stream_cap)
-        self.stages: dict[str, StageSet] = {}
+        self.stages: dict[str, list[threading.Thread]] = {}
         self.sendq: ClosableQueue
         self.wireq: ClosableQueue
-        #: queue name -> the stage draining it (backpressure routing).
-        self.queue_map: dict[str, str] = {}
-        self.respawn_hooks: dict[str, Callable[[], bool]] = {}
         #: A stage outside this process (the process front): ``start()``
-        #: before the sets, ``join(timeout)`` after, ``shutdown()`` always.
+        #: before the threads, ``join(timeout)`` after, ``shutdown()`` always.
         self.external: Any = None
         #: Extra run-event fields (the process front's domains/restarts).
         self.fields: dict[str, Any] = {}
@@ -83,8 +75,7 @@ class Assembly:
         self.blocked = False
         self.elapsed = self._t0 = 0.0
 
-    def queue(self, name: str, producers: int, consumer: str) -> ClosableQueue:
-        self.queue_map[name] = consumer
+    def queue(self, name: str, producers: int) -> ClosableQueue:
         return ClosableQueue(
             self.cfg.queue_capacity, producers=producers, name=name,
             telemetry=self.tel,
@@ -107,42 +98,36 @@ class Assembly:
         of large chunks (:mod:`repro.live.blocks`) and :attr:`blocked`
         tells :meth:`link_pairs` to cut the frames again on receipt."""
         cfg, aff, stats, tel = self.cfg, self.cfg.affinity, self.stats, self.tel
-        codec, sampler, stoppable = self.codec, self.sampler, self.reconfigurable
+        codec, sampler = self.codec, self.sampler
         if cfg.verify:
             source = self.tracked(source)
         self.blocked = codec.splits
         split = split_chunk if codec.splits else None
-        rawq = self.queue("rawq", 1, "compress")
-        sendq = self.sendq = self.queue("sendq", cfg.compress_threads, "send")
-        self.stages["feed"] = StageSet(
-            "feed",
-            lambda i, stop: thread(
-                "feeder", workers.feeder, source, rawq, stats["feed"],
-                aff.get("feed"), sampler=sampler, split=split, telemetry=tel,
-            ),
-            count=1,
-        )
-        self.stages["compress"] = StageSet(
-            "compress",
-            lambda i, stop: thread(
+        rawq = self.queue("rawq", 1)
+        sendq = self.sendq = self.queue("sendq", cfg.compress_threads)
+        self.stages["feed"] = [thread(
+            "feeder", workers.feeder, source, rawq, stats["feed"],
+            aff.get("feed"), sampler=sampler, split=split, telemetry=tel,
+        )]
+        self.stages["compress"] = [
+            thread(
                 f"compress-{i}", workers.compressor, codec, rawq, sendq,
-                stats["compress"], aff.get("compress"),
-                stop=stop if stoppable else None, telemetry=tel,
-            ),
-            count=cfg.compress_threads, downstream=sendq, scalable=stoppable,
-        )
+                stats["compress"], aff.get("compress"), telemetry=tel,
+            )
+            for i in range(cfg.compress_threads)
+        ]
         self.widths(feed=1, compress=cfg.compress_threads)
 
     def link_pairs(self) -> None:
         """sendq -> a socketpair sender/receiver per connection -> wireq."""
         cfg, aff, stats = self.cfg, self.cfg.affinity, self.stats
         tel, sendq = self.tel, self.sendq
-        wireq = self.wireq = self.queue("wireq", cfg.connections, "decompress")
+        wireq = self.wireq = self.queue("wireq", cfg.connections)
         split = split_frame if self.blocked else None
-
-        def pair(i: int, stop: threading.Event) -> list[threading.Thread]:
+        link: list[threading.Thread] = []
+        for i in range(cfg.connections):
             tx, rx = socket_pipe(telemetry=tel)
-            return [
+            link += [
                 thread(
                     f"send-{i}", workers.sender, tx, sendq, stats["send"],
                     cpus=aff.get("send"), telemetry=tel,
@@ -152,8 +137,7 @@ class Assembly:
                     aff.get("recv"), split=split, telemetry=tel,
                 ),
             ]
-
-        self.stages["send"] = StageSet("send", pair, count=cfg.connections)
+        self.stages["send"] = link
         self.widths(send=cfg.connections, recv=cfg.connections)
 
     def back(
@@ -168,7 +152,7 @@ class Assembly:
         plane's budget release); the decompress stats count deliveries.
         """
         cfg, codec, wireq, tel = self.cfg, self.codec, self.wireq, self.tel
-        stats, stoppable = self.stats["decompress"], self.reconfigurable
+        stats = self.stats["decompress"]
         lock, delivered, ledger = threading.Lock(), self.delivered, cfg.verify
 
         def ledger_sink(stream_id: str, index: int, data: bytes | bytearray) -> None:
@@ -181,15 +165,13 @@ class Assembly:
             if after is not None:
                 after(stream_id, index)
 
-        self.stages["decompress"] = StageSet(
-            "decompress",
-            lambda i, stop: thread(
+        self.stages["decompress"] = [
+            thread(
                 f"decompress-{i}", workers.decompressor, codec, wireq, stats,
-                ledger_sink, cfg.affinity.get("decompress"),
-                stop=stop if stoppable else None, telemetry=tel,
-            ),
-            count=cfg.decompress_threads, scalable=stoppable,
-        )
+                ledger_sink, cfg.affinity.get("decompress"), telemetry=tel,
+            )
+            for i in range(cfg.decompress_threads)
+        ]
         self.widths(decompress=cfg.decompress_threads)
 
     def begin(self, message: str, **fields: Any) -> None:
@@ -199,46 +181,25 @@ class Assembly:
             )
         self._t0 = time.perf_counter()
 
-    def execute(
-        self, controller: Any = None, body: Callable[[], list[str]] | None = None
-    ) -> list[str]:
-        """Run every stage set to end-of-stream, check the ledger and
-        return the errors.  ``body`` runs on the calling thread between
-        start and join (the receiver's accept loop)."""
+    def execute(self, body: Callable[[], list[str]] | None = None) -> list[str]:
+        """Run every stage to end-of-stream, check the ledger and return
+        the errors.  ``body`` runs on the calling thread between start
+        and join (the receiver's accept loop)."""
         timeout = self.cfg.timeouts.join
-        sets, external = list(self.stages.values()), self.external
-        if controller is not None:
-            from repro.control.executor import StageSetExecutor
-
-            controller.bind(
-                StageSetExecutor(
-                    self.stages, queue_map=self.queue_map,
-                    respawn_hooks=self.respawn_hooks,
-                )
-            )
+        threads = [t for stage in self.stages.values() for t in stage]
+        external = self.external
         errors: list[str] = []
         try:
             if external is not None:
                 external.start()
-            try:
-                for ss in sets:
-                    ss.start()
-                if controller is not None:
-                    controller.start()
-                if body is not None:
-                    errors.extend(body())
-                for ss in sets:
-                    errors.extend(ss.join(timeout))
-            finally:
-                if controller is not None:
-                    controller.stop()
-            # The controller may have grown a set while earlier sets
-            # were being joined; sweep again now that it is stopped so
-            # every late-spawned worker is accounted for (re-joining
-            # finished threads is free, duplicate reports dedupe).
-            for ss in sets:
-                errors.extend(ss.join(timeout))
-            errors = list(dict.fromkeys(errors))
+            for t in threads:
+                t.start()
+            if body is not None:
+                errors.extend(body())
+            for t in threads:
+                t.join(timeout)
+                if t.is_alive():
+                    errors.append(f"thread {t.name} did not finish (deadlock?)")
             if external is not None:
                 errors.extend(external.join(timeout))
             self.elapsed = time.perf_counter() - self._t0

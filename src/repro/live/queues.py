@@ -186,24 +186,6 @@ class ClosableQueue:
             self._record_batch(f"{self.name}.put", done)
         return done
 
-    def add_producers(self, n: int = 1) -> None:
-        """Register ``n`` more producers on a still-open queue.
-
-        The reconfiguration hook: scaling a stage *up* registers the
-        new workers' closes before they spawn, so the close count stays
-        balanced and the queue can't seal early underneath live
-        producers.  Raises :class:`ValidationError` once sealed —
-        there is nothing left to produce into.
-        """
-        if n < 1:
-            raise ValidationError("add_producers() needs n >= 1")
-        with self._lock:
-            if self._sealed:
-                raise ValidationError(
-                    "add_producers() on a fully closed queue"
-                )
-            self._open_producers += n
-
     def close(self) -> None:
         """One producer is done; the last close seals the queue.
 

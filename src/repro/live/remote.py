@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import socket
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.compress.codec import Codec, CodecSpec, resolve_codec
@@ -32,7 +33,6 @@ from repro.live.eventloop import (
     run_accept_loop,
 )
 from repro.live.runtime import LiveConfig
-from repro.live.stageset import StageSet
 from repro.live.transport import FramedSender
 from repro.plan.ir import REMOVED_RECEIVER_PLANE
 from repro.telemetry.facade import as_telemetry
@@ -169,7 +169,7 @@ class ReceiverServer:
         """Accept connections (and re-connections) to end-of-stream."""
         asm = Assembly(
             self.config, self.codec, self.telemetry,
-            runner="ReceiverServer", reconfigurable=False,
+            runner="ReceiverServer",
         )
         asm.begin(
             "receiver serving", connections=self.connections,
@@ -177,7 +177,7 @@ class ReceiverServer:
         )
         # serve() is the only producer: the plane feeds it frames, and
         # pump() seals the queue once every logical connection finished.
-        asm.wireq = asm.queue("wireq", 1, "decompress")
+        asm.wireq = asm.queue("wireq", 1)
         plane = EventLoopPlane(
             shards=self.shards, wireq=asm.wireq, recv_stats=asm.stats["recv"],
             telemetry=self.telemetry,
@@ -276,7 +276,7 @@ class SenderClient:
         """Stream every chunk of ``source`` to the receiver."""
         asm = Assembly(
             self.config, self.codec, self.telemetry,
-            runner="SenderClient", reconfigurable=False,
+            runner="SenderClient",
         )
         asm.begin(
             f"sender dialing {self.host}:{self.port}",
@@ -300,15 +300,14 @@ class SenderClient:
         asm.front_threads(source)
         # The link: one at-least-once sender per dialed connection.
         sendq, stats = asm.sendq, asm.stats
-        asm.stages["send"] = StageSet(
-            "send",
-            lambda i, stop: thread(
-                f"send-{i}", workers.resilient_sender, senders[i],
-                lambda: self._dial(i), sendq, stats["send"], retry=self.retry,
+        asm.stages["send"] = [
+            thread(
+                f"send-{i}", workers.resilient_sender, tx,
+                partial(self._dial, i), sendq, stats["send"], retry=self.retry,
                 drain_timeout=self.timeouts.drain, telemetry=self.telemetry,
-            ),
-            count=self.connections,
-        )
+            )
+            for i, tx in enumerate(senders)
+        ]
         asm.widths(send=self.connections)
         errors = asm.execute()
         asm.end("sender finished", errors, chunks=stats["send"].chunks)

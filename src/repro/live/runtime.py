@@ -181,14 +181,10 @@ class LivePipeline:
         codec: "Codec | CodecSpec | str | None" = None,
         *,
         telemetry: "bool | object" = False,
-        controller: "object | None" = None,
     ):
         self.config = config or LiveConfig()
         self.codec = resolve_codec(codec if codec is not None else self.config.codec)
         self.telemetry = as_telemetry(telemetry)
-        #: Optional :class:`repro.control.Controller`; bound to this
-        #: run's stage sets and started/stopped around :meth:`run`.
-        self.controller = controller
 
     def run(
         self,
@@ -213,7 +209,7 @@ class LivePipeline:
         tel = self.telemetry if telemetry is None else as_telemetry(telemetry)
         process = cfg.execution_mode == "process"
         asm = Assembly(
-            cfg, self.codec, tel, reconfigurable=True,
+            cfg, self.codec, tel,
             runner="ProcessPipeline" if process else "LivePipeline",
         )
         if process:
@@ -230,7 +226,7 @@ class LivePipeline:
             compress_threads=cfg.compress_threads,
             decompress_threads=cfg.decompress_threads,
         )
-        errors = asm.execute(self.controller)
+        errors = asm.execute()
         stats = asm.stats
         asm.end(
             f"{cfg.execution_mode} pipeline finished", errors,

@@ -43,11 +43,7 @@ from repro.live.transport import (
     pack_blocks,
 )
 from repro.telemetry.spans import ActiveSpan, stage_span
-from repro.util.errors import QueueTimeout, TransportError
-
-#: How often a stoppable worker wakes from an idle queue to re-check
-#: its stop event (seconds) — bounds scale-down/respawn latency.
-STOP_POLL_SECONDS = 0.1
+from repro.util.errors import TransportError
 
 #: What one send or receive handoff coalesces: only frames already
 #: waiting (queued for the sender, whole in the receiver's buffer), at
@@ -158,7 +154,6 @@ def compressor(
     cpus: list[int] | None = None,
     *,
     telemetry=None,
-    stop: threading.Event | None = None,
 ) -> None:
     """{C}: compress chunk payloads into wire frames.
 
@@ -166,21 +161,13 @@ def compressor(
     one, taken one per handoff; the thread that compresses a chunk's
     last block packs the chunk's frame and forwards it.  Stats and
     counters book chunks, spans book each codec call.
-
-    ``stop`` makes the worker stoppable between items — set while it
-    waits, it exits cleanly within :data:`STOP_POLL_SECONDS` and its
-    ``finally``-close balances the downstream producer count, which is
-    how the controller scales this stage down without losing chunks.
     """
     _maybe_pin(cpus, "compress", telemetry)
     track = threading.current_thread().name
-    timeout = None if stop is None else STOP_POLL_SECONDS
     try:
-        while stop is None or not stop.is_set():
+        while True:
             try:
-                item = inq.get(timeout)
-            except QueueTimeout:
-                continue
+                item = inq.get()
             except Closed:
                 break
             if type(item) is Block:
@@ -580,7 +567,6 @@ def decompressor(
     cpus: list[int] | None = None,
     *,
     telemetry=None,
-    stop: threading.Event | None = None,
 ) -> None:
     """{D}: decompress received frames and deliver to the sink.
 
@@ -588,19 +574,14 @@ def decompressor(
     a blocked frame, taken one per handoff; the thread that decodes a
     chunk's last block joins the output and delivers the chunk.  A
     blocked frame that arrives whole (the event plane enqueues a frame
-    all-or-nothing) has its blocks decoded here, in turn.  ``stop``
-    behaves as in :func:`compressor` (there is no downstream queue, so
-    stopping is just a clean exit between items).
+    all-or-nothing) has its blocks decoded here, in turn.
     """
     _maybe_pin(cpus, "decompress", telemetry)
     track = threading.current_thread().name
-    timeout = None if stop is None else STOP_POLL_SECONDS
     try:
-        while stop is None or not stop.is_set():
+        while True:
             try:
-                item = inq.get(timeout)
-            except QueueTimeout:
-                continue
+                item = inq.get()
             except Closed:
                 break
             if type(item) is Block:

@@ -38,12 +38,10 @@ from typing import Iterable
 from repro.compress.codec import Codec, CodecSpec, codec_spec
 from repro.data.chunking import Chunk
 from repro.faults.policy import RetryPolicy
-from repro.live import workers
 from repro.live.assembly import Assembly, thread
 from repro.live.dedup import StreamDedup
 from repro.live.queues import Closed
 from repro.live.runtime import LiveConfig, LivePipeline
-from repro.live.stageset import StageSet
 from repro.live.transport import Frame
 from repro.mp.records import pack_record, unpack_stamped
 from repro.mp.supervisor import DomainSupervisor
@@ -56,7 +54,7 @@ class ProcessFront:
         mp-feeder -> raw ring[d] -> [compress proc d] -> comp ring[d]
         -> collector-d -> sendq
 
-    Registers its ``feed`` and ``collect`` stage sets on the assembly
+    Registers its ``feed`` and ``collect`` threads on the assembly
     and is its ``external`` stage: the supervisor's processes start
     before the threads, are joined after them, and their shared segments
     are released whatever happened.  It takes the assembly's parts, not
@@ -84,21 +82,15 @@ class ProcessFront:
         #: Replay dedup across all collectors (guarded by the lock).
         self.dedup = StreamDedup()
         self._dedup_lock = threading.Lock()
-        self.sendq = asm.sendq = asm.queue("sendq", self.domains, "send")
-        asm.stages["feed"] = StageSet(
-            "feed", lambda i, stop: thread("mp-feeder", self._feed), count=1
-        )
-        # One collector per domain ring — the count is topology, not a
-        # tunable, so the set stays non-scalable.
-        asm.stages["collect"] = StageSet(
-            "collect",
-            lambda i, stop: thread(f"collector-{i}", self._collect, i),
-            count=self.domains,
-            downstream=self.sendq,
-        )
+        self.sendq = asm.sendq = asm.queue("sendq", self.domains)
+        asm.stages["feed"] = [thread("mp-feeder", self._feed)]
+        # One collector per domain ring.
+        asm.stages["collect"] = [
+            thread(f"collector-{i}", self._collect, i)
+            for i in range(self.domains)
+        ]
         asm.widths(feed=1, compress=self.domains)
         self.fields["domains"] = self.domains
-        asm.respawn_hooks["compress"] = self.respawn
 
     # -- the assembly's external stage ------------------------------------
 
@@ -118,18 +110,6 @@ class ProcessFront:
 
     def shutdown(self) -> None:
         self.supervisor.shutdown()
-
-    def respawn(self) -> bool:
-        """The controller's compress-respawn lever.
-
-        Compress workers are processes, not threads: the supervisor
-        SIGKILLs each and lets the crash path restart-and-replay it
-        (exactly-once holds — collectors dedup on key).  Every domain is
-        cycled; a stall signal doesn't say which domain's worker went
-        quiet.
-        """
-        results = [self.supervisor.respawn(d) for d in range(self.domains)]
-        return any(results)
 
     # -- thread bodies ---------------------------------------------------
 
@@ -233,8 +213,7 @@ class ProcessPipeline(LivePipeline):
         *,
         telemetry: "bool | object" = False,
         retry: RetryPolicy | None = None,
-        controller: "object | None" = None,
     ):
         config = dataclasses.replace(config or LiveConfig(), execution_mode="process")
-        super().__init__(config, codec, telemetry=telemetry, controller=controller)
+        super().__init__(config, codec, telemetry=telemetry)
         self.retry = retry

@@ -122,7 +122,6 @@ class DomainSupervisor:
         self.errors: list[str] = []
         self._stop = threading.Event()
         self._monitor_thread: threading.Thread | None = None
-        self._started = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -140,7 +139,6 @@ class DomainSupervisor:
             target=self._monitor, name="mp-monitor", daemon=True
         )
         self._monitor_thread.start()
-        self._started = True
 
     def _spawn(self, domain: int) -> None:
         worker = self.workers[domain] = pool.arm(
@@ -227,10 +225,7 @@ class DomainSupervisor:
             # Unblock everyone: the run is lost.
             self.abort()
             return
-        if attempt >= 1:
-            # attempt 0 is a controller-initiated respawn (the counter
-            # was pre-credited): restart immediately, no backoff.
-            time.sleep(self.retry.backoff(attempt - 1))
+        time.sleep(self.retry.backoff(attempt - 1))
         if self._stop.is_set():
             return
         self.restarts += 1
@@ -265,31 +260,6 @@ class DomainSupervisor:
                     # and replays the (unchanged) outstanding set again.
                     if not worker.is_alive():
                         break
-
-    def respawn(self, domain: int) -> bool:
-        """Controller-initiated drain-and-respawn of one domain worker.
-
-        Kills the process (SIGKILL — ``terminate()`` means "drain and
-        exit cleanly", which the monitor would *not* restart) and lets
-        the ordinary crash path bring up a clean replacement and replay
-        the outstanding records; the collector's dedup keeps delivery
-        exactly-once, the same guarantee a real crash gets.  The
-        attempt counter is pre-decremented so a deliberate respawn
-        never consumes the crash-retry budget.  Returns False when the
-        domain is gone, already given up, or the run is shutting down.
-        """
-        if not self._started or self._terminating:
-            return False
-        if domain not in self.workers or domain in self._given_up:
-            return False
-        worker = self.workers[domain]
-        if not worker.is_alive():
-            return False
-        with self._out_lock:
-            # The budget credit: _handle_crash's increment nets to zero.
-            self._attempts[domain] -= 1
-        worker.kill()
-        return True
 
     # -- shutdown --------------------------------------------------------
 

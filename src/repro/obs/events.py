@@ -44,9 +44,6 @@ EVENT_KINDS: tuple[str, ...] = (
     "worker_exit",        # supervisor: a process worker gave up for good
     "backpressure",       # watchdog: a queue pinned at depth
     "bottleneck_shift",   # watchdog: the busiest stage changed
-    "replan_proposed",    # controller: a plan delta was proposed
-    "replan_applied",     # controller: the delta took effect, no restart
-    "replan_rejected",    # controller: the delta failed validation/apply
     "log",                # bridged stdlib log record
 )
 
@@ -194,24 +191,6 @@ class EventBus:
             and SEVERITIES.index(e.severity) >= floor
         ]
         return out if n is None else out[-n:]
-
-    def since(self, cursor: int) -> tuple[list[Event], int]:
-        """Events emitted after ``cursor``, plus the new cursor.
-
-        A cursor is a lifetime emission count (start from 0, then pass
-        back what this returned).  Events that overflowed the ring
-        before being read are gone — the returned slice starts at
-        ``max(cursor, emitted - capacity)`` — but nothing newer than
-        the cursor is ever skipped while the ring keeps up.  This is
-        the controller's subscription primitive: poll-based, lock-held
-        only for the snapshot, no callbacks into emitters.
-        """
-        if cursor < 0:
-            raise ValueError("cursor must be >= 0")
-        with self._lock:
-            oldest = self._emitted - len(self._ring)
-            start = max(0, cursor - oldest)
-            return list(self._ring)[start:], self._emitted
 
     def counts(self) -> dict[str, int]:
         """Lifetime emission count per kind."""

@@ -52,8 +52,8 @@ def stage_for_thread_name(name: str) -> str:
     names resolve by token — the simulator's dotted process names
     (``s0.compress.1`` → ``compress``) and the process pipeline's
     prefixed workers (``mp-compress-0`` → ``compress``, ``collector-1``
-    → ``compress``) — the controller routes stall signals by this
-    stage.  Anything the pipeline didn't spawn (main thread, HTTP
+    → ``compress``) — the watchdog names a stalled worker's stage by
+    this.  Anything the pipeline didn't spawn (main thread, HTTP
     server threads) lands in ``other`` so the profile still accounts
     for 100% of samples.
     """

@@ -2,7 +2,7 @@
 
 ``repro live`` and ``repro run`` watch their run the same way — an
 event bus fed by telemetry and the ``repro`` logger, a watchdog, the
-autotuning controller, the sampling profiler, the HTTP endpoints.
+sampling profiler, the HTTP endpoints.
 :func:`observe` owns the order those come up in and guarantees, in a
 ``finally``, that every thread, socket, log handler and open sink is
 gone again whatever the run raised.
@@ -18,11 +18,9 @@ from repro.obs.events import EventBus
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.server import ObservabilityServer
 from repro.obs.watchdog import Watchdog, WatchdogConfig
-from repro.plan.ir import ControlNode, PipelinePlan
 from repro.util.log import attach_event_bus, detach_event_bus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.control import Controller
     from repro.telemetry.facade import Telemetry
 
 #: Coarser than the live defaults: these are *virtual* seconds, and
@@ -30,11 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SIM_WATCHDOG = WatchdogConfig(
     interval=1.0, stall_after=5.0, backpressure_after=2.0, bottleneck_every=10
 )
-#: The controller's pacing when the plan does not set its own.
-DEFAULT_CONTROL = {
-    "live": ControlNode(enabled=True),
-    "sim": ControlNode(enabled=True, interval=1.0, cooldown=2.0),
-}
 
 
 @dataclass
@@ -44,8 +37,6 @@ class Observation:
     bus: EventBus | None = None
     server: ObservabilityServer | None = None
     profiler: SamplingProfiler | None = None
-    #: Built, not started: the runtime it is handed to drives it.
-    controller: "Controller | None" = None
     #: Sim only: the virtual-clock watchdog ``SimRuntime`` should run.
     watchdog_config: WatchdogConfig | None = None
 
@@ -58,19 +49,17 @@ def observe(
     port: int | None = None,
     events_out: str | None = None,
     profile: bool = False,
-    autotune: bool = False,
-    plan: PipelinePlan | None = None,
 ) -> Iterator[Observation]:
     """Bring up what was asked for, yield the handles, tear it all down.
 
     The event bus (and with it the watchdog) exists when anything reads
-    events: the HTTP server, the JSONL sink, or the controller.
+    events: the HTTP server or the JSONL sink.
     """
     obs = Observation()
     handler = None
     watchdog = None
     try:
-        if port is not None or events_out or autotune:
+        if port is not None or events_out:
             obs.bus = EventBus(source=substrate, jsonl_path=events_out)
             telemetry.attach_events(obs.bus)
             handler = attach_event_bus(obs.bus)
@@ -78,15 +67,6 @@ def observe(
                 watchdog = Watchdog(telemetry).start()
             else:
                 obs.watchdog_config = SIM_WATCHDOG
-        if autotune:
-            # repro.control imports repro.obs.events: a module-level
-            # import here would be a cycle.
-            from repro.control import Controller
-
-            node = DEFAULT_CONTROL[substrate]
-            if plan is not None and not plan.control.is_default:
-                node = plan.control
-            obs.controller = Controller(telemetry, node, plan=plan)
         if profile:
             obs.profiler = SamplingProfiler().start()
         if port is not None:

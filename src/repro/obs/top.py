@@ -123,9 +123,7 @@ class Dashboard:
             + self._c(_YELLOW, str(bottleneck))
             + f"  retries={sample_value(families, 'transport_retries_total'):g}"
             + "  watchdog_stalls="
-            + f"{_family_total(families, 'repro_watchdog_stalls_total'):g}"
-            + "  replans="
-            + f"{_family_total(families, 'repro_controller_applied_total'):g}",
+            + f"{_family_total(families, 'repro_watchdog_stalls_total'):g}",
             "",
             f"  {'stage':<12} {'chunks':>8} {'rate/s':>8} {'util':>5} "
             f"{'prof(s)':>8}",

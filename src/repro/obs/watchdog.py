@@ -56,7 +56,7 @@ class WatchdogConfig:
     #: an alerted queue re-arms only once depth drops to or below
     #: ``backpressure_clear_ratio * backpressure_depth`` — hysteresis,
     #: so depth oscillating around the threshold can't re-fire the
-    #: alert every poll (and flap the autotuning controller).
+    #: alert every poll.
     backpressure_clear_ratio: float = 0.5
     #: recompute the bottleneck every N polls (0 disables).
     bottleneck_every: int = 4

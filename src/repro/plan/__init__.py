@@ -24,7 +24,6 @@ _EXPORTS = {
     "QueueEdge": "repro.plan.ir",
     "ExecutionNode": "repro.plan.ir",
     "CodecNode": "repro.plan.ir",
-    "ControlNode": "repro.plan.ir",
     "TraceNode": "repro.plan.ir",
     "STAGE_ORDER": "repro.plan.ir",
     "POLICIES": "repro.plan.ir",
@@ -54,15 +53,13 @@ _EXPORTS = {
     "explain_plan": "repro.plan.explain",
     "diff_plans": "repro.plan.diff",
     "substrate_drift": "repro.plan.diff",
-    # delta (the re-plan grammar)
+    # delta (the structured form of a plan diff)
     "PlanDelta": "repro.plan.delta",
     "ScaleStage": "repro.plan.delta",
     "MoveStage": "repro.plan.delta",
     "SetCodec": "repro.plan.delta",
-    "apply_delta": "repro.plan.delta",
     "plan_delta": "repro.plan.delta",
     "delta_to_dict": "repro.plan.delta",
-    "delta_from_dict": "repro.plan.delta",
     # serialization (the one document: v3 plans, v1/v2 scenarios)
     "plan_to_dict": "repro.plan.serialize",
     "plan_from_dict": "repro.plan.serialize",

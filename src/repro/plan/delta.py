@@ -1,38 +1,25 @@
-"""Typed plan deltas: the grammar of a re-plan.
+"""Typed plan deltas: the structured form of ``repro plan diff``.
 
 A :class:`PlanDelta` is a small, serializable edit script over a
-:class:`~repro.plan.ir.PipelinePlan` — the representation shared by the
-autotuning controller (:mod:`repro.control`), which *proposes* deltas
-from observed signals, and ``repro plan diff --format json``, which
-*derives* them by comparing two plan files.  One grammar both ways
-means a controller decision can be replayed offline by applying the
-emitted delta to the static plan, and a human diff can be fed back to
-a runtime verbatim.
-
-The grammar covers the knobs a running pipeline can absorb without a
-restart:
+:class:`~repro.plan.ir.PipelinePlan` that ``repro plan diff --format
+json`` derives by comparing two plan files, so drift between them is
+machine-checkable.  The grammar names the edits a plan author makes to
+a stage or to the codec:
 
 - :class:`ScaleStage` — change a stage's worker count;
 - :class:`MoveStage` — re-home a stage onto different NUMA domains;
 - :class:`SetCodec` — swap the codec policy node.
 
 Drift the grammar cannot express (workload shape, machine sets, fault
-specs, ...) is carried as free-form ``notes`` — informational for
-diffs, never applicable.  :func:`apply_delta` applies the ops
-immutably, then re-runs the standard ``validate -> normalize`` passes
-so a bad delta surfaces diagnostics exactly like a bad plan file.
+specs, ...) is carried as free-form ``notes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Iterator
 
-from repro.core.config import StageKind
-from repro.core.placement import PlacementSpec
-from repro.plan.ir import CodecNode, PipelinePlan, StageNode, StreamNode
-from repro.plan.passes import PlanResult, run_passes
-from repro.util.errors import ValidationError
+from repro.plan.ir import PipelinePlan, StageNode, StreamNode
 
 __all__ = [
     "DeltaOp",
@@ -40,8 +27,6 @@ __all__ = [
     "PlanDelta",
     "ScaleStage",
     "SetCodec",
-    "apply_delta",
-    "delta_from_dict",
     "delta_to_dict",
     "plan_delta",
     "plan_drift",
@@ -96,17 +81,13 @@ class SetCodec:
 
 DeltaOp = ScaleStage | MoveStage | SetCodec
 
-_OP_TYPES: dict[str, type] = {
-    t.op: t for t in (ScaleStage, MoveStage, SetCodec)
-}
-
 
 @dataclass(frozen=True)
 class PlanDelta:
     """An ordered edit script plus the reasoning that produced it."""
 
     ops: tuple[DeltaOp, ...] = ()
-    #: Why the delta was proposed (controller diagnosis or "plan diff").
+    #: Why the delta was derived (``"plan diff"`` by default).
     reason: str = ""
     #: Drift the op grammar can't express — informational only.
     notes: tuple[str, ...] = ()
@@ -123,93 +104,7 @@ class PlanDelta:
 
 
 # ---------------------------------------------------------------------------
-# applying
-# ---------------------------------------------------------------------------
-
-
-def _edit_stage(
-    plan: PipelinePlan,
-    stream: str,
-    stage: str,
-    edit: "Any",
-) -> PipelinePlan:
-    """Rewrite one stage node of one stream immutably."""
-    try:
-        kind = StageKind(stage)
-    except ValueError:
-        raise ValidationError(f"unknown stage kind {stage!r}") from None
-    snode = plan.stream(stream)  # KeyError -> caller converts
-    node = snode.stage(kind)
-    if node is None:
-        raise ValidationError(
-            f"stream {stream!r} has no {stage} stage to edit"
-        )
-    stages = tuple(
-        edit(n) if n.kind == kind else n for n in snode.stages
-    )
-    streams = [
-        replace(s, stages=stages) if s.stream_id == stream else s
-        for s in plan.streams
-    ]
-    return plan.with_streams(streams)
-
-
-def _apply_op(plan: PipelinePlan, op: DeltaOp) -> PipelinePlan:
-    if isinstance(op, ScaleStage):
-        return _edit_stage(
-            plan,
-            op.stream,
-            op.stage,
-            lambda n: replace(n, count=op.count),
-        )
-    if isinstance(op, MoveStage):
-        if not op.sockets:
-            raise ValidationError("move_stage needs >= 1 socket")
-        spec = (
-            PlacementSpec.socket(op.sockets[0])
-            if len(op.sockets) == 1
-            else PlacementSpec.split(op.sockets)
-        )
-        return _edit_stage(
-            plan,
-            op.stream,
-            op.stage,
-            lambda n: replace(n, placement=spec, rationale="controller move"),
-        )
-    if isinstance(op, SetCodec):
-        return replace(plan, codec=CodecNode.from_spec(op.codec))
-    raise ValidationError(f"unknown delta op {op!r}")  # pragma: no cover
-
-
-def apply_delta(
-    plan: PipelinePlan,
-    delta: PlanDelta,
-    *,
-    strict: bool = True,
-    telemetry: "Any | None" = None,
-) -> PlanResult:
-    """Apply ``delta`` to ``plan`` and re-run the standard passes.
-
-    Ops apply in order, immutably; the result goes through the same
-    ``validate -> normalize`` pipeline a freshly loaded plan file does,
-    so an out-of-range count or an unknown socket surfaces as plan
-    diagnostics.  ``strict=True`` raises on errors (the CLI path);
-    ``strict=False`` returns the diagnostics for the caller — the
-    controller uses this to turn a bad proposal into a
-    ``replan_rejected`` event instead of a crash.  Notes never apply;
-    they ride along for reporting.
-    """
-    out = plan
-    try:
-        for op in delta.ops:
-            out = _apply_op(out, op)
-    except KeyError as exc:
-        raise ValidationError(f"delta references {exc.args[0]}") from exc
-    return run_passes(out, telemetry=telemetry, strict=strict)
-
-
-# ---------------------------------------------------------------------------
-# (de)serialization — the schema `repro plan diff --format json` emits
+# serialization — the schema `repro plan diff --format json` emits
 # ---------------------------------------------------------------------------
 
 
@@ -222,39 +117,13 @@ def _op_to_dict(op: DeltaOp) -> dict[str, Any]:
 
 
 def delta_to_dict(delta: PlanDelta) -> dict[str, Any]:
-    """Encode a delta as the shared JSON schema."""
+    """Encode a delta as the JSON schema ``plan diff`` emits."""
     doc: dict[str, Any] = {"ops": [_op_to_dict(op) for op in delta.ops]}
     if delta.reason:
         doc["reason"] = delta.reason
     if delta.notes:
         doc["notes"] = list(delta.notes)
     return doc
-
-
-def _op_from_dict(d: dict[str, Any]) -> DeltaOp:
-    kind = d.get("op")
-    cls = _OP_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValidationError(f"unknown delta op {kind!r}")
-    fields = {k: v for k, v in d.items() if k != "op"}
-    if cls is MoveStage:
-        fields["sockets"] = tuple(fields.get("sockets", ()))
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ValidationError(f"bad {kind} op: {exc}") from exc
-
-
-def delta_from_dict(doc: dict[str, Any]) -> PlanDelta:
-    """Decode a delta from the shared JSON schema."""
-    unknown = set(doc) - {"ops", "reason", "notes"}
-    if unknown:
-        raise ValidationError(f"unknown delta keys: {sorted(unknown)}")
-    return PlanDelta(
-        ops=tuple(_op_from_dict(d) for d in doc.get("ops", [])),
-        reason=str(doc.get("reason", "")),
-        notes=tuple(str(n) for n in doc.get("notes", ())),
-    )
 
 
 # ---------------------------------------------------------------------------

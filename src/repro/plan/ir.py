@@ -176,45 +176,6 @@ class CodecNode(PolicyNode):
 
 
 @dataclass(frozen=True)
-class ControlNode(PolicyNode):
-    """Closed-loop autotuning policy — a policy node, not a placement.
-
-    When ``enabled``, the runtime starts a
-    :class:`repro.control.Controller` that watches the event bus
-    (backpressure, stalls, bottleneck shifts) and applies plan deltas
-    to the *running* pipeline: scaling worker sets and respawning
-    stalled workers.  The same node drives
-    both substrates — a daemon thread on wall time, a simulated process
-    on the virtual clock.
-    """
-
-    enabled: bool = False
-    #: Seconds between controller polls (wall or virtual).
-    interval: float = 0.5
-    #: Minimum seconds between *applied* re-plans (damping).
-    cooldown: float = 2.0
-    #: Worker-count bounds for scalable stages (compress/decompress).
-    min_workers: int = 1
-    max_workers: int = 8
-    #: Consecutive quiet polls before scaling a stage back down
-    #: (0 disables scale-down).
-    scale_down_after: int = 0
-
-    def describe(self) -> str:
-        if not self.enabled:
-            return "disabled"
-        down = (
-            f", down after {self.scale_down_after} quiet polls"
-            if self.scale_down_after
-            else ""
-        )
-        return (
-            f"every {self.interval:g}s (cooldown {self.cooldown:g}s, "
-            f"workers {self.min_workers}..{self.max_workers}{down})"
-        )
-
-
-@dataclass(frozen=True)
 class TraceNode(PolicyNode):
     """Flow-tracing policy — head-based sampling of per-chunk traces.
 
@@ -295,8 +256,6 @@ class PipelinePlan(RunFields):
     execution: ExecutionNode = field(default_factory=ExecutionNode)
     #: Which codec compresses payloads.
     codec: CodecNode = field(default_factory=CodecNode)
-    #: Closed-loop autotuning policy (disabled unless opted into).
-    control: ControlNode = field(default_factory=ControlNode)
     #: Flow-tracing sampling policy (disabled unless opted into).
     trace: TraceNode = field(default_factory=TraceNode)
     #: Free-form provenance (workload name, generator inputs, ...).
@@ -326,7 +285,7 @@ class PipelinePlan(RunFields):
             f"plan {self.name!r} [{self.policy}]: "
             f"{len(self.machines)} machines, {len(self.streams)} streams"
         ]
-        for name in ("execution", "codec", "control", "trace"):
+        for name in ("execution", "codec", "trace"):
             node = getattr(self, name)
             if not node.is_default:
                 lines.append(f"  {name}: {node.describe()}")

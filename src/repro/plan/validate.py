@@ -33,7 +33,6 @@ def validate_plan(plan: PipelinePlan) -> Diagnostics:
         )
     _validate_execution(plan, diags)
     _validate_codec(plan, diags)
-    _validate_control(plan, diags)
     _validate_trace(plan, diags)
     for stream in plan.streams:
         _validate_stream(plan, stream, diags)
@@ -67,24 +66,6 @@ def _validate_codec(plan: PipelinePlan, diags: Diagnostics) -> None:
         plan.codec.spec().create()
     except ValidationError as exc:
         diags.error("bad-codec", f"codec policy: {exc}")
-
-
-def _validate_control(plan: PipelinePlan, diags: Diagnostics) -> None:
-    """The autotuning policy node (permissive IR, checked here)."""
-    c = plan.control
-    if c.interval <= 0:
-        diags.error("bad-control", "control interval must be > 0")
-    if c.cooldown < 0:
-        diags.error("bad-control", "control cooldown must be >= 0")
-    if c.min_workers < 1:
-        diags.error("bad-control", "control min_workers must be >= 1")
-    if c.max_workers < c.min_workers:
-        diags.error(
-            "bad-control",
-            "control max_workers must be >= min_workers",
-        )
-    if c.scale_down_after < 0:
-        diags.error("bad-control", "control scale_down_after must be >= 0")
 
 
 def _validate_trace(plan: PipelinePlan, diags: Diagnostics) -> None:

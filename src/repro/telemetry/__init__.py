@@ -34,7 +34,7 @@ from repro.telemetry.assemble import (
     trace_flows,
     trace_summary,
 )
-from repro.telemetry.clock import Clock, ManualClock, SimClock, WallClock
+from repro.telemetry.clock import Clock, SimClock, WallClock
 from repro.telemetry.context import HeadSampler, TraceContext
 from repro.telemetry.export import (
     chrome_trace,
@@ -65,7 +65,6 @@ __all__ = [
     "Handoff",
     "HeadSampler",
     "HistogramSeries",
-    "ManualClock",
     "MetricFamily",
     "MetricRegistry",
     "PipelineReport",

@@ -246,10 +246,9 @@ class CriticalPath:
 def critical_path(traces: Iterable[ChunkTrace]) -> dict[str, CriticalPath]:
     """Name the binding stage per stream across assembled traces.
 
-    This is the direct per-chunk signal the controller previously
-    inferred from queue-depth gauges: the stage where sampled chunks
-    actually spend their time, waits attributed to the stage they
-    precede.
+    This is the direct per-chunk signal that queue-depth gauges only
+    hint at: the stage where sampled chunks actually spend their time,
+    waits attributed to the stage they precede.
     """
     costs: dict[str, dict[str, float]] = {}
     for trace in traces:

@@ -40,7 +40,7 @@ def test_every_observation_option_writes_its_artefact(
         "--metrics-out", str(paths["metrics.prom"]),
         "--json-out", str(paths["result.json"]),
         "--events-out", str(paths["events.jsonl"]),
-        "--profile", "--autotune",
+        "--profile",
     ]
     if substrate == "sim":
         argv = ["run", str(plan_file), *argv]
@@ -53,7 +53,6 @@ def test_every_observation_option_writes_its_artefact(
     assert json.loads(paths["trace.json"].read_text())["traceEvents"]
     families = parse_prometheus_text(paths["metrics.prom"].read_text())
     assert "pipeline_chunks_total" in families
-    assert "repro_controller_polls_total" in families
     events = [
         json.loads(line)
         for line in paths["events.jsonl"].read_text().splitlines()
@@ -64,7 +63,6 @@ def test_every_observation_option_writes_its_artefact(
     envelope = json.loads(paths["result.json"].read_text())
     assert set(envelope) == {"kind", "ok", "result"} and envelope["ok"] is True
 
-    assert "autotune: controller armed" in out
     assert "sampling profile:" in out
     assert f"wrote {len(events)} events to" in out
     assert "telemetry report for" in out

@@ -102,65 +102,3 @@ def test_chaos_worker_crash_exactly_once(monkeypatch, crash_worker):
     ends = bus.recent(kind="run_end")
     assert any(e.fields.get("restarts", 0) >= 1 for e in ends)
 
-
-def test_controller_respawn_during_crash_replay_is_exactly_once(crash_worker):
-    """Drain-and-respawn under crash: the autotuning controller cycles
-    the compressor domains (a stall diagnosis) while domain 0 is
-    *also* dying for real three chunks in.  Both recoveries ride the
-    same restart+replay path and the collector dedup, so the sink must
-    still see every chunk exactly once."""
-    from repro.control import Controller
-    from repro.plan.ir import ControlNode
-
-    crash_worker(3)
-
-    bus = EventBus(source="live")
-    tel = Telemetry()
-    tel.attach_events(bus)
-    controller = Controller(
-        tel, ControlNode(enabled=True, interval=0.02, cooldown=0.5)
-    )
-
-    received = []
-    received_lock = threading.Lock()
-
-    def sink(stream_id, index, data):
-        with received_lock:
-            received.append((stream_id, index, len(data)))
-
-    def chunks_with_stall():
-        # A synthetic stall diagnosis mid-feed: the controller reacts
-        # while the real crash (chunk 3, domain 0) is being replayed.
-        for i, chunk in enumerate(chunks()):
-            if i == 10:
-                bus.emit(
-                    "stage_stall",
-                    "worker mp-compress-1 silent",
-                    severity="warning",
-                    worker="mp-compress-1",
-                    stage="compress",
-                )
-            yield chunk
-
-    cfg = LiveConfig(
-        codec="zlib",
-        compress_threads=2,
-        decompress_threads=2,
-        connections=1,
-        execution_mode="process",
-        mp_start_method="fork",
-    )
-    report = ProcessPipeline(
-        cfg, telemetry=tel, controller=controller
-    ).run(chunks_with_stall(), sink=sink)
-
-    assert report.ok, report.errors
-    assert report.chunks == NUM_CHUNKS
-    indices = sorted(i for _, i, _ in received)
-    assert indices == list(range(NUM_CHUNKS))
-
-    # The controller acted, and its respawn is narrated end to end.
-    assert "respawn compress workers" in controller.decisions
-    kinds = [e.kind for e in bus.recent(0)]
-    assert "replan_applied" in kinds
-    assert "worker_restart" in kinds

@@ -58,8 +58,7 @@ def make_front(tel, rings):
         queue_capacity=128,
     )
     asm = Assembly(
-        cfg, resolve_codec("zlib"), tel, runner="ProcessPipeline",
-        reconfigurable=True,
+        cfg, resolve_codec("zlib"), tel, runner="ProcessPipeline"
     )
     front = ProcessFront(asm, iter(()))
     front.supervisor = ScriptedSupervisor(rings)

@@ -11,7 +11,7 @@ from repro.obs.profiler import SamplingProfiler
 from repro.obs.promparse import parse_prometheus_text, sample_value
 from repro.obs.server import PROM_CONTENT_TYPE, ObservabilityServer
 from repro.telemetry import Telemetry
-from repro.telemetry.clock import ManualClock
+from tests.manual_clock import ManualClock
 
 
 def get(url):

@@ -1,7 +1,5 @@
 """repro top: dashboard rendering and end-to-end polling."""
 
-import json
-
 import pytest
 
 from repro.obs.events import EventBus
@@ -10,7 +8,7 @@ from repro.obs.server import ObservabilityServer
 from repro.cli import main
 from repro.obs.top import Dashboard, fetch_sample
 from repro.telemetry import Telemetry
-from repro.telemetry.clock import ManualClock
+from tests.manual_clock import ManualClock
 
 
 def synthetic_sample(*, chunks=100.0, healthy=True, depth=12.0):

@@ -7,7 +7,7 @@ import pytest
 from repro.obs.events import EventBus
 from repro.obs.watchdog import Watchdog, WatchdogConfig
 from repro.telemetry import Telemetry
-from repro.telemetry.clock import ManualClock
+from tests.manual_clock import ManualClock
 
 
 def make(config=None, **cfg_kw):
@@ -131,7 +131,7 @@ class TestBackpressure:
 
         Regression: the old two-way check treated any dip below the
         threshold as a full drain, so depth bouncing 10 -> 7 -> 10
-        re-alerted every cycle (and would flap the controller).  The
+        re-alerted every cycle.  The
         alert must stay latched until depth reaches clear_ratio*depth.
         """
         tel, clock, bus, dog = make(

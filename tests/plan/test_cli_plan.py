@@ -162,10 +162,13 @@ class TestRunPlanFlag:
         ["live", "--chunks", "1", "--batch-frames", "8", "--json-out", "OUT"],
         ["plan", "generate", "--stream", STREAM, "-o", "OUT",
          "--batch-frames", "8"],
+        ["live", "--chunks", "1", "--autotune", "--json-out", "OUT"],
+        ["run", "PLAN", "--autotune", "--json-out", "OUT"],
     ],
     ids=["telemetry", "bare-plan", "codec-adaptive", "probe-interval",
          "scenario", "run-plan-flag", "run-both-forms", "flow-out",
-         "batch-linger", "live-batch-frames", "plan-batch-frames"],
+         "batch-linger", "live-batch-frames", "plan-batch-frames",
+         "live-autotune", "run-autotune"],
 )
 def test_old_spelling_exits_2(argv, plan_file, tmp_path, capsys):
     """Removed spellings are rejected by argparse, not aliased."""

@@ -31,7 +31,6 @@ from repro.plan.delta import plan_delta
 from repro.plan.diff import diff_plans
 from repro.plan.ir import (
     CodecNode,
-    ControlNode,
     ExecutionNode,
     PipelinePlan,
     StreamNode,
@@ -57,7 +56,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _full_plan() -> PipelinePlan:
     """A normalized plan in which every container has an element and
-    every policy node is written: faults, edges, NICs, all four nodes."""
+    every policy node is written: faults, edges, NICs, all three nodes."""
     plan = ConfigGenerator(paper_testbed()).generate_plan(
         Workload([StreamRequest("s1", "updraft1", "lynxdtn", "aps-lan")])
     )
@@ -68,7 +67,6 @@ def _full_plan() -> PipelinePlan:
         streams=[stream],
         execution=ExecutionNode(mode="process", domains=2),
         codec=CodecNode.from_spec("zlib:level=6"),
-        control=ControlNode(enabled=True),
         trace=TraceNode(sample=8),
     )
 
@@ -210,7 +208,6 @@ LEVELS = {
     "cost": lambda d: d["cost"],
     "execution": lambda d: d["execution"],
     "codec": lambda d: d["codec"],
-    "control": lambda d: d["control"],
     "trace": lambda d: d["trace"],
 }
 
@@ -277,10 +274,10 @@ class TestBytesHeld:
 
 
 class TestRemovedKnob:
-    """``batch_frames`` left the format.  Every document written while
-    it existed carries the stream default, which loads and is not
-    re-emitted; a key only a file that set it on purpose has is refused
-    by name."""
+    """``batch_frames`` and the ``control`` node left the format.  Every
+    document written while the knob existed carries the stream default,
+    which loads and is not re-emitted; a key only a file that set it on
+    purpose has is refused by name."""
 
     @pytest.mark.parametrize(
         "name, load, dump",
@@ -302,7 +299,6 @@ class TestRemovedKnob:
         "form, level, key, value",
         [("plan", "stream", "batch_frames", 8),
          ("scenario", "stream", "batch_frames", 8),
-         ("plan", "control", "max_batch_frames", 8),
          ("plan", "cost", "queue_handoff_seconds", 2e-6),
          ("scenario", "cost", "queue_handoff_seconds", 2e-6)],
     )
@@ -314,6 +310,18 @@ class TestRemovedKnob:
         LEVELS[level](doc)[key] = value
         with pytest.raises(
             ConfigurationError, match=rf"{key} {value!r} .*knob was removed"
+        ):
+            load(doc)
+
+    @pytest.mark.parametrize("load", [plan_from_dict, scenario_from_dict])
+    def test_removed_control_node_is_refused_by_name(self, load):
+        """The controller's policy node was sparse, so only a plan that
+        opted into autotuning carries it; either reader refuses it."""
+        doc = plan_to_dict(PLAN)
+        doc["control"] = {"enabled": True}
+        with pytest.raises(
+            ConfigurationError,
+            match=r"plan control \{'enabled': True\} .*controller was removed",
         ):
             load(doc)
 

@@ -1,6 +1,6 @@
 """TraceNode: the plan's flow-tracing sampling policy.
 
-Like ExecutionNode, CodecNode and ControlNode, the node rides the v3
+Like ExecutionNode and CodecNode, the node rides the v3
 document but is *omitted when default* — a plan that never opted into
 tracing serializes byte-identically to one written before the node
 existed.

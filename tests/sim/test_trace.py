@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.telemetry import ManualClock, Telemetry
+from repro.telemetry import Telemetry
+from tests.manual_clock import ManualClock
 
 
 def telemetry():

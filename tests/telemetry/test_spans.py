@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
-from repro.telemetry import ManualClock, Span, SpanStore, Telemetry
+from repro.telemetry import Span, SpanStore, Telemetry
 from repro.telemetry.spans import stage_span
+from tests.manual_clock import ManualClock
 
 
 class TestSpan:

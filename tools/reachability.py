@@ -29,8 +29,7 @@ The entry points:
   ``run`` with every observation option, ``live`` with zlib and lz4,
   ``--fault``, ``--plan``, ``--mode process --domains 2``,
   ``--listen``/``--connect`` with an injected drop,
-  ``--obs-port`` read on all five endpoints plus ``repro top --once``,
-  and ``--autotune`` on both substrates.
+  and ``--obs-port`` read on all five endpoints plus ``repro top --once``.
 
 A flow that exits unexpectedly is reported on stderr and makes the exit
 status 1, because its missing reach would read as dead code.  Stdlib
@@ -108,7 +107,6 @@ FLOWS: list[tuple[str, list[str]]] = [
       "--metrics-out", "sim.prom", "--json-out", "sim.json",
       "--events-out", "sim.jsonl", "--profile"]),
     ("run scenario", ["run", "scenario.json"]),
-    ("run --autotune", ["run", "plan.json", "--autotune"]),
     ("live zlib (observed)",
      ["live", *LIVE_SMALL, "--codec", "zlib", "--trace-sample", "1",
       "--trace-out", "live-trace.json", "--metrics-out", "live.prom",
@@ -123,10 +121,6 @@ FLOWS: list[tuple[str, list[str]]] = [
     ("live --mode process", ["live", "--mode", "process", "--domains", "2",
                              "--chunks", "8", "--detector", "64x64",
                              "--codec", "zlib"]),
-    # Long enough for the controller's 0.5 s polls, with lz4 compress
-    # slow enough to bind.
-    ("live --autotune", ["live", "--chunks", "60", "--detector", "256x256",
-                         "--codec", "lz4", "--autotune"]),
 ]
 
 #: The observation plane's endpoints, read while a run streams.
